@@ -8,13 +8,15 @@ machinery serve squarefree moduli.
 
 Supported sources: zmod(m) for any m (components zmod(p^s)); product rings
 whose factors each have prime-power characteristic (components regroup the
-factors); any prime-characteristic ring (degenerate single component).
+factors); any prime-power-characteristic ring (degenerate single component,
+labelled with its true (p, s) so squarefree guards can refuse s > 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,13 +93,13 @@ class CrtDecomposition:
         return self.inverse_table[idx]
 
 
-def _degenerate(ring: Ring) -> CrtDecomposition:
+def _degenerate(ring: Ring, prime_power) -> CrtDecomposition:
     size = ring.size
     fwd = np.arange(size, dtype=np.int64).reshape(size, 1)
     inv = np.arange(size, dtype=np.int64)
     return CrtDecomposition(
         ring,
-        ((ring.characteristic, 1),),
+        (prime_power,),
         (ring,),
         fwd,
         inv,
@@ -156,15 +158,26 @@ def _ideals(ring: Ring, cofactors):
     return ideals
 
 
+@lru_cache(maxsize=None)
 def decompose_ring(ring: Ring) -> CrtDecomposition:
     """Split a ring along the prime factorization of its characteristic.
 
-    Prime characteristic returns a flagged degenerate single component.
+    A prime-power characteristic p**s returns a flagged degenerate single
+    component labelled ``((p, s),)``.  Rings compare and hash by descriptor,
+    so the decomposition is built (and its bijection verified) once per ring
+    per process; the cached tables are read-only.
     """
+    deco = _decompose(ring)
+    deco.forward_table.setflags(write=False)
+    deco.inverse_table.setflags(write=False)
+    return deco
+
+
+def _decompose(ring: Ring) -> CrtDecomposition:
     char = ring.characteristic
     factors = _factorize(char)
-    if len(factors) <= 1:
-        return _degenerate(ring)
+    if len(factors) == 1:
+        return _degenerate(ring, factors[0])
     if isinstance(ring, ZmodRing):
         mods = [p**s for p, s in factors]
         comps = tuple(ZmodRing(m) for m in mods)

@@ -153,35 +153,17 @@ class WindowBasis:
 
 
 def window_kernel(spec: KernelShiftSpec, window: WindowSpec) -> WindowBasis:
-    """Deterministic echelon basis of all in-window constraints' solutions."""
-    ring = spec.ring
-    if ring.is_field:
-        matrix = constraint_matrix(spec, window)
-        basis = linalg.nullspace(matrix, ring)
-        _, pivots = linalg.rref(matrix, ring)
-        free = tuple(c for c in range(window.n_sites) if c not in set(pivots))
-        return WindowBasis(spec, window, ((ring, basis, free),))
-    char = ring.characteristic
-    if is_prime(char):
-        raise UnsupportedCharacteristicError(
-            f"{ring.descriptor()} has prime characteristic but is not a field; "
-            "only fields and squarefree zmod moduli are supported"
-        )
-    from . import crt  # lazy: crt depends on this module's callers
+    """Deterministic echelon basis of all in-window constraints' solutions.
 
-    deco = crt.decompose_ring(ring)
-    if any(s > 1 for _, s in deco.prime_powers):
-        raise UnsupportedCharacteristicError(
-            f"characteristic {char} is not squarefree; window kernels unavailable"
-        )
+    One elimination per field component gives both the nullspace basis and
+    the free sites.
+    """
     comps = []
-    for j, comp_ring in enumerate(deco.component_rings):
-        comp_rule = crt.component_rule(spec.constraint, deco, j)
-        comp_spec = KernelShiftSpec(comp_rule, label=f"{spec.label}[p={comp_ring.characteristic}]")
+    deco = None
+    for comp_spec, comp_ring, deco, _ in _field_components(spec):
         matrix = constraint_matrix(comp_spec, window)
-        basis = linalg.nullspace(matrix, comp_ring)
-        _, pivots = linalg.rref(matrix, comp_ring)
-        free = tuple(c for c in range(window.n_sites) if c not in set(pivots))
+        reduced, pivots = linalg.rref(matrix, comp_ring)
+        basis, free = linalg.nullspace_from_rref(reduced, pivots, comp_ring)
         comps.append((comp_ring, basis, free))
     return WindowBasis(spec, window, tuple(comps), decomposition=deco)
 
@@ -233,6 +215,19 @@ def batch_membership(spec: KernelShiftSpec, window: WindowSpec, values: np.ndarr
     return ~residual.reshape(count, -1).any(axis=1)
 
 
+def _zmod_matmul(a, b, q):
+    """(a @ b) % q for Z/q code arrays.
+
+    Every product is at most (q-1)**2, so when the inner dimension n keeps
+    n * (q-1)**2 below 2**53 each partial sum is an integer that float64
+    holds exactly, in any summation order; the product then runs as a float64
+    matmul.  Above that bound it stays on int64.
+    """
+    if a.shape[-1] * (q - 1) ** 2 < 1 << 53:
+        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % q
+    return np.matmul(a, b) % q
+
+
 def _component_words(ring, basis, rank, codes):
     """Module-valued words for given coefficient codes (count, nb*rank)."""
     nb = basis.shape[0]
@@ -243,7 +238,7 @@ def _component_words(ring, basis, rank, codes):
         return out
     coef = codes.reshape(count, rank, nb)
     if ring.kind == "zmod":
-        out_t = np.matmul(coef, basis[None, :, :]) % ring.size  # (count, rank, sites)
+        out_t = _zmod_matmul(coef, basis[None, :, :], ring.size)  # (count, rank, sites)
         out = np.transpose(out_t, (0, 2, 1))
     else:
         for c in range(rank):
@@ -366,17 +361,27 @@ def submodule_condition_check(
 
 
 def _field_components(spec: KernelShiftSpec):
-    """Yield (component spec, component ring, decomposition|None, index)."""
+    """Yield (component spec, component ring, decomposition|None, index).
+
+    Fields yield themselves; squarefree characteristics yield one prime
+    component each.  Anything else is refused before any elimination runs.
+    """
     ring = spec.ring
     if ring.is_field:
         yield spec, ring, None, 0
         return
-    from . import crt
+    char = ring.characteristic
+    if is_prime(char):
+        raise UnsupportedCharacteristicError(
+            f"{ring.descriptor()} has prime characteristic but is not a field; "
+            "only fields and squarefree zmod moduli are supported"
+        )
+    from . import crt  # lazy: crt depends on this module's callers
 
     deco = crt.decompose_ring(ring)
     if any(s > 1 for _, s in deco.prime_powers):
         raise UnsupportedCharacteristicError(
-            f"characteristic {ring.characteristic} is not squarefree"
+            f"characteristic {char} is not squarefree; window kernels unavailable"
         )
     for j, comp_ring in enumerate(deco.component_rings):
         comp_rule = crt.component_rule(spec.constraint, deco, j)
@@ -711,7 +716,7 @@ def _matvec(ring, matrix, vec):
     if matrix.shape[1] == 0:
         return np.zeros(matrix.shape[0], dtype=np.int64)
     if ring.kind == "zmod":
-        return (matrix @ vec) % ring.size
+        return _zmod_matmul(matrix, vec, ring.size)
     acc = np.zeros(matrix.shape[0], dtype=np.int64)
     for i in range(matrix.shape[1]):
         acc = ring.add_arr(acc, ring.mul_arr(matrix[:, i], np.int64(vec[i])))

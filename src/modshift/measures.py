@@ -427,25 +427,12 @@ class SubgroupHaarMeasure(MeasureHandle):
         for si, span in enumerate(self.spans):
             targets = self._component_targets(vals, si)
             A = span.basis[:, cols].T if span.dim else np.zeros((len(cols), 0), dtype=np.int64)
-            solution, _ = linalg.solve_affine(A, targets, span.ring)
+            solution, null = linalg.solve_affine(A, targets, span.ring)
             if solution is None:
                 return Fraction(0)
-            r = linalg.rank(A, span.ring)
+            r = span.dim - null.shape[0]  # rank of A, from the same elimination
             out *= Fraction(1, span.ring.size**r)
         return out
-
-    def contains_values(self, flat_values) -> bool:
-        cols = np.arange(self.window.n_sites * self.module.rank, dtype=np.int64)
-        return self.cylinder_probability_from_flat(flat_values, cols) > 0
-
-    def cylinder_probability_from_flat(self, flat_values, cols):
-        for si, span in enumerate(self.spans):
-            targets = self._component_targets(np.asarray(flat_values, dtype=np.int64), si)
-            A = span.basis[:, cols].T if span.dim else np.zeros((len(cols), 0), dtype=np.int64)
-            solution, _ = linalg.solve_affine(A, targets, span.ring)
-            if solution is None:
-                return Fraction(0)
-        return Fraction(1)
 
     def fourier_root_sum(self, chi):
         ring = self.module.ring

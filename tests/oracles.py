@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's solvers: the zeroth-row oracle works
 from the space-time recursion of the parity kernel, and the brute-force kernel
-oracle enumerates words and evaluates raw stencil sums.
+oracle enumerates words and evaluates raw stencil sums.  The dense elimination
+oracle is the library's original full-row ``rref`` kept as the reference for
+the field-specific elimination paths.
 """
 
 from fractions import Fraction
@@ -101,3 +103,69 @@ def _anchor_deltas(lo):
 
     ranges = [range(min(0, l), 1) for l in lo]
     return list(product(*ranges))
+
+
+def dense_rref(matrix, ring):
+    """Reduced row echelon form by full-row ring arithmetic on int64 codes.
+
+    The original dense elimination: every row update runs the ring's
+    vectorized multiply and subtract over whole rows.  Returns (rref matrix,
+    pivot column list).
+    """
+    if not ring.is_field:
+        raise ValueError(f"{ring.descriptor()} is not a field")
+    m = np.array(matrix, dtype=np.int64)
+    if m.ndim != 2:
+        raise ValueError("matrix must be 2-dimensional")
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        col = m[r:, c]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        inv = ring.inverse(int(m[r, c]))
+        m[r] = ring.mul_arr(np.int64(inv), m[r])
+        factors = m[:, c].copy()
+        factors[r] = 0
+        hit = np.nonzero(factors)[0]
+        if hit.size:
+            m[hit] = ring.sub_arr(
+                m[hit], ring.mul_arr(factors[hit][:, None], m[r][None, :])
+            )
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def dense_nullspace(matrix, ring):
+    """Nullspace basis from dense_rref, filled entry by entry."""
+    m, pivots = dense_rref(matrix, ring)
+    cols = m.shape[1]
+    free = [c for c in range(cols) if c not in set(pivots)]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for j, fc in enumerate(free):
+        basis[j, fc] = ring.one
+        for r, pc in enumerate(pivots):
+            basis[j, pc] = ring.neg(int(m[r, fc]))
+    return basis
+
+
+def dense_solve_affine(matrix, rhs, ring):
+    """Solve M x = b with one dense_rref of [M | b] and a second for the nullspace."""
+    m = np.asarray(matrix, dtype=np.int64)
+    b = np.asarray(rhs, dtype=np.int64).reshape(-1, 1)
+    aug, pivots = dense_rref(np.hstack([m, b]), ring)
+    cols = m.shape[1]
+    if any(p == cols for p in pivots):
+        return None, dense_nullspace(m, ring)
+    x = np.zeros(cols, dtype=np.int64)
+    for r, pc in enumerate(pivots):
+        x[pc] = aug[r, cols]
+    return x, dense_nullspace(m, ring)

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 
+import modshift
 from modshift import ModuleSpec, WindowSpec, ZmodRing, constant_config, decode_config, encode_config
 from modshift.cli import main
 from modshift.experiment import (
@@ -124,6 +126,16 @@ def test_crt_split_files(tmp_path, capsys):
     assert decode_config(open(p3).read()).values.ravel()[0] == 2
 
 
+def test_crt_split_prime_power_is_degenerate(tmp_path, capsys):
+    cfg = constant_config(ModuleSpec(ZmodRing(4), 1), WindowSpec((1, 0), (0,), (3,)), 3)
+    src = tmp_path / "c4.cfg"
+    src.write_text(encode_config(cfg))
+    code, out = run_cli(capsys, "crt", "split", "--config", str(src), "--out", str(tmp_path / "parts"))
+    assert code == 0 and out["degenerate"] is True
+    (part,) = out["components"]
+    assert decode_config(open(part).read()) == cfg
+
+
 def test_cli_error_exit_code(capsys):
     code = main(["shift", "kernel", "--kernel", "kernel ring=zmod:2 rank=1 H=", "--extents", "3"])
     err = capsys.readouterr().err
@@ -173,10 +185,14 @@ expected = 31
 
 
 def test_cli_subprocess_entrypoint():
+    # The child interpreter imports the same package as this process, also
+    # when only pytest's own path setting put it on sys.path.
+    src = os.path.dirname(os.path.dirname(modshift.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "modshift.cli", "shift", "kernel",
          "--kernel", KERNEL, "--extents", "3,2"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["solution_count"] == 32

@@ -73,6 +73,35 @@ def test_prime_characteristic_degenerate():
     assert deco.degenerate and deco.n_components == 1
 
 
+@pytest.mark.parametrize("m, prime_power", [(4, (2, 2)), (9, (3, 2)), (7, (7, 1))])
+def test_prime_power_characteristic_degenerate_label(m, prime_power):
+    deco = decompose_ring(ZmodRing(m))
+    assert deco.degenerate and deco.n_components == 1
+    assert deco.prime_powers == (prime_power,)
+
+
+@pytest.mark.parametrize("m", [4, 9])
+def test_prime_power_refused_up_front(m):
+    from modshift import KernelShiftSpec, torsion_free_check, window_kernel
+
+    rule = LocalRule(ModuleSpec(ZmodRing(m), 1), (1, 1), ((0, 0), (1, 0), (0, 1)), (1, 1, 1))
+    spec = KernelShiftSpec(rule)
+    window = WindowSpec((1, 1), (0, 0), (3, 3))
+    with pytest.raises(UnsupportedCharacteristicError, match="not squarefree"):
+        window_kernel(spec, window)
+    with pytest.raises(UnsupportedCharacteristicError, match="not squarefree"):
+        torsion_free_check(spec, window, 2)
+
+
+def test_decompose_ring_memoized_read_only():
+    deco = decompose_ring(ZmodRing(30))
+    assert decompose_ring(ZmodRing(30)) is deco
+    for table in (deco.forward_table, deco.inverse_table):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
 def test_product_ring_decomposition():
     ring = ProductRing([ZmodRing(2), ZmodRing(3)])
     deco = decompose_ring(ring)
