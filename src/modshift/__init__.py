@@ -77,6 +77,7 @@ from .measures import (
     CosetHaarMeasure,
     ExactWordMeasure,
     FourierResult,
+    FourierSweep,
     HaarVerdict,
     MeasureHandle,
     MixingResult,
@@ -87,6 +88,7 @@ from .measures import (
     block_entropy,
     coset_haar,
     fourier,
+    fourier_sweep,
     haar_criterion,
     kernel_haar,
     mixing_statistic,

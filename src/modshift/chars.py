@@ -31,6 +31,8 @@ __all__ = [
     "cyclotomic_polynomial",
     "CharacterSpec",
     "all_characters",
+    "character_codes",
+    "character_labels",
     "parse_character",
     "format_character",
 ]
@@ -245,28 +247,29 @@ class CharacterSpec:
                 )
         return total % L
 
-    def value_of_config(self, config: WindowConfig) -> complex:
-        e = self.exponent_of_config(config)
-        return cmath.exp(2j * cmath.pi * e / self.order)
-
     def sites(self):
         return tuple(site for site, _ in self.duals)
+
+
+def _check_sweep_size(module: ModuleSpec, window: WindowSpec, limit: int) -> int:
+    total = module.size**window.n_sites
+    if total > limit:
+        raise ResourceLimitError(
+            f"character sweep of size {total} exceeds cap {limit}", required=total
+        )
+    return total
 
 
 def all_characters(module: ModuleSpec, window: WindowSpec, limit: int = 1 << 20):
     """Every character based inside the window, trivial character first.
 
-    Deterministic order: dual assignments counted row-major over sites,
-    little-endian in the module code at each site.
+    Deterministic order: dual assignments counted row-major over sites (the
+    first site most significant), little-endian in the module code at each
+    site.
     """
-    n_sites = window.n_sites
-    total = module.size**n_sites
-    if total > limit:
-        raise ResourceLimitError(
-            f"character sweep of size {total} exceeds cap {limit}", required=total
-        )
+    _check_sweep_size(module, window, limit)
     sites = list(window.sites())
-    for combo in iter_product(range(module.size), repeat=n_sites):
+    for combo in iter_product(range(module.size), repeat=window.n_sites):
         dual_map = {}
         for site, code in zip(sites, combo):
             if code:
@@ -274,14 +277,51 @@ def all_characters(module: ModuleSpec, window: WindowSpec, limit: int = 1 << 20)
         yield CharacterSpec.build(module, window, dual_map)
 
 
+def character_codes(module: ModuleSpec, window: WindowSpec, limit: int = 1 << 20) -> np.ndarray:
+    """The characters of `all_characters` as one (n_chars, n_sites * rank) array.
+
+    Row i holds the dual ring codes of the i-th character, site by site
+    (row-major) and component by component, so column (s, c) is the base-q
+    digit of i at place (n_sites - 1 - s) * rank + c: the first site is the
+    most significant.  The dtype is the narrowest unsigned type that holds a
+    ring code.
+    """
+    total = _check_sweep_size(module, window, limit)
+    n_sites, rank = window.n_sites, module.rank
+    q = module.ring.size
+    digit = np.arange(q, dtype=np.min_scalar_type(q - 1))
+    codes = np.empty((total, n_sites * rank), dtype=digit.dtype)
+    for place in range(n_sites * rank):
+        site, comp = n_sites - 1 - place // rank, place % rank
+        stride = q**place  # run length of equal digits at this place
+        codes[:, site * rank + comp] = np.tile(np.repeat(digit, stride), total // (stride * q))
+    return codes
+
+
+def _term_text(site, code: int) -> str:
+    return "(" + ",".join(str(x) for x in site) + f"):{code}"
+
+
+def character_labels(module: ModuleSpec, window: WindowSpec) -> list:
+    """`format_character` text of every character, in `all_characters` order.
+
+    The sweep is a full product over sites, so the labels are built one site
+    at a time by concatenation instead of one character at a time.
+    """
+    labels = [""]
+    for site in window.sites():
+        terms = [_term_text(site, code) for code in range(1, module.size)]
+        pieces = [""] + [";" + term for term in terms]
+        # Only the all-zero head (always first) takes its next term without ";".
+        labels = ["", *terms] + [head + piece for head in labels[1:] for piece in pieces]
+    labels[0] = "trivial"
+    return labels
+
+
 def format_character(chi: CharacterSpec) -> str:
     if chi.is_trivial:
         return "trivial"
-    parts = []
-    for site, dual in chi.duals:
-        code = chi.module.encode(dual)
-        parts.append("(" + ",".join(str(x) for x in site) + f"):{code}")
-    return ";".join(parts)
+    return ";".join(_term_text(site, chi.module.encode(dual)) for site, dual in chi.duals)
 
 
 def parse_character(text: str, module: ModuleSpec, window: WindowSpec) -> CharacterSpec:

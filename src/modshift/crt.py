@@ -128,25 +128,28 @@ def _verify_bijection(deco: CrtDecomposition):
     size = ring.size
     if size > 4096:
         return
-    seen = set()
-    for code in range(size):
-        comps = deco.forward(code)
-        if deco.inverse(comps) != code:
-            raise AssertionError(f"inverse(forward({code})) != {code}")
-        seen.add(comps)
-    if len(seen) != size:
+    codes = np.arange(size, dtype=np.int64)
+    fwd = deco.forward_table
+    back = deco.merge_arrays([fwd[:, j] for j in range(deco.n_components)])
+    bad = np.flatnonzero(back != codes)
+    if bad.size:
+        raise AssertionError(f"inverse(forward({bad[0]})) != {bad[0]}")
+    # Component codes as one mixed-radix key per element (component 0 lowest).
+    keys = fwd @ np.cumprod([1] + [r.size for r in deco.component_rings[:-1]])
+    if np.unique(keys).size != size:
         raise AssertionError("forward map is not injective")
-    # ring homomorphism spot exhaustive check
-    for a in range(size):
-        for b in range(size):
-            fa, fb = deco.forward(a), deco.forward(b)
-            fsum = deco.forward(ring.add(a, b))
-            fprod = deco.forward(ring.mul(a, b))
-            for j, comp in enumerate(deco.component_rings):
-                if fsum[j] != comp.add(fa[j], fb[j]) or fprod[j] != comp.mul(fa[j], fb[j]):
-                    raise AssertionError(f"component map not a homomorphism at ({a},{b})")
-        if size > 64 and a >= 64:
-            break
+    # Ring homomorphism: every b against a = 0..64 (all a for small rings).
+    a = codes[: min(size, 65), None]
+    b = codes[None, :]
+    fsum = fwd[ring.add_arr(a, b)]
+    fprod = fwd[ring.mul_arr(a, b)]
+    ok = np.ones(fsum.shape[:2], dtype=bool)
+    for j, comp in enumerate(deco.component_rings):
+        fa, fb = fwd[a, j], fwd[b, j]
+        ok &= (fsum[..., j] == comp.add_arr(fa, fb)) & (fprod[..., j] == comp.mul_arr(fa, fb))
+    if not ok.all():
+        i, k = np.argwhere(~ok)[0]
+        raise AssertionError(f"component map not a homomorphism at ({i},{k})")
 
 
 def _ideals(ring: Ring, cofactors):

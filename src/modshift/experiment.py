@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .chars import all_characters
 from .errors import ConfigParseError, InvalidParameterError, ResourceLimitError
 from .kernels import (
     KernelShiftSpec,
@@ -34,7 +33,7 @@ from .lattice import WindowSpec, checkerboard_config, constant_config
 from .measures import (
     block_entropy,
     coset_haar,
-    fourier,
+    fourier_sweep,
     haar_criterion,
     kernel_haar,
     mixing_statistic,
@@ -66,6 +65,29 @@ __all__ = [
 REPORT_SCHEMA = "modshift-report-v1"
 
 
+class _Section(dict):
+    """The key = value pairs of one config section.
+
+    A missing required key or a value that does not convert raises
+    `ConfigParseError` naming the section and the key.
+    """
+
+    def __init__(self, name: str, items):
+        super().__init__(items)
+        self.name = name
+
+    def __missing__(self, key):
+        raise ConfigParseError(f"[{self.name}] missing required key {key!r}")
+
+    def value(self, key: str, convert, default=None):
+        """`convert` applied to the value of `key` (required when no default)."""
+        text = self[key] if default is None else self.get(key, default)
+        try:
+            return convert(text)
+        except ValueError:
+            raise ConfigParseError(f"[{self.name}] bad value for {key!r}: {text!r}") from None
+
+
 @dataclass
 class ExperimentConfig:
     name: str
@@ -87,7 +109,7 @@ def parse_experiment(text: str) -> ExperimentConfig:
     name = head.get("name", "experiment")
     if "seed" not in head:
         raise ConfigParseError("experiment seed must be explicit")
-    seed = int(head["seed"])
+    seed = _Section("experiment", head).value("seed", int)
     steps = []
     for section in parser.sections():
         if section == "experiment":
@@ -105,9 +127,20 @@ def _ints(text: str):
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-def _window_from(params, rule_dims, origin_key="origin", extents_key="extents") -> WindowSpec:
-    extents = _ints(params[extents_key])
-    origin = _ints(params.get(origin_key, "0 " * len(extents)))
+def _exact_or_int(text: str):
+    return "exact" if text == "exact" else int(text)
+
+
+def _offsets(text: str):
+    return [tuple(_ints(piece.strip().strip("()"))) for piece in text.split(";")]
+
+
+def _window_from(params, rule_dims, extents_key="extents", origin_key="origin",
+                 origin_default=None) -> WindowSpec:
+    extents = params.value(extents_key, _ints)
+    if origin_default is None:
+        origin_default = "0 " * len(extents)
+    origin = params.value(origin_key, _ints, origin_default)
     return WindowSpec(rule_dims, tuple(origin), tuple(extents))
 
 
@@ -121,9 +154,9 @@ def _pattern_config(pattern: str, module, window, mode):
 
 def _step_frobenius_check(params, seed):
     rule = parse_rule(params["rule"])
-    ks = _ints(params.get("ks", "1 2"))
-    torus = _ints(params.get("torus", "32 " * (rule.dims[0] + rule.dims[1])))
-    n_configs = int(params.get("configs", "3"))
+    ks = params.value("ks", _ints, "1 2")
+    torus = params.value("torus", _ints, "32 " * (rule.dims[0] + rule.dims[1]))
+    n_configs = params.value("configs", int, "3")
     window = WindowSpec(rule.dims, (0,) * len(torus), tuple(torus))
     rng = CounterRng(seed, stream=71)
     f = from_rule(rule)
@@ -153,7 +186,7 @@ def _step_frobenius_check(params, seed):
 
 def _step_fixed_point(params, seed):
     rule = parse_rule(params["rule"])
-    torus = _ints(params["torus"])
+    torus = params.value("torus", _ints)
     window = WindowSpec(rule.dims, (0,) * len(torus), tuple(torus))
     cfg = _pattern_config(params["pattern"], rule.module, window, "torus")
     out = rule.apply(cfg)
@@ -179,10 +212,10 @@ def _step_kernel_count(params, seed):
     window = _window_from(params, spec.dims)
     basis = window_kernel(spec, window)
     count = basis.solution_count
-    expected = int(params["expected"])
+    expected = params.value("expected", int)
     out = {"pass": count == expected, "count": count, "expected": expected}
     if params.get("submodule-gens"):
-        gens = _ints(params["submodule-gens"])
+        gens = params.value("submodule-gens", _ints)
         closed = submodule_condition_check(basis, gens)
         out["submodule_condition"] = closed
         out["pass"] = out["pass"] and closed
@@ -198,7 +231,7 @@ def _step_kernel_count(params, seed):
 def _step_recurrent_sums(params, seed):
     rule = parse_rule(params["rule"])
     values = recurrent_power_sums(rule.ring, rule.coeffs)
-    expected = set(_ints(params["expected"]))
+    expected = set(params.value("expected", _ints))
     return {
         "pass": set(values) == expected,
         "values": sorted(values),
@@ -209,7 +242,7 @@ def _step_recurrent_sums(params, seed):
 def _step_torsion_check(params, seed):
     spec = KernelShiftSpec(parse_rule(params["kernel"], expect_prefix="kernel"))
     window = _window_from(params, spec.dims)
-    scalar = int(params["scalar"])
+    scalar = params.value("scalar", int)
     result = torsion_free_check(spec, window, scalar)
     expected = params["expected"] == "true"
     return {"pass": result == expected, "torsion_free": result, "scalar": scalar}
@@ -236,9 +269,9 @@ def _build_measure(params, seed):
         return coset_haar(rep, spec, seed=seed), spec.module, window
     if kind == "uniform":
         ring = make_ring(params["ring"])
-        rank = int(params.get("rank", "1"))
+        rank = params.value("rank", int, "1")
         module = ModuleSpec(ring, rank)
-        dims_d, dims_e = _ints(params.get("dims", "1 0"))
+        dims_d, dims_e = params.value("dims", _ints, "1 0")
         window = _window_from(params, (dims_d, dims_e))
         return uniform_bernoulli(module, window, seed=seed), module, window
     raise InvalidParameterError(f"unknown measure kind {kind!r}")
@@ -249,28 +282,22 @@ def _step_haar_sweep(params, seed):
     sweep_window = window
     if "sweep-extents" in params:
         sweep_window = _window_from(
-            {"extents": params["sweep-extents"], "origin": params.get("sweep-origin", params.get("origin", "0 " * window.axes))},
-            window.dims,
+            params, window.dims, "sweep-extents", "sweep-origin",
+            params.get("origin", "0 " * window.axes),
         )
     criterion = params.get("criterion", "subgroup")
     limit = (1 << 24) if params.get("_force") else (1 << 20)
-    results = [fourier(mu, chi) for chi in all_characters(module, sweep_window, limit=limit)]
-    verdict = haar_criterion(results, criterion=criterion)
-    rows = [r.row(t=0) for r in results]
+    sweep = fourier_sweep(mu, sweep_window, limit=limit)
+    verdict = haar_criterion(sweep, criterion=criterion)
     out = {
         "pass": verdict.consistent,
         "criterion": criterion,
-        "n_characters": len(results),
+        "n_characters": len(sweep),
         "violations": verdict.violations,
-        "fourier_table": rows,
+        "fourier_table": sweep.rows(t=0),
     }
     if params.get("expect-nonunit-phase", "false") == "true":
-        nonunit = any(
-            r.root_sum is not None
-            and r.root_sum.modulus_is_one()
-            and not r.root_sum.is_one()
-            for r in results
-        )
+        nonunit = any(rs.modulus_is_one() and not rs.is_one() for rs in sweep.root_sums)
         out["nonunit_phase"] = nonunit
         out["pass"] = out["pass"] and nonunit
     return out
@@ -278,17 +305,14 @@ def _step_haar_sweep(params, seed):
 
 def _step_mixing(params, seed):
     mu, module, window = _build_measure(params, seed)
-    offsets = []
-    for piece in params["offsets"].split(";"):
-        piece = piece.strip().strip("()")
-        offsets.append(tuple(int(x) for x in piece.split(",")))
-    word_window = WindowSpec(window.dims, tuple(_ints(params.get("word-origin", "0 " * window.axes))), (1,) * window.axes)
-    word = constant_config(module, word_window, int(params.get("word-value", "0")))
+    offsets = params.value("offsets", _offsets)
+    word_origin = params.value("word-origin", _ints, "0 " * window.axes)
+    word_window = WindowSpec(window.dims, tuple(word_origin), (1,) * window.axes)
+    word = constant_config(module, word_window, params.value("word-value", int, "0"))
     pairs = [(h, word) for h in offsets]
-    schedule = _ints(params.get("n-schedule", "1 2 4 8 16"))
-    budget = params.get("budget", "exact")
-    budget = "exact" if budget == "exact" else int(budget)
-    tol = float(params.get("tolerance", "1e-9"))
+    schedule = params.value("n-schedule", _ints, "1 2 4 8 16")
+    budget = params.value("budget", _exact_or_int, "exact")
+    tol = params.value("tolerance", float, "1e-9")
     rows = []
     ok = True
     prev = None
@@ -307,14 +331,11 @@ def _step_mixing(params, seed):
 
 def _step_entropy(params, seed):
     mu, module, window = _build_measure(params, seed)
-    block = _window_from(
-        {"extents": params["block-extents"], "origin": params.get("block-origin", "0 " * window.axes)},
-        window.dims,
-    )
-    samples = params.get("samples")
-    h = block_entropy(mu, block, None if samples in (None, "exact") else int(samples))
-    expected = float(params["expected"])
-    tol = float(params.get("tolerance", "0.02"))
+    block = _window_from(params, window.dims, "block-extents", "block-origin", "0 " * window.axes)
+    samples = params.value("samples", _exact_or_int, "exact")
+    h = block_entropy(mu, block, None if samples == "exact" else samples)
+    expected = params.value("expected", float)
+    tol = params.value("tolerance", float, "0.02")
     ok = abs(h - expected) <= tol
     return {"pass": ok, "bits_per_site": h, "expected": expected, "tolerance": tol}
 
@@ -342,8 +363,8 @@ def _step_crt_check(params, seed):
     }
     if "rule" in params:
         rule = parse_rule(params["rule"])
-        trials = int(params.get("trials", "100"))
-        torus = tuple(_ints(params.get("torus", "32")))
+        trials = params.value("trials", int, "100")
+        torus = tuple(params.value("torus", _ints, "32"))
         res = crt_mod.conjugacy_check(rule, deco, trials=trials, torus_extents=torus, seed=seed)
         out["conjugacy"] = res.ok
         out["pass"] = out["pass"] and res.ok
@@ -355,11 +376,10 @@ def _step_pushforward_invariance(params, seed):
     module = rule.module
     src_window = _window_from(params, rule.dims)
     target = _window_from(
-        {"extents": params["target-extents"], "origin": params.get("target-origin", "0 " * src_window.axes)},
-        rule.dims,
+        params, rule.dims, "target-extents", "target-origin", "0 " * src_window.axes
     )
     uni = uniform_bernoulli(module, src_window, seed=seed)
-    pushed = pushforward(uni, rule, int(params.get("t", "1")))
+    pushed = pushforward(uni, rule, params.value("t", int, "1"))
     if not pushed.window.contains_window(target):
         raise InvalidParameterError("pushforward window does not cover the target window")
     got = pushed.marginal(target)
@@ -385,6 +405,7 @@ STEP_HANDLERS = {
 
 
 def _run_step(name, params, seed):
+    params = _Section(f"step {name}", params)
     kind = params["kind"]
     handler = STEP_HANDLERS.get(kind)
     if handler is None:

@@ -15,21 +15,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .chars import CharacterSpec, RootSum, format_character
+from .chars import (
+    CharacterSpec,
+    RootSum,
+    all_characters,
+    character_codes,
+    character_labels,
+    format_character,
+)
 from .errors import (
     InvalidCosetError,
     InvalidParameterError,
     MissingTrivialCharacterError,
     OutOfWindowError,
     ResourceLimitError,
+    UnsupportedCharacteristicError,
 )
 from .kernels import (
     KernelShiftSpec,
     WindowBasis,
+    _zmod_matmul,
     coset_shift_check,
     window_kernel,
 )
@@ -59,6 +69,8 @@ __all__ = [
     "pushforward",
     "FourierResult",
     "fourier",
+    "FourierSweep",
+    "fourier_sweep",
     "HaarVerdict",
     "haar_criterion",
     "MixingResult",
@@ -273,6 +285,29 @@ def _echelonize(ring, rows, nvars):
     return rref[: len(pivots)].copy()
 
 
+def _lincomb(ring, coefs, rows):
+    """Ring combinations coefs @ rows: (count, nb) by (nb, ncols) -> (count, ncols)."""
+    if ring.kind == "zmod":
+        return _zmod_matmul(coefs, rows, ring.size)
+    out = np.zeros((coefs.shape[0], rows.shape[1]), dtype=np.int64)
+    for i in range(rows.shape[0]):
+        out = ring.add_arr(out, ring.mul_arr(coefs[:, i][:, None], rows[i][None, :]))
+    return out
+
+
+def _splits_into_fields(ring) -> bool:
+    """True when the ring is a field or a CRT product of fields."""
+    if ring.is_field:
+        return True
+    from . import crt
+
+    try:
+        deco = crt.decompose_ring(ring)
+    except UnsupportedCharacteristicError:
+        return False
+    return all(r.is_field for r in deco.component_rings)
+
+
 class SubgroupHaarMeasure(MeasureHandle):
     """Uniform measure on a subgroup of module words over a window.
 
@@ -342,10 +377,6 @@ class SubgroupHaarMeasure(MeasureHandle):
         )
 
     # structure --------------------------------------------------------------
-    @property
-    def log_sizes(self):
-        return tuple((span.ring.size, span.dim) for span in self.spans)
-
     def subgroup_size(self) -> int:
         out = 1
         for span in self.spans:
@@ -390,20 +421,26 @@ class SubgroupHaarMeasure(MeasureHandle):
         fwd = self.decomposition.forward_table
         return fwd[np.asarray(values_by_var, dtype=np.int64), span_index]
 
-    def merged_generators(self):
-        """Subgroup generators as source-ring code vectors (g, nvars)."""
-        gens = []
+    def merged_generators(self) -> np.ndarray:
+        """Additive generators of the subgroup as source-ring code rows (g, nvars).
+
+        A span over GF(p**k) is an F_q-span, so each basis row enters times
+        each element 1, x, ..., x**(k-1) (codes p**j) of an F_p-basis of the
+        field; a character trivial on every returned row is trivial on the
+        whole subgroup.
+        """
+        nvars = self.window.n_sites * self.module.rank
+        gens = [np.zeros((0, nvars), dtype=np.int64)]
         for si, span in enumerate(self.spans):
-            for row in span.basis:
-                if self.decomposition is None:
-                    gens.append(row)
-                else:
-                    comps = [
-                        np.zeros_like(row) for _ in range(len(self.spans))
-                    ]
-                    comps[si] = row
-                    gens.append(self.decomposition.merge_arrays(comps))
-        return gens
+            ring = span.ring
+            scalars = [ring.p**j for j in range(ring.k)] if ring.kind == "gf" else [ring.one]
+            rows = np.concatenate([ring.mul_arr(np.int64(c), span.basis) for c in scalars])
+            if self.decomposition is not None:
+                comps = [np.zeros_like(rows) for _ in self.spans]
+                comps[si] = rows
+                rows = self.decomposition.merge_arrays(comps)
+            gens.append(rows)
+        return np.concatenate(gens)
 
     # exact interface ----------------------------------------------------------
     def _pin_vars(self, pins):
@@ -470,14 +507,7 @@ class SubgroupHaarMeasure(MeasureHandle):
             for v in range(nb):
                 codes[:, v] = (idx // q**v) % q
             if nb:
-                if span.ring.kind == "zmod":
-                    vals = (codes @ span.basis) % q
-                else:
-                    vals = np.zeros((count, span.basis.shape[1]), dtype=np.int64)
-                    for i in range(nb):
-                        vals = span.ring.add_arr(
-                            vals, span.ring.mul_arr(codes[:, i][:, None], span.basis[i][None, :])
-                        )
+                vals = _lincomb(span.ring, codes, span.basis)
             else:
                 vals = np.zeros((1, n_sites * rank), dtype=np.int64)
             per_span.append(vals)
@@ -507,32 +537,26 @@ class SubgroupHaarMeasure(MeasureHandle):
 
     # sampled interface ----------------------------------------------------------
     def draw_values(self, start, count, site_indices=None):
+        # Draw i combines the basis rows with coefficients at counters
+        # (start + i) * nb + row.  Only the selected columns are computed, and
+        # only for the rows that touch them, so the values equal full draws
+        # sliced.
         rank = self.module.rank
-        n_sites = self.window.n_sites
         sel = self._site_selection(site_indices)
+        cols = (sel[:, None] * rank + np.arange(rank)).ravel()
+        first = np.arange(start, start + count, dtype=np.uint64)[:, None]
         comp_vals = []
         for si, span in enumerate(self.spans):
-            nb = span.dim
-            q = span.ring.size
-            if nb:
-                coefs = self._rng[si].uniform_codes(start * nb, (count, nb), q)
-                if span.ring.kind == "zmod":
-                    flat = (coefs @ span.basis) % q
-                else:
-                    flat = np.zeros((count, span.basis.shape[1]), dtype=np.int64)
-                    for i in range(nb):
-                        flat = span.ring.add_arr(
-                            flat, span.ring.mul_arr(coefs[:, i][:, None], span.basis[i][None, :])
-                        )
-            else:
-                flat = np.zeros((count, n_sites * rank), dtype=np.int64)
-            comp_vals.append(flat)
+            basis = span.basis[:, cols]
+            rows = np.flatnonzero(basis.any(axis=1))
+            counters = first * np.uint64(span.dim) + rows.astype(np.uint64)
+            coefs = self._rng[si].codes_at(counters, span.ring.size)
+            comp_vals.append(_lincomb(span.ring, coefs, basis[rows]))
         if self.decomposition is None:
             merged = comp_vals[0]
         else:
             merged = self.decomposition.merge_arrays(comp_vals)
-        vals = merged.reshape(count, n_sites, rank)
-        return vals[:, sel, :]
+        return merged.reshape(count, sel.size, rank)
 
 
 class CosetHaarMeasure(MeasureHandle):
@@ -815,7 +839,12 @@ def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERA
     note = f"pushforward by {rule.offsets}/{rule.coeffs}, t={t}"
 
     source = mu
-    if isinstance(source, BernoulliMeasure) and source.is_uniform and source.mode == "exact":
+    if (
+        isinstance(source, BernoulliMeasure)
+        and source.is_uniform
+        and source.mode == "exact"
+        and _splits_into_fields(mu.module.ring)
+    ):
         source = SubgroupHaarMeasure.full_space(
             mu.module, mu.window, seed=mu.seed, mode=mu.mode, label=mu.label
         )
@@ -854,13 +883,14 @@ def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERA
             words = list(mu.enumerate_words(limit))
         except ResourceLimitError:
             words = None
-        if words is not None:
-            pushed = []
-            out_window = None
-            for vals, p in words:
-                shaped = vals.reshape((1,) + mu.window.extents + (mu.module.rank,))
-                out_window, out_vals = _apply_poly_batch(poly, mu.window, shaped, mu.mode, rule.ring)
-                pushed.append((out_vals[0].reshape(-1, mu.module.rank), p))
+        if words:
+            shaped = np.stack([vals for vals, _ in words]).reshape(
+                (len(words),) + mu.window.extents + (mu.module.rank,)
+            )
+            out_window, out_vals = _apply_poly_batch(poly, mu.window, shaped, mu.mode, rule.ring)
+            pushed = [
+                (out.reshape(-1, mu.module.rank), p) for out, (_, p) in zip(out_vals, words)
+            ]
             return ExactWordMeasure(
                 mu.module, out_window, pushed, seed=mu.seed, mode=mu.mode,
                 label=mu.label, provenance=mu.derived(note),
@@ -956,6 +986,149 @@ def fourier(mu: MeasureHandle, chi: CharacterSpec, budget="exact", start: int = 
     return FourierResult(chi, value, 1.0 / math.sqrt(n), n_samples=n)
 
 
+_SWEEP_CHUNK_CELLS = 1 << 21
+
+
+def _mixed_radix_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """One int64 key per row of codes in [0, base), first column most significant.
+
+    Keys order like the rows compared lexicographically; callers keep
+    base**ncols below 2**62.
+    """
+    keys = np.zeros(rows.shape[0], dtype=np.int64)
+    for j in range(rows.shape[1]):
+        keys = keys * base + rows[:, j]
+    return keys
+
+
+def _pair_exponents(ring: Ring, duals: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """(n, g) exponents sum_j pair(duals[:, j], vectors[i, j]) mod L."""
+    L = ring.char_exponent
+    if ring.kind == "zmod":
+        return _zmod_matmul(duals, vectors.T, L)
+    out = np.empty((duals.shape[0], vectors.shape[0]), dtype=np.int64)
+    for i, vec in enumerate(vectors):
+        out[:, i] = ring.pair_exponent_arr(duals, vec[None, :]).sum(axis=1) % L
+    return out
+
+
+@dataclass(eq=False)
+class FourierSweep:
+    """Exact Fourier coefficients of every character based in a window.
+
+    Characters come in `all_characters` order; row i of `codes` holds the
+    dual ring codes of character i (see `character_codes`; row 0 is the
+    trivial character).  Equal coefficients are stored once: character i has
+    coefficient `root_sums[class_ids[i]]`.
+    """
+
+    module: ModuleSpec
+    window: WindowSpec
+    codes: np.ndarray
+    class_ids: np.ndarray
+    root_sums: tuple
+
+    def __len__(self):
+        return self.codes.shape[0]
+
+    @cached_property
+    def _labels(self):
+        return character_labels(self.module, self.window)
+
+    @cached_property
+    def _templates(self):
+        out = []
+        for rs in self.root_sums:
+            value = rs.to_complex()
+            out.append({"re": value.real, "im": value.imag, "modulus": abs(value),
+                        "stderr": 0.0, "exact": True})
+        return out
+
+    def row(self, i: int, **extra) -> dict:
+        """`FourierResult.row` of character i, with the same values bit for bit."""
+        return {"chi": self._labels[i], **self._templates[self.class_ids[i]], **extra}
+
+    def rows(self, **extra) -> list:
+        templates = [{**t, **extra} for t in self._templates]
+        return [
+            {"chi": label, **templates[k]}
+            for label, k in zip(self._labels, self.class_ids.tolist())
+        ]
+
+
+def _haar_sweep(mu, window: WindowSpec, codes: np.ndarray):
+    """Classes of a Haar sweep, keyed 0 off the annihilator and 1 + phase on it."""
+    coset = isinstance(mu, CosetHaarMeasure)
+    sub = mu.subgroup if coset else mu
+    module = mu.module
+    ring = module.ring
+    L = ring.char_exponent
+    sites = np.array([mu.window.index_of(s) for s in window.sites()], dtype=np.int64)
+    cols = (sites[:, None] * module.rank + np.arange(module.rank)).ravel()
+    gens = sub.merged_generators()[:, cols]
+    rep = mu.rep.flat()[sites].reshape(1, -1) if coset else None
+    raw = np.empty(codes.shape[0], dtype=np.int64)
+    chunk = max(1, _SWEEP_CHUNK_CELLS // (cols.size + gens.shape[0] + 1))
+    for lo in range(0, codes.shape[0], chunk):
+        duals = codes[lo:lo + chunk]
+        in_annihilator = ~_pair_exponents(ring, duals, gens).any(axis=1)
+        phase = 0 if rep is None else _pair_exponents(ring, duals, rep)[:, 0]
+        raw[lo:lo + chunk] = np.where(in_annihilator, 1 + phase, 0)
+    used = np.flatnonzero(np.bincount(raw))
+    remap = np.zeros(used[-1] + 1, dtype=np.int64)
+    remap[used] = np.arange(used.size)
+    root_sums = tuple(RootSum.monomial(L, k - 1) if k else RootSum.zero(L) for k in used)
+    return remap[raw], root_sums
+
+
+def _bernoulli_sweep(mu: "BernoulliMeasure", window: WindowSpec, codes: np.ndarray):
+    """Classes of an i.i.d. sweep, keyed by the sorted multiset of the duals.
+
+    Sites are i.i.d. and the arithmetic is exact, so characters with the same
+    multiset of non-zero duals have the same coefficient.
+    """
+    module = mu.module
+    site_codes = module.pack_arr(codes.reshape(codes.shape[0], window.n_sites, module.rank))
+    keys = _mixed_radix_keys(np.sort(site_codes, axis=1), module.size)
+    _, first, class_ids = np.unique(keys, return_index=True, return_inverse=True)
+    sites = list(window.sites())
+    root_sums = []
+    for i in first:
+        dual_map = {
+            site: module.decode(int(code)) for site, code in zip(sites, site_codes[i]) if code
+        }
+        root_sums.append(mu.fourier_root_sum(CharacterSpec.build(module, window, dual_map)))
+    return class_ids, tuple(root_sums)
+
+
+def fourier_sweep(mu: MeasureHandle, window: WindowSpec, limit: int = ENUMERATION_CAP) -> FourierSweep:
+    """Exact coefficients of every character of `all_characters(mu.module, window)`.
+
+    Each coefficient equals `fourier(mu, chi).root_sum`.  Subgroup and coset
+    Haar handles answer from annihilator membership (one pairing product with
+    the subgroup generators, plus one with the coset representative); a
+    Bernoulli handle computes one coefficient per multiset of duals; every
+    other handle is swept one character at a time with `fourier`.
+    """
+    codes = character_codes(mu.module, window, limit)
+    if isinstance(mu, (SubgroupHaarMeasure, CosetHaarMeasure, BernoulliMeasure)):
+        outside = [s for s in window.sites() if not mu.window.contains_site(s)]
+        if outside:
+            # As in the per-character sweep: the first character that touches
+            # an outside site is the one with only the last such site set.
+            raise OutOfWindowError(f"character site {outside[-1]} outside measure window")
+        if isinstance(mu, BernoulliMeasure):
+            class_ids, root_sums = _bernoulli_sweep(mu, window, codes)
+        else:
+            class_ids, root_sums = _haar_sweep(mu, window, codes)
+    else:
+        root_sums = tuple(
+            fourier(mu, chi).root_sum for chi in all_characters(mu.module, window, limit)
+        )
+        class_ids = np.arange(len(root_sums), dtype=np.int64)
+    return FourierSweep(mu.module, window, codes, class_ids, root_sums)
+
+
 @dataclass
 class HaarVerdict:
     consistent: bool
@@ -972,23 +1145,34 @@ class HaarVerdict:
         }
 
 
+def _exact_ok(rs: RootSum, criterion: str) -> bool:
+    if criterion == "subgroup":
+        return rs.is_zero() or rs.is_one()
+    return rs.modulus_is_zero() or rs.modulus_is_one()
+
+
 def haar_criterion(results, criterion="subgroup", tol=EXACT_TOL) -> HaarVerdict:
     """Check a Fourier sweep for the subgroup-Haar signature.
 
     criterion='subgroup' demands every coefficient be 0 or 1; 'coset' demands
     every modulus be 0 or 1.  Exact results are tested exactly; sampled ones
     within max(tol, 4*stderr).  The trivial character must be present.
+    `results` is a list of `FourierResult`s or a `FourierSweep`; a sweep is
+    tested once per distinct coefficient.
     """
+    if isinstance(results, FourierSweep):
+        ok = np.array([_exact_ok(rs, criterion) for rs in results.root_sums], dtype=bool)
+        bad = ~ok[results.class_ids]
+        bad[0] |= not results.root_sums[results.class_ids[0]].is_one()  # row 0 is trivial
+        violations = [results.row(i) for i in np.flatnonzero(bad)]
+        return HaarVerdict(not violations, criterion, len(results), violations)
     results = list(results)
     if not any(r.chi.is_trivial for r in results):
         raise MissingTrivialCharacterError("sweep does not include the trivial character")
     violations = []
     for r in results:
         if r.is_exact:
-            if criterion == "subgroup":
-                ok = r.root_sum.is_zero() or r.root_sum.is_one()
-            else:
-                ok = r.root_sum.modulus_is_zero() or r.root_sum.modulus_is_one()
+            ok = _exact_ok(r.root_sum, criterion)
         else:
             v = abs(r.value) if criterion == "coset" else r.value
             dist = min(abs(v - 0.0), abs(v - 1.0))
@@ -1110,7 +1294,12 @@ def block_entropy(mu: MeasureHandle, block: WindowSpec, n_samples=None, start: i
         return mu.entropy_bits_per_site(sel)
     draws = mu.draw_values(start, int(n_samples), sel)
     flat = draws.reshape(draws.shape[0], -1)
-    _, counts = np.unique(flat, axis=0, return_counts=True)
+    q = mu.module.ring.size
+    if q ** flat.shape[1] < 1 << 62:
+        # Same sort order as the rows, so the counts (and the float sum) match.
+        _, counts = np.unique(_mixed_radix_keys(flat, q), return_counts=True)
+    else:
+        _, counts = np.unique(flat, axis=0, return_counts=True)
     freqs = counts.astype(np.float64) / float(n_samples)
     h = float(-(freqs * np.log2(freqs)).sum())
     return h / len(sel)

@@ -57,8 +57,11 @@ class CounterRng:
         """
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         counters = np.arange(start, start + n, dtype=np.uint64)
-        vals = self.uint64(counters) % np.uint64(modulus)
-        return vals.astype(np.int64).reshape(shape)
+        return self.codes_at(counters, modulus).reshape(shape)
+
+    def codes_at(self, counters: np.ndarray, modulus: int) -> np.ndarray:
+        """The codes `uniform_codes` gives the cells with these counters."""
+        return (self.uint64(counters) % np.uint64(modulus)).astype(np.int64)
 
     def uniform_from_cdf(self, start: int, shape: tuple, thresholds: np.ndarray) -> np.ndarray:
         """Codes distributed per a fixed-point CDF.
