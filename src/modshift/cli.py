@@ -15,7 +15,7 @@ import sys
 from . import crt as crt_mod
 from .chars import parse_character
 from .errors import ModshiftError
-from .experiment import run_file
+from .experiment import frobenius_check, run_file
 from .kernels import (
     KernelShiftSpec,
     kernel_membership,
@@ -34,8 +34,6 @@ from .measures import (
 )
 from .rings import ModuleSpec, make_ring
 from .shiftpoly import (
-    apply_poly,
-    frobenius_power,
     from_rule,
     iterate_rule,
     parse_rule,
@@ -102,26 +100,10 @@ def cmd_lca_power(args):
 
 def cmd_lca_frobenius_check(args):
     rule = parse_rule(args.rule)
-    p = rule.ring.characteristic
-    frob = frobenius_power(rule, args.k)
-    power = poly_pow(from_rule(rule), p**args.k)
-    structural = frob == power
-    applied = True
-    if args.torus:
-        from .lattice import WindowConfig
-        from .rng import CounterRng
-
-        extents = tuple(int(x) for x in args.torus.replace(",", " ").split())
-        window = WindowSpec(rule.dims, (0,) * len(extents), extents)
-        rng = CounterRng(args.seed, stream=71)
-        shape = (args.configs,) + window.extents + (rule.module.rank,)
-        draws = rng.uniform_codes(0, shape, rule.ring.size)
-        for i in range(args.configs):
-            cfg = WindowConfig(window, rule.module, draws[i], "torus")
-            if apply_poly(frob, cfg) != iterate_rule(rule, cfg, p**args.k):
-                applied = False
-    ok = structural and applied
-    _emit({"k": args.k, "structural": structural, "applied": applied, "pass": ok})
+    torus = [int(x) for x in args.torus.replace(",", " ").split()] if args.torus else None
+    check = frobenius_check(rule, args.k, torus, args.configs, args.seed)
+    ok = check["structural"] and check["applied"]
+    _emit({**check, "pass": ok})
     return 0 if ok else 1
 
 

@@ -24,7 +24,7 @@ from .errors import InvalidParameterError, UnsupportedCharacteristicError
 from .lattice import WindowConfig
 from .rings import ModuleSpec, ProductRing, Ring, ZmodRing
 from .rng import CounterRng
-from .shiftpoly import LocalRule, apply_poly, from_rule
+from .shiftpoly import LocalRule, from_rule, stencil
 
 __all__ = [
     "CrtDecomposition",
@@ -64,9 +64,7 @@ class CrtDecomposition:
     component_rings: tuple
     forward_table: np.ndarray  # (size, J) component codes
     inverse_table: np.ndarray  # mixed-radix component index -> source code
-    idempotents: tuple
-    cofactors: tuple  # q_j = m / p_j**s_j
-    ideals: tuple  # frozensets {r : q_j r = 0}
+    ideals: tuple  # frozensets {r : q_j r = 0} with q_j = m / p_j**s_j
     degenerate: bool = False
 
     @property
@@ -103,50 +101,50 @@ def _degenerate(ring: Ring, prime_power) -> CrtDecomposition:
         (ring,),
         fwd,
         inv,
-        (ring.one,),
-        (1,),
         (frozenset(range(size)),),
         degenerate=True,
     )
 
 
-def _bezout_cofactors(mods):
-    """Integers z_j with sum z_j * (m / mods_j) = 1 for pairwise-coprime mods."""
-    m = 1
-    for x in mods:
-        m *= x
-    qs = [m // x for x in mods]
-    zs = []
-    for q, mod in zip(qs, mods):
-        zs.append(pow(q % mod, -1, mod))
-    assert sum(z * q for z, q in zip(zs, qs)) % m == 1
-    return qs, zs
+def component_map_verdicts(deco: CrtDecomposition, rows: int):
+    """Boolean arrays checking the component maps, computed as array operations.
 
-
-def _verify_bijection(deco: CrtDecomposition):
+    Returns (inverse_ok, add_ok, mul_ok): inverse_ok[a] says
+    inverse(forward(a)) == a, which makes forward injective when it holds
+    everywhere; add_ok[a, b] and mul_ok[a, b] say forward(a + b) and
+    forward(a * b) equal the componentwise sum and product, for every b and
+    every a < rows.
+    """
     ring = deco.ring
-    size = ring.size
-    if size > 4096:
-        return
-    codes = np.arange(size, dtype=np.int64)
+    codes = np.arange(ring.size, dtype=np.int64)
     fwd = deco.forward_table
-    back = deco.merge_arrays([fwd[:, j] for j in range(deco.n_components)])
-    bad = np.flatnonzero(back != codes)
-    if bad.size:
-        raise AssertionError(f"inverse(forward({bad[0]})) != {bad[0]}")
-    # Component codes as one mixed-radix key per element (component 0 lowest).
-    keys = fwd @ np.cumprod([1] + [r.size for r in deco.component_rings[:-1]])
-    if np.unique(keys).size != size:
-        raise AssertionError("forward map is not injective")
-    # Ring homomorphism: every b against a = 0..64 (all a for small rings).
-    a = codes[: min(size, 65), None]
+    inverse_ok = deco.merge_arrays([fwd[:, j] for j in range(deco.n_components)]) == codes
+    a = codes[:rows, None]
     b = codes[None, :]
     fsum = fwd[ring.add_arr(a, b)]
     fprod = fwd[ring.mul_arr(a, b)]
-    ok = np.ones(fsum.shape[:2], dtype=bool)
+    add_ok = np.ones(fsum.shape[:2], dtype=bool)
+    mul_ok = np.ones(fsum.shape[:2], dtype=bool)
     for j, comp in enumerate(deco.component_rings):
         fa, fb = fwd[a, j], fwd[b, j]
-        ok &= (fsum[..., j] == comp.add_arr(fa, fb)) & (fprod[..., j] == comp.mul_arr(fa, fb))
+        add_ok &= fsum[..., j] == comp.add_arr(fa, fb)
+        mul_ok &= fprod[..., j] == comp.mul_arr(fa, fb)
+    return inverse_ok, add_ok, mul_ok
+
+
+def _verify_bijection(deco: CrtDecomposition):
+    """Raise AssertionError unless the maps invert and are homomorphisms.
+
+    Checks every element, and every b against a = 0..64 (every a for small
+    rings); rings above 4096 elements are not checked.
+    """
+    if deco.ring.size > 4096:
+        return
+    inverse_ok, add_ok, mul_ok = component_map_verdicts(deco, 65)
+    if not inverse_ok.all():
+        bad = int(np.flatnonzero(~inverse_ok)[0])
+        raise AssertionError(f"inverse(forward({bad})) != {bad}")
+    ok = add_ok & mul_ok
     if not ok.all():
         i, k = np.argwhere(~ok)[0]
         raise AssertionError(f"component map not a homomorphism at ({i},{k})")
@@ -184,7 +182,7 @@ def _decompose(ring: Ring) -> CrtDecomposition:
     if isinstance(ring, ZmodRing):
         mods = [p**s for p, s in factors]
         comps = tuple(ZmodRing(m) for m in mods)
-        qs, zs = _bezout_cofactors(mods)
+        qs = [ring.m // x for x in mods]
         size = ring.size
         fwd = np.zeros((size, len(mods)), dtype=np.int64)
         codes = np.arange(size, dtype=np.int64)
@@ -195,10 +193,8 @@ def _decompose(ring: Ring) -> CrtDecomposition:
         for j in reversed(range(len(mods))):
             idx = idx * mods[j] + fwd[:, j]
         inv[idx] = codes
-        idem = tuple(ring.from_int(z * q) for z, q in zip(zs, qs))
         deco = CrtDecomposition(
-            ring, tuple(factors), comps, fwd, inv, idem, tuple(qs),
-            tuple(_ideals(ring, qs)),
+            ring, tuple(factors), comps, fwd, inv, tuple(_ideals(ring, qs))
         )
         _verify_bijection(deco)
         return deco
@@ -232,12 +228,11 @@ def _decompose(ring: Ring) -> CrtDecomposition:
         for j in reversed(range(len(comps))):
             idx = idx * sizes[j] + fwd[:, j]
         inv[idx] = np.arange(size, dtype=np.int64)
-        qs, zs = _bezout_cofactors([p ** dict(factors)[p] for p in primes])
-        idem = tuple(ring.from_int(z * q) for z, q in zip(zs, qs))
+        qs = [char // p ** dict(factors)[p] for p in primes]
         deco = CrtDecomposition(
             ring,
             tuple((p, dict(factors)[p]) for p in primes),
-            comps, fwd, inv, idem, tuple(qs), tuple(_ideals(ring, qs)),
+            comps, fwd, inv, tuple(_ideals(ring, qs)),
         )
         _verify_bijection(deco)
         return deco
@@ -307,6 +302,8 @@ def conjugacy_check(
     """split(rule(c)) == component rules applied to split(c), on random tori."""
     module = rule.module
     dims = rule.dims
+    if module.ring != deco.ring:
+        raise InvalidParameterError("rule ring differs from decomposition source")
     if len(torus_extents) != dims[0] + dims[1]:
         raise InvalidParameterError("torus extents arity != rule dims")
     from .lattice import WindowSpec
@@ -319,24 +316,26 @@ def conjugacy_check(
     rng = CounterRng(seed, stream=57)
     shape = (trials,) + window.extents + (module.rank,)
     draws = rng.uniform_codes(0, shape, module.ring.size)
-    for trial in range(trials):
-        cfg = WindowConfig(window, module, draws[trial], "torus")
-        image = apply_poly(poly, cfg)
-        split_image = split_config(image, deco)
-        split_src = split_config(cfg, deco)
+    # Trials run in batches of about 2**16 cells, which bounds the memory of
+    # the intermediate arrays; the first counterexample is reported in
+    # (trial, component, site) order.
+    batch = max(1, (1 << 16) // (window.n_sites * module.rank))
+    for first in range(0, trials, batch):
+        block = draws[first : first + batch]
+        _, image = stencil(poly.terms, block, window, "torus", module.ring)
+        mismatches = []
         for j, comp_poly in enumerate(comp_polys):
-            direct = apply_poly(comp_poly, split_src[j])
-            if not np.array_equal(direct.values, split_image[j].values):
-                diff = np.argwhere(direct.values != split_image[j].values)[0]
-                return ConjugacyResult(
-                    False,
-                    trials,
-                    {
-                        "trial": trial,
-                        "component": j,
-                        "site": tuple(int(x) for x in diff[:-1]),
-                    },
-                )
+            ring_j = deco.component_rings[j]
+            _, direct = stencil(comp_poly.terms, deco.forward_table[block, j], window, "torus", ring_j)
+            mismatches.append(direct != deco.forward_table[image, j])
+        bad = np.stack([m.reshape(len(block), -1).any(axis=1) for m in mismatches], axis=1)
+        if bad.any():
+            trial, j = (int(x) for x in np.argwhere(bad)[0])
+            diff = np.argwhere(mismatches[j][trial])[0]
+            site = tuple(int(x) for x in diff[:-1])
+            return ConjugacyResult(
+                False, trials, {"trial": first + trial, "component": j, "site": site}
+            )
     return ConjugacyResult(True, trials)
 
 

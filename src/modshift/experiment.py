@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
+
 from .errors import ConfigParseError, InvalidParameterError, ResourceLimitError
 from .kernels import (
     KernelShiftSpec,
@@ -46,9 +48,9 @@ from .rng import CounterRng
 from .shiftpoly import (
     frobenius_power,
     from_rule,
-    iterate_rule,
     parse_rule,
     poly_pow,
+    stencil,
 )
 from . import crt as crt_mod
 
@@ -152,35 +154,44 @@ def _pattern_config(pattern: str, module, window, mode):
     raise InvalidParameterError(f"unknown pattern {pattern!r}")
 
 
+def frobenius_check(rule, k: int, torus, configs: int, seed: int, start: int = 0) -> dict:
+    """Check the p**k fast-forward of a rule, structurally and on random tori.
+
+    `structural` compares frobenius_power with poly_pow(f, p**k).  When
+    `torus` extents are given, `applied` compares the fast apply with p**k
+    naive applications on `configs` uniform configurations drawn from stream
+    71 of `seed` at counter `start`, all configurations in one batch.
+    """
+    p = rule.ring.characteristic
+    f = from_rule(rule)
+    frob = frobenius_power(rule, k)
+    power = poly_pow(f, p**k)
+    structural = frob == power
+    applied = True
+    if torus:
+        window = WindowSpec(rule.dims, (0,) * len(torus), tuple(torus))
+        shape = (configs,) + window.extents + (rule.module.rank,)
+        draws = CounterRng(seed, stream=71).uniform_codes(start, shape, rule.ring.size)
+        naive = draws
+        for _ in range(p**k):
+            _, naive = stencil(f.terms, naive, window, "torus", rule.ring)
+        _, fast = stencil(frob.terms, draws, window, "torus", rule.ring)
+        applied = bool(np.array_equal(fast, naive))
+        if not structural:
+            _, by_power = stencil(power.terms, draws, window, "torus", rule.ring)
+            applied = applied and bool(np.array_equal(by_power, naive))
+    return {"k": k, "structural": structural, "applied": applied}
+
+
 def _step_frobenius_check(params, seed):
     rule = parse_rule(params["rule"])
     ks = params.value("ks", _ints, "1 2")
     torus = params.value("torus", _ints, "32 " * (rule.dims[0] + rule.dims[1]))
     n_configs = params.value("configs", int, "3")
-    window = WindowSpec(rule.dims, (0,) * len(torus), tuple(torus))
-    rng = CounterRng(seed, stream=71)
-    f = from_rule(rule)
-    checks = []
-    ok = True
-    p = rule.ring.characteristic
-    for k in ks:
-        frob = frobenius_power(rule, k)
-        power = poly_pow(f, p**k)
-        structural = frob == power
-        applied = True
-        shape = (n_configs,) + window.extents + (rule.module.rank,)
-        draws = rng.uniform_codes(k * 10_000_000, shape, rule.ring.size)
-        from .lattice import WindowConfig
-        from .shiftpoly import apply_poly
-
-        for i in range(n_configs):
-            cfg = WindowConfig(window, rule.module, draws[i], "torus")
-            fast = apply_poly(frob, cfg)
-            naive = iterate_rule(rule, cfg, p**k)
-            if fast != naive or apply_poly(power, cfg) != naive:
-                applied = False
-        checks.append({"k": k, "structural": structural, "applied": applied})
-        ok = ok and structural and applied
+    checks = [
+        frobenius_check(rule, k, torus, n_configs, seed, start=k * 10_000_000) for k in ks
+    ]
+    ok = all(c["structural"] and c["applied"] for c in checks)
     return {"pass": ok, "checks": checks}
 
 
@@ -343,18 +354,9 @@ def _step_entropy(params, seed):
 def _step_crt_check(params, seed):
     ring = make_ring(params["ring"])
     deco = crt_mod.decompose_ring(ring)
-    bijective = True
-    hom = True
-    for a in range(ring.size):
-        if deco.inverse(deco.forward(a)) != a:
-            bijective = False
-    for a in range(ring.size):
-        for b in range(ring.size):
-            fa, fb = deco.forward(a), deco.forward(b)
-            fsum = deco.forward(ring.add(a, b))
-            for j, comp in enumerate(deco.component_rings):
-                if fsum[j] != comp.add(fa[j], fb[j]):
-                    hom = False
+    inverse_ok, add_ok, _ = crt_mod.component_map_verdicts(deco, ring.size)
+    bijective = bool(inverse_ok.all())
+    hom = bool(add_ok.all())
     out = {
         "pass": bijective and hom,
         "components": [r.descriptor() for r in deco.component_rings],

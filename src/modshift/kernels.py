@@ -30,12 +30,13 @@ from .lattice import (
     WindowSpec,
     config_scale,
     config_sub,
+    coordinate_sum_images,
     restrict_config,
     shift_config,
 )
 from .rings import ModuleSpec, Ring, is_prime
 from .rng import CounterRng
-from .shiftpoly import LocalRule
+from .shiftpoly import LocalRule, stencil
 
 __all__ = [
     "KernelShiftSpec",
@@ -80,24 +81,9 @@ class KernelShiftSpec:
         return self.constraint.dims
 
 
-def _stencil_bounds(offsets):
-    arr = np.array(offsets, dtype=np.int64)
-    return arr.min(axis=0), arr.max(axis=0)
-
-
 def anchor_window(stencil_offsets, window: WindowSpec):
     """Anchors m in the lattice with m + stencil inside the window; None if empty."""
-    lo, hi = _stencil_bounds(stencil_offsets)
-    origin = [o - int(l) for o, l in zip(window.origin, lo)]
-    extents = [e - int(h - l) for e, h, l in zip(window.extents, hi, lo)]
-    D = window.dims[0]
-    for i in range(D, window.axes):
-        if origin[i] < 0:
-            extents[i] += origin[i]
-            origin[i] = 0
-    if any(e < 1 for e in extents):
-        return None
-    return WindowSpec(window.dims, tuple(origin), tuple(extents))
+    return window.stencil_anchors(stencil_offsets)
 
 
 def constraint_matrix(spec: KernelShiftSpec, window: WindowSpec) -> np.ndarray:
@@ -172,18 +158,12 @@ def constraint_residual(spec: KernelShiftSpec, config: WindowConfig):
     """Constraint values at every in-window anchor; None when no anchor fits."""
     rule = spec.constraint
     rule.module.check_same(config.module)
-    anchors = anchor_window(rule.offsets, config.window)
-    if anchors is None:
+    if anchor_window(rule.offsets, config.window) is None:
         return None
-    ring = rule.ring
-    w = config.window
-    out = None
-    for off, c in zip(rule.offsets, rule.coeffs):
-        src = anchors.translate(off)
-        block = config.values[w.relative_slices(src)]
-        contrib = ring.mul_arr(np.int64(c), block)
-        out = contrib if out is None else ring.add_arr(out, contrib)
-    return out
+    _, out = stencil(
+        zip(rule.offsets, rule.coeffs), config.values[None], config.window, "exact", rule.ring
+    )
+    return out[0]
 
 
 def kernel_membership(spec_or_basis, word: WindowConfig) -> bool:
@@ -198,60 +178,20 @@ def kernel_membership(spec_or_basis, word: WindowConfig) -> bool:
 def batch_membership(spec: KernelShiftSpec, window: WindowSpec, values: np.ndarray) -> np.ndarray:
     """Vectorized membership for (count, n_sites, rank) word stacks."""
     rule = spec.constraint
-    anchors = anchor_window(rule.offsets, window)
     count = values.shape[0]
-    if anchors is None:
+    if anchor_window(rule.offsets, window) is None:
         return np.ones(count, dtype=bool)
-    ring = rule.ring
-    site_index = {site: i for i, site in enumerate(window.sites())}
-    gather = np.zeros((anchors.n_sites, len(rule.offsets)), dtype=np.int64)
-    for ai, m in enumerate(anchors.sites()):
-        for oi, off in enumerate(rule.offsets):
-            gather[ai, oi] = site_index[tuple(a + b for a, b in zip(m, off))]
-    residual = None
-    for oi, c in enumerate(rule.coeffs):
-        term = ring.mul_arr(np.int64(c), values[:, gather[:, oi], :])
-        residual = term if residual is None else ring.add_arr(residual, term)
+    values = values.reshape((count,) + window.extents + (values.shape[-1],))
+    _, residual = stencil(zip(rule.offsets, rule.coeffs), values, window, "exact", rule.ring)
     return ~residual.reshape(count, -1).any(axis=1)
 
 
-def _zmod_matmul(a, b, q):
-    """(a @ b) % q for Z/q code arrays.
-
-    Every product is at most (q-1)**2, so when the inner dimension n keeps
-    n * (q-1)**2 below 2**53 each partial sum is an integer that float64
-    holds exactly, in any summation order; the product then runs as a float64
-    matmul.  Above that bound it stays on int64.
-    """
-    if a.shape[-1] * (q - 1) ** 2 < 1 << 53:
-        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % q
-    return np.matmul(a, b) % q
-
-
 def _component_words(ring, basis, rank, codes):
-    """Module-valued words for given coefficient codes (count, nb*rank)."""
-    nb = basis.shape[0]
-    n_sites = basis.shape[1]
+    """Module-valued words (count, n_sites, rank) for coefficient codes (count, nb*rank)."""
     count = codes.shape[0]
-    out = np.zeros((count, n_sites, rank), dtype=np.int64)
-    if nb == 0:
-        return out
-    coef = codes.reshape(count, rank, nb)
-    if ring.kind == "zmod":
-        out_t = _zmod_matmul(coef, basis[None, :, :], ring.size)  # (count, rank, sites)
-        out = np.transpose(out_t, (0, 2, 1))
-    else:
-        for c in range(rank):
-            acc = np.zeros((count, n_sites), dtype=np.int64)
-            for i in range(nb):
-                term = ring.mul_arr(coef[:, c, i][:, None], basis[i][None, :])
-                acc = ring.add_arr(acc, term)
-            out[:, :, c] = acc
-    return out
-
-
-def _merge_component_values(deco, comp_values):
-    return deco.merge_arrays(comp_values)
+    nb, n_sites = basis.shape
+    words = ring.lincomb(codes.reshape(count * rank, nb), basis)
+    return np.transpose(words.reshape(count, rank, n_sites), (0, 2, 1))
 
 
 def enumerate_kernel_words(basis: WindowBasis, limit: int = ENUMERATION_CAP) -> np.ndarray:
@@ -279,7 +219,7 @@ def enumerate_kernel_words(basis: WindowBasis, limit: int = ENUMERATION_CAP) -> 
     grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
     flat = [g.ravel() for g in grids]
     comp_values = [w[f] for w, f in zip(per_comp, flat)]
-    return _merge_component_values(basis.decomposition, comp_values)
+    return basis.decomposition.merge_arrays(comp_values)
 
 
 def draw_kernel_words(basis: WindowBasis, count: int, seed: int, start: int = 0) -> np.ndarray:
@@ -293,7 +233,7 @@ def draw_kernel_words(basis: WindowBasis, count: int, seed: int, start: int = 0)
         comp_values.append(_component_words(ring, comp_basis, rank, codes))
     if basis.decomposition is None:
         return comp_values[0]
-    return _merge_component_values(basis.decomposition, comp_values)
+    return basis.decomposition.merge_arrays(comp_values)
 
 
 def _word_config(basis: WindowBasis, values_flat: np.ndarray) -> WindowConfig:
@@ -320,24 +260,13 @@ def submodule_condition_check(
         raise InvalidParameterError("need at least one generator coefficient")
     if isinstance(window_set, WindowBasis):
         basis = window_set
-        ring = basis.module.ring
-        count = basis.solution_count
-        if count ** len(gens) <= max_exhaustive:
+        if basis.solution_count ** len(gens) <= max_exhaustive:
             words = enumerate_kernel_words(basis)
-            n = words.shape[0]
-            grids = np.meshgrid(*[np.arange(n)] * len(gens), indexing="ij")
-            acc = None
-            for g, grid in zip(gens, grids):
-                term = ring.mul_arr(np.int64(g), words[grid.ravel()])
-                acc = term if acc is None else ring.add_arr(acc, term)
-            return bool(batch_membership(basis.spec, basis.window, acc).all())
-        draws = [
-            draw_kernel_words(basis, samples, seed + 7 * h) for h in range(len(gens))
-        ]
-        acc = None
-        for g, block in zip(gens, draws):
-            term = ring.mul_arr(np.int64(g), block)
-            acc = term if acc is None else ring.add_arr(acc, term)
+            grids = np.meshgrid(*[np.arange(words.shape[0])] * len(gens), indexing="ij")
+            blocks = (words[grid.ravel()] for grid in grids)
+        else:
+            blocks = (draw_kernel_words(basis, samples, seed + 7 * h) for h in range(len(gens)))
+        acc = basis.module.ring.weighted_sum(gens, blocks)
         return bool(batch_membership(basis.spec, basis.window, acc).all())
 
     words, module = window_set
@@ -351,10 +280,7 @@ def submodule_condition_check(
         picks = rng.uniform_codes(0, (samples, len(gens)), n)
         combos = (tuple(int(x) for x in row) for row in picks)
     for combo in combos:
-        acc = None
-        for g, wi in zip(gens, combo):
-            term = ring.mul_arr(np.int64(g), words[wi])
-            acc = term if acc is None else ring.add_arr(acc, term)
+        acc = ring.weighted_sum(gens, (words[wi] for wi in combo))
         if acc.tobytes() not in keys:
             return False
     return True
@@ -561,15 +487,7 @@ def coset_from_cocycle(c0, a, window: WindowSpec, module: ModuleSpec, mode="exac
         c0 = (c0,) * module.rank
     if isinstance(a, int):
         a = (a,) * module.rank
-    grids = np.meshgrid(
-        *[np.arange(o, o + e, dtype=np.int64) for o, e in zip(window.origin, window.extents)],
-        indexing="ij",
-    )
-    coord_sum = np.zeros(window.extents, dtype=np.int64)
-    for g in grids:
-        coord_sum = coord_sum + g
-    images = np.array([ring.from_int(n) for n in range(ring.characteristic)], dtype=np.int64)
-    scalars = images[coord_sum % ring.characteristic]
+    scalars = coordinate_sum_images(ring, window)
     vals = np.zeros(window.extents + (module.rank,), dtype=np.int64)
     for c in range(module.rank):
         vals[..., c] = ring.add_arr(np.int64(c0[c]), ring.mul_arr(scalars, np.int64(a[c])))
@@ -703,24 +621,11 @@ def topological_mixing_check(spec: KernelShiftSpec, pairs, n: int) -> bool:
                     [deco.forward(pins[s][c])[j] for s in sites], dtype=np.int64
                 )
             pinned_part = matrix[:, pin_cols]
-            rhs = comp_ring.neg_arr(
-                _matvec(comp_ring, pinned_part, targets)
-            )
+            rhs = comp_ring.neg_arr(comp_ring.lincomb(pinned_part, targets[:, None])[:, 0])
             solution, _ = linalg.solve_affine(matrix[:, free_cols], rhs, comp_ring)
             if solution is None:
                 return False
     return True
-
-
-def _matvec(ring, matrix, vec):
-    if matrix.shape[1] == 0:
-        return np.zeros(matrix.shape[0], dtype=np.int64)
-    if ring.kind == "zmod":
-        return _zmod_matmul(matrix, vec, ring.size)
-    acc = np.zeros(matrix.shape[0], dtype=np.int64)
-    for i in range(matrix.shape[1]):
-        acc = ring.add_arr(acc, ring.mul_arr(matrix[:, i], np.int64(vec[i])))
-    return acc
 
 
 def extension_certificate(spec: KernelShiftSpec, window: WindowSpec, layers: int = 1) -> bool:

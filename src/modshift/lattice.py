@@ -127,28 +127,39 @@ class WindowSpec:
             return None
         return WindowSpec(self.dims, origin, extents)
 
-    def clipped_to_lattice(self):
-        """Intersect with Z^D x N^E; None when empty."""
-        D, _ = self.dims
-        origin, extents = list(self.origin), list(self.extents)
-        for i in range(D, self.axes):
+    @staticmethod
+    def clipped_to_lattice(dims, origin, extents):
+        """The box origin + [0, extents) intersected with Z^D x N^E; None when empty.
+
+        The box may stick out of the lattice (negative N-axis origin) or be
+        empty (an extent below 1), which a WindowSpec itself cannot.
+        """
+        origin, extents = list(origin), list(extents)
+        for i in range(dims[0], len(origin)):
             if origin[i] < 0:
                 extents[i] += origin[i]
                 origin[i] = 0
-            if extents[i] < 1:
-                return None
-        return WindowSpec(self.dims, tuple(origin), tuple(extents))
+        if any(e < 1 for e in extents):
+            return None
+        return WindowSpec(dims, tuple(origin), tuple(extents))
+
+    def stencil_anchors(self, offsets):
+        """Anchors m in the lattice with m + every offset inside the window; None if empty."""
+        offs = np.array(offsets, dtype=np.int64)
+        lo, hi = offs.min(axis=0).tolist(), offs.max(axis=0).tolist()
+        return WindowSpec.clipped_to_lattice(
+            self.dims,
+            [o - l for o, l in zip(self.origin, lo)],
+            [e - (h - l) for e, h, l in zip(self.extents, hi, lo)],
+        )
 
     def expanded(self, lo, hi) -> "WindowSpec":
         """Grow by lo (per axis, towards -inf) and hi (towards +inf), clipped to the lattice."""
-        origin = [o - l for o, l in zip(self.origin, lo)]
-        extents = [e + l + h for e, l, h in zip(self.extents, lo, hi)]
-        D = self.dims[0]
-        for i in range(D, self.axes):
-            if origin[i] < 0:
-                extents[i] += origin[i]
-                origin[i] = 0
-        return WindowSpec(self.dims, tuple(origin), tuple(extents))
+        return WindowSpec.clipped_to_lattice(
+            self.dims,
+            [o - l for o, l in zip(self.origin, lo)],
+            [e + l + h for e, l, h in zip(self.extents, lo, hi)],
+        )
 
     def __str__(self):
         return (
@@ -237,12 +248,22 @@ def config_from_function(module, window, fn, mode="exact") -> WindowConfig:
     return WindowConfig(window, module, vals, mode)
 
 
+def coordinate_sum_images(ring, window: WindowSpec) -> np.ndarray:
+    """(sum of coordinates) * 1 in the ring at every site, shape window.extents."""
+    grids = np.meshgrid(
+        *[np.arange(o, o + e, dtype=np.int64) for o, e in zip(window.origin, window.extents)],
+        indexing="ij",
+    )
+    residues, inverse = np.unique(sum(grids) % ring.characteristic, return_inverse=True)
+    images = np.array([ring.from_int(int(n)) for n in residues], dtype=np.int64)
+    return images[inverse].reshape(window.extents)
+
+
 def checkerboard_config(module, window, mode="exact") -> WindowConfig:
     """c_site = (sum of coordinates) * 1 in the ring, on every component."""
-    ring = module.ring
-    return config_from_function(
-        module, window, lambda site: ring.from_int(sum(site)), mode=mode
-    )
+    scalars = coordinate_sum_images(module.ring, window)
+    vals = np.repeat(scalars[..., None], module.rank, axis=-1)
+    return WindowConfig(window, module, vals, mode)
 
 
 def shift_config(config: WindowConfig, v) -> WindowConfig:
@@ -258,15 +279,11 @@ def shift_config(config: WindowConfig, v) -> WindowConfig:
         vals = np.roll(config.values, shifts, axis=tuple(range(len(v))))
         return config.with_values(vals)
     w = config.window
-    origin = [o - x for o, x in zip(w.origin, v)]
-    extents = list(w.extents)
-    for i in range(w.dims[0], w.axes):
-        if origin[i] < 0:
-            extents[i] += origin[i]
-            origin[i] = 0
-    if any(e < 1 for e in extents):
+    out_window = WindowSpec.clipped_to_lattice(
+        w.dims, [o - x for o, x in zip(w.origin, v)], w.extents
+    )
+    if out_window is None:
         raise DomainExhaustedError(f"shift by {v} empties the window")
-    out_window = WindowSpec(w.dims, tuple(origin), tuple(extents))
     src = out_window.translate(v)
     vals = config.values[config.window.relative_slices(src)]
     return WindowConfig(out_window, config.module, vals, config.mode)

@@ -39,7 +39,6 @@ from .errors import (
 from .kernels import (
     KernelShiftSpec,
     WindowBasis,
-    _zmod_matmul,
     coset_shift_check,
     window_kernel,
 )
@@ -52,6 +51,7 @@ from .shiftpoly import (
     from_rule,
     poly_pow,
     poly_pow_charp,
+    stencil,
 )
 
 __all__ = [
@@ -285,16 +285,6 @@ def _echelonize(ring, rows, nvars):
     return rref[: len(pivots)].copy()
 
 
-def _lincomb(ring, coefs, rows):
-    """Ring combinations coefs @ rows: (count, nb) by (nb, ncols) -> (count, ncols)."""
-    if ring.kind == "zmod":
-        return _zmod_matmul(coefs, rows, ring.size)
-    out = np.zeros((coefs.shape[0], rows.shape[1]), dtype=np.int64)
-    for i in range(rows.shape[0]):
-        out = ring.add_arr(out, ring.mul_arr(coefs[:, i][:, None], rows[i][None, :]))
-    return out
-
-
 def _splits_into_fields(ring) -> bool:
     """True when the ring is a field or a CRT product of fields."""
     if ring.is_field:
@@ -507,7 +497,7 @@ class SubgroupHaarMeasure(MeasureHandle):
             for v in range(nb):
                 codes[:, v] = (idx // q**v) % q
             if nb:
-                vals = _lincomb(span.ring, codes, span.basis)
+                vals = span.ring.lincomb(codes, span.basis)
             else:
                 vals = np.zeros((1, n_sites * rank), dtype=np.int64)
             per_span.append(vals)
@@ -551,7 +541,7 @@ class SubgroupHaarMeasure(MeasureHandle):
             rows = np.flatnonzero(basis.any(axis=1))
             counters = first * np.uint64(span.dim) + rows.astype(np.uint64)
             coefs = self._rng[si].codes_at(counters, span.ring.size)
-            comp_vals.append(_lincomb(span.ring, coefs, basis[rows]))
+            comp_vals.append(span.ring.lincomb(coefs, basis[rows]))
         if self.decomposition is None:
             merged = comp_vals[0]
         else:
@@ -776,47 +766,12 @@ def _power_poly(rule: LocalRule, t: int) -> ShiftPolynomial:
     return poly_pow(f, t)
 
 
-def _apply_poly_batch(poly: ShiftPolynomial, window: WindowSpec, values: np.ndarray, mode: str, ring):
-    """Batched apply: values (count, *extents, rank) -> (window', values')."""
-    axes = window.axes
-    spatial = tuple(range(1, 1 + axes))
-    if mode == "torus":
-        out = None
-        for off, c in poly.terms:
-            rolled = np.roll(values, tuple(-x for x in off), axis=spatial)
-            contrib = ring.mul_arr(np.int64(c), rolled)
-            out = contrib if out is None else ring.add_arr(out, contrib)
-        if out is None:
-            out = np.zeros_like(values)
-        return window, out
-    from .shiftpoly import apply_poly
-
-    # Exact mode: derive the output window once via a probe, then slice batched.
-    probe = WindowConfig(
-        window,
-        ModuleSpec(ring, values.shape[-1]),
-        values[0],
-        "exact",
-    )
-    out_probe = apply_poly(poly, probe)
-    out_window = out_probe.window
-    out = None
-    for off, c in poly.terms:
-        src = out_window.translate(off)
-        slc = (slice(None),) + window.relative_slices(src) + (slice(None),)
-        contrib = ring.mul_arr(np.int64(c), values[slc])
-        out = contrib if out is None else ring.add_arr(out, contrib)
-    if out is None:
-        out = np.zeros((values.shape[0],) + out_window.extents + (values.shape[-1],), dtype=np.int64)
-    return out_window, out
-
-
 def _transform_span(span: _FieldSpan, poly, window, rank, comp_ring):
     vals = span.basis.reshape(span.dim, window.n_sites, rank)
     vals = vals.reshape((span.dim,) + window.extents + (rank,))
     if span.dim == 0:
         vals = np.zeros((1,) + window.extents + (rank,), dtype=np.int64)
-    out_window, out_vals = _apply_poly_batch(poly, window, vals, "exact", comp_ring)
+    out_window, out_vals = stencil(poly.terms, vals, window, "exact", comp_ring)
     nvars = out_window.n_sites * rank
     rows = out_vals.reshape(-1, nvars)[: span.dim]
     return out_window, _FieldSpan(comp_ring, _echelonize(comp_ring, rows, nvars))
@@ -875,7 +830,7 @@ def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERA
     if isinstance(source, CosetHaarMeasure) and source.mode == "exact":
         sub = pushforward(source.subgroup, rule, t, limit)
         rep_vals = source.rep.values[None, ...]
-        out_window, rep_out = _apply_poly_batch(poly, source.window, rep_vals, "exact", rule.ring)
+        out_window, rep_out = stencil(poly.terms, rep_vals, source.window, "exact", rule.ring)
         rep_cfg = WindowConfig(out_window, mu.module, rep_out[0], "exact")
         return CosetHaarMeasure(rep_cfg, sub, label=mu.label, provenance=mu.derived(note))
     if mu.is_exact:
@@ -887,7 +842,7 @@ def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERA
             shaped = np.stack([vals for vals, _ in words]).reshape(
                 (len(words),) + mu.window.extents + (mu.module.rank,)
             )
-            out_window, out_vals = _apply_poly_batch(poly, mu.window, shaped, mu.mode, rule.ring)
+            out_window, out_vals = stencil(poly.terms, shaped, mu.window, mu.mode, rule.ring)
             pushed = [
                 (out.reshape(-1, mu.module.rank), p) for out, (_, p) in zip(out_vals, words)
             ]
@@ -897,14 +852,14 @@ def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERA
             )
     # sampled fallback
     def transform(batch):
-        _, out = _apply_poly_batch(poly, mu.window, batch, mu.mode, rule.ring)
+        _, out = stencil(poly.terms, batch, mu.window, mu.mode, rule.ring)
         return out
 
     if mu.mode == "torus":
         out_window = mu.window
     else:
         probe = np.zeros((1,) + mu.window.extents + (mu.module.rank,), dtype=np.int64)
-        out_window, _ = _apply_poly_batch(poly, mu.window, probe, "exact", rule.ring)
+        out_window, _ = stencil(poly.terms, probe, mu.window, "exact", rule.ring)
     return TransformedMeasure(
         mu, transform, out_window, mu.module,
         label=f"{mu.label}->t{t}", provenance=mu.derived(note),
@@ -1005,7 +960,7 @@ def _pair_exponents(ring: Ring, duals: np.ndarray, vectors: np.ndarray) -> np.nd
     """(n, g) exponents sum_j pair(duals[:, j], vectors[i, j]) mod L."""
     L = ring.char_exponent
     if ring.kind == "zmod":
-        return _zmod_matmul(duals, vectors.T, L)
+        return ring.lincomb(duals, vectors.T)  # the zmod pairing is the product mod L = m
     out = np.empty((duals.shape[0], vectors.shape[0]), dtype=np.int64)
     for i, vec in enumerate(vectors):
         out[:, i] = ring.pair_exponent_arr(duals, vec[None, :]).sum(axis=1) % L

@@ -131,6 +131,25 @@ class Ring:
     def sub_arr(self, a, b):
         return self.add_arr(a, self.neg_arr(b))
 
+    def weighted_sum(self, coeffs, arrays):
+        """sum_i coeffs[i] * arrays[i] for a nonempty list of scalar coefficients.
+
+        `arrays` may be any iterable of same-shape code arrays; it is consumed
+        one array at a time.
+        """
+        out = None
+        for c, a in zip(coeffs, arrays):
+            term = self.mul_arr(np.int64(c), a)
+            out = term if out is None else self.add_arr(out, term)
+        return out
+
+    def lincomb(self, coefs, rows):
+        """Ring combinations coefs @ rows: (count, nb) by (nb, ncols) -> (count, ncols)."""
+        out = np.zeros((coefs.shape[0], rows.shape[1]), dtype=np.int64)
+        for i in range(rows.shape[0]):
+            out = self.add_arr(out, self.mul_arr(coefs[:, i][:, None], rows[i][None, :]))
+        return out
+
     # -- units --------------------------------------------------------------
     def unit_inverse(self, a: int):
         """Multiplicative inverse of a, or None when a is not a unit."""
@@ -216,6 +235,19 @@ def _exact_convolve_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return flat.astype(np.int64).reshape(out_shape)
 
 
+def _zmod_matmul(a, b, q):
+    """(a @ b) % q for Z/q code arrays.
+
+    Every product is at most (q-1)**2, so when the inner dimension n keeps
+    n * (q-1)**2 below 2**53 each partial sum is an integer that float64
+    holds exactly, in any summation order; the product then runs as a float64
+    matmul.  Above that bound it stays on int64.
+    """
+    if a.shape[-1] * (q - 1) ** 2 < 1 << 53:
+        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % q
+    return np.matmul(a, b) % q
+
+
 class ZmodRing(Ring):
     """The ring of integers modulo m."""
 
@@ -252,6 +284,26 @@ class ZmodRing(Ring):
 
     def mul_arr(self, a, b):
         return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.m
+
+    def weighted_sum(self, coeffs, arrays):
+        # Accumulate unreduced on int64 and reduce once: each term is at most
+        # (m-1)**2 and m <= 2**16, so the sum stays below 2**63.
+        coeffs = [int(c) % self.m for c in coeffs]
+        assert len(coeffs) * (self.m - 1) ** 2 < 1 << 63
+        out = None
+        for c, a in zip(coeffs, arrays):
+            a = np.asarray(a, dtype=np.int64)
+            if out is None:
+                out = a * c
+            elif c == 1:
+                out += a
+            else:
+                out += a * c
+        out %= self.m
+        return out
+
+    def lincomb(self, coefs, rows):
+        return _zmod_matmul(coefs, rows, self.m)
 
     def unit_inverse(self, a):
         a %= self.m

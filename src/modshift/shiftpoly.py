@@ -36,6 +36,7 @@ __all__ = [
     "poly_pow_charp",
     "frobenius_power",
     "apply_poly",
+    "stencil",
     "parse_rule",
     "format_rule",
 ]
@@ -273,6 +274,34 @@ def poly_pow_naive_small(f: ShiftPolynomial, d: int) -> ShiftPolynomial:
     return result
 
 
+def stencil(terms, values: np.ndarray, window: WindowSpec, mode: str, ring: Ring):
+    """sum_h c_h * shift(x, h) for a batch of configurations on one window.
+
+    `terms` is a sequence of (offset h, coefficient c_h) and `values` has shape
+    (count, *window.extents, rank).  Torus mode wraps every axis and keeps the
+    window.  Exact mode evaluates at every anchor whose full stencil lies in
+    the window (clipped to the lattice) and raises DomainExhaustedError when
+    none does.  No terms give zeros on the same window.  Returns
+    (out_window, out) with out of shape (count, *out_window.extents, rank).
+    """
+    terms = tuple(terms)
+    if not terms:
+        return window, np.zeros_like(values)
+    if mode == "torus":
+        spatial = tuple(range(1, 1 + window.axes))
+        out_window = window
+        blocks = (np.roll(values, tuple(-x for x in off), axis=spatial) for off, _ in terms)
+    else:
+        out_window = window.stencil_anchors([off for off, _ in terms])
+        if out_window is None:
+            raise DomainExhaustedError(f"stencil span exceeds window {window}")
+        blocks = (
+            values[(slice(None),) + window.relative_slices(out_window.translate(off))]
+            for off, _ in terms
+        )
+    return out_window, ring.weighted_sum([c for _, c in terms], blocks)
+
+
 def apply_poly(poly: ShiftPolynomial, config: WindowConfig) -> WindowConfig:
     """Evaluate the polynomial of shifts on a windowed configuration.
 
@@ -281,49 +310,12 @@ def apply_poly(poly: ShiftPolynomial, config: WindowConfig) -> WindowConfig:
     """
     if poly.ring != config.module.ring:
         raise RingMismatchError("polynomial/config ring mismatch")
-    ring = config.module.ring
-    n_axes = config.window.axes
-    if poly.dims[0] + poly.dims[1] != n_axes:
+    if poly.dims[0] + poly.dims[1] != config.window.axes:
         raise RingMismatchError("polynomial/config lattice arity mismatch")
-    if config.mode == "torus":
-        out = None
-        for off, c in poly.terms:
-            shifted = np.roll(
-                config.values, tuple(-x for x in off), axis=tuple(range(n_axes))
-            )
-            contrib = ring.mul_arr(np.int64(c), shifted)
-            out = contrib if out is None else ring.add_arr(out, contrib)
-        if out is None:
-            out = np.zeros_like(config.values)
-        return config.with_values(out)
-
-    if poly.is_zero:
-        return config.with_values(np.zeros_like(config.values))
-    offs = np.array([off for off, _ in poly.terms], dtype=np.int64)
-    lo = offs.min(axis=0)
-    hi = offs.max(axis=0)
-    w = config.window
-    out_origin = [o - int(l) for o, l in zip(w.origin, lo)]
-    out_extents = [e - int(h - l) for e, h, l in zip(w.extents, hi, lo)]
-    if any(e < 1 for e in out_extents):
-        raise DomainExhaustedError(
-            f"stencil span exceeds window extents {w.extents}"
-        )
-    D = w.dims[0]
-    for i in range(D, n_axes):
-        if out_origin[i] < 0:
-            out_extents[i] += out_origin[i]
-            out_origin[i] = 0
-            if out_extents[i] < 1:
-                raise DomainExhaustedError("output window left the lattice")
-    out_window = WindowSpec(w.dims, tuple(out_origin), tuple(out_extents))
-    out = None
-    for off, c in poly.terms:
-        src = out_window.translate(off)
-        block = config.values[w.relative_slices(src)]
-        contrib = ring.mul_arr(np.int64(c), block)
-        out = contrib if out is None else ring.add_arr(out, contrib)
-    return WindowConfig(out_window, config.module, out, config.mode)
+    out_window, out = stencil(
+        poly.terms, config.values[None], config.window, config.mode, poly.ring
+    )
+    return WindowConfig(out_window, config.module, out[0], config.mode)
 
 
 def iterate_rule(rule: LocalRule, config: WindowConfig, t: int) -> WindowConfig:

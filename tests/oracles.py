@@ -4,7 +4,10 @@ These deliberately avoid the library's solvers: the zeroth-row oracle works
 from the space-time recursion of the parity kernel, and the brute-force kernel
 oracle enumerates words and evaluates raw stencil sums.  The dense elimination
 oracle is the library's original full-row ``rref`` kept as the reference for
-the field-specific elimination paths.
+the field-specific elimination paths.  The reduce-each stencil oracles are the
+library's original stencil evaluations, which reduce after every multiply and
+every add, kept as the reference for the single stencil engine; so are the
+per-trial CRT conjugacy loop and the Python-loop CRT map check.
 """
 
 from fractions import Fraction
@@ -169,3 +172,204 @@ def dense_solve_affine(matrix, rhs, ring):
     for r, pc in enumerate(pivots):
         x[pc] = aug[r, cols]
     return x, dense_nullspace(m, ring)
+
+
+# -- stencil evaluation, reducing after every multiply and every add ----------------
+
+
+def reduce_each_anchor_window(stencil_offsets, window):
+    """Anchors m in the lattice with m + stencil inside the window; None if empty."""
+    from modshift.lattice import WindowSpec
+
+    arr = np.array(stencil_offsets, dtype=np.int64)
+    lo, hi = arr.min(axis=0), arr.max(axis=0)
+    origin = [o - int(l) for o, l in zip(window.origin, lo)]
+    extents = [e - int(h - l) for e, h, l in zip(window.extents, hi, lo)]
+    D = window.dims[0]
+    for i in range(D, window.axes):
+        if origin[i] < 0:
+            extents[i] += origin[i]
+            origin[i] = 0
+    if any(e < 1 for e in extents):
+        return None
+    return WindowSpec(window.dims, tuple(origin), tuple(extents))
+
+
+def reduce_each_apply(poly, config):
+    """Evaluate the polynomial of shifts on a windowed configuration."""
+    from modshift.errors import DomainExhaustedError, RingMismatchError
+    from modshift.lattice import WindowConfig, WindowSpec
+
+    if poly.ring != config.module.ring:
+        raise RingMismatchError("polynomial/config ring mismatch")
+    ring = config.module.ring
+    n_axes = config.window.axes
+    if poly.dims[0] + poly.dims[1] != n_axes:
+        raise RingMismatchError("polynomial/config lattice arity mismatch")
+    if config.mode == "torus":
+        out = None
+        for off, c in poly.terms:
+            shifted = np.roll(
+                config.values, tuple(-x for x in off), axis=tuple(range(n_axes))
+            )
+            contrib = ring.mul_arr(np.int64(c), shifted)
+            out = contrib if out is None else ring.add_arr(out, contrib)
+        if out is None:
+            out = np.zeros_like(config.values)
+        return config.with_values(out)
+
+    if poly.is_zero:
+        return config.with_values(np.zeros_like(config.values))
+    offs = np.array([off for off, _ in poly.terms], dtype=np.int64)
+    lo = offs.min(axis=0)
+    hi = offs.max(axis=0)
+    w = config.window
+    out_origin = [o - int(l) for o, l in zip(w.origin, lo)]
+    out_extents = [e - int(h - l) for e, h, l in zip(w.extents, hi, lo)]
+    if any(e < 1 for e in out_extents):
+        raise DomainExhaustedError(
+            f"stencil span exceeds window extents {w.extents}"
+        )
+    D = w.dims[0]
+    for i in range(D, n_axes):
+        if out_origin[i] < 0:
+            out_extents[i] += out_origin[i]
+            out_origin[i] = 0
+            if out_extents[i] < 1:
+                raise DomainExhaustedError("output window left the lattice")
+    out_window = WindowSpec(w.dims, tuple(out_origin), tuple(out_extents))
+    out = None
+    for off, c in poly.terms:
+        src = out_window.translate(off)
+        block = config.values[w.relative_slices(src)]
+        contrib = ring.mul_arr(np.int64(c), block)
+        out = contrib if out is None else ring.add_arr(out, contrib)
+    return WindowConfig(out_window, config.module, out, config.mode)
+
+
+def reduce_each_batch(poly, window, values, mode, ring):
+    """Batched apply: values (count, *extents, rank) -> (window', values')."""
+    from modshift.lattice import WindowConfig
+    from modshift.rings import ModuleSpec
+
+    axes = window.axes
+    spatial = tuple(range(1, 1 + axes))
+    if mode == "torus":
+        out = None
+        for off, c in poly.terms:
+            rolled = np.roll(values, tuple(-x for x in off), axis=spatial)
+            contrib = ring.mul_arr(np.int64(c), rolled)
+            out = contrib if out is None else ring.add_arr(out, contrib)
+        if out is None:
+            out = np.zeros_like(values)
+        return window, out
+
+    # Exact mode: derive the output window once via a probe, then slice batched.
+    probe = WindowConfig(
+        window,
+        ModuleSpec(ring, values.shape[-1]),
+        values[0],
+        "exact",
+    )
+    out_probe = reduce_each_apply(poly, probe)
+    out_window = out_probe.window
+    out = None
+    for off, c in poly.terms:
+        src = out_window.translate(off)
+        slc = (slice(None),) + window.relative_slices(src) + (slice(None),)
+        contrib = ring.mul_arr(np.int64(c), values[slc])
+        out = contrib if out is None else ring.add_arr(out, contrib)
+    if out is None:
+        out = np.zeros((values.shape[0],) + out_window.extents + (values.shape[-1],), dtype=np.int64)
+    return out_window, out
+
+
+def reduce_each_residual(spec, config):
+    """Constraint values at every in-window anchor; None when no anchor fits."""
+    rule = spec.constraint
+    rule.module.check_same(config.module)
+    anchors = reduce_each_anchor_window(rule.offsets, config.window)
+    if anchors is None:
+        return None
+    ring = rule.ring
+    w = config.window
+    out = None
+    for off, c in zip(rule.offsets, rule.coeffs):
+        src = anchors.translate(off)
+        block = config.values[w.relative_slices(src)]
+        contrib = ring.mul_arr(np.int64(c), block)
+        out = contrib if out is None else ring.add_arr(out, contrib)
+    return out
+
+
+def reduce_each_membership(spec, window, values):
+    """Vectorized membership for (count, n_sites, rank) word stacks."""
+    rule = spec.constraint
+    anchors = reduce_each_anchor_window(rule.offsets, window)
+    count = values.shape[0]
+    if anchors is None:
+        return np.ones(count, dtype=bool)
+    ring = rule.ring
+    site_index = {site: i for i, site in enumerate(window.sites())}
+    gather = np.zeros((anchors.n_sites, len(rule.offsets)), dtype=np.int64)
+    for ai, m in enumerate(anchors.sites()):
+        for oi, off in enumerate(rule.offsets):
+            gather[ai, oi] = site_index[tuple(a + b for a, b in zip(m, off))]
+    residual = None
+    for oi, c in enumerate(rule.coeffs):
+        term = ring.mul_arr(np.int64(c), values[:, gather[:, oi], :])
+        residual = term if residual is None else ring.add_arr(residual, term)
+    return ~residual.reshape(count, -1).any(axis=1)
+
+
+# -- CRT checks, one trial and one element pair at a time ---------------------------
+
+
+def per_trial_conjugacy(rule, deco, trials, torus_extents, seed):
+    """First (trial, component, site) where split(rule(c)) differs, or None."""
+    from modshift.crt import component_rule, split_config
+    from modshift.lattice import WindowConfig, WindowSpec
+    from modshift.rng import CounterRng
+    from modshift.shiftpoly import from_rule
+
+    module = rule.module
+    window = WindowSpec(rule.dims, (0,) * len(torus_extents), tuple(torus_extents))
+    poly = from_rule(rule)
+    comp_polys = [
+        from_rule(component_rule(rule, deco, j)) for j in range(deco.n_components)
+    ]
+    rng = CounterRng(seed, stream=57)
+    shape = (trials,) + window.extents + (module.rank,)
+    draws = rng.uniform_codes(0, shape, module.ring.size)
+    for trial in range(trials):
+        cfg = WindowConfig(window, module, draws[trial], "torus")
+        image = reduce_each_apply(poly, cfg)
+        split_image = split_config(image, deco)
+        split_src = split_config(cfg, deco)
+        for j, comp_poly in enumerate(comp_polys):
+            direct = reduce_each_apply(comp_poly, split_src[j])
+            if not np.array_equal(direct.values, split_image[j].values):
+                diff = np.argwhere(direct.values != split_image[j].values)[0]
+                return {
+                    "trial": trial,
+                    "component": j,
+                    "site": tuple(int(x) for x in diff[:-1]),
+                }
+    return None
+
+
+def pairwise_crt_verdicts(ring, deco):
+    """(bijective, additive_hom) of the component maps over every (a, b) pair."""
+    bijective = True
+    hom = True
+    for a in range(ring.size):
+        if deco.inverse(deco.forward(a)) != a:
+            bijective = False
+    for a in range(ring.size):
+        for b in range(ring.size):
+            fa, fb = deco.forward(a), deco.forward(b)
+            fsum = deco.forward(ring.add(a, b))
+            for j, comp in enumerate(deco.component_rings):
+                if fsum[j] != comp.add(fa[j], fb[j]):
+                    hom = False
+    return bijective, hom

@@ -1,0 +1,294 @@
+"""Differential tests: the single stencil engine against the reduce-each oracles.
+
+`stencil` accumulates unreduced and reduces once (over Z/m) or runs the ring's
+table arithmetic, and every caller (`apply_poly`, `constraint_residual`,
+`batch_membership`, the batched Frobenius and CRT checks) goes through it.
+Ring arithmetic is exact, so each must equal the original evaluation, which
+reduces after every multiply and every add, bit for bit.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from modshift import GFRing, KernelShiftSpec, ModuleSpec, WindowSpec, ZmodRing
+from modshift.crt import component_map_verdicts, conjugacy_check, decompose_ring
+from modshift.errors import DomainExhaustedError
+from modshift.experiment import frobenius_check
+from modshift.kernels import batch_membership, constraint_residual
+from modshift.lattice import WindowConfig, checkerboard_config, config_from_function
+from modshift.rings import Ring, make_ring
+from modshift.rng import CounterRng
+from modshift.shiftpoly import (
+    LocalRule,
+    ShiftPolynomial,
+    apply_poly,
+    frobenius_power,
+    from_rule,
+    parse_rule,
+    poly_pow,
+    stencil,
+)
+
+from oracles import (
+    pairwise_crt_verdicts,
+    per_trial_conjugacy,
+    reduce_each_apply,
+    reduce_each_batch,
+    reduce_each_membership,
+    reduce_each_residual,
+)
+
+RINGS = [
+    ZmodRing(2),
+    ZmodRing(3),
+    ZmodRing(5),
+    ZmodRing(6),
+    ZmodRing(210),
+    ZmodRing(65521),
+    GFRing(2, 2),
+    GFRing(3, 2),
+    make_ring("prod:[zmod:2;zmod:3]"),
+]
+
+# (dims, origin, extents, offsets).  N-axis offsets are nonnegative, as local
+# rules require.
+CASES = {
+    # Z x N with the N-axis output origin clipped from -1 to 0.
+    "zn_clip": ((1, 1), (-3, 0), (7, 6), ((-1, 1), (0, 2), (1, 3), (2, 1))),
+    # Z^2 with negative origins.
+    "zz_negative": ((2, 0), (-2, -5), (5, 4), ((0, 0), (-1, 1), (2, -1))),
+    # N only, away from the boundary.
+    "n_origin": ((0, 1), (3,), (9,), ((0,), (2,), (5,))),
+    # N only, output origin clipped from -1 to 0.
+    "n_clip": ((0, 1), (1,), (9,), ((2,), (4,))),
+    # The stencil is wider than the window: no anchor at all.
+    "wider": ((1, 1), (0, 0), (3, 4), ((0, 0), (4, 0))),
+    # The stencil fits, but clipping to N empties the anchor window.
+    "n_clip_empties": ((0, 1), (0,), (2,), ((2,), (3,))),
+}
+
+
+def _ids(ring):
+    return ring.descriptor().split(":")[0] + str(ring.size)
+
+
+def _coeffs(ring, n, seed):
+    """n nonzero ring codes; the first is one, to reach the unit-coefficient path."""
+    raw = CounterRng(seed, stream=3).uniform_codes(0, (n,), ring.size - 1) + 1
+    raw[0] = ring.one
+    return [int(c) for c in raw]
+
+
+def _values(ring, count, extents, rank, seed):
+    return CounterRng(seed, stream=4).uniform_codes(0, (count,) + tuple(extents) + (rank,), ring.size)
+
+
+def _poly(ring, case, seed):
+    dims, _, _, offsets = CASES[case]
+    return ShiftPolynomial.from_terms(ring, dims, dict(zip(offsets, _coeffs(ring, len(offsets), seed))))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=_ids)
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("mode", ["torus", "exact"])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_stencil_and_apply_poly_match_oracle(ring, case, mode, rank):
+    dims, origin, extents, _ = CASES[case]
+    window = WindowSpec(dims, origin, extents)
+    poly = _poly(ring, case, seed=len(case))
+    values = _values(ring, 3, extents, rank, seed=rank)
+    try:
+        want_window, want = reduce_each_batch(poly, window, values, mode, ring)
+    except DomainExhaustedError:
+        assert mode == "exact"
+        with pytest.raises(DomainExhaustedError):
+            stencil(poly.terms, values, window, mode, ring)
+        with pytest.raises(DomainExhaustedError):
+            apply_poly(poly, WindowConfig(window, ModuleSpec(ring, rank), values[0], mode))
+        return
+    got_window, got = stencil(poly.terms, values, window, mode, ring)
+    assert got_window == want_window
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    module = ModuleSpec(ring, rank)
+    for i in range(values.shape[0]):
+        cfg = WindowConfig(window, module, values[i], mode)
+        assert apply_poly(poly, cfg) == reduce_each_apply(poly, cfg)
+
+
+@pytest.mark.parametrize("mode", ["torus", "exact"])
+def test_zero_polynomial_gives_zeros_on_the_same_window(mode):
+    ring = ZmodRing(5)
+    window = WindowSpec((1, 1), (-2, 1), (4, 3))
+    poly = ShiftPolynomial.from_terms(ring, (1, 1), {})
+    values = _values(ring, 2, window.extents, 1, seed=8)
+    want_window, want = reduce_each_batch(poly, window, values, mode, ring)
+    got_window, got = stencil(poly.terms, values, window, mode, ring)
+    assert got_window == want_window == window
+    assert np.array_equal(got, want) and not got.any()
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=_ids)
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("rank", [1, 2])
+def test_constraint_residual_and_batch_membership_match_oracle(ring, case, rank):
+    dims, origin, extents, offsets = CASES[case]
+    window = WindowSpec(dims, origin, extents)
+    module = ModuleSpec(ring, rank)
+    spec = KernelShiftSpec(
+        LocalRule(module, dims, offsets, tuple(_coeffs(ring, len(offsets), seed=rank)))
+    )
+    values = _values(ring, 5, extents, rank, seed=len(case))
+    values[0] = 0  # one member for sure
+    for i in range(values.shape[0]):
+        cfg = WindowConfig(window, module, values[i])
+        got, want = constraint_residual(spec, cfg), reduce_each_residual(spec, cfg)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+    flat = values.reshape(values.shape[0], window.n_sites, rank)
+    got = batch_membership(spec, window, flat)
+    assert np.array_equal(got, reduce_each_membership(spec, window, flat))
+    assert got[0]
+
+
+# -- weighted sums and matrix combinations -----------------------------------------------
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=_ids)
+def test_weighted_sum_matches_generic_loop(ring):
+    arrays = _values(ring, 6, (7, 5), 2, seed=11)
+    coeffs = [0, ring.one] + _coeffs(ring, 4, seed=12)
+    want = Ring.weighted_sum(ring, coeffs, list(arrays))
+    got = ring.weighted_sum(coeffs, iter(arrays))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # One term, unit coefficient: the result is a fresh array equal to the input.
+    single = ring.weighted_sum([ring.one], [arrays[0]])
+    assert np.array_equal(single, arrays[0]) and not np.shares_memory(single, arrays[0])
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=_ids)
+@pytest.mark.parametrize("shape", [(4, 0, 6), (1, 1, 1), (9, 5, 13), (3, 40, 7)])
+def test_lincomb_matches_generic_loop(ring, shape):
+    count, nb, ncols = shape
+    coefs = CounterRng(13, stream=5).uniform_codes(0, (count, nb), ring.size)
+    rows = CounterRng(14, stream=5).uniform_codes(0, (nb, ncols), ring.size)
+    got = ring.lincomb(coefs, rows)
+    assert got.dtype == np.int64 and np.array_equal(got, Ring.lincomb(ring, coefs, rows))
+
+
+def test_lincomb_int64_branch_matches_generic_loop():
+    # 2100 * 65520**2 > 2**53, so Z/65521 leaves the float64 matmul.
+    ring = ZmodRing(65521)
+    coefs = CounterRng(15, stream=5).uniform_codes(0, (3, 2100), ring.size)
+    rows = CounterRng(16, stream=5).uniform_codes(0, (2100, 4), ring.size)
+    assert np.array_equal(ring.lincomb(coefs, rows), Ring.lincomb(ring, coefs, rows))
+
+
+# -- batched Frobenius and CRT checks ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rule_text, k, torus",
+    [
+        ("rule ring=zmod:3 rank=1 dims=1,1 H=(0,0):1;(1,1):2", 1, (6, 5)),
+        ("rule ring=gf:2:2:1,1,1 rank=2 dims=0,1 H=(0):2;(1):3", 2, (9,)),
+        ("rule ring=prod:[zmod:2;gf:2:2:1,1,1] rank=1 dims=1,0 H=(-1):5;(2):1", 1, (7,)),
+    ],
+)
+def test_frobenius_check_matches_per_config_loop(rule_text, k, torus):
+    rule = parse_rule(rule_text)
+    p = rule.ring.characteristic
+    frob = frobenius_power(rule, k)
+    power = poly_pow(from_rule(rule), p**k)
+    window = WindowSpec(rule.dims, (0,) * len(torus), torus)
+    draws = CounterRng(4, stream=71).uniform_codes(5, (3,) + torus + (rule.module.rank,), rule.ring.size)
+    applied = True
+    for i in range(3):
+        cfg = WindowConfig(window, rule.module, draws[i], "torus")
+        naive = cfg
+        for _ in range(p**k):
+            naive = reduce_each_apply(from_rule(rule), naive)
+        if reduce_each_apply(frob, cfg) != naive or reduce_each_apply(power, cfg) != naive:
+            applied = False
+    want = {"k": k, "structural": frob == power, "applied": applied}
+    assert frobenius_check(rule, k, torus, 3, seed=4, start=5) == want
+    assert frobenius_check(rule, k, None, 3, seed=4) == {**want, "applied": True}
+
+
+def _corrupted_z6():
+    deco = decompose_ring(ZmodRing(6))
+    fwd = deco.forward_table.copy()
+    fwd[5, 1] = 1  # 5 should map to (1, 2)
+    return dataclasses.replace(deco, forward_table=fwd)
+
+
+@pytest.mark.parametrize(
+    "rule_text, corrupt, torus",
+    [
+        ("rule ring=zmod:6 rank=1 dims=1,0 H=(0):1;(1):5", False, (16,)),
+        ("rule ring=zmod:6 rank=1 dims=1,0 H=(0):1;(1):5", True, (16,)),
+        ("rule ring=zmod:6 rank=2 dims=1,1 H=(0,0):1;(1,0):5;(0,1):1", True, (5, 4)),
+        ("rule ring=zmod:30 rank=1 dims=1,0 H=(-1):7;(0):1;(1):29", False, (32,)),
+    ],
+)
+def test_conjugacy_reports_the_first_counterexample(rule_text, corrupt, torus):
+    rule = parse_rule(rule_text)
+    deco = _corrupted_z6() if corrupt else decompose_ring(rule.ring)
+    res = conjugacy_check(rule, deco, trials=20, torus_extents=torus, seed=2)
+    assert res.counterexample == per_trial_conjugacy(rule, deco, 20, torus, 2)
+    assert res.ok == (not corrupt)
+    assert conjugacy_check(rule, deco, trials=0, torus_extents=torus).ok
+
+
+@pytest.mark.parametrize("ring_text", ["zmod:6", "zmod:30", "prod:[gf:2:2:1,1,1;zmod:3]"])
+def test_component_map_verdicts_match_pairwise_loop(ring_text):
+    ring = make_ring(ring_text)
+    deco = decompose_ring(ring)
+    swapped = deco.inverse_table.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    relabelled = deco.forward_table.copy()
+    relabelled[:, 0] = (relabelled[:, 0] + 1) % deco.component_rings[0].size
+    for variant in (
+        deco,
+        dataclasses.replace(deco, inverse_table=swapped),
+        dataclasses.replace(deco, forward_table=relabelled),
+    ):
+        inverse_ok, add_ok, _ = component_map_verdicts(variant, ring.size)
+        got = (bool(inverse_ok.all()), bool(add_ok.all()))
+        assert got == pairwise_crt_verdicts(ring, variant)
+    assert got == (False, False)
+
+
+def test_conjugacy_counterexample_in_a_later_batch():
+    # 256 cells a trial run in batches of 256 trials; with one corrupted code
+    # out of 65521 the first counterexample under this seed is trial 368.
+    rule = parse_rule("rule ring=zmod:65521 rank=1 dims=1,0 H=(0):1;(1):2")
+    deco = decompose_ring(rule.ring)
+    fwd = deco.forward_table.copy()
+    fwd[777, 0] = 778
+    bad = dataclasses.replace(deco, forward_table=fwd)
+    res = conjugacy_check(rule, bad, trials=400, torus_extents=(256,), seed=24)
+    assert res.counterexample == per_trial_conjugacy(rule, bad, 400, (256,), 24)
+    assert res.counterexample["trial"] == 368
+
+
+# -- checkerboard from one coordinate-sum array --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ring_text", ["zmod:2", "zmod:6", "gf:3:2:1,0,1", "prod:[zmod:2;zmod:3]", "zmod:65521"]
+)
+@pytest.mark.parametrize(
+    "dims, origin, extents",
+    [((1, 1), (-5, 0), (7, 4)), ((2, 1), (-3, -1, 2), (3, 4, 2)), ((1, 0), (-70000,), (6,))],
+)
+@pytest.mark.parametrize("rank", [1, 2])
+def test_checkerboard_matches_per_site_evaluation(ring_text, dims, origin, extents, rank):
+    ring = make_ring(ring_text)
+    module = ModuleSpec(ring, rank)
+    window = WindowSpec(dims, origin, extents)
+    want = config_from_function(module, window, lambda site: ring.from_int(sum(site)), "torus")
+    got = checkerboard_config(module, window, "torus")
+    assert got == want and got.values.tobytes() == want.values.tobytes()
