@@ -93,14 +93,16 @@ def constraint_matrix(spec: KernelShiftSpec, window: WindowSpec) -> np.ndarray:
     n_sites = window.n_sites
     if anchors is None:
         return np.zeros((0, n_sites), dtype=np.int64)
-    site_index = {site: i for i, site in enumerate(window.sites())}
-    rows = []
-    for m in anchors.sites():
-        row = np.zeros(n_sites, dtype=np.int64)
-        for off, c in zip(rule.offsets, rule.coeffs):
-            row[site_index[tuple(a + b for a, b in zip(m, off))]] = c
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    # Anchor coordinates relative to the window origin, anchors row-major.
+    rel = np.indices(anchors.extents).reshape(window.axes, -1) + np.subtract(
+        anchors.origin, window.origin
+    )[:, None]
+    matrix = np.zeros((rel.shape[1], n_sites), dtype=np.int64)
+    rows = np.arange(rel.shape[1])
+    for off, c in zip(rule.offsets, rule.coeffs):
+        cols = np.ravel_multi_index(tuple(rel + np.array(off)[:, None]), window.extents)
+        matrix[rows, cols] = c
+    return matrix
 
 
 @dataclass(frozen=True)

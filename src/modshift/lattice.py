@@ -358,18 +358,35 @@ def decode_config(text: str) -> WindowConfig:
         ring = parse_ring(lines[1])
     except InvalidParameterError as e:
         raise ConfigParseError(str(e), line=2) from None
-    (rank,) = _parse_header_line(lines, 2, "rank")
+    rank = _parse_header_line(lines, 2, "rank")
+    if len(rank) != 1:
+        raise ConfigParseError("rank line needs exactly one integer", line=3)
+    try:
+        module = ModuleSpec(ring, rank[0])
+    except InvalidParameterError as e:
+        raise ConfigParseError(str(e), line=3) from None
     dims = _parse_header_line(lines, 3, "dims")
     if len(dims) != 2:
         raise ConfigParseError("dims line needs exactly D and E", line=4)
+    D, E = dims
+    if D < 0 or E < 0 or D + E < 1:
+        raise ConfigParseError(f"bad dims {tuple(dims)}", line=4)
     origin = _parse_header_line(lines, 4, "origin")
+    if len(origin) != D + E:
+        raise ConfigParseError(f"origin has {len(origin)} coordinates, want {D + E}", line=5)
+    for i in range(D, D + E):
+        if origin[i] < 0:
+            raise ConfigParseError(f"N-axis coordinate {i} has negative origin {origin[i]}", line=5)
     extents = _parse_header_line(lines, 5, "extents")
+    if len(extents) != D + E:
+        raise ConfigParseError(f"extents has {len(extents)} entries, want {D + E}", line=6)
+    if any(e < 1 for e in extents):
+        raise ConfigParseError(f"extents must be positive: {tuple(extents)}", line=6)
     mode_line = lines[6]
     if mode_line not in ("mode exact", "mode torus"):
         raise ConfigParseError(f"bad mode line {mode_line!r}", line=7)
     mode = mode_line.split()[1]
-    module = ModuleSpec(ring, rank)
-    window = WindowSpec((dims[0], dims[1]), tuple(origin), tuple(extents))
+    window = WindowSpec((D, E), tuple(origin), tuple(extents))
     n_rows = window.n_sites // window.extents[-1] if window.axes > 1 else 1
     row_len = window.extents[-1] if window.axes > 1 else window.n_sites
     body = lines[7:]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import product as iter_product
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -207,21 +207,59 @@ class Ring:
 
 
 def _exact_convolve_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer convolution of nonnegative arrays via big-int packing.
+    """Exact integer convolution of nonnegative arrays, full output box.
+
+    Sparse inputs (nnz(a) * nnz(b) at most the output cell count) take the
+    pairwise-product path, whose cost follows the nonzero terms; denser ones
+    take the big-int packing, whose cost follows the box.  Both are exact, so
+    the choice never changes the result.
+    """
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    b = np.ascontiguousarray(b, dtype=np.int64)
+    if np.count_nonzero(a) * np.count_nonzero(b) <= prod(_convolve_shape(a, b)):
+        return _convolve_sparse(a, b)
+    return _convolve_packed(a, b)
+
+
+def _convolve_shape(a: np.ndarray, b: np.ndarray) -> tuple:
+    return tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
+
+
+def _convolve_guard(amax: int, bmax: int, count: int):
+    """Refuse a convolution whose output values could reach 2**63."""
+    if amax * bmax * count >= 1 << 63:
+        raise InvalidParameterError("convolution values would overflow packing")
+
+
+def _convolve_sparse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every pairwise product of nonzero cells, summed into the output box.
+
+    A cell's flat index in the output box is linear in its multi-index, so the
+    product of cells i and j lands at flat(i) + flat(j).
+    """
+    out_shape = _convolve_shape(a, b)
+    ia = np.flatnonzero(a)
+    ib = np.flatnonzero(b)
+    va = a.ravel()[ia]
+    vb = b.ravel()[ib]
+    _convolve_guard(int(va.max(initial=0)), int(vb.max(initial=0)), min(ia.size, ib.size))
+    oa = np.ravel_multi_index(np.unravel_index(ia, a.shape), out_shape)
+    ob = np.ravel_multi_index(np.unravel_index(ib, b.shape), out_shape)
+    out = np.zeros(prod(out_shape), dtype=np.int64)
+    np.add.at(out, (oa[:, None] + ob[None, :]).ravel(), (va[:, None] * vb[None, :]).ravel())
+    return out.reshape(out_shape)
+
+
+def _convolve_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact convolution via big-int packing.
 
     Both inputs are embedded in the output-shaped box, flattened C-order, and
     packed 64 bits per slot; the single big multiply then performs the full
     multi-dimensional convolution with no slot carries, provided every output
     value stays below 2**63 (asserted from an a priori bound).
     """
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
-    out_shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
-    amax = int(a.max(initial=0))
-    bmax = int(b.max(initial=0))
-    bound = amax * bmax * min(a.size, b.size)
-    if bound >= 1 << 63:
-        raise InvalidParameterError("convolution values would overflow packing")
+    out_shape = _convolve_shape(a, b)
+    _convolve_guard(int(a.max(initial=0)), int(b.max(initial=0)), min(a.size, b.size))
     pa = np.zeros(out_shape, dtype=np.uint64)
     pb = np.zeros(out_shape, dtype=np.uint64)
     pa[tuple(slice(0, s) for s in a.shape)] = a.astype(np.uint64)

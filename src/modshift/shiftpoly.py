@@ -136,13 +136,6 @@ class ShiftPolynomial:
     def __pow__(self, t):
         return poly_pow(self, t)
 
-    def scaled_offsets(self, factor: int) -> "ShiftPolynomial":
-        return ShiftPolynomial.from_terms(
-            self.ring,
-            self.dims,
-            {tuple(factor * x for x in off): c for off, c in self.terms},
-        )
-
 
 def identity_poly(ring, dims) -> ShiftPolynomial:
     n = dims[0] + dims[1]
@@ -159,21 +152,21 @@ def _terms_to_array(poly: ShiftPolynomial):
     """Dense coefficient box plus the box's minimum corner."""
     offs = np.array([off for off, _ in poly.terms], dtype=np.int64)
     lo = offs.min(axis=0)
-    hi = offs.max(axis=0)
-    shape = tuple((hi - lo + 1).tolist())
-    box = np.zeros(shape, dtype=np.int64)
-    for off, c in poly.terms:
-        box[tuple(o - l for o, l in zip(off, lo.tolist()))] = c
+    box = np.zeros(tuple((offs.max(axis=0) - lo + 1).tolist()), dtype=np.int64)
+    box[tuple((offs - lo).T)] = [c for _, c in poly.terms]
     return box, tuple(lo.tolist())
 
 
 def _array_to_terms(ring, dims, box, lo) -> ShiftPolynomial:
+    """The canonical polynomial of a reduced coefficient box.
+
+    `argwhere` lists the nonzero cells in lexicographic order and every cell
+    holds a nonzero code in range, so the terms are already canonical.
+    """
     nz = np.argwhere(box)
-    mapping = {}
-    for idx in nz:
-        off = tuple(int(i + l) for i, l in zip(idx, lo))
-        mapping[off] = int(box[tuple(idx)])
-    return ShiftPolynomial.from_terms(ring, dims, mapping)
+    codes = box[tuple(nz.T)].tolist()
+    offs = (nz + np.array(lo, dtype=np.int64)).tolist()
+    return ShiftPolynomial(ring, dims, tuple(zip(map(tuple, offs), codes)))
 
 
 def poly_mul(a: ShiftPolynomial, b: ShiftPolynomial) -> ShiftPolynomial:

@@ -7,7 +7,9 @@ oracle is the library's original full-row ``rref`` kept as the reference for
 the field-specific elimination paths.  The reduce-each stencil oracles are the
 library's original stencil evaluations, which reduce after every multiply and
 every add, kept as the reference for the single stencil engine; so are the
-per-trial CRT conjugacy loop and the Python-loop CRT map check.
+per-trial CRT conjugacy loop and the Python-loop CRT map check.  The
+per-anchor constraint matrix is the library's original site-dict loop, kept
+as the reference for the index-arithmetic `constraint_matrix`.
 """
 
 from fractions import Fraction
@@ -373,3 +375,22 @@ def pairwise_crt_verdicts(ring, deco):
                 if fsum[j] != comp.add(fa[j], fb[j]):
                     hom = False
     return bijective, hom
+
+
+def per_anchor_constraint_matrix(spec, window):
+    """(n_anchors, n_sites) matrix of constraint coefficients on scalar sites."""
+    from modshift.kernels import anchor_window
+
+    rule = spec.constraint
+    anchors = anchor_window(rule.offsets, window)
+    n_sites = window.n_sites
+    if anchors is None:
+        return np.zeros((0, n_sites), dtype=np.int64)
+    site_index = {site: i for i, site in enumerate(window.sites())}
+    rows = []
+    for m in anchors.sites():
+        row = np.zeros(n_sites, dtype=np.int64)
+        for off, c in zip(rule.offsets, rule.coeffs):
+            row[site_index[tuple(a + b for a, b in zip(m, off))]] = c
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)

@@ -155,6 +155,37 @@ def test_decode_malformed_header():
         decode_config(good.replace("0 0\n", "0 0 0\n"))
 
 
+_GOOD_2D = encode_config(constant_config(Z2, w((1, 1), (0, 0), (2, 2)), 0))
+
+
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("rank 1", "rank 0", 3, "rank must be >= 1"),
+        ("rank 1", "rank -2", 3, "rank must be >= 1"),
+        ("rank 1", "rank 1 2", 3, "exactly one integer"),
+        ("dims 1 1", "dims -1 3", 4, "bad dims"),
+        ("dims 1 1", "dims 0 0", 4, "bad dims"),
+        ("origin 0 0", "origin 0", 5, "origin has 1 coordinates"),
+        ("origin 0 0", "origin 0 -1", 5, "negative origin -1"),
+        ("extents 2 2", "extents 2 2 2", 6, "extents has 3 entries"),
+        ("extents 2 2", "extents 2 -3", 6, "extents must be positive"),
+        ("extents 2 2", "extents 0 2", 6, "extents must be positive"),
+    ],
+)
+def test_decode_header_errors_carry_their_line(old, new, line, message):
+    assert old in _GOOD_2D
+    with pytest.raises(ConfigParseError) as err:
+        decode_config(_GOOD_2D.replace(old, new))
+    assert err.value.line == line
+    assert message in str(err.value)
+
+
+def test_decode_negative_z_axis_origin_is_fine():
+    text = _GOOD_2D.replace("origin 0 0", "origin -5 0")
+    assert decode_config(text).window.origin == (-5, 0)
+
+
 def test_value_at_and_word_key():
     win = w((1, 1), (1, 0), (2, 2))
     cb = checkerboard_config(Z2, win)

@@ -16,7 +16,7 @@ from modshift import GFRing, KernelShiftSpec, ModuleSpec, WindowSpec, ZmodRing
 from modshift.crt import component_map_verdicts, conjugacy_check, decompose_ring
 from modshift.errors import DomainExhaustedError
 from modshift.experiment import frobenius_check
-from modshift.kernels import batch_membership, constraint_residual
+from modshift.kernels import batch_membership, constraint_matrix, constraint_residual
 from modshift.lattice import WindowConfig, checkerboard_config, config_from_function
 from modshift.rings import Ring, make_ring
 from modshift.rng import CounterRng
@@ -33,6 +33,7 @@ from modshift.shiftpoly import (
 
 from oracles import (
     pairwise_crt_verdicts,
+    per_anchor_constraint_matrix,
     per_trial_conjugacy,
     reduce_each_apply,
     reduce_each_batch,
@@ -151,6 +152,45 @@ def test_constraint_residual_and_batch_membership_match_oracle(ring, case, rank)
     got = batch_membership(spec, window, flat)
     assert np.array_equal(got, reduce_each_membership(spec, window, flat))
     assert got[0]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=_ids)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_constraint_matrix_matches_per_anchor_loop(ring, case):
+    dims, origin, extents, offsets = CASES[case]
+    window = WindowSpec(dims, origin, extents)
+    spec = KernelShiftSpec(
+        LocalRule(ModuleSpec(ring), dims, offsets, tuple(_coeffs(ring, len(offsets), seed=3)))
+    )
+    got = constraint_matrix(spec, window)
+    want = per_anchor_constraint_matrix(spec, window)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "rule_text, window",
+    [
+        (
+            "rule ring=zmod:2 rank=1 dims=1,1 H=(-1,0):1;(0,0):1;(1,0):1;(0,1):1",
+            WindowSpec((1, 1), (0, 0), (32, 32)),
+        ),
+        (
+            "rule ring=zmod:3 rank=1 dims=2,0 H=(0,0):1;(1,0):2;(0,1):1",
+            WindowSpec((2, 0), (-4, 7), (9, 11)),
+        ),
+        ("rule ring=zmod:5 rank=1 dims=1,0 H=(-2):4;(3):1", WindowSpec((1, 0), (10,), (17,))),
+        (
+            "rule ring=zmod:2 rank=1 dims=1,2 H=(0,0,0):1;(1,0,1):1;(0,2,1):1",
+            WindowSpec((1, 2), (-1, 0, 2), (4, 5, 3)),
+        ),
+    ],
+)
+def test_constraint_matrix_matches_per_anchor_loop_on_larger_windows(rule_text, window):
+    spec = KernelShiftSpec(parse_rule(rule_text))
+    got = constraint_matrix(spec, window)
+    assert got.shape[0] > 0
+    assert np.array_equal(got, per_anchor_constraint_matrix(spec, window))
 
 
 # -- weighted sums and matrix combinations -----------------------------------------------
