@@ -78,6 +78,7 @@ from .measures import (
     ExactWordMeasure,
     FourierResult,
     FourierSweep,
+    FourierTable,
     HaarVerdict,
     MeasureHandle,
     MixingResult,

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import io
 import json
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .measures import (
     coset_haar,
     fourier_sweep,
     haar_criterion,
+    FourierTable,
     kernel_haar,
     mixing_statistic,
     pushforward,
@@ -305,7 +309,7 @@ def _step_haar_sweep(params, seed):
         "criterion": criterion,
         "n_characters": len(sweep),
         "violations": verdict.violations,
-        "fourier_table": sweep.rows(t=0),
+        "fourier_table": sweep.table(t=0),
     }
     if params.get("expect-nonunit-phase", "false") == "true":
         nonunit = any(rs.modulus_is_one() and not rs.is_one() for rs in sweep.root_sums)
@@ -452,6 +456,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
 
 
 def _json_default(obj):
+    if isinstance(obj, FourierTable):
+        return list(obj)
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
     if isinstance(obj, (set, frozenset)):
@@ -461,18 +467,168 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
+# -- report writing ---------------------------------------------------------
+
+_INDENT = "  "
+_PRINTABLE = bytes(range(32, 127))
+_CONTAINERS = (dict, list, tuple, FourierTable)
+_NATIVE = (str, int, float, type(None)) + _CONTAINERS
+_FOURIER_COLUMNS = ["step", "chi", "t", "re", "im", "modulus", "stderr", "exact"]
+_MIXING_COLUMNS = ["step", "n", "observed", "product", "deviation", "stderr", "exact"]
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_encoder(level: int) -> json.JSONEncoder:
+    """The C encoder for a container at depth `level` whose members are all scalars.
+
+    Without an indent `json` uses its C encoder; the item separator then
+    carries the newline and indent that ``indent=2`` puts between members.
+    """
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * (level + 1), ": "))
+
+
+def _native(value):
+    """`value` as ``json.dumps(default=_json_default)`` encodes it."""
+    while not isinstance(value, _NATIVE):
+        value = _json_default(value)
+    return value
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    return json.dumps({key: 0})[1:-4]  # json's text for an int, float, bool or None key
+
+
+def _emit_json(value, level: int, out: list) -> None:
+    """Append the text of `value` at depth `level` to `out`, as `report_bytes` writes it."""
+    value = _native(value)
+    if isinstance(value, FourierTable):
+        _emit_table(value, level, out)
+        return
+    if not isinstance(value, (dict, list, tuple)):
+        out.append(_scalar_encoder(0).encode(value))
+        return
+    if not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+        return
+    keys, members = zip(*sorted(value.items())) if isinstance(value, dict) else (None, value)
+    members = [_native(v) for v in members]
+    inner = "\n" + _INDENT * (level + 1)
+    close = "\n" + _INDENT * level
+    if not any(isinstance(v, _CONTAINERS) for v in members):
+        text = _scalar_encoder(level).encode(members if keys is None else dict(zip(keys, members)))
+        out.append(text[0] + inner + text[1:-1] + close + text[-1])
+        return
+    out.append("[" if keys is None else "{")
+    for i, v in enumerate(members):
+        out.append(("," if i else "") + inner + ("" if keys is None else _key_text(keys[i]) + ": "))
+        _emit_json(v, level + 1, out)
+    out.append(close + ("]" if keys is None else "}"))
+
+
+def _printable(text: str) -> bool:
+    """True when every character of `text` is printable ASCII (space to ``~``)."""
+    return text.isascii() and not text.encode("ascii").translate(None, _PRINTABLE)
+
+
+def _emit_table(table: FourierTable, level: int, out: list) -> None:
+    """A table's row list from one encoded head and tail per class around each label."""
+    if not len(table):
+        out.append("[]")
+        return
+    text = "".join(table.labels)
+    if _printable(text) and '"' not in text and "\\" not in text:
+        labels, quote = table.labels, '"'  # each label is its own JSON string body
+    else:
+        labels, quote = map(encode_basestring_ascii, table.labels), ""
+    row = "\n" + _INDENT * (level + 1)
+    chi = "\n" + _INDENT * (level + 2) + '"chi": '
+    heads, tails = [], []
+    for template in table.templates:
+        parts = []
+        _emit_json({"chi": "", **template, **table.extra}, level + 1, parts)
+        head, tail = "".join(parts).split(chi + '""')
+        heads.append("," + row + head + chi + quote)
+        tails.append(quote + tail)
+    ids = table.class_ids
+    parts = [None] * (3 * len(ids))
+    parts[0::3] = np.array(heads, dtype=object)[ids].tolist()
+    parts[1::3] = labels
+    parts[2::3] = np.array(tails, dtype=object)[ids].tolist()
+    parts[0] = "[" + parts[0][1:]
+    out.extend(parts)
+    out.append("\n" + _INDENT * level + "]")
+
+
 def report_bytes(report: dict) -> bytes:
-    return json.dumps(
-        report, sort_keys=True, indent=2, ensure_ascii=True, default=_json_default
-    ).encode("ascii") + b"\n"
+    """``json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True)`` plus a newline.
+
+    The bytes are exactly those of that call with ``default=_json_default``.
+    Containers whose members are all scalars go through a cached C encoder
+    per depth, and a `FourierTable` is written from per-class fragments, so
+    no row dict is built.
+    """
+    out = []
+    _emit_json(report, 0, out)
+    out.append("\n")
+    return "".join(out).encode("ascii")
 
 
-def _csv_bytes(rows, columns) -> bytes:
+def _csv_fields(row: dict, columns) -> list:
+    return [repr(row.get(c)) if isinstance(row.get(c), float) else row.get(c, "") for c in columns]
+
+
+def _csv_line(fields) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+@functools.lru_cache(maxsize=None)
+def _csv_quoting():
+    """The printable ASCII characters that make the csv writer quote a field, as a pattern."""
+    special = [c for c in map(chr, range(32, 127)) if _csv_line(["x", c]) != f"x,{c}\n"]
+    return re.compile("[" + re.escape("".join(special)) + "]")
+
+
+def _table_csv(step: str, table: FourierTable, columns) -> str:
+    """The table's CSV lines: each label's field between its step and its class's fragment."""
+    text = "".join(table.labels)
+    if _printable(text):
+        # Fields of printable ASCII are quoted, with quotes doubled, iff they hold a special character.
+        special = _csv_quoting().search
+        double = '"' in text
+        fields = ['"%s"' % (f.replace('"', '""') if double else f) if special(f) else f
+                  for f in table.labels]
+    else:
+        fields = [_csv_line(["x", f])[2:-1] for f in table.labels]
+    start = _csv_line([step, "x"])[:-2]  # the step's field and its comma
+    # "x" is never quoted, so what follows it is the fragment with its leading comma.
+    ends = [_csv_line(["x", *_csv_fields({**t, **table.extra}, columns)])[1:] + start
+            for t in table.templates]
+    parts = [None] * (2 * len(table))
+    parts[0::2] = fields
+    parts[1::2] = np.array(ends, dtype=object)[table.class_ids].tolist()
+    parts[-1] = parts[-1][:-len(start)]
+    return start + "".join(parts)
+
+
+def _csv_bytes(tables, columns) -> bytes:
+    """CSV of (step name, rows) pairs, one line per row, floats as `repr`.
+
+    A `FourierTable` under the fourier columns is written as the csv-quoted
+    ``step,chi`` of each row followed by its class's encoded fragment.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([repr(row.get(c)) if isinstance(row.get(c), float) else row.get(c, "") for c in columns])
+    for step, rows in tables:
+        if (isinstance(rows, FourierTable) and len(rows) and columns[:2] == ["step", "chi"]
+                and "step" not in rows.extra):
+            buf.write(_table_csv(step, rows, columns[2:]))
+            continue
+        writer.writerows(_csv_fields({"step": step, **row}, columns) for row in rows)
     return buf.getvalue().encode("ascii")
 
 
@@ -490,24 +646,10 @@ def write_report(report: dict, outdir, raw_text: str) -> dict:
         paths[name] = path
 
     emit("report.json", report_bytes(report))
-    fourier_rows = []
-    mixing_rows = []
-    for step in report["steps"]:
-        for row in step.get("fourier_table", []):
-            fourier_rows.append({"step": step["name"], **row})
-        for row in step.get("mixing_table", []):
-            mixing_rows.append({"step": step["name"], **row})
-    emit(
-        "fourier.csv",
-        _csv_bytes(fourier_rows, ["step", "chi", "t", "re", "im", "modulus", "stderr", "exact"]),
-    )
-    emit(
-        "mixing.csv",
-        _csv_bytes(
-            mixing_rows,
-            ["step", "n", "observed", "product", "deviation", "stderr", "exact"],
-        ),
-    )
+    steps = report["steps"]
+    for name, key, columns in (("fourier.csv", "fourier_table", _FOURIER_COLUMNS),
+                               ("mixing.csv", "mixing_table", _MIXING_COLUMNS)):
+        emit(name, _csv_bytes([(s["name"], s[key]) for s in steps if s.get(key)], columns))
     emit("config_echo.cfg", raw_text.encode("utf-8"))
     sidecar = {"written_unix_time": time.time()}
     emit("run_meta.json", (json.dumps(sidecar) + "\n").encode("ascii"))

@@ -238,11 +238,6 @@ def draw_kernel_words(basis: WindowBasis, count: int, seed: int, start: int = 0)
     return basis.decomposition.merge_arrays(comp_values)
 
 
-def _word_config(basis: WindowBasis, values_flat: np.ndarray) -> WindowConfig:
-    vals = values_flat.reshape(basis.window.extents + (basis.module.rank,))
-    return WindowConfig(basis.window, basis.module, vals)
-
-
 def submodule_condition_check(
     window_set,
     gens,

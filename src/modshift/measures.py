@@ -13,6 +13,7 @@ re-echelonize), which keeps exactness available far beyond enumerable sizes.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -70,6 +71,7 @@ __all__ = [
     "FourierResult",
     "fourier",
     "FourierSweep",
+    "FourierTable",
     "fourier_sweep",
     "HaarVerdict",
     "haar_criterion",
@@ -1003,12 +1005,53 @@ class FourierSweep:
         """`FourierResult.row` of character i, with the same values bit for bit."""
         return {"chi": self._labels[i], **self._templates[self.class_ids[i]], **extra}
 
+    def table(self, **extra) -> "FourierTable":
+        """Every `row(i, **extra)`, held by column."""
+        return FourierTable(self._labels, self.class_ids, self._templates, extra)
+
     def rows(self, **extra) -> list:
-        templates = [{**t, **extra} for t in self._templates]
-        return [
-            {"chi": label, **templates[k]}
-            for label, k in zip(self._labels, self.class_ids.tolist())
-        ]
+        return list(self.table(**extra))
+
+
+class FourierTable(Sequence):
+    """The rows of a Fourier sweep, held by column.
+
+    Row i is ``{"chi": labels[i], **templates[class_ids[i]], **extra}``: `len`,
+    indexing and iteration give the dicts of `FourierSweep.rows(**extra)`,
+    built only when read.  `experiment.report_bytes` writes a table from one
+    encoded fragment per class plus the encoded labels; the text is exactly
+    ``json.dumps(rows, sort_keys=True, indent=2, ensure_ascii=True)`` at the
+    table's depth, and its `fourier.csv` lines carry `repr` floats.
+    """
+
+    __slots__ = ("labels", "class_ids", "templates", "extra")
+    __hash__ = None
+
+    def __init__(self, labels, class_ids: np.ndarray, templates, extra: dict):
+        if "chi" in extra:
+            raise InvalidParameterError("a Fourier table's extra columns cannot replace 'chi'")
+        self.labels = labels
+        self.class_ids = class_ids
+        self.templates = templates
+        self.extra = extra
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return {"chi": self.labels[i], **self.templates[self.class_ids[i]], **self.extra}
+
+    def __iter__(self):
+        templates = [{**t, **self.extra} for t in self.templates]
+        for label, k in zip(self.labels, self.class_ids.tolist()):
+            yield {"chi": label, **templates[k]}
+
+    def __eq__(self, other):
+        if isinstance(other, (FourierTable, list)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
 
 
 def _haar_sweep(mu, window: WindowSpec, codes: np.ndarray):

@@ -9,9 +9,15 @@ library's original stencil evaluations, which reduce after every multiply and
 every add, kept as the reference for the single stencil engine; so are the
 per-trial CRT conjugacy loop and the Python-loop CRT map check.  The
 per-anchor constraint matrix is the library's original site-dict loop, kept
-as the reference for the index-arithmetic `constraint_matrix`.
+as the reference for the index-arithmetic `constraint_matrix`.  The report
+oracles are the library's original `report_bytes` (the pure-Python indented
+``json.dumps``) and `_csv_bytes` over one row dict per table row, kept as the
+reference for the fragment-based report writer.
 """
 
+import csv
+import io
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -394,3 +400,39 @@ def per_anchor_constraint_matrix(spec, window):
             row[site_index[tuple(a + b for a, b in zip(m, off))]] = c
         rows.append(row)
     return np.array(rows, dtype=np.int64)
+
+
+def report_bytes(report: dict) -> bytes:
+    from modshift.experiment import _json_default
+
+    return json.dumps(
+        report, sort_keys=True, indent=2, ensure_ascii=True, default=_json_default
+    ).encode("ascii") + b"\n"
+
+
+def _csv_bytes(rows, columns) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([repr(row.get(c)) if isinstance(row.get(c), float) else row.get(c, "") for c in columns])
+    return buf.getvalue().encode("ascii")
+
+
+def report_files(report: dict):
+    """(name, bytes) of report.json, fourier.csv and mixing.csv in the order the
+    original `write_report` wrote them; an encoding error stops it there."""
+    yield "report.json", report_bytes(report)
+    fourier_rows = []
+    mixing_rows = []
+    for step in report["steps"]:
+        for row in step.get("fourier_table", []):
+            fourier_rows.append({"step": step["name"], **row})
+        for row in step.get("mixing_table", []):
+            mixing_rows.append({"step": step["name"], **row})
+    yield "fourier.csv", _csv_bytes(
+        fourier_rows, ["step", "chi", "t", "re", "im", "modulus", "stderr", "exact"]
+    )
+    yield "mixing.csv", _csv_bytes(
+        mixing_rows, ["step", "n", "observed", "product", "deviation", "stderr", "exact"]
+    )
