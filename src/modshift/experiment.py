@@ -470,7 +470,6 @@ def _json_default(obj):
 # -- report writing ---------------------------------------------------------
 
 _INDENT = "  "
-_PRINTABLE = bytes(range(32, 127))
 _CONTAINERS = (dict, list, tuple, FourierTable)
 _NATIVE = (str, int, float, type(None)) + _CONTAINERS
 _FOURIER_COLUMNS = ["step", "chi", "t", "re", "im", "modulus", "stderr", "exact"]
@@ -527,21 +526,11 @@ def _emit_json(value, level: int, out: list) -> None:
     out.append(close + ("]" if keys is None else "}"))
 
 
-def _printable(text: str) -> bool:
-    """True when every character of `text` is printable ASCII (space to ``~``)."""
-    return text.isascii() and not text.encode("ascii").translate(None, _PRINTABLE)
-
-
 def _emit_table(table: FourierTable, level: int, out: list) -> None:
     """A table's row list from one encoded head and tail per class around each label."""
     if not len(table):
         out.append("[]")
         return
-    text = "".join(table.labels)
-    if _printable(text) and '"' not in text and "\\" not in text:
-        labels, quote = table.labels, '"'  # each label is its own JSON string body
-    else:
-        labels, quote = map(encode_basestring_ascii, table.labels), ""
     row = "\n" + _INDENT * (level + 1)
     chi = "\n" + _INDENT * (level + 2) + '"chi": '
     heads, tails = [], []
@@ -549,12 +538,12 @@ def _emit_table(table: FourierTable, level: int, out: list) -> None:
         parts = []
         _emit_json({"chi": "", **template, **table.extra}, level + 1, parts)
         head, tail = "".join(parts).split(chi + '""')
-        heads.append("," + row + head + chi + quote)
-        tails.append(quote + tail)
+        heads.append("," + row + head + chi)
+        tails.append(tail)
     ids = table.class_ids
     parts = [None] * (3 * len(ids))
     parts[0::3] = np.array(heads, dtype=object)[ids].tolist()
-    parts[1::3] = labels
+    parts[1::3] = map(encode_basestring_ascii, table.labels)
     parts[2::3] = np.array(tails, dtype=object)[ids].tolist()
     parts[0] = "[" + parts[0][1:]
     out.extend(parts)
@@ -587,45 +576,39 @@ def _csv_line(fields) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _csv_quoting():
-    """The printable ASCII characters that make the csv writer quote a field, as a pattern."""
-    special = [c for c in map(chr, range(32, 127)) if _csv_line(["x", c]) != f"x,{c}\n"]
+    """The ASCII characters that make the csv writer quote a field, as a pattern."""
+    special = [c for c in map(chr, range(128)) if _csv_line(["x", c]) != f"x,{c}\n"]
     return re.compile("[" + re.escape("".join(special)) + "]")
 
 
 def _table_csv(step: str, table: FourierTable, columns) -> str:
-    """The table's CSV lines: each label's field between its step and its class's fragment."""
-    text = "".join(table.labels)
-    if _printable(text):
-        # Fields of printable ASCII are quoted, with quotes doubled, iff they hold a special character.
-        special = _csv_quoting().search
-        double = '"' in text
-        fields = ['"%s"' % (f.replace('"', '""') if double else f) if special(f) else f
-                  for f in table.labels]
-    else:
-        fields = [_csv_line(["x", f])[2:-1] for f in table.labels]
+    """The table's CSV lines: each label's field between its step and its class's fragment.
+
+    An ASCII field is quoted, with its quotes doubled, iff it holds a character
+    that `_csv_quoting` finds; other text fails at the ASCII encode as before.
+    """
+    special = _csv_quoting().search
     start = _csv_line([step, "x"])[:-2]  # the step's field and its comma
     # "x" is never quoted, so what follows it is the fragment with its leading comma.
-    ends = [_csv_line(["x", *_csv_fields({**t, **table.extra}, columns)])[1:] + start
+    ends = [_csv_line(["x", *_csv_fields({**t, **table.extra}, columns)])[1:]
             for t in table.templates]
-    parts = [None] * (2 * len(table))
-    parts[0::2] = fields
-    parts[1::2] = np.array(ends, dtype=object)[table.class_ids].tolist()
-    parts[-1] = parts[-1][:-len(start)]
-    return start + "".join(parts)
+    parts = [start] * (3 * len(table))
+    parts[1::3] = ['"%s"' % f.replace('"', '""') if special(f) else f for f in table.labels]
+    parts[2::3] = np.array(ends, dtype=object)[table.class_ids].tolist()
+    return "".join(parts)
 
 
 def _csv_bytes(tables, columns) -> bytes:
     """CSV of (step name, rows) pairs, one line per row, floats as `repr`.
 
-    A `FourierTable` under the fourier columns is written as the csv-quoted
-    ``step,chi`` of each row followed by its class's encoded fragment.
+    A `FourierTable` is written as the csv-quoted ``step,chi`` of each row
+    followed by its class's encoded fragment.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for step, rows in tables:
-        if (isinstance(rows, FourierTable) and len(rows) and columns[:2] == ["step", "chi"]
-                and "step" not in rows.extra):
+        if isinstance(rows, FourierTable):
             buf.write(_table_csv(step, rows, columns[2:]))
             continue
         writer.writerows(_csv_fields({"step": step, **row}, columns) for row in rows)

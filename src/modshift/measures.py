@@ -1003,7 +1003,7 @@ class FourierSweep:
 
     def row(self, i: int, **extra) -> dict:
         """`FourierResult.row` of character i, with the same values bit for bit."""
-        return {"chi": self._labels[i], **self._templates[self.class_ids[i]], **extra}
+        return self.table(**extra)[i]
 
     def table(self, **extra) -> "FourierTable":
         """Every `row(i, **extra)`, held by column."""
@@ -1025,11 +1025,10 @@ class FourierTable(Sequence):
     """
 
     __slots__ = ("labels", "class_ids", "templates", "extra")
-    __hash__ = None
 
     def __init__(self, labels, class_ids: np.ndarray, templates, extra: dict):
-        if "chi" in extra:
-            raise InvalidParameterError("a Fourier table's extra columns cannot replace 'chi'")
+        if "chi" in extra or "step" in extra:
+            raise InvalidParameterError("a Fourier table's extra columns cannot be 'chi' or 'step'")
         self.labels = labels
         self.class_ids = class_ids
         self.templates = templates
@@ -1039,19 +1038,7 @@ class FourierTable(Sequence):
         return len(self.labels)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
         return {"chi": self.labels[i], **self.templates[self.class_ids[i]], **self.extra}
-
-    def __iter__(self):
-        templates = [{**t, **self.extra} for t in self.templates]
-        for label, k in zip(self.labels, self.class_ids.tolist()):
-            yield {"chi": label, **templates[k]}
-
-    def __eq__(self, other):
-        if isinstance(other, (FourierTable, list)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
 
 
 def _haar_sweep(mu, window: WindowSpec, codes: np.ndarray):

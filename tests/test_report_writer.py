@@ -109,13 +109,13 @@ def test_table_behaves_as_the_row_list():
     assert len(table) == len(rows) == 64
     assert list(table) == rows
     assert [table[i] for i in range(len(rows))] == rows
-    assert table[-1] == rows[-1] and table[3:9:2] == rows[3:9:2]
-    assert table == rows and rows == table
-    assert sweep.rows(t=0) == rows
+    assert table[-1] == rows[-1]
+    assert sweep.rows(t=0) == rows and sweep.row(5, t=0) == rows[5]
     with pytest.raises(IndexError):
         table[len(rows)]
-    with pytest.raises(InvalidParameterError):
-        sweep.table(chi="x")
+    for column in ("chi", "step"):
+        with pytest.raises(InvalidParameterError):
+            sweep.table(**{column: "x"})
 
 
 def test_report_holds_a_table_equal_to_the_old_rows():
@@ -176,7 +176,7 @@ def _strategies(text):
         labels = draw(st.lists(text, max_size=6))
         ids = draw(st.lists(st.integers(0, n_classes - 1), min_size=len(labels),
                             max_size=len(labels)))
-        extra = draw(st.dictionaries(st.sampled_from(["t", "a", "step", "zz"]), values, max_size=2))
+        extra = draw(st.dictionaries(st.sampled_from(["t", "a", "zz"]), values, max_size=2))
         return FourierTable(labels, np.array(ids, dtype=np.int64), templates, extra)
 
     values = st.recursive(
