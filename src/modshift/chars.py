@@ -22,8 +22,8 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .errors import ConfigParseError, InvalidParameterError, ResourceLimitError
-from .lattice import WindowConfig, WindowSpec
+from .errors import ENUMERATION_CAP, ConfigParseError, InvalidParameterError, ResourceLimitError
+from .lattice import WindowSpec
 from .rings import ModuleSpec
 
 __all__ = [
@@ -221,16 +221,6 @@ class CharacterSpec:
     def order(self) -> int:
         return self.module.ring.char_exponent
 
-    def exponent_of_config(self, config: WindowConfig) -> int:
-        ring = self.module.ring
-        L = ring.char_exponent
-        total = 0
-        for site, dual in self.duals:
-            value = config.value_at(site)
-            for d, a in zip(dual, value):
-                total += ring.pair_exponent(d, a)
-        return total % L
-
     def exponents_of_values(self, values: np.ndarray, site_positions: dict) -> np.ndarray:
         """Vectorized exponents for draws shaped (count, n_selected_sites, rank).
 
@@ -260,7 +250,7 @@ def _check_sweep_size(module: ModuleSpec, window: WindowSpec, limit: int) -> int
     return total
 
 
-def all_characters(module: ModuleSpec, window: WindowSpec, limit: int = 1 << 20):
+def all_characters(module: ModuleSpec, window: WindowSpec, limit: int = ENUMERATION_CAP):
     """Every character based inside the window, trivial character first.
 
     Deterministic order: dual assignments counted row-major over sites (the
@@ -277,7 +267,7 @@ def all_characters(module: ModuleSpec, window: WindowSpec, limit: int = 1 << 20)
         yield CharacterSpec.build(module, window, dual_map)
 
 
-def character_codes(module: ModuleSpec, window: WindowSpec, limit: int = 1 << 20) -> np.ndarray:
+def character_codes(module: ModuleSpec, window: WindowSpec, limit: int = ENUMERATION_CAP) -> np.ndarray:
     """The characters of `all_characters` as one (n_chars, n_sites * rank) array.
 
     Row i holds the dual ring codes of the i-th character, site by site

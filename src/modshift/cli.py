@@ -15,7 +15,16 @@ import sys
 from . import crt as crt_mod
 from .chars import parse_character
 from .errors import ModshiftError
-from .experiment import frobenius_check, run_file
+from .experiment import (
+    _Section,
+    _dims,
+    _exact_or_int,
+    _ints,
+    _offsets,
+    _window_from,
+    frobenius_check,
+    run_file,
+)
 from .kernels import (
     KernelShiftSpec,
     kernel_membership,
@@ -56,23 +65,14 @@ def _write_config(path, config):
         fh.write(encode_config(config))
 
 
-def _offsets_arg(text):
-    out = []
-    for piece in text.split(";"):
-        piece = piece.strip().strip("()")
-        if piece:
-            out.append(tuple(int(x) for x in piece.split(",")))
-    return out
+def _flags(args) -> _Section:
+    """The given options by flag name, read like experiment config keys.
 
-
-def _window_arg(args, dims) -> WindowSpec:
-    extents = tuple(int(x) for x in args.extents.replace(",", " ").split())
-    origin = (
-        tuple(int(x) for x in args.origin.replace(",", " ").split())
-        if args.origin
-        else (0,) * len(extents)
-    )
-    return WindowSpec(dims, origin, extents)
+    A missing required flag or a value that does not parse raises
+    `ConfigParseError` naming the flag.
+    """
+    given = {"--" + k.replace("_", "-"): v for k, v in vars(args).items() if v not in (None, "")}
+    return _Section(f"{args.group} {args.verb}", given)
 
 
 def cmd_lca_step(args):
@@ -100,7 +100,7 @@ def cmd_lca_power(args):
 
 def cmd_lca_frobenius_check(args):
     rule = parse_rule(args.rule)
-    torus = [int(x) for x in args.torus.replace(",", " ").split()] if args.torus else None
+    torus = _flags(args).value("--torus", _ints, "")
     check = frobenius_check(rule, args.k, torus, args.configs, args.seed)
     ok = check["structural"] and check["applied"]
     _emit({**check, "pass": ok})
@@ -109,7 +109,7 @@ def cmd_lca_frobenius_check(args):
 
 def cmd_shift_kernel(args):
     spec = KernelShiftSpec(parse_rule(args.kernel, expect_prefix="kernel"))
-    window = _window_arg(args, spec.dims)
+    window = _window_from(_flags(args), spec.dims, "--extents", "--origin")
     basis = window_kernel(spec, window)
     _emit(
         {
@@ -132,7 +132,7 @@ def cmd_shift_coset_check(args):
 
 def cmd_shift_mixing_check(args):
     spec = KernelShiftSpec(parse_rule(args.kernel, expect_prefix="kernel"))
-    offsets = _offsets_arg(args.offsets)
+    offsets = _flags(args).value("--offsets", _offsets)
     if args.word:
         word = _read_config(args.word)
     else:
@@ -145,18 +145,17 @@ def cmd_shift_mixing_check(args):
 
 
 def _measure_from_args(args):
+    flags = _flags(args)
     if args.measure == "uniform":
-        ring = make_ring(args.ring)
-        module = ModuleSpec(ring, args.rank)
-        dims = tuple(int(x) for x in args.dims.replace(",", " ").split())
-        window = _window_arg(args, (dims[0], dims[1]))
+        module = ModuleSpec(make_ring(flags["--ring"]), args.rank)
+        window = _window_from(flags, flags.value("--dims", _dims), "--extents", "--origin")
         return uniform_bernoulli(module, window, seed=args.seed), module
-    spec = KernelShiftSpec(parse_rule(args.kernel, expect_prefix="kernel"))
-    window = _window_arg(args, spec.dims)
+    spec = KernelShiftSpec(parse_rule(flags["--kernel"], expect_prefix="kernel"))
+    window = _window_from(flags, spec.dims, "--extents", "--origin")
     if args.measure == "kernel":
         return kernel_haar(spec, window, seed=args.seed), spec.module
     if args.measure == "coset":
-        rep = _read_config(args.rep)
+        rep = _read_config(flags["--rep"])
         return coset_haar(rep, spec, seed=args.seed), spec.module
     raise ModshiftError(f"unknown measure {args.measure!r}")
 
@@ -164,21 +163,20 @@ def _measure_from_args(args):
 def cmd_measure_fourier(args):
     mu, module = _measure_from_args(args)
     chi = parse_character(args.chi, module, mu.window)
-    budget = "exact" if args.budget == "exact" else int(args.budget)
-    r = fourier(mu, chi, budget)
+    r = fourier(mu, chi, _flags(args).value("--budget", _exact_or_int))
     _emit(r.row())
     return 0
 
 
 def cmd_measure_mixing(args):
     mu, module = _measure_from_args(args)
-    offsets = _offsets_arg(args.offsets)
+    flags = _flags(args)
     word_window = WindowSpec(mu.window.dims, mu.window.origin, (1,) * mu.window.axes)
     word = constant_config(module, word_window, args.word_value)
-    pairs = [(h, word) for h in offsets]
-    budget = "exact" if args.budget == "exact" else int(args.budget)
+    pairs = [(h, word) for h in flags.value("--offsets", _offsets)]
+    budget = flags.value("--budget", _exact_or_int)
     rows = []
-    for n in (int(x) for x in args.n_schedule.replace(",", " ").split()):
+    for n in flags.value("--n-schedule", _ints):
         rows.append(mixing_statistic(mu, pairs, n, budget=budget).row())
     _emit({"mixing": rows})
     return 0
@@ -186,9 +184,10 @@ def cmd_measure_mixing(args):
 
 def cmd_measure_entropy(args):
     mu, module = _measure_from_args(args)
-    block_extents = tuple(int(x) for x in args.block_extents.replace(",", " ").split())
-    block = WindowSpec(mu.window.dims, mu.window.origin, block_extents)
-    h = block_entropy(mu, block, None if args.samples == "exact" else int(args.samples))
+    flags = _flags(args)
+    block = WindowSpec(mu.window.dims, mu.window.origin, tuple(flags.value("--block-extents", _ints)))
+    samples = flags.value("--samples", _exact_or_int)
+    h = block_entropy(mu, block, None if samples == "exact" else samples)
     _emit({"bits_per_site": h})
     return 0
 

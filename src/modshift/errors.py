@@ -60,6 +60,10 @@ class InvalidCosetError(ModshiftError):
     """A configuration fails the coset-shift condition it was required to satisfy."""
 
 
+# Default bound on the words or characters an exhaustive path may enumerate.
+ENUMERATION_CAP = 1 << 20
+
+
 class ResourceLimitError(ModshiftError):
     """An exhaustive path would exceed the configured enumeration budget."""
 

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import ConfigParseError, InvalidParameterError, ResourceLimitError
+from .errors import ENUMERATION_CAP, ConfigParseError, InvalidParameterError, ResourceLimitError
 from .kernels import (
     KernelShiftSpec,
     coset_shift_check,
@@ -138,7 +138,14 @@ def _exact_or_int(text: str):
 
 
 def _offsets(text: str):
-    return [tuple(_ints(piece.strip().strip("()"))) for piece in text.split(";")]
+    pieces = (piece.strip().strip("()").strip() for piece in text.split(";"))
+    return [tuple(_ints(piece)) for piece in pieces if piece]
+
+
+def _dims(text: str):
+    """The (D, E) pair from its first two integers."""
+    d, e = _ints(text)[:2]
+    return d, e
 
 
 def _window_from(params, rule_dims, extents_key="extents", origin_key="origin",
@@ -286,8 +293,7 @@ def _build_measure(params, seed):
         ring = make_ring(params["ring"])
         rank = params.value("rank", int, "1")
         module = ModuleSpec(ring, rank)
-        dims_d, dims_e = params.value("dims", _ints, "1 0")
-        window = _window_from(params, (dims_d, dims_e))
+        window = _window_from(params, params.value("dims", _dims, "1 0"))
         return uniform_bernoulli(module, window, seed=seed), module, window
     raise InvalidParameterError(f"unknown measure kind {kind!r}")
 
@@ -301,7 +307,7 @@ def _step_haar_sweep(params, seed):
             params.get("origin", "0 " * window.axes),
         )
     criterion = params.get("criterion", "subgroup")
-    limit = (1 << 24) if params.get("_force") else (1 << 20)
+    limit = (1 << 24) if params.get("_force") else ENUMERATION_CAP
     sweep = fourier_sweep(mu, sweep_window, limit=limit)
     verdict = haar_criterion(sweep, criterion=criterion)
     out = {

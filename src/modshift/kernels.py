@@ -19,6 +19,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .errors import (
+    ENUMERATION_CAP,
     InfeasiblePinError,
     InvalidParameterError,
     ResourceLimitError,
@@ -57,8 +58,6 @@ __all__ = [
     "topological_mixing_check",
     "extension_certificate",
 ]
-
-ENUMERATION_CAP = 1 << 20
 
 
 @dataclass(frozen=True)

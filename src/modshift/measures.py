@@ -1,9 +1,16 @@
 """Measures on windowed configuration spaces and their diagnostics.
 
 Handles come in exact and sampled flavors.  Exact handles answer cylinder
-probabilities as Fractions and Fourier coefficients as exact root-of-unity
-sums; sampled handles draw reproducibly via counter-based streams, so draw i
-of seed s is a pure function of (s, i) no matter how work is partitioned.
+probabilities as Fractions; sampled handles draw reproducibly via
+counter-based streams, so draw i of seed s is a pure function of (s, i) no
+matter how work is partitioned.
+
+Exact Fourier coefficients, as root-of-unity sums, come from one engine,
+`_coefficients`, that takes a whole array of characters at once: `fourier`
+hands it one character, `fourier_sweep` every character of a window and
+`rigidity_experiment` its character list at each t.  It answers subgroup and
+coset Haar measures from annihilator membership, Bernoulli measures once per
+multiset of duals, and word lists from one pairing product with the words.
 
 The subgroup-Haar handle is the workhorse: uniform measures on window
 subgroups are closed under linear rule pushforward (transform the generators,
@@ -24,12 +31,12 @@ from . import linalg
 from .chars import (
     CharacterSpec,
     RootSum,
-    all_characters,
     character_codes,
     character_labels,
     format_character,
 )
 from .errors import (
+    ENUMERATION_CAP,
     InvalidCosetError,
     InvalidParameterError,
     MissingTrivialCharacterError,
@@ -83,7 +90,6 @@ __all__ = [
     "ENUMERATION_CAP",
 ]
 
-ENUMERATION_CAP = 1 << 20
 EXACT_TOL = 1e-9
 
 
@@ -107,12 +113,9 @@ class MeasureHandle:
         self.seed = int(seed)
         self.provenance = tuple(provenance)
 
-    # exact interface ------------------------------------------------------
+    # exact interface (Fourier coefficients: `_coefficients`) --------------
     def cylinder_probability(self, pins: dict) -> Fraction:
         raise InvalidParameterError(f"{self.label}: no exact cylinder probabilities")
-
-    def fourier_root_sum(self, chi: CharacterSpec):
-        return None
 
     def enumerate_words(self, limit: int = ENUMERATION_CAP):
         raise ResourceLimitError(f"{self.label}: not enumerable", required=-1)
@@ -207,23 +210,6 @@ class BernoulliMeasure(MeasureHandle):
             if not self.window.contains_site(site):
                 raise OutOfWindowError(f"pin site {site} outside {self.window}")
             out *= self.probs[self.module.encode(val)]
-        return out
-
-    def fourier_root_sum(self, chi):
-        ring = self.module.ring
-        L = ring.char_exponent
-        out = RootSum.one(L)
-        for site, dual in chi.duals:
-            if not self.window.contains_site(site):
-                raise OutOfWindowError(f"character site {site} outside {self.window}")
-            site_sum = RootSum.zero(L)
-            for code, p in enumerate(self.probs):
-                if not p:
-                    continue
-                val = self.module.decode(code)
-                e = sum(ring.pair_exponent(d, a) for d, a in zip(dual, val)) % L
-                site_sum.add_weight(e, p)
-            out = out * site_sum
         return out
 
     def enumerate_words(self, limit=ENUMERATION_CAP):
@@ -463,22 +449,6 @@ class SubgroupHaarMeasure(MeasureHandle):
             out *= Fraction(1, span.ring.size**r)
         return out
 
-    def fourier_root_sum(self, chi):
-        ring = self.module.ring
-        L = ring.char_exponent
-        rank = self.module.rank
-        for gen in self.merged_generators():
-            total = 0
-            for site, dual in chi.duals:
-                if not self.window.contains_site(site):
-                    raise OutOfWindowError(f"character site {site} outside {self.window}")
-                base = self.window.index_of(site) * rank
-                for c, d in enumerate(dual):
-                    total += ring.pair_exponent(d, int(gen[base + c]))
-            if total % L:
-                return RootSum.zero(L)
-        return RootSum.one(L)
-
     def enumerate_words(self, limit=ENUMERATION_CAP):
         total = self.subgroup_size()
         if total > limit:
@@ -584,11 +554,6 @@ class CosetHaarMeasure(MeasureHandle):
     def cylinder_probability(self, pins):
         return self.subgroup.cylinder_probability(self._shift_pins(pins))
 
-    def fourier_root_sum(self, chi):
-        base = self.subgroup.fourier_root_sum(chi)
-        e = chi.exponent_of_config(self.rep)
-        return RootSum.monomial(base.L, e) * base
-
     def enumerate_words(self, limit=ENUMERATION_CAP):
         ring = self.module.ring
         rep_flat = self.rep.flat()
@@ -666,17 +631,6 @@ class ExactWordMeasure(MeasureHandle):
         for word, p in self.words:
             if all(tuple(word[c]) == tuple(v) for c, v in zip(cols, vals)):
                 out += p
-        return out
-
-    def fourier_root_sum(self, chi):
-        L = self.module.ring.char_exponent
-        out = RootSum.zero(L)
-        for word, p in self.words:
-            cfg = WindowConfig(
-                self.window, self.module,
-                word.reshape(self.window.extents + (self.module.rank,)), self.mode,
-            )
-            out.add_weight(chi.exponent_of_config(cfg), p)
         return out
 
     def enumerate_words(self, limit=ENUMERATION_CAP):
@@ -903,32 +857,18 @@ class FourierResult:
 def fourier(mu: MeasureHandle, chi: CharacterSpec, budget="exact", start: int = 0) -> FourierResult:
     """Integral of the character against the measure.
 
-    budget='exact' uses the handle's exact path (or enumeration); an integer
-    budget estimates from that many reproducible draws with stderr 1/sqrt(N).
+    budget='exact' gives the exact root-of-unity sum of `_coefficients` on
+    this one character; an integer budget estimates from that many
+    reproducible draws with stderr 1/sqrt(N).
     """
     for site in chi.sites():
         if not mu.window.contains_site(site):
             raise OutOfWindowError(f"character site {site} outside measure window")
     if budget == "exact":
-        rs = mu.fourier_root_sum(chi)
-        if rs is None:
-            if mu.is_exact:
-                L = mu.module.ring.char_exponent
-                rs = RootSum.zero(L)
-                for vals, p in mu.enumerate_words():
-                    cfg = WindowConfig(
-                        mu.window, mu.module,
-                        vals.reshape(mu.window.extents + (mu.module.rank,)), mu.mode,
-                    )
-                    rs.add_weight(chi.exponent_of_config(cfg), p)
-            else:
-                raise InvalidParameterError(
-                    f"{mu.label} has no exact Fourier path; pass a sample budget"
-                )
+        class_ids, root_sums = _coefficients(mu, *_character_rows([chi], mu.module.rank))
+        rs = root_sums[class_ids[0]]
         return FourierResult(chi, rs.to_complex(), 0.0, root_sum=rs)
-    n = int(budget)
-    if n < 1:
-        raise InvalidParameterError(f"sample budget must be >= 1, got {budget}")
+    n = _sample_count(budget, "sample budget")
     sites = chi.sites()
     if sites:
         sel = [mu.window.index_of(s) for s in sites]
@@ -941,6 +881,14 @@ def fourier(mu: MeasureHandle, chi: CharacterSpec, budget="exact", start: int = 
     angles = 2.0 * np.pi * exps.astype(np.float64) / L
     value = complex(np.mean(np.cos(angles)), np.mean(np.sin(angles)))
     return FourierResult(chi, value, 1.0 / math.sqrt(n), n_samples=n)
+
+
+def _sample_count(budget, name: str) -> int:
+    """`budget` as a number of draws; fewer than one raises."""
+    n = int(budget)
+    if n < 1:
+        raise InvalidParameterError(f"{name} must be >= 1, got {budget}")
+    return n
 
 
 _SWEEP_CHUNK_CELLS = 1 << 21
@@ -958,6 +906,18 @@ def _mixed_radix_keys(rows: np.ndarray, base: int) -> np.ndarray:
     return keys
 
 
+def _unique_rows(rows: np.ndarray, base: int, **kwargs):
+    """`np.unique(rows, axis=0, **kwargs)` without the unique rows themselves.
+
+    Rows of codes in [0, base) are compared as one int64 key each while
+    base**ncols < 2**62; the keys order like the rows, so every output is the
+    same.  Wider rows would overflow the keys and are compared as rows.
+    """
+    if base ** rows.shape[1] < 1 << 62:
+        return np.unique(_mixed_radix_keys(rows, base), **kwargs)[1:]
+    return np.unique(rows, axis=0, **kwargs)[1:]
+
+
 def _pair_exponents(ring: Ring, duals: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """(n, g) exponents sum_j pair(duals[:, j], vectors[i, j]) mod L."""
     L = ring.char_exponent
@@ -969,14 +929,113 @@ def _pair_exponents(ring: Ring, duals: np.ndarray, vectors: np.ndarray) -> np.nd
     return out
 
 
+def _character_rows(characters, rank: int):
+    """The sorted union of the characters' sites, and one row of dual codes per character."""
+    sites = sorted({site for chi in characters for site in chi.sites()})
+    col = {site: j * rank for j, site in enumerate(sites)}
+    codes = np.zeros((len(characters), len(sites) * rank), dtype=np.int64)
+    for i, chi in enumerate(characters):
+        for site, dual in chi.duals:
+            codes[i, col[site]:col[site] + rank] = dual
+    return sites, codes
+
+
+def _coefficients(mu: MeasureHandle, sites, codes: np.ndarray):
+    """Exact Fourier coefficients of many characters at once: the one exact path.
+
+    Row i of `codes` holds character i's dual codes on the lattice sites
+    `sites`: column j * rank + c is component c of its dual at sites[j].
+    Returns `(class_ids, root_sums)`; character i has coefficient
+    `root_sums[class_ids[i]]`.  A handle without exact coefficients raises
+    first; then the first character that touches a site outside mu's window
+    raises, naming its first such site.
+    """
+    module, ring = mu.module, mu.module.ring
+    L = ring.char_exponent
+    if not isinstance(mu, (SubgroupHaarMeasure, CosetHaarMeasure, BernoulliMeasure, ExactWordMeasure)):
+        raise InvalidParameterError(f"{mu.label} has no exact Fourier path; pass a sample budget")
+    by_site = codes.reshape(codes.shape[0], len(sites), module.rank)
+    outside = [j for j, site in enumerate(sites) if not mu.window.contains_site(site)]
+    if outside:
+        touched = by_site[:, outside].any(axis=2)
+        row = touched[np.argmax(touched.any(axis=1))]
+        raise OutOfWindowError(f"character site {sites[outside[np.argmax(row)]]} outside measure window")
+    idx = np.array([mu.window.index_of(site) for site in sites], dtype=np.int64)
+
+    if isinstance(mu, BernoulliMeasure):
+        # Sites are i.i.d. and the arithmetic is exact, so characters with the
+        # same multiset of duals have the same coefficient: the product over
+        # their non-zero duals u of sum_a p(a) zeta**pair(u, a).
+        site_codes = np.sort(module.pack_arr(by_site), axis=1)
+        first, class_ids = _unique_rows(
+            site_codes, module.size, return_index=True, return_inverse=True
+        )
+        duals = np.flatnonzero(np.bincount(site_codes[first].ravel()))
+        values = module.unpack_arr(np.arange(module.size))
+        per_dual = dict(zip(duals.tolist(), _root_sums(
+            _pair_exponents(ring, module.unpack_arr(duals), values), mu.probs, L
+        )))
+        root_sums = []
+        for i in first:
+            rs = RootSum.one(L)
+            for u in site_codes[i].tolist():
+                if u:
+                    rs = rs * per_dual[u]
+            root_sums.append(rs)
+        return class_ids, root_sums
+
+    if isinstance(mu, (SubgroupHaarMeasure, CosetHaarMeasure)):
+        # 1 on the annihilator of the subgroup (times the character's phase at
+        # a coset representative), 0 off it: keys 0 off and 1 + phase on.
+        coset = isinstance(mu, CosetHaarMeasure)
+        cols = (idx[:, None] * module.rank + np.arange(module.rank)).ravel()
+        gens = (mu.subgroup if coset else mu).merged_generators()[:, cols]
+        rep = mu.rep.flat()[idx].reshape(1, -1) if coset else None
+        raw = np.empty(codes.shape[0], dtype=np.int64)
+        chunk = max(1, _SWEEP_CHUNK_CELLS // (cols.size + gens.shape[0] + 1))
+        for lo in range(0, codes.shape[0], chunk):
+            duals = codes[lo:lo + chunk]
+            in_annihilator = ~_pair_exponents(ring, duals, gens).any(axis=1)
+            phase = 0 if rep is None else _pair_exponents(ring, duals, rep)[:, 0]
+            raw[lo:lo + chunk] = np.where(in_annihilator, 1 + phase, 0)
+        used = np.flatnonzero(np.bincount(raw))
+        remap = np.zeros(raw.max(initial=0) + 1, dtype=np.int64)
+        remap[used] = np.arange(used.size)
+        return remap[raw], [RootSum.monomial(L, k - 1) if k else RootSum.zero(L) for k in used]
+
+    # A word list: sum_w p(w) zeta**chi(w), from one pairing product with the
+    # words per chunk of characters; equal exponent rows share a coefficient.
+    words = np.stack([w for w, _ in mu.words])[:, idx].reshape(len(mu.words), -1)
+    class_ids = np.empty(codes.shape[0], dtype=np.int64)
+    root_sums = []
+    chunk = max(1, _SWEEP_CHUNK_CELLS // (words.shape[0] + codes.shape[1] + 1))
+    for lo in range(0, codes.shape[0], chunk):
+        exps = _pair_exponents(ring, codes[lo:lo + chunk], words)
+        first, ids = _unique_rows(exps, L, return_index=True, return_inverse=True)
+        class_ids[lo:lo + chunk] = ids + len(root_sums)
+        root_sums += _root_sums(exps[first], [p for _, p in mu.words], L)
+    return class_ids, root_sums
+
+
+def _root_sums(exps: np.ndarray, weights, L: int) -> list:
+    """One root sum per row of exponents: sum_j weights[j] * zeta_L**exps[i, j]."""
+    out = []
+    for row in exps.tolist():
+        out.append(RootSum.zero(L))
+        for e, w in zip(row, weights):
+            out[-1].add_weight(e, w)
+    return out
+
+
 @dataclass(eq=False)
 class FourierSweep:
     """Exact Fourier coefficients of every character based in a window.
 
     Characters come in `all_characters` order; row i of `codes` holds the
     dual ring codes of character i (see `character_codes`; row 0 is the
-    trivial character).  Equal coefficients are stored once: character i has
-    coefficient `root_sums[class_ids[i]]`.
+    trivial character).  Characters that `_coefficients` puts in one class
+    share one stored coefficient: character i has coefficient
+    `root_sums[class_ids[i]]`.
     """
 
     module: ModuleSpec
@@ -1041,77 +1100,15 @@ class FourierTable(Sequence):
         return {"chi": self.labels[i], **self.templates[self.class_ids[i]], **self.extra}
 
 
-def _haar_sweep(mu, window: WindowSpec, codes: np.ndarray):
-    """Classes of a Haar sweep, keyed 0 off the annihilator and 1 + phase on it."""
-    coset = isinstance(mu, CosetHaarMeasure)
-    sub = mu.subgroup if coset else mu
-    module = mu.module
-    ring = module.ring
-    L = ring.char_exponent
-    sites = np.array([mu.window.index_of(s) for s in window.sites()], dtype=np.int64)
-    cols = (sites[:, None] * module.rank + np.arange(module.rank)).ravel()
-    gens = sub.merged_generators()[:, cols]
-    rep = mu.rep.flat()[sites].reshape(1, -1) if coset else None
-    raw = np.empty(codes.shape[0], dtype=np.int64)
-    chunk = max(1, _SWEEP_CHUNK_CELLS // (cols.size + gens.shape[0] + 1))
-    for lo in range(0, codes.shape[0], chunk):
-        duals = codes[lo:lo + chunk]
-        in_annihilator = ~_pair_exponents(ring, duals, gens).any(axis=1)
-        phase = 0 if rep is None else _pair_exponents(ring, duals, rep)[:, 0]
-        raw[lo:lo + chunk] = np.where(in_annihilator, 1 + phase, 0)
-    used = np.flatnonzero(np.bincount(raw))
-    remap = np.zeros(used[-1] + 1, dtype=np.int64)
-    remap[used] = np.arange(used.size)
-    root_sums = tuple(RootSum.monomial(L, k - 1) if k else RootSum.zero(L) for k in used)
-    return remap[raw], root_sums
-
-
-def _bernoulli_sweep(mu: "BernoulliMeasure", window: WindowSpec, codes: np.ndarray):
-    """Classes of an i.i.d. sweep, keyed by the sorted multiset of the duals.
-
-    Sites are i.i.d. and the arithmetic is exact, so characters with the same
-    multiset of non-zero duals have the same coefficient.
-    """
-    module = mu.module
-    site_codes = module.pack_arr(codes.reshape(codes.shape[0], window.n_sites, module.rank))
-    keys = _mixed_radix_keys(np.sort(site_codes, axis=1), module.size)
-    _, first, class_ids = np.unique(keys, return_index=True, return_inverse=True)
-    sites = list(window.sites())
-    root_sums = []
-    for i in first:
-        dual_map = {
-            site: module.decode(int(code)) for site, code in zip(sites, site_codes[i]) if code
-        }
-        root_sums.append(mu.fourier_root_sum(CharacterSpec.build(module, window, dual_map)))
-    return class_ids, tuple(root_sums)
-
-
 def fourier_sweep(mu: MeasureHandle, window: WindowSpec, limit: int = ENUMERATION_CAP) -> FourierSweep:
     """Exact coefficients of every character of `all_characters(mu.module, window)`.
 
-    Each coefficient equals `fourier(mu, chi).root_sum`.  Subgroup and coset
-    Haar handles answer from annihilator membership (one pairing product with
-    the subgroup generators, plus one with the coset representative); a
-    Bernoulli handle computes one coefficient per multiset of duals; every
-    other handle is swept one character at a time with `fourier`.
+    Each coefficient equals `fourier(mu, chi).root_sum`: `_coefficients`
+    answers the whole `character_codes` array in one call.
     """
     codes = character_codes(mu.module, window, limit)
-    if isinstance(mu, (SubgroupHaarMeasure, CosetHaarMeasure, BernoulliMeasure)):
-        outside = [s for s in window.sites() if not mu.window.contains_site(s)]
-        if outside:
-            # As in the per-character sweep: the first character that touches
-            # an outside site is the one with only the last such site set.
-            raise OutOfWindowError(f"character site {outside[-1]} outside measure window")
-        if isinstance(mu, BernoulliMeasure):
-            class_ids, root_sums = _bernoulli_sweep(mu, window, codes)
-        else:
-            class_ids, root_sums = _haar_sweep(mu, window, codes)
-    else:
-        root_sums = tuple(
-            fourier(mu, chi).root_sum for chi in all_characters(mu.module, window, limit)
-        )
-        class_ids = np.arange(len(root_sums), dtype=np.int64)
-    return FourierSweep(mu.module, window, codes, class_ids, root_sums)
+    class_ids, root_sums = _coefficients(mu, list(window.sites()), codes)
+    return FourierSweep(mu.module, window, codes, class_ids, tuple(root_sums))
 
 
 @dataclass
@@ -1232,7 +1229,7 @@ def mixing_statistic(mu: MeasureHandle, pairs, n: int, budget="exact", start: in
         return MixingResult(
             n, float(observed), float(product), float(dev), 0.0, True, observed, product
         )
-    count = int(budget)
+    count = _sample_count(budget, "sample budget")
     needed = sorted({site for pins in marg_pins + trans_pins for site in pins})
     sel = [mu.window.index_of(s) for s in needed]
     pos = {s: i for i, s in enumerate(needed)}
@@ -1277,15 +1274,12 @@ def block_entropy(mu: MeasureHandle, block: WindowSpec, n_samples=None, start: i
         if not mu.is_exact:
             raise InvalidParameterError("sampled handle needs an explicit n_samples")
         return mu.entropy_bits_per_site(sel)
-    draws = mu.draw_values(start, int(n_samples), sel)
-    flat = draws.reshape(draws.shape[0], -1)
-    q = mu.module.ring.size
-    if q ** flat.shape[1] < 1 << 62:
-        # Same sort order as the rows, so the counts (and the float sum) match.
-        _, counts = np.unique(_mixed_radix_keys(flat, q), return_counts=True)
-    else:
-        _, counts = np.unique(flat, axis=0, return_counts=True)
-    freqs = counts.astype(np.float64) / float(n_samples)
+    n = _sample_count(n_samples, "n_samples")
+    draws = mu.draw_values(start, n, sel)
+    flat = draws.reshape(n, -1)
+    # Counts in the rows' sort order, so the float sum below is the same either way.
+    (counts,) = _unique_rows(flat, mu.module.ring.size, return_counts=True)
+    freqs = counts.astype(np.float64) / float(n)
     h = float(-(freqs * np.log2(freqs)).sum())
     return h / len(sel)
 
@@ -1346,11 +1340,14 @@ def rigidity_experiment(
     Gathers evidence that mu0 is (or is not) the Haar measure of an invariant
     coset shift: per-t sweeps must have all moduli in {0,1}, and mixing
     deviations at the largest tested n must vanish within tolerance.  The
-    verdict is evidence at the tested scope only.
+    verdict is evidence at the tested scope only.  With budget='exact', each
+    exact pushforward answers every character in one `_coefficients` call;
+    a sampled pushforward is estimated from 10000 draws per character.
     """
     from .shiftpoly import format_rule
 
     characters = list(characters)
+    sites, codes = _character_rows(characters, mu0.module.rank)
     t_schedule = list(t_schedule if t_schedule is not None else default_t_schedule(rule.ring))
     n_schedule = list(n_schedule if n_schedule is not None else DEFAULT_N_SCHEDULE)
     fourier_rows = []
@@ -1359,14 +1356,17 @@ def rigidity_experiment(
     any_inconclusive = False
     for t in t_schedule:
         mu_t = pushforward(mu0, rule, t)
-        results = []
-        for chi_t in characters:
-            use_budget = budget if (budget == "exact" and mu_t.is_exact) else (
-                budget if budget != "exact" else 10000
-            )
-            r = fourier(mu_t, chi_t, use_budget)
-            results.append(r)
-            fourier_rows.append(r.row(t=t))
+        if budget == "exact" and mu_t.is_exact:
+            class_ids, root_sums = _coefficients(mu_t, sites, codes)
+            values = [rs.to_complex() for rs in root_sums]
+            results = [
+                FourierResult(chi, values[k], 0.0, root_sum=root_sums[k])
+                for chi, k in zip(characters, class_ids)
+            ]
+        else:
+            n = 10000 if budget == "exact" else budget
+            results = [fourier(mu_t, chi, n) for chi in characters]
+        fourier_rows.extend(r.row(t=t) for r in results)
         verdict = haar_criterion(results, criterion="coset", tol=tol)
         verdicts.append({"t": t, **verdict.to_dict()})
         if not verdict.consistent:

@@ -12,7 +12,12 @@ per-anchor constraint matrix is the library's original site-dict loop, kept
 as the reference for the index-arithmetic `constraint_matrix`.  The report
 oracles are the library's original `report_bytes` (the pure-Python indented
 ``json.dumps``) and `_csv_bytes` over one row dict per table row, kept as the
-reference for the fragment-based report writer.
+reference for the fragment-based report writer.  The per-character Fourier
+oracle is the library's original one-character-at-a-time coefficient (one
+`fourier_root_sum` method per measure handle, the enumeration fallback of
+`fourier` and `CharacterSpec.exponent_of_config`), and the per-character
+rigidity experiment its original loop over it; both are the reference for
+the single array-based Fourier engine.
 """
 
 import csv
@@ -435,4 +440,173 @@ def report_files(report: dict):
     )
     yield "mixing.csv", _csv_bytes(
         mixing_rows, ["step", "n", "observed", "product", "deviation", "stderr", "exact"]
+    )
+
+
+# -- per-character Fourier ---------------------------------------------------
+
+
+def exponent_of_config(chi, config) -> int:
+    ring = chi.module.ring
+    L = ring.char_exponent
+    total = 0
+    for site, dual in chi.duals:
+        value = config.value_at(site)
+        for d, a in zip(dual, value):
+            total += ring.pair_exponent(d, a)
+    return total % L
+
+
+def _fourier_root_sum(mu, chi):
+    """The exact coefficient of one character, by the handle's own method."""
+    from modshift.chars import RootSum
+    from modshift.errors import OutOfWindowError
+    from modshift.lattice import WindowConfig
+    from modshift.measures import (
+        BernoulliMeasure,
+        CosetHaarMeasure,
+        ExactWordMeasure,
+        SubgroupHaarMeasure,
+    )
+
+    if isinstance(mu, BernoulliMeasure):
+        ring = mu.module.ring
+        L = ring.char_exponent
+        out = RootSum.one(L)
+        for site, dual in chi.duals:
+            if not mu.window.contains_site(site):
+                raise OutOfWindowError(f"character site {site} outside {mu.window}")
+            site_sum = RootSum.zero(L)
+            for code, p in enumerate(mu.probs):
+                if not p:
+                    continue
+                val = mu.module.decode(code)
+                e = sum(ring.pair_exponent(d, a) for d, a in zip(dual, val)) % L
+                site_sum.add_weight(e, p)
+            out = out * site_sum
+        return out
+    if isinstance(mu, SubgroupHaarMeasure):
+        ring = mu.module.ring
+        L = ring.char_exponent
+        rank = mu.module.rank
+        for gen in mu.merged_generators():
+            total = 0
+            for site, dual in chi.duals:
+                if not mu.window.contains_site(site):
+                    raise OutOfWindowError(f"character site {site} outside {mu.window}")
+                base = mu.window.index_of(site) * rank
+                for c, d in enumerate(dual):
+                    total += ring.pair_exponent(d, int(gen[base + c]))
+            if total % L:
+                return RootSum.zero(L)
+        return RootSum.one(L)
+    if isinstance(mu, CosetHaarMeasure):
+        base = _fourier_root_sum(mu.subgroup, chi)
+        e = exponent_of_config(chi, mu.rep)
+        return RootSum.monomial(base.L, e) * base
+    if isinstance(mu, ExactWordMeasure):
+        L = mu.module.ring.char_exponent
+        out = RootSum.zero(L)
+        for word, p in mu.words:
+            cfg = WindowConfig(
+                mu.window, mu.module,
+                word.reshape(mu.window.extents + (mu.module.rank,)), mu.mode,
+            )
+            out.add_weight(exponent_of_config(chi, cfg), p)
+        return out
+    return None
+
+
+def per_character_fourier(mu, chi):
+    """`fourier(mu, chi)` with an exact budget, one character at a time."""
+    from modshift.chars import RootSum
+    from modshift.errors import InvalidParameterError, OutOfWindowError
+    from modshift.lattice import WindowConfig
+    from modshift.measures import FourierResult
+
+    for site in chi.sites():
+        if not mu.window.contains_site(site):
+            raise OutOfWindowError(f"character site {site} outside measure window")
+    rs = _fourier_root_sum(mu, chi)
+    if rs is None:
+        if mu.is_exact:
+            L = mu.module.ring.char_exponent
+            rs = RootSum.zero(L)
+            for vals, p in mu.enumerate_words():
+                cfg = WindowConfig(
+                    mu.window, mu.module,
+                    vals.reshape(mu.window.extents + (mu.module.rank,)), mu.mode,
+                )
+                rs.add_weight(exponent_of_config(chi, cfg), p)
+        else:
+            raise InvalidParameterError(
+                f"{mu.label} has no exact Fourier path; pass a sample budget"
+            )
+    return FourierResult(chi, rs.to_complex(), 0.0, root_sum=rs)
+
+
+def per_character_rigidity(rule, mu0, characters, t_schedule=None, n_schedule=None,
+                           budget="exact", mixing_pairs=None, tol=1e-9):
+    """`rigidity_experiment` with every exact coefficient from `per_character_fourier`."""
+    from modshift.measures import (
+        DEFAULT_N_SCHEDULE,
+        RigidityReport,
+        default_t_schedule,
+        fourier,
+        haar_criterion,
+        mixing_statistic,
+        pushforward,
+    )
+    from modshift.shiftpoly import format_rule
+
+    characters = list(characters)
+    t_schedule = list(t_schedule if t_schedule is not None else default_t_schedule(rule.ring))
+    n_schedule = list(n_schedule if n_schedule is not None else DEFAULT_N_SCHEDULE)
+    fourier_rows = []
+    verdicts = []
+    classification = "consistent-with-coset-haar"
+    any_inconclusive = False
+    for t in t_schedule:
+        mu_t = pushforward(mu0, rule, t)
+        results = []
+        for chi_t in characters:
+            if budget == "exact" and mu_t.is_exact:
+                r = per_character_fourier(mu_t, chi_t)
+            else:
+                r = fourier(mu_t, chi_t, budget if budget != "exact" else 10000)
+            results.append(r)
+            fourier_rows.append(r.row(t=t))
+        verdict = haar_criterion(results, criterion="coset", tol=tol)
+        verdicts.append({"t": t, **verdict.to_dict()})
+        if not verdict.consistent:
+            exact_violation = any(v["exact"] for v in verdict.violations)
+            classification = "inconsistent" if exact_violation or budget == "exact" else classification
+            if not exact_violation and budget != "exact":
+                any_inconclusive = True
+    mixing_rows = []
+    if mixing_pairs:
+        for n in n_schedule:
+            res = mixing_statistic(mu0, mixing_pairs, n, budget)
+            mixing_rows.append(res.row())
+        final = mixing_rows[-1]
+        slack = max(tol, 4.0 * final["stderr"])
+        if abs(final["deviation"]) > slack:
+            classification = "inconsistent"
+    if classification != "inconsistent" and any_inconclusive:
+        classification = "inconclusive"
+    return RigidityReport(
+        rule={"text": format_rule(rule)},
+        measure=mu0.describe(),
+        all_units=rule.all_units(),
+        budget=budget,
+        fourier_rows=fourier_rows,
+        verdicts=verdicts,
+        mixing_rows=mixing_rows,
+        classification=classification,
+        tested_scope={
+            "t_schedule": t_schedule,
+            "n_schedule": n_schedule if mixing_pairs else [],
+            "n_characters": len(characters),
+            "note": "finite window/schedule evidence only; no extrapolation claim",
+        },
     )

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import modshift
 from modshift import ModuleSpec, WindowSpec, ZmodRing, constant_config, decode_config, encode_config
 from modshift.cli import main
@@ -140,6 +142,51 @@ def test_cli_error_exit_code(capsys):
     code = main(["shift", "kernel", "--kernel", "kernel ring=zmod:2 rank=1 H=", "--extents", "3"])
     err = capsys.readouterr().err
     assert code == 2 and "error" in err
+
+
+UNIFORM = ("--measure", "uniform", "--ring", "zmod:2", "--extents", "4")
+
+
+@pytest.mark.parametrize(
+    "argv,kind,flag",
+    [
+        (["measure", "fourier", *UNIFORM, "--chi", "(0):1", "--budget", "abc"], "ConfigParseError", "--budget"),
+        (["shift", "kernel", "--kernel", KERNEL, "--extents", "2,x"], "ConfigParseError", "--extents"),
+        (["shift", "mixing-check", "--kernel", KERNEL, "--offsets", "(1,a)", "--n", "1"],
+         "ConfigParseError", "--offsets"),
+        (["measure", "entropy", *UNIFORM, "--dims", "1", "--block-extents", "2"], "ConfigParseError", "--dims"),
+        (["measure", "fourier", "--measure", "kernel", "--extents", "3,2", "--chi", "trivial"],
+         "ConfigParseError", "--kernel"),
+        (["measure", "fourier", "--measure", "coset", "--kernel", KERNEL, "--extents", "3,2",
+          "--chi", "trivial"], "ConfigParseError", "--rep"),
+        (["measure", "mixing", *UNIFORM, "--offsets", "(1)", "--n-schedule", "1,x"],
+         "ConfigParseError", "--n-schedule"),
+        (["measure", "entropy", *UNIFORM, "--block-extents", "2", "--samples", "0"],
+         "InvalidParameterError", "n_samples"),
+        (["measure", "mixing", *UNIFORM, "--offsets", "(1)", "--budget", "-3"],
+         "InvalidParameterError", "sample budget"),
+    ],
+)
+def test_malformed_flags_exit_2_with_typed_error(capsys, argv, kind, flag):
+    code = main(argv)
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["type"] == kind and flag in err["error"]
+
+
+def test_flag_numbers_parse_as_before(capsys):
+    # A trailing ';' and an empty origin were accepted and ignored before.
+    code, out = run_cli(
+        capsys, "shift", "mixing-check", "--kernel", KERNEL,
+        "--offsets", "(0,0);(0,1);(1,0);", "--n", "8",
+    )
+    assert code == 0 and out["nonempty"]
+    code, out = run_cli(capsys, "shift", "kernel", "--kernel", KERNEL, "--extents", "3, 2", "--origin", "")
+    assert code == 0 and out["window"] == str(WindowSpec((1, 1), (0, 0), (3, 2)))
+    code, out = run_cli(
+        capsys, "measure", "entropy", *UNIFORM, "--dims", "1,0,0", "--block-extents", "2",
+        "--samples", "exact",
+    )
+    assert code == 0 and abs(out["bits_per_site"] - 1.0) < 1e-12
 
 
 def test_experiment_run_bundled(tmp_path, capsys):

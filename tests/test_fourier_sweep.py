@@ -1,9 +1,12 @@
-"""Differential tests of the array-based Fourier sweep and the fast draw paths.
+"""Differential tests of the single Fourier engine and the fast draw paths.
 
-Every fast path is compared bit for bit with the code it replaces:
-`fourier_sweep` + `haar_criterion` against per-character `fourier` +
-`haar_criterion`, column-selected draws against full draws sliced, and the
-1-D entropy key against `np.unique(axis=0)`.
+Every fast path is compared bit for bit with the code it replaces.  The one
+exact Fourier engine (`measures._coefficients`) answers `fourier`,
+`fourier_sweep` and `rigidity_experiment`; each is checked against the
+per-character oracle `oracles.per_character_fourier` (the original
+per-handle methods) for rows, coefficients, verdicts, reports and error
+messages.  Column-selected draws are checked against full draws sliced, and
+the int64 row keys against `np.unique(axis=0)`.
 """
 
 import dataclasses
@@ -15,6 +18,7 @@ import pytest
 
 import modshift.measures as measures
 from modshift import (
+    CharacterSpec,
     ConfigParseError,
     CosetHaarMeasure,
     KernelShiftSpec,
@@ -37,6 +41,7 @@ from modshift import (
     make_ring,
     point_mass,
     pushforward,
+    rigidity_experiment,
     uniform_bernoulli,
 )
 from modshift.chars import character_codes, character_labels, format_character
@@ -44,6 +49,7 @@ from modshift.crt import _verify_bijection, decompose_ring
 from modshift.experiment import parse_experiment, run_experiment
 from modshift.measures import ExactWordMeasure, TransformedMeasure
 from modshift.rng import CounterRng
+from oracles import per_character_fourier, per_character_rigidity
 
 
 def _win(extents, origin=None):
@@ -59,7 +65,7 @@ def _dump(obj):
 
 def _check_sweep(mu, window, criteria=("subgroup", "coset")):
     """Sweep and per-character oracle agree on every row, coefficient and verdict."""
-    results = [fourier(mu, chi) for chi in all_characters(mu.module, window)]
+    results = [per_character_fourier(mu, chi) for chi in all_characters(mu.module, window)]
     sweep = fourier_sweep(mu, window)
     assert len(sweep) == len(results)
     assert _dump(sweep.rows(t=0)) == _dump([r.row(t=0) for r in results])
@@ -180,6 +186,33 @@ def test_exact_word_measure_fallback(cb_system):
     assert verdicts["coset"]["consistent"]
 
 
+def test_exact_word_measure_sweep():
+    # Unequal weights on repeated and distinct words, rank 2 over a CRT ring.
+    mod = ModuleSpec(make_ring("zmod:6"), 2)
+    win = _win((2,))
+    vals = CounterRng(4, stream=9).uniform_codes(0, (7, 2, 2), 6)
+    probs = [Fraction(k, 28) for k in range(1, 8)]
+    mu = ExactWordMeasure(mod, win, [(vals[i % 5], p) for i, p in enumerate(probs)])
+    _check_sweep(mu, win)
+    _check_sweep(mu, _win((1,), (1,)))
+    gf4 = ModuleSpec(make_ring("gf:2:2:1,1,1"), 1)
+    spec = KernelShiftSpec(LocalRule(gf4, (1, 0), ((0,), (1,)), (1, 2)))
+    kern = kernel_haar(spec, _win((3,)), seed=5)
+    _check_sweep(ExactWordMeasure(gf4, kern.window, kern.enumerate_words()), kern.window)
+
+
+def test_word_sweep_chunks_agree(monkeypatch):
+    mod = ModuleSpec(make_ring("zmod:3"), 1)
+    win = _win((4,))
+    vals = CounterRng(5, stream=9).uniform_codes(0, (2, 4, 1), 3)
+    mu = ExactWordMeasure(mod, win, [(vals[0], Fraction(1, 3)), (vals[1], Fraction(2, 3))])
+    whole = fourier_sweep(mu, win)
+    monkeypatch.setattr(measures, "_SWEEP_CHUNK_CELLS", 20)
+    chunked = fourier_sweep(mu, win)
+    assert len(chunked.root_sums) > len(whole.root_sums)  # classes are per chunk
+    assert _dump(whole.rows()) == _dump(chunked.rows())
+
+
 def test_sweep_chunks_agree(monkeypatch):
     spec = _parity_kernel()
     mu = kernel_haar(spec, WindowSpec((1, 1), (0, 0), (3, 3)), seed=2)
@@ -190,19 +223,38 @@ def test_sweep_chunks_agree(monkeypatch):
     assert _dump(whole.rows()) == _dump(chunked.rows())
 
 
+def _outcome(call):
+    """The exception type and message a call raises, or the weights it returns."""
+    try:
+        return call().root_sum.weights
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def test_sweep_errors_match_per_character_path(cb_system):
     mu = kernel_haar(cb_system.kernel, cb_system.six_site_window(), seed=1)
+    window = mu.window
     wide = WindowSpec((1, 1), (0, 0), (4, 2))
-    with pytest.raises(OutOfWindowError) as want:
-        [fourier(mu, chi) for chi in all_characters(mu.module, wide)]
-    with pytest.raises(OutOfWindowError) as got:
-        fourier_sweep(mu, wide)
-    assert str(got.value) == str(want.value)
     with pytest.raises(ResourceLimitError):
-        fourier_sweep(mu, mu.window, limit=10)
-    sampled = TransformedMeasure(mu, lambda x: x, mu.window, mu.module, "sampled")
-    with pytest.raises(measures.InvalidParameterError):
-        fourier_sweep(sampled, mu.window)
+        fourier_sweep(mu, window, limit=10)
+    handles = [
+        mu,
+        coset_haar(checkerboard_config(cb_system.module, window), cb_system.kernel, seed=1),
+        bernoulli(cb_system.module, window, [Fraction(1, 3), Fraction(2, 3)]),
+        point_mass(checkerboard_config(cb_system.module, window)),
+        TransformedMeasure(mu, lambda x: x, window, mu.module, "sampled"),
+    ]
+    for handle in handles:
+        chars = list(all_characters(handle.module, wide))
+        # The sweep fails as the per-character oracle does on its first
+        # failing character: the trivial one for a sampled handle, before any
+        # site is looked at; for an exact one, the first that leaves the window.
+        outcomes = [_outcome(lambda: per_character_fourier(handle, chi)) for chi in chars]
+        with pytest.raises(OutOfWindowError if handle.is_exact else measures.InvalidParameterError) as got:
+            fourier_sweep(handle, wide)
+        assert (type(got.value), str(got.value)) == next(o for o in outcomes if isinstance(o, tuple))
+        for chi, want in zip(chars, outcomes):
+            assert _outcome(lambda: fourier(handle, chi)) == want
 
 
 def test_sweep_verdict_demands_trivial_coefficient_one():
@@ -336,6 +388,23 @@ def test_block_entropy_keys_match_row_unique(ring_text, extents, block):
     assert block_entropy(mu, _win(block), n_samples=n) == _entropy_reference(mu, _win(block), n)
 
 
+def test_unique_rows_falls_back_past_the_key_range():
+    # 2**64 in base 3 has 41 digits: as a 45-column row its int64 key wraps
+    # to 0, the key of the zero row.
+    digits = np.zeros(45, dtype=np.int64)
+    n = 1 << 64
+    for j in range(44, -1, -1):
+        n, digits[j] = divmod(n, 3)
+    rows = np.stack([digits, np.zeros(45, dtype=np.int64), digits])
+    assert measures._mixed_radix_keys(rows, 3)[0] == 0
+    first, inverse = measures._unique_rows(rows, 3, return_index=True, return_inverse=True)
+    assert first.tolist() == [1, 0] and inverse.tolist() == [1, 0, 1]
+    narrow = rows[:, 6:]  # 3**39 < 2**62: keys
+    want = np.unique(narrow, axis=0, return_index=True, return_inverse=True)[1:]
+    got = measures._unique_rows(narrow, 3, return_index=True, return_inverse=True)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_mixed_radix_keys_sort_like_rows():
     rows = CounterRng(9, stream=2).uniform_codes(0, (500, 4), 5)
     keys = measures._mixed_radix_keys(rows, 5)
@@ -419,3 +488,74 @@ def test_malformed_integer_names_section_and_key():
     )
     with pytest.raises(ConfigParseError, match=r"\[step counted\] bad value for 'expected'"):
         run_experiment(parse_experiment(text))
+    text = "[experiment]\nseed = 1\n\n[step one]\nkind = haar-sweep\nring = zmod:2\ndims = 1\nextents = 3\n"
+    with pytest.raises(ConfigParseError, match=r"\[step one\] bad value for 'dims': '1'"):
+        run_experiment(parse_experiment(text))
+
+
+# -- rigidity experiments on the engine --------------------------------------------
+
+
+def _rigidity_case(ring_text, kind):
+    """(rule, measure, characters, t schedule) over one ring, for one kind of measure."""
+    mod = ModuleSpec(make_ring(ring_text), 1)
+    q = mod.size
+    rule = LocalRule(mod, (1, 0), ((0,), (1,)), (1, q - 1))
+    spec = KernelShiftSpec(LocalRule(mod, (1, 0), ((0,), (1,)), (q - 1, 1)))
+    chars = list(all_characters(mod, _win((2,))))
+    if kind == "biased":
+        probs = [Fraction(1, 2**(k + 1)) for k in range(q - 1)] + [Fraction(1, 2**(q - 1))]
+        return rule, bernoulli(mod, _win((3,)), probs, seed=2), chars, [0, 1]
+    win = _win((5,))
+    if kind == "uniform":
+        mu = uniform_bernoulli(mod, win, seed=2)
+    elif kind == "kernel":
+        mu = kernel_haar(spec, win, seed=2)
+    else:
+        rep = WindowConfig(win, mod, (np.arange(5, dtype=np.int64) % q).reshape(5, 1), "exact")
+        mu = CosetHaarMeasure(rep, kernel_haar(spec, win, seed=2))
+    return rule, mu, chars, [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "biased", "kernel", "coset"])
+@pytest.mark.parametrize("ring_text", ["zmod:6", "gf:2:2:1,1,1"])
+def test_rigidity_reports_match_per_character_oracle(ring_text, kind):
+    rule, mu, chars, ts = _rigidity_case(ring_text, kind)
+    got = rigidity_experiment(rule, mu, chars, t_schedule=ts)
+    want = per_character_rigidity(rule, mu, chars, t_schedule=ts)
+    assert _dump(got.to_dict()) == _dump(want.to_dict())
+    assert all(row["exact"] for row in got.fourier_rows)
+
+
+def test_rigidity_errors_match_per_character_oracle():
+    rule, mu, chars, _ = _rigidity_case("zmod:6", "biased")
+    wide = CharacterSpec.build(mu.module, mu.window, {(2,): 1, (1,): 5})
+    for call in (rigidity_experiment, per_character_rigidity):
+        # The t=2 window is one site wide: the first character that leaves it
+        # raises, naming its first site outside.
+        with pytest.raises(OutOfWindowError, match=r"character site \(1,\) outside"):
+            call(rule, mu, chars, t_schedule=[0, 2])
+        with pytest.raises(OutOfWindowError, match=r"character site \(1,\) outside"):
+            call(rule, mu, [chars[0], wide, chars[1]], t_schedule=[0, 2])
+        with pytest.raises(measures.MissingTrivialCharacterError):
+            call(rule, mu, [], t_schedule=[0, 1])
+
+
+def test_bernoulli_character_list_beyond_the_key_range():
+    # 45 sites of zmod:3: 3**45 >= 2**62, so the multisets are compared as rows.
+    mod = ModuleSpec(make_ring("zmod:3"), 1)
+    win = _win((45,))
+    mu = bernoulli(mod, win, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], seed=1)
+    sites = list(win.sites())
+    duals = CounterRng(8, stream=4).uniform_codes(0, (12, 45), 3)
+    duals[3] = duals[0][::-1]  # a permutation: the same multiset, the same class
+    chars = [CharacterSpec.build(mod, win, {}), CharacterSpec.build(mod, win, {sites[44]: 2})]
+    chars += [CharacterSpec.build(mod, win, dict(zip(sites, map(int, row)))) for row in duals]
+    class_ids, root_sums = measures._coefficients(mu, *measures._character_rows(chars, 1))
+    assert class_ids[5] == class_ids[2] and len(root_sums) == len(chars) - 1
+    for chi, k in zip(chars, class_ids):
+        assert root_sums[k].weights == per_character_fourier(mu, chi).root_sum.weights
+    rule = LocalRule(mod, (1, 0), ((0,), (1,)), (1, 1))
+    got = rigidity_experiment(rule, mu, chars, t_schedule=[0])
+    want = per_character_rigidity(rule, mu, chars, t_schedule=[0])
+    assert _dump(got.to_dict()) == _dump(want.to_dict())

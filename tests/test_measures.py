@@ -38,7 +38,7 @@ from modshift.measures import ExactWordMeasure
 # The zeroth-row counting oracle lives in oracles.py: members of the parity
 # kernel are the space-time diagrams of the XOR-of-three rule, so pinned-site
 # probabilities are 2**-rank of linear forms over the zeroth row.
-from oracles import zeroth_row_probability
+from oracles import exponent_of_config, zeroth_row_probability
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +315,7 @@ def test_coset_fourier_is_phase_times_kernel_fourier(cb_system, eta6):
     for chi in all_characters(cb_system.module, w6):
         lhs = fourier(mu, chi).root_sum
         base = fourier(eta6, chi).root_sum
-        phase = RootSum.monomial(base.L, chi.exponent_of_config(rep))
+        phase = RootSum.monomial(base.L, exponent_of_config(chi, rep))
         assert (lhs - phase * base).is_zero()
 
 
@@ -571,3 +571,46 @@ def test_exact_word_measure_validation():
     vals = np.zeros((2, 1), dtype=np.int64)
     with pytest.raises(InvalidParameterError):
         ExactWordMeasure(mod, win, [(vals, Fraction(1, 2))])
+
+
+# -- sample counts below one ---------------------------------------------------------
+
+
+@pytest.fixture
+def sampled_case(cb_system):
+    win = cb_system.window(4, 4)
+    return cb_system.module, win, uniform_bernoulli(cb_system.module, win, seed=1)
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_fourier_sample_budget_below_one(sampled_case, count):
+    module, win, mu = sampled_case
+    chi = CharacterSpec.build(module, win, {(0, 0): 1})
+    with pytest.raises(InvalidParameterError, match=f"sample budget must be >= 1, got {count}"):
+        fourier(mu, chi, count)
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_mixing_sample_budget_below_one(sampled_case, count):
+    module, win, mu = sampled_case
+    word = constant_config(module, WindowSpec((1, 1), (0, 0), (1, 1)), 0)
+    with pytest.raises(InvalidParameterError, match=f"sample budget must be >= 1, got {count}"):
+        mixing_statistic(mu, [((0, 1), word)], 1, budget=count)
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_block_entropy_sample_count_below_one(sampled_case, count):
+    module, win, mu = sampled_case
+    with pytest.raises(InvalidParameterError, match=f"n_samples must be >= 1, got {count}"):
+        block_entropy(mu, WindowSpec((1, 1), (0, 0), (2, 2)), n_samples=count)
+
+
+def test_experiment_step_with_zero_samples():
+    from modshift.experiment import parse_experiment, run_experiment
+
+    text = (
+        "[experiment]\nseed = 1\n\n[step blocks]\nkind = entropy\nring = zmod:2\n"
+        "extents = 4\nblock-extents = 2\nsamples = 0\nexpected = 1\n"
+    )
+    with pytest.raises(InvalidParameterError, match="n_samples must be >= 1, got 0"):
+        run_experiment(parse_experiment(text))
