@@ -22,6 +22,7 @@ from .crt import (
     component_rule,
     conjugacy_check,
     decompose_ring,
+    field_decomposition,
     merge_config,
     merge_product_bernoulli,
     project_measure,

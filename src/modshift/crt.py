@@ -10,6 +10,11 @@ Supported sources: zmod(m) for any m (components zmod(p^s)); product rings
 whose factors each have prime-power characteristic (components regroup the
 factors); any prime-power-characteristic ring (degenerate single component,
 labelled with its true (p, s) so squarefree guards can refuse s > 1).
+
+`field_decomposition` is the one place that decides whether a ring splits
+into finite fields.  A field is its own one-component decomposition with
+identity tables, so the exact per-field methods (window kernels, subgroup
+Haar measures) loop over components without treating fields apart.
 """
 
 from __future__ import annotations
@@ -22,13 +27,14 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedCharacteristicError
 from .lattice import WindowConfig
-from .rings import ModuleSpec, ProductRing, Ring, ZmodRing
+from .rings import ModuleSpec, ProductRing, Ring, ZmodRing, is_prime
 from .rng import CounterRng
 from .shiftpoly import LocalRule, from_rule, stencil
 
 __all__ = [
     "CrtDecomposition",
     "decompose_ring",
+    "field_decomposition",
     "split_config",
     "merge_config",
     "component_rule",
@@ -85,10 +91,23 @@ class CrtDecomposition:
         return [self.forward_table[values, j] for j in range(self.n_components)]
 
     def merge_arrays(self, comp_values) -> np.ndarray:
+        if self.degenerate:  # identity tables: the one component is the value
+            return np.asarray(comp_values[0], dtype=np.int64)
         idx = np.zeros_like(np.asarray(comp_values[0], dtype=np.int64))
         for c, ring in zip(reversed(comp_values), reversed(self.component_rings)):
             idx = idx * ring.size + np.asarray(c, dtype=np.int64)
         return self.inverse_table[idx]
+
+    def merge_product(self, stacks) -> np.ndarray:
+        """Merges of every choice of one row from each component's stack.
+
+        stacks[j] is a (count_j, ...) array of component-j codes; the result
+        holds the prod(count_j) merges with the last component varying fastest.
+        """
+        if self.degenerate:
+            return np.asarray(stacks[0], dtype=np.int64)
+        grids = np.meshgrid(*[np.arange(len(s)) for s in stacks], indexing="ij")
+        return self.merge_arrays([s[g.ravel()] for s, g in zip(stacks, grids)])
 
 
 def _degenerate(ring: Ring, prime_power) -> CrtDecomposition:
@@ -179,26 +198,11 @@ def _decompose(ring: Ring) -> CrtDecomposition:
     factors = _factorize(char)
     if len(factors) == 1:
         return _degenerate(ring, factors[0])
+    codes = np.arange(ring.size, dtype=np.int64)
     if isinstance(ring, ZmodRing):
-        mods = [p**s for p, s in factors]
-        comps = tuple(ZmodRing(m) for m in mods)
-        qs = [ring.m // x for x in mods]
-        size = ring.size
-        fwd = np.zeros((size, len(mods)), dtype=np.int64)
-        codes = np.arange(size, dtype=np.int64)
-        for j, m in enumerate(mods):
-            fwd[:, j] = codes % m
-        inv = np.zeros(int(np.prod(mods)), dtype=np.int64)
-        idx = np.zeros(size, dtype=np.int64)
-        for j in reversed(range(len(mods))):
-            idx = idx * mods[j] + fwd[:, j]
-        inv[idx] = codes
-        deco = CrtDecomposition(
-            ring, tuple(factors), comps, fwd, inv, tuple(_ideals(ring, qs))
-        )
-        _verify_bijection(deco)
-        return deco
-    if isinstance(ring, ProductRing):
+        comps = tuple(ZmodRing(p**s) for p, s in factors)
+        fwd = np.stack([codes % comp.m for comp in comps], axis=1)
+    elif isinstance(ring, ProductRing):
         groups = {}
         for idx, f in enumerate(ring.factors):
             fchar = _factorize(f.characteristic)
@@ -208,37 +212,57 @@ def _decompose(ring: Ring) -> CrtDecomposition:
                     f"factor {f.descriptor()} has characteristic {f.characteristic}"
                 )
             groups.setdefault(fchar[0][0], []).append(idx)
-        primes = sorted(groups)
-        comps = []
-        for p in primes:
-            members = [ring.factors[i] for i in groups[p]]
-            comps.append(members[0] if len(members) == 1 else ProductRing(members))
-        comps = tuple(comps)
-        size = ring.size
-        fwd = np.zeros((size, len(primes)), dtype=np.int64)
-        for code in range(size):
+        # The primes of the characteristic are exactly the factors' primes,
+        # so components follow `factors` in increasing p.
+        members = [[ring.factors[i] for i in groups[p]] for p, _ in factors]
+        comps = tuple(m[0] if len(m) == 1 else ProductRing(m) for m in members)
+        fwd = np.zeros((ring.size, len(comps)), dtype=np.int64)
+        for code in range(ring.size):
             parts = ring.decode(code)
-            for j, p in enumerate(primes):
+            for j, (p, _) in enumerate(factors):
                 sel = [parts[i] for i in groups[p]]
-                comp = comps[j]
-                fwd[code, j] = comp.encode(sel) if isinstance(comp, ProductRing) else sel[0]
-        sizes = [c.size for c in comps]
-        inv = np.zeros(int(np.prod(sizes)), dtype=np.int64)
-        idx = np.zeros(size, dtype=np.int64)
-        for j in reversed(range(len(comps))):
-            idx = idx * sizes[j] + fwd[:, j]
-        inv[idx] = np.arange(size, dtype=np.int64)
-        qs = [char // p ** dict(factors)[p] for p in primes]
-        deco = CrtDecomposition(
-            ring,
-            tuple((p, dict(factors)[p]) for p in primes),
-            comps, fwd, inv, tuple(_ideals(ring, qs)),
+                fwd[code, j] = comps[j].encode(sel) if len(sel) > 1 else sel[0]
+    else:
+        raise UnsupportedCharacteristicError(
+            f"cannot decompose {ring.descriptor()} of characteristic {char}"
         )
-        _verify_bijection(deco)
-        return deco
-    raise UnsupportedCharacteristicError(
-        f"cannot decompose {ring.descriptor()} of characteristic {char}"
-    )
+    idx = np.zeros(ring.size, dtype=np.int64)
+    for j in reversed(range(len(comps))):
+        idx = idx * comps[j].size + fwd[:, j]
+    inv = np.zeros(ring.size, dtype=np.int64)
+    inv[idx] = codes
+    qs = [char // p**s for p, s in factors]
+    deco = CrtDecomposition(ring, tuple(factors), comps, fwd, inv, tuple(_ideals(ring, qs)))
+    _verify_bijection(deco)
+    return deco
+
+
+def field_decomposition(ring: Ring) -> CrtDecomposition:
+    """The decomposition of a ring into finite fields; refused when there is none.
+
+    A field returns its degenerate one-component decomposition, a squarefree
+    characteristic one field per prime.  A prime-characteristic non-field, a
+    non-squarefree characteristic or a non-field component raises
+    UnsupportedCharacteristicError, as does every ring `decompose_ring` refuses.
+    """
+    deco = decompose_ring(ring)
+    if not ring.is_field and is_prime(ring.characteristic):
+        raise UnsupportedCharacteristicError(
+            f"{ring.descriptor()} has prime characteristic but is not a field; "
+            "only fields and products of fields of distinct primes are supported"
+        )
+    if any(s > 1 for _, s in deco.prime_powers):
+        raise UnsupportedCharacteristicError(
+            f"characteristic {ring.characteristic} of {ring.descriptor()} is not squarefree; "
+            "exact per-field methods are unavailable"
+        )
+    for comp in deco.component_rings:
+        if not comp.is_field:
+            raise UnsupportedCharacteristicError(
+                f"{ring.descriptor()} has component {comp.descriptor()}, which is not a field; "
+                "only fields and products of fields of distinct primes are supported"
+            )
+    return deco
 
 
 def split_config(config: WindowConfig, deco: CrtDecomposition):
@@ -362,13 +386,13 @@ def project_measure(mu, deco: CrtDecomposition, j: int):
             provenance=mu.derived(note),
         )
     if isinstance(mu, measures.SubgroupHaarMeasure):
-        if mu.decomposition is None:
+        if mu.decomposition.degenerate:
             if deco.degenerate and j == 0:
                 return mu
             raise InvalidParameterError("subgroup measure is not CRT-split")
         span = mu.spans[j]
         return measures.SubgroupHaarMeasure(
-            module_j, mu.window, (span,), None, seed=mu.seed, mode=mu.mode,
+            module_j, mu.window, (span,), seed=mu.seed, mode=mu.mode,
             label=f"{mu.label}|p{ring_j.characteristic}",
             provenance=mu.derived(note),
         )

@@ -7,8 +7,9 @@ lies inside the window; this in-window kernel contains the true projection of
 the infinite kernel, and `extension_certificate` provides the honest equality
 evidence used for the bundled examples.
 
-Composite squarefree moduli are routed through the crt module and solved per
-prime component.
+Every ring is solved per field component of `crt.field_decomposition`: a
+field is its own single component, a squarefree characteristic gives one
+prime field per prime, and any other ring is refused before elimination.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from .errors import (
     InfeasiblePinError,
     InvalidParameterError,
     ResourceLimitError,
-    UnsupportedCharacteristicError,
 )
-from . import linalg
+from . import crt, linalg
 from .lattice import (
     WindowConfig,
     WindowSpec,
@@ -33,11 +33,12 @@ from .lattice import (
     config_sub,
     coordinate_sum_images,
     restrict_config,
+    scaled_offset,
     shift_config,
 )
-from .rings import ModuleSpec, Ring, is_prime
+from .rings import ModuleSpec, Ring
 from .rng import CounterRng
-from .shiftpoly import LocalRule, stencil
+from .shiftpoly import LocalRule, apply_poly, from_rule, stencil
 
 __all__ = [
     "KernelShiftSpec",
@@ -109,19 +110,22 @@ class WindowBasis:
     """Echelon basis of the in-window kernel.
 
     `components` holds one (field ring, scalar basis, free site indices) triple
-    per prime factor of the characteristic; a field ring yields exactly one.
-    The scalar basis spans per-site solutions; module solutions place one copy
-    per component of the free module.
+    per field component of `decomposition`; a field ring is its own single
+    component.  The scalar basis spans per-site solutions; module solutions
+    place one copy per component of the free module.
     """
 
     spec: KernelShiftSpec
     window: WindowSpec
     components: tuple  # of (Ring, ndarray (nb, n_sites), tuple free site idx)
-    decomposition: object = None  # CrtDecomposition when composite
 
     @property
     def module(self) -> ModuleSpec:
         return self.spec.module
+
+    @property
+    def decomposition(self) -> crt.CrtDecomposition:
+        return crt.field_decomposition(self.spec.ring)
 
     @property
     def solution_count(self) -> int:
@@ -146,13 +150,12 @@ def window_kernel(spec: KernelShiftSpec, window: WindowSpec) -> WindowBasis:
     the free sites.
     """
     comps = []
-    deco = None
-    for comp_spec, comp_ring, deco, _ in _field_components(spec):
+    for comp_spec, comp_ring, _, _ in _field_components(spec):
         matrix = constraint_matrix(comp_spec, window)
         reduced, pivots = linalg.rref(matrix, comp_ring)
         basis, free = linalg.nullspace_from_rref(reduced, pivots, comp_ring)
         comps.append((comp_ring, basis, free))
-    return WindowBasis(spec, window, tuple(comps), decomposition=deco)
+    return WindowBasis(spec, window, tuple(comps))
 
 
 def constraint_residual(spec: KernelShiftSpec, config: WindowConfig):
@@ -187,6 +190,16 @@ def batch_membership(spec: KernelShiftSpec, window: WindowSpec, values: np.ndarr
     return ~residual.reshape(count, -1).any(axis=1)
 
 
+def _coefficient_vectors(q: int, n: int) -> np.ndarray:
+    """All q**n vectors of n codes in [0, q), shape (q**n, n); the first varies fastest."""
+    count = q**n
+    idx = np.arange(count)
+    codes = np.zeros((count, n), dtype=np.int64)
+    for v in range(n):
+        codes[:, v] = (idx // q**v) % q
+    return codes
+
+
 def _component_words(ring, basis, rank, codes):
     """Module-valued words (count, n_sites, rank) for coefficient codes (count, nb*rank)."""
     count = codes.shape[0]
@@ -204,23 +217,10 @@ def enumerate_kernel_words(basis: WindowBasis, limit: int = ENUMERATION_CAP) -> 
             required=basis.solution_count,
         )
     rank = basis.module.rank
-    per_comp = []
-    for ring, comp_basis, _ in basis.components:
-        q = ring.size
-        nvars = comp_basis.shape[0] * rank
-        count = q**nvars
-        codes = np.zeros((count, nvars), dtype=np.int64)
-        idx = np.arange(count)
-        for v in range(nvars):
-            codes[:, v] = (idx // q**v) % q
-        per_comp.append(_component_words(ring, comp_basis, rank, codes))
-    if basis.decomposition is None:
-        return per_comp[0]
-    sizes = [w.shape[0] for w in per_comp]
-    grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-    flat = [g.ravel() for g in grids]
-    comp_values = [w[f] for w, f in zip(per_comp, flat)]
-    return basis.decomposition.merge_arrays(comp_values)
+    return basis.decomposition.merge_product([
+        _component_words(ring, b, rank, _coefficient_vectors(ring.size, b.shape[0] * rank))
+        for ring, b, _ in basis.components
+    ])
 
 
 def draw_kernel_words(basis: WindowBasis, count: int, seed: int, start: int = 0) -> np.ndarray:
@@ -232,8 +232,6 @@ def draw_kernel_words(basis: WindowBasis, count: int, seed: int, start: int = 0)
         nvars = comp_basis.shape[0] * rank
         codes = rng.uniform_codes(start * max(nvars, 1), (count, nvars), ring.size) if nvars else np.zeros((count, 0), dtype=np.int64)
         comp_values.append(_component_words(ring, comp_basis, rank, codes))
-    if basis.decomposition is None:
-        return comp_values[0]
     return basis.decomposition.merge_arrays(comp_values)
 
 
@@ -283,28 +281,12 @@ def submodule_condition_check(
 
 
 def _field_components(spec: KernelShiftSpec):
-    """Yield (component spec, component ring, decomposition|None, index).
+    """Yield (component spec, component ring, decomposition, index) per field component.
 
-    Fields yield themselves; squarefree characteristics yield one prime
-    component each.  Anything else is refused before any elimination runs.
+    The split is `crt.field_decomposition`'s, which refuses an unsupported
+    ring before any elimination runs; a field yields itself once.
     """
-    ring = spec.ring
-    if ring.is_field:
-        yield spec, ring, None, 0
-        return
-    char = ring.characteristic
-    if is_prime(char):
-        raise UnsupportedCharacteristicError(
-            f"{ring.descriptor()} has prime characteristic but is not a field; "
-            "only fields and squarefree zmod moduli are supported"
-        )
-    from . import crt  # lazy: crt depends on this module's callers
-
-    deco = crt.decompose_ring(ring)
-    if any(s > 1 for _, s in deco.prime_powers):
-        raise UnsupportedCharacteristicError(
-            f"characteristic {char} is not squarefree; window kernels unavailable"
-        )
+    deco = crt.field_decomposition(spec.ring)
     for j, comp_ring in enumerate(deco.component_rings):
         comp_rule = crt.component_rule(spec.constraint, deco, j)
         yield KernelShiftSpec(comp_rule, spec.label), comp_ring, deco, j
@@ -335,15 +317,8 @@ def invariance_and_surjectivity_check(
     scalar_rule = LocalRule(scalar_module, rule.dims, rule.offsets, rule.coeffs)
     invariant = True
     surjective = True
-    from .shiftpoly import apply_poly, from_rule
-
     for comp_spec, comp_ring, deco, j in _field_components(spec):
-        if deco is not None:
-            from . import crt
-
-            comp_poly = from_rule(crt.component_rule(scalar_rule, deco, j))
-        else:
-            comp_poly = from_rule(scalar_rule)
+        comp_poly = from_rule(crt.component_rule(scalar_rule, deco, j))
         comp_scalar_module = ModuleSpec(comp_ring, 1)
         big_basis = window_kernel(comp_spec, big)
         ((_, scalar_basis, _),) = big_basis.components
@@ -544,13 +519,16 @@ def torsion_free_check(spec: KernelShiftSpec, window: WindowSpec, scalar: int) -
 
     Equivalently the scalar acts with trivial kernel on the quotient of the
     full window space by the in-window kernel: the solution spaces of M x = 0
-    and (scalar*M) x = 0 must coincide.
+    and (scalar*M) x = 0 must coincide.  `scalar` is a ring code.
     """
+    scalar = int(scalar)
+    if not 0 <= scalar < spec.ring.size:
+        raise InvalidParameterError(
+            f"scalar {scalar} is not an element code of {spec.ring.descriptor()} "
+            f"(codes are 0..{spec.ring.size - 1})"
+        )
     for comp_spec, comp_ring, deco, j in _field_components(spec):
-        if deco is None:
-            comp_scalar = int(scalar)
-        else:
-            comp_scalar = int(deco.forward(int(scalar))[j])
+        comp_scalar = int(deco.forward_table[scalar, j])
         matrix = constraint_matrix(comp_spec, window)
         scaled = comp_ring.mul_arr(np.int64(comp_scalar), matrix)
         base_nullity = window.n_sites - linalg.rank(matrix, comp_ring)
@@ -571,7 +549,8 @@ def topological_mixing_check(spec: KernelShiftSpec, pairs, n: int) -> bool:
     `pairs` is a list of (offset h, WindowConfig word); the word windows are
     translated by n*h, pinned, and the kernel's constraints on the bounding
     box are solved with those pins.  Conflicting pins raise InfeasiblePinError;
-    a word that is not itself a kernel word is rejected up front.
+    a word that is not itself a kernel word is rejected up front, and so is
+    an offset without D+E coordinates.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
@@ -579,9 +558,9 @@ def topological_mixing_check(spec: KernelShiftSpec, pairs, n: int) -> bool:
     pins = {}
     for h, word in pairs:
         module.check_same(word.module)
+        v = scaled_offset(h, n, sum(spec.dims))
         if not kernel_membership(spec, word):
             raise InvalidParameterError("pinned word is not in the window kernel")
-        v = tuple(int(n) * int(x) for x in h)
         for site in word.window.sites():
             target = word.value_at(site)
             abs_site = tuple(s + d for s, d in zip(site, v))
@@ -610,12 +589,7 @@ def topological_mixing_check(spec: KernelShiftSpec, pairs, n: int) -> bool:
         if matrix.shape[0] == 0:
             continue
         for c in range(rank_mod):
-            if deco is None:
-                targets = np.array([pins[s][c] for s in sites], dtype=np.int64)
-            else:
-                targets = np.array(
-                    [deco.forward(pins[s][c])[j] for s in sites], dtype=np.int64
-                )
+            targets = deco.forward_table[[pins[s][c] for s in sites], j]
             pinned_part = matrix[:, pin_cols]
             rhs = comp_ring.neg_arr(comp_ring.lincomb(pinned_part, targets[:, None])[:, 0])
             solution, _ = linalg.solve_affine(matrix[:, free_cols], rhs, comp_ring)

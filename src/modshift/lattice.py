@@ -266,6 +266,16 @@ def checkerboard_config(module, window, mode="exact") -> WindowConfig:
     return WindowConfig(window, module, vals, mode)
 
 
+def scaled_offset(offset, n: int, axes: int) -> tuple:
+    """The lattice vector n * offset; an offset without `axes` coordinates is refused."""
+    offset = tuple(int(x) for x in offset)
+    if len(offset) != axes:
+        raise InvalidParameterError(
+            f"offset {offset} has length {len(offset)}, not D+E = {axes}"
+        )
+    return tuple(int(n) * x for x in offset)
+
+
 def shift_config(config: WindowConfig, v) -> WindowConfig:
     """Read the configuration displaced by v: out_m = c_{m+v}.
 

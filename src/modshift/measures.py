@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import crt, linalg
 from .chars import (
     CharacterSpec,
     RootSum,
@@ -47,10 +47,11 @@ from .errors import (
 from .kernels import (
     KernelShiftSpec,
     WindowBasis,
+    _coefficient_vectors,
     coset_shift_check,
     window_kernel,
 )
-from .lattice import WindowConfig, WindowSpec
+from .lattice import WindowConfig, WindowSpec, scaled_offset
 from .rings import ModuleSpec, Ring, is_prime
 from .rng import CounterRng, cdf_thresholds
 from .shiftpoly import (
@@ -143,9 +144,6 @@ class MeasureHandle:
             return np.arange(self.window.n_sites, dtype=np.int64)
         return np.asarray(site_indices, dtype=np.int64)
 
-    def site_index(self, site) -> int:
-        return self.window.index_of(site)
-
     def describe(self) -> dict:
         return {
             "kind": type(self).__name__,
@@ -173,12 +171,12 @@ def _merge_pins(pin_dicts):
     return merged
 
 
-def _pins_from_word(word: WindowConfig, translation=None):
+def _pins_from_word(word: WindowConfig, offset=None, n: int = 0):
+    """The word's values pinned on its window translated by n * offset."""
+    v = scaled_offset(offset, n, word.window.axes) if offset is not None else None
     out = {}
     for site in word.window.sites():
-        t = site if translation is None else tuple(
-            s + v for s, v in zip(site, translation)
-        )
+        t = site if v is None else tuple(s + x for s, x in zip(site, v))
         out[t] = word.value_at(site)
     return out
 
@@ -273,34 +271,27 @@ def _echelonize(ring, rows, nvars):
     return rref[: len(pivots)].copy()
 
 
-def _splits_into_fields(ring) -> bool:
-    """True when the ring is a field or a CRT product of fields."""
-    if ring.is_field:
-        return True
-    from . import crt
-
-    try:
-        deco = crt.decompose_ring(ring)
-    except UnsupportedCharacteristicError:
-        return False
-    return all(r.is_field for r in deco.component_rings)
-
-
 class SubgroupHaarMeasure(MeasureHandle):
     """Uniform measure on a subgroup of module words over a window.
 
-    The subgroup is held as one echelonized span per prime component of the
-    characteristic (a single span when the ring is a field).  Canonical RREF
-    bases make equality of distributions a plain array comparison.
+    The subgroup is held as one echelonized span per field component of
+    `crt.field_decomposition(module.ring)`; a field is its own single
+    component.  Canonical RREF bases make equality of distributions a plain
+    array comparison.
     """
 
     is_exact = True
 
-    def __init__(self, module, window, spans, decomposition=None, seed=0, mode="exact",
+    def __init__(self, module, window, spans, seed=0, mode="exact",
                  label="subgroup-haar", provenance=(), kernel_spec=None):
         self._init_common(module, window, mode, label, seed, provenance)
         self.spans = tuple(spans)
-        self.decomposition = decomposition
+        self.decomposition = crt.field_decomposition(module.ring)
+        if len(self.spans) != self.decomposition.n_components:
+            raise InvalidParameterError(
+                f"{len(self.spans)} spans for the {self.decomposition.n_components} "
+                f"field components of {module.ring.descriptor()}"
+            )
         self.kernel_spec = kernel_spec
         for span in self.spans:
             span.basis.setflags(write=False)
@@ -310,24 +301,11 @@ class SubgroupHaarMeasure(MeasureHandle):
     @staticmethod
     def full_space(module, window, seed=0, mode="exact", label="uniform"):
         nvars = window.n_sites * module.rank
-        ring = module.ring
-        if ring.is_field:
-            spans = (_FieldSpan(ring, np.eye(nvars, dtype=np.int64)),)
-            deco = None
-        else:
-            from . import crt
-
-            deco = crt.decompose_ring(ring)
-            spans = tuple(
-                _FieldSpan(r, np.eye(nvars, dtype=np.int64) * r.one)
-                for r in deco.component_rings
-            )
-            for r in deco.component_rings:
-                if not r.is_field:
-                    raise InvalidParameterError(
-                        "full-space Haar over non-squarefree characteristic unsupported"
-                    )
-        return SubgroupHaarMeasure(module, window, spans, deco, seed, mode, label)
+        spans = [
+            _FieldSpan(r, np.eye(nvars, dtype=np.int64) * r.one)
+            for r in crt.field_decomposition(module.ring).component_rings
+        ]
+        return SubgroupHaarMeasure(module, window, spans, seed, mode, label)
 
     @staticmethod
     def from_window_basis(basis: WindowBasis, seed=0, mode="exact", label=None):
@@ -347,7 +325,6 @@ class SubgroupHaarMeasure(MeasureHandle):
             module,
             basis.window,
             spans,
-            basis.decomposition,
             seed,
             mode,
             label or f"kernel-haar[{basis.spec.label}]",
@@ -387,17 +364,14 @@ class SubgroupHaarMeasure(MeasureHandle):
             for span in self.spans
         ]
         return SubgroupHaarMeasure(
-            self.module, sub_window, spans, self.decomposition,
-            seed=self.seed, mode=self.mode, label=self.label,
+            self.module, sub_window, spans, seed=self.seed, mode=self.mode, label=self.label,
             provenance=self.derived(f"marginal on {sub_window}"),
         )
 
     def _component_targets(self, values_by_var, span_index):
         """Map source-ring codes (per var) into the span's field codes."""
-        if self.decomposition is None:
-            return np.asarray(values_by_var, dtype=np.int64)
-        fwd = self.decomposition.forward_table
-        return fwd[np.asarray(values_by_var, dtype=np.int64), span_index]
+        codes = np.asarray(values_by_var, dtype=np.int64)
+        return self.decomposition.forward_table[codes, span_index]
 
     def merged_generators(self) -> np.ndarray:
         """Additive generators of the subgroup as source-ring code rows (g, nvars).
@@ -413,11 +387,8 @@ class SubgroupHaarMeasure(MeasureHandle):
             ring = span.ring
             scalars = [ring.p**j for j in range(ring.k)] if ring.kind == "gf" else [ring.one]
             rows = np.concatenate([ring.mul_arr(np.int64(c), span.basis) for c in scalars])
-            if self.decomposition is not None:
-                comps = [np.zeros_like(rows) for _ in self.spans]
-                comps[si] = rows
-                rows = self.decomposition.merge_arrays(comps)
-            gens.append(rows)
+            comps = [rows if j == si else np.zeros_like(rows) for j in range(len(self.spans))]
+            gens.append(self.decomposition.merge_arrays(comps))
         return np.concatenate(gens)
 
     # exact interface ----------------------------------------------------------
@@ -459,29 +430,10 @@ class SubgroupHaarMeasure(MeasureHandle):
         rank = self.module.rank
         n_sites = self.window.n_sites
         p = Fraction(1, total)
-        per_span = []
-        for span in self.spans:
-            q = span.ring.size
-            nb = span.dim
-            count = q**nb
-            codes = np.zeros((count, nb), dtype=np.int64)
-            idx = np.arange(count)
-            for v in range(nb):
-                codes[:, v] = (idx // q**v) % q
-            if nb:
-                vals = span.ring.lincomb(codes, span.basis)
-            else:
-                vals = np.zeros((1, n_sites * rank), dtype=np.int64)
-            per_span.append(vals)
-        if self.decomposition is None:
-            merged = per_span[0]
-        else:
-            sizes = [v.shape[0] for v in per_span]
-            grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-            flat = [g.ravel() for g in grids]
-            merged = self.decomposition.merge_arrays(
-                [v[f] for v, f in zip(per_span, flat)]
-            )
+        merged = self.decomposition.merge_product([
+            span.ring.lincomb(_coefficient_vectors(span.ring.size, span.dim), span.basis)
+            for span in self.spans
+        ])
         for i in range(merged.shape[0]):
             yield merged[i].reshape(n_sites, rank), p
 
@@ -514,10 +466,7 @@ class SubgroupHaarMeasure(MeasureHandle):
             counters = first * np.uint64(span.dim) + rows.astype(np.uint64)
             coefs = self._rng[si].codes_at(counters, span.ring.size)
             comp_vals.append(span.ring.lincomb(coefs, basis[rows]))
-        if self.decomposition is None:
-            merged = comp_vals[0]
-        else:
-            merged = self.decomposition.merge_arrays(comp_vals)
+        merged = self.decomposition.merge_arrays(comp_vals)
         return merged.reshape(count, sel.size, rank)
 
 
@@ -602,7 +551,6 @@ class ExactWordMeasure(MeasureHandle):
         if total != 1:
             raise InvalidParameterError(f"probabilities sum to {total}, not 1")
         self.words = [(vals, p) for _, vals, p in merged if p]
-        self._index = {vals.tobytes(): i for i, (vals, _) in enumerate(self.words)}
         self._init_common(module, window, mode, label, seed, provenance)
         self._thresholds = cdf_thresholds([p for _, p in self.words])
         self._rng = CounterRng(self.seed, stream=3)
@@ -746,43 +694,34 @@ def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERA
     if t == 0:
         return mu
     rule.module.check_same(mu.module)
-    poly = _power_poly(rule, t)
     note = f"pushforward by {rule.offsets}/{rule.coeffs}, t={t}"
 
     source = mu
-    if (
-        isinstance(source, BernoulliMeasure)
-        and source.is_uniform
-        and source.mode == "exact"
-        and _splits_into_fields(mu.module.ring)
-    ):
-        source = SubgroupHaarMeasure.full_space(
-            mu.module, mu.window, seed=mu.seed, mode=mu.mode, label=mu.label
-        )
+    if isinstance(mu, BernoulliMeasure) and mu.is_uniform and mu.mode == "exact":
+        try:
+            source = SubgroupHaarMeasure.full_space(
+                mu.module, mu.window, seed=mu.seed, mode=mu.mode, label=mu.label
+            )
+        except UnsupportedCharacteristicError:
+            pass  # not a product of fields: enumerate or sample below
     if isinstance(source, SubgroupHaarMeasure) and source.mode == "exact":
         new_spans = []
-        out_window = None
         for si, span in enumerate(source.spans):
-            if source.decomposition is None:
-                comp_poly = poly
-            else:
-                from . import crt
-
-                comp_rule = crt.component_rule(rule, source.decomposition, si)
-                comp_poly = _power_poly(comp_rule, t)
-            w, new_span = _transform_span(span, comp_poly, source.window, mu.module.rank, span.ring)
-            out_window = w
+            comp_poly = _power_poly(crt.component_rule(rule, source.decomposition, si), t)
+            out_window, new_span = _transform_span(
+                span, comp_poly, source.window, mu.module.rank, span.ring
+            )
             new_spans.append(new_span)
         return SubgroupHaarMeasure(
             mu.module,
             out_window,
             new_spans,
-            source.decomposition,
             seed=mu.seed,
             mode=mu.mode,
             label=mu.label,
             provenance=mu.derived(note),
         )
+    poly = _power_poly(rule, t)
     if isinstance(source, CosetHaarMeasure) and source.mode == "exact":
         sub = pushforward(source.subgroup, rule, t, limit)
         rep_vals = source.rep.values[None, ...]
@@ -1146,7 +1085,9 @@ def haar_criterion(results, criterion="subgroup", tol=EXACT_TOL) -> HaarVerdict:
         ok = np.array([_exact_ok(rs, criterion) for rs in results.root_sums], dtype=bool)
         bad = ~ok[results.class_ids]
         bad[0] |= not results.root_sums[results.class_ids[0]].is_one()  # row 0 is trivial
-        violations = [results.row(i) for i in np.flatnonzero(bad)]
+        rows = np.flatnonzero(bad)
+        table = results.table() if rows.size else ()  # one table for every violation
+        violations = [table[i] for i in rows]
         return HaarVerdict(not violations, criterion, len(results), violations)
     results = list(results)
     if not any(r.chi.is_trivial for r in results):
@@ -1201,6 +1142,7 @@ def mixing_statistic(mu: MeasureHandle, pairs, n: int, budget="exact", start: in
 
     `pairs` is a list of (offset h, word); the joint event pins every word on
     its window translated by n*h, the marginals pin the untranslated words.
+    An offset without D+E coordinates is refused.
     """
     if n < 0:
         raise InvalidParameterError(f"n must be >= 0, got {n}")
@@ -1208,9 +1150,8 @@ def mixing_statistic(mu: MeasureHandle, pairs, n: int, budget="exact", start: in
     trans_pins = []
     for h, word in pairs:
         mu.module.check_same(word.module)
-        v = tuple(int(n) * int(x) for x in h)
         marg_pins.append(_pins_from_word(word))
-        trans_pins.append(_pins_from_word(word, v))
+        trans_pins.append(_pins_from_word(word, h, n))
     for pins in marg_pins + trans_pins:
         for site in pins:
             if not mu.window.contains_site(site):

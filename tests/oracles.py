@@ -17,7 +17,11 @@ oracle is the library's original one-character-at-a-time coefficient (one
 `fourier_root_sum` method per measure handle, the enumeration fallback of
 `fourier` and `CharacterSpec.exponent_of_config`), and the per-character
 rigidity experiment its original loop over it; both are the reference for
-the single array-based Fourier engine.
+the single array-based Fourier engine.  The forked word enumerations are the
+library's original `enumerate_kernel_words` and
+`SubgroupHaarMeasure.enumerate_words`, which treated a field apart from a CRT
+split and merged components through the inverse table, kept as the reference
+for the one-component field decomposition.
 """
 
 import csv
@@ -610,3 +614,69 @@ def per_character_rigidity(rule, mu0, characters, t_schedule=None, n_schedule=No
             "note": "finite window/schedule evidence only; no extrapolation claim",
         },
     )
+
+
+def _field_or_split(ring):
+    """None for a field, else the ring's CRT decomposition (the original fork)."""
+    from modshift.crt import decompose_ring
+
+    return None if ring.is_field else decompose_ring(ring)
+
+
+def _inverse_merge(deco, comp_values):
+    idx = np.zeros_like(np.asarray(comp_values[0], dtype=np.int64))
+    for c, ring in zip(reversed(comp_values), reversed(deco.component_rings)):
+        idx = idx * ring.size + np.asarray(c, dtype=np.int64)
+    return deco.inverse_table[idx]
+
+
+def _meshgrid_merge(deco, per_comp):
+    sizes = [w.shape[0] for w in per_comp]
+    grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
+    flat = [g.ravel() for g in grids]
+    return _inverse_merge(deco, [w[f] for w, f in zip(per_comp, flat)])
+
+
+def forked_kernel_words(basis):
+    """All kernel words (count, n_sites, rank), as `enumerate_kernel_words` was."""
+    rank = basis.module.rank
+    per_comp = []
+    for ring, comp_basis, _ in basis.components:
+        q = ring.size
+        nb, n_sites = comp_basis.shape
+        nvars = nb * rank
+        count = q**nvars
+        codes = np.zeros((count, nvars), dtype=np.int64)
+        idx = np.arange(count)
+        for v in range(nvars):
+            codes[:, v] = (idx // q**v) % q
+        words = ring.lincomb(codes.reshape(count * rank, nb), comp_basis)
+        per_comp.append(np.transpose(words.reshape(count, rank, n_sites), (0, 2, 1)))
+    deco = _field_or_split(basis.module.ring)
+    if deco is None:
+        return per_comp[0]
+    return _meshgrid_merge(deco, per_comp)
+
+
+def forked_subgroup_words(mu):
+    """(words (count, n_sites, rank), probability), as `enumerate_words` was."""
+    rank = mu.module.rank
+    n_sites = mu.window.n_sites
+    p = Fraction(1, mu.subgroup_size())
+    per_span = []
+    for span in mu.spans:
+        q = span.ring.size
+        nb = span.dim
+        count = q**nb
+        codes = np.zeros((count, nb), dtype=np.int64)
+        idx = np.arange(count)
+        for v in range(nb):
+            codes[:, v] = (idx // q**v) % q
+        if nb:
+            vals = span.ring.lincomb(codes, span.basis)
+        else:
+            vals = np.zeros((1, n_sites * rank), dtype=np.int64)
+        per_span.append(vals)
+    deco = _field_or_split(mu.module.ring)
+    merged = per_span[0] if deco is None else _meshgrid_merge(deco, per_span)
+    return merged.reshape(-1, n_sites, rank), p

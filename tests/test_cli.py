@@ -165,6 +165,12 @@ UNIFORM = ("--measure", "uniform", "--ring", "zmod:2", "--extents", "4")
          "InvalidParameterError", "n_samples"),
         (["measure", "mixing", *UNIFORM, "--offsets", "(1)", "--budget", "-3"],
          "InvalidParameterError", "sample budget"),
+        (["measure", "mixing", "--measure", "kernel", "--kernel", KERNEL, "--extents", "9,9",
+          "--offsets", "(1);(0)", "--n-schedule", "1 2"], "InvalidParameterError", "offset (1,)"),
+        (["shift", "mixing-check", "--kernel", KERNEL, "--offsets", "(1,0,7);(0,2)", "--n", "3"],
+         "InvalidParameterError", "offset (1, 0, 7)"),
+        (["shift", "mixing-check", "--kernel", KERNEL, "--offsets", "(1);(0,2)", "--n", "3"],
+         "InvalidParameterError", "offset (1,)"),
     ],
 )
 def test_malformed_flags_exit_2_with_typed_error(capsys, argv, kind, flag):

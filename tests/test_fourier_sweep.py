@@ -27,6 +27,7 @@ from modshift import (
     OutOfWindowError,
     ResourceLimitError,
     SubgroupHaarMeasure,
+    UnsupportedCharacteristicError,
     WindowConfig,
     WindowSpec,
     all_characters,
@@ -45,7 +46,7 @@ from modshift import (
     uniform_bernoulli,
 )
 from modshift.chars import character_codes, character_labels, format_character
-from modshift.crt import _verify_bijection, decompose_ring
+from modshift.crt import _verify_bijection, decompose_ring, field_decomposition
 from modshift.experiment import parse_experiment, run_experiment
 from modshift.measures import ExactWordMeasure, TransformedMeasure
 from modshift.rng import CounterRng
@@ -272,6 +273,24 @@ def test_sweep_verdict_demands_trivial_coefficient_one():
     assert _dump(haar_criterion(sweep).to_dict()) == _dump(want)
 
 
+def test_sweep_verdict_builds_one_table(monkeypatch):
+    from modshift import FourierSweep
+
+    mod = ModuleSpec(make_ring("zmod:2"), 1)
+    win = _win((6,))
+    sweep = fourier_sweep(bernoulli(mod, win, [Fraction(1, 3), Fraction(2, 3)]), win)
+    want = [sweep.row(i) for i in range(1, len(sweep))]  # every nontrivial coefficient is 3**-k
+    calls = []
+    original = FourierSweep.table
+    monkeypatch.setattr(FourierSweep, "table", lambda self, **extra: calls.append(1) or original(self, **extra))
+    verdict = haar_criterion(sweep)
+    assert len(calls) == 1
+    assert verdict.violations == want and len(want) == 63
+    calls.clear()
+    assert haar_criterion(fourier_sweep(uniform_bernoulli(mod, win), win)).consistent
+    assert not calls
+
+
 def test_character_codes_and_labels_follow_all_characters():
     mod = ModuleSpec(make_ring("zmod:3"), 2)
     win = WindowSpec((1, 1), (-1, 2), (2, 1))
@@ -322,7 +341,7 @@ def _full_draw_reference(mu, start, count):
         for i in range(nb):
             flat = span.ring.add_arr(flat, span.ring.mul_arr(coefs[:, i][:, None], span.basis[i][None, :]))
         comp.append(flat)
-    merged = comp[0] if mu.decomposition is None else mu.decomposition.merge_arrays(comp)
+    merged = mu.decomposition.merge_arrays(comp)
     return merged.reshape(count, mu.window.n_sites, mu.module.rank)
 
 
@@ -450,9 +469,10 @@ def test_pushforward_uniform_zmod4_enumerates():
     # x -> (x_i + x_{i+1}) maps (Z/4)^6 onto (Z/4)^5, four to one.
     assert len(pushed.words) == 4**5
     assert all(p == Fraction(1, 4**5) for _, p in pushed.words)
-    assert not measures._splits_into_fields(make_ring("zmod:4"))
-    assert not measures._splits_into_fields(make_ring("prod:[zmod:6;zmod:2]"))
-    assert measures._splits_into_fields(make_ring("zmod:6"))
+    for refused in ("zmod:4", "prod:[zmod:6;zmod:2]"):
+        with pytest.raises(UnsupportedCharacteristicError):
+            field_decomposition(make_ring(refused))
+    assert field_decomposition(make_ring("zmod:6")).n_components == 2
 
 
 def test_pushforward_uniform_squarefree_stays_structural():

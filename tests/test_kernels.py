@@ -249,6 +249,14 @@ def test_topological_mixing(cb_system):
         topological_mixing_check(cb_system.kernel, [((0, 0), a), ((0, 0), b)], 5)
 
 
+def test_topological_mixing_refuses_offset_of_wrong_arity(cb_system):
+    word = constant_config(cb_system.module, WindowSpec((1, 1), (0, 0), (1, 1)), 0)
+    for bad in ((1,), (1, 0, 7)):
+        message = rf"offset \({bad[0]},.*has length {len(bad)}, not D\+E = 2"
+        with pytest.raises(InvalidParameterError, match=message):
+            topological_mixing_check(cb_system.kernel, [((0, 0), word), (bad, word)], 3)
+
+
 def test_extension_certificate(cb_system, torsion_system):
     assert extension_certificate(cb_system.kernel, cb_system.six_site_window())
     assert extension_certificate(cb_system.kernel, cb_system.window(5, 3))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from modshift import GFRing, InvalidParameterError, KernelShiftSpec, WindowSpec, ZmodRing
+from modshift.crt import component_rule
 from modshift.kernels import constraint_matrix, window_kernel
 from modshift.linalg import nullspace, rank, rref, solve_affine
 from modshift.rng import CounterRng
@@ -148,15 +149,10 @@ def test_window_kernel_matches_dense_oracle(text):
     spec = KernelShiftSpec(parse_rule(text, expect_prefix="kernel"))
     window = WindowSpec((1, 1), (0, 0), (7, 5))
     basis = window_kernel(spec, window)
-    if basis.decomposition is None:
-        component_specs = [spec]
-    else:
-        from modshift import crt
-
-        component_specs = [
-            KernelShiftSpec(crt.component_rule(spec.constraint, basis.decomposition, j))
-            for j in range(basis.decomposition.n_components)
-        ]
+    deco = basis.decomposition
+    component_specs = [
+        KernelShiftSpec(component_rule(spec.constraint, deco, j)) for j in range(deco.n_components)
+    ]
     assert len(component_specs) == len(basis.components)
     for comp_spec, (ring, got_basis, free) in zip(component_specs, basis.components):
         matrix = constraint_matrix(comp_spec, window)

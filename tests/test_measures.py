@@ -373,6 +373,15 @@ def test_mixing_product_measure_exact_zero():
     assert res.observed_fraction == Fraction(1, 4) == res.product_fraction
 
 
+def test_mixing_refuses_offset_of_wrong_arity(cb_system):
+    mu = uniform_bernoulli(cb_system.module, cb_system.window(9, 9), seed=0)
+    word = constant_config(cb_system.module, WindowSpec((1, 1), (0, 0), (1, 1)), 0)
+    for bad in ((1,), (1, 0, 7)):
+        message = rf"offset \({bad[0]},.*has length {len(bad)}, not D\+E = 2"
+        with pytest.raises(InvalidParameterError, match=message):
+            mixing_statistic(mu, [((0, 0), word), (bad, word)], 1)
+
+
 def test_mixing_point_mass():
     mod = ModuleSpec(ZmodRing(2), 1)
     win = WindowSpec((1, 0), (0,), (8,))
