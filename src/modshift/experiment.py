@@ -50,6 +50,7 @@ from .measures import (
 from .rings import ModuleSpec, make_ring, recurrent_power_sums
 from .rng import CounterRng
 from .shiftpoly import (
+    TorusStencil,
     frobenius_power,
     from_rule,
     parse_rule,
@@ -183,9 +184,7 @@ def frobenius_check(rule, k: int, torus, configs: int, seed: int, start: int = 0
         window = WindowSpec(rule.dims, (0,) * len(torus), tuple(torus))
         shape = (configs,) + window.extents + (rule.module.rank,)
         draws = CounterRng(seed, stream=71).uniform_codes(start, shape, rule.ring.size)
-        naive = draws
-        for _ in range(p**k):
-            _, naive = stencil(f.terms, naive, window, "torus", rule.ring)
+        naive = TorusStencil(f.terms, window, rule.ring, shape).apply(draws, p**k)
         _, fast = stencil(frob.terms, draws, window, "torus", rule.ring)
         applied = bool(np.array_equal(fast, naive))
         if not structural:

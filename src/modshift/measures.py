@@ -689,6 +689,22 @@ def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERA
     `limit`; everything else becomes a sampled handle using the fast
     (base-p Frobenius) polynomial power.
     """
+    return _pushforward(mu, rule, t, limit, {})
+
+
+def _pushforward(mu, rule, t, limit, powers):
+    """`pushforward`, computing each distinct rule's t-th power once.
+
+    `powers` maps a rule to its power and is shared with the recursive call
+    for a coset's subgroup: over a field the subgroup's one component rule is
+    the rule itself.
+    """
+
+    def power(r):
+        if r not in powers:
+            powers[r] = _power_poly(r, t)
+        return powers[r]
+
     if t < 0:
         raise InvalidParameterError(f"t must be >= 0, got {t}")
     if t == 0:
@@ -707,7 +723,7 @@ def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERA
     if isinstance(source, SubgroupHaarMeasure) and source.mode == "exact":
         new_spans = []
         for si, span in enumerate(source.spans):
-            comp_poly = _power_poly(crt.component_rule(rule, source.decomposition, si), t)
+            comp_poly = power(crt.component_rule(rule, source.decomposition, si))
             out_window, new_span = _transform_span(
                 span, comp_poly, source.window, mu.module.rank, span.ring
             )
@@ -721,9 +737,9 @@ def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERA
             label=mu.label,
             provenance=mu.derived(note),
         )
-    poly = _power_poly(rule, t)
+    poly = power(rule)
     if isinstance(source, CosetHaarMeasure) and source.mode == "exact":
-        sub = pushforward(source.subgroup, rule, t, limit)
+        sub = _pushforward(source.subgroup, rule, t, limit, powers)
         rep_vals = source.rep.values[None, ...]
         out_window, rep_out = stencil(poly.terms, rep_vals, source.window, "exact", rule.ring)
         rep_cfg = WindowConfig(out_window, mu.module, rep_out[0], "exact")

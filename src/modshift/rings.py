@@ -131,11 +131,19 @@ class Ring:
     def sub_arr(self, a, b):
         return self.add_arr(a, self.neg_arr(b))
 
+    def sum_dtype(self, n_terms: int) -> np.dtype:
+        """The narrowest code dtype in which `weighted_sum` of n_terms arrays runs.
+
+        The generic ring combines codes through its int64 tables.
+        """
+        return np.dtype(np.int64)
+
     def weighted_sum(self, coeffs, arrays):
         """sum_i coeffs[i] * arrays[i] for a nonempty list of scalar coefficients.
 
         `arrays` may be any iterable of same-shape code arrays; it is consumed
-        one array at a time.
+        one array at a time.  The generic ring works on int64 codes through
+        `mul_arr` and `add_arr` and returns int64.
         """
         out = None
         for c, a in zip(coeffs, arrays):
@@ -323,21 +331,49 @@ class ZmodRing(Ring):
     def mul_arr(self, a, b):
         return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.m
 
+    def sum_dtype(self, n_terms):
+        """The narrowest unsigned dtype holding n_terms * (m-1)**2, else int64.
+
+        m <= 2**16, so int64 holds the unreduced sum of any term count below
+        2**31.
+        """
+        bits = (n_terms * (self.m - 1) ** 2).bit_length()
+        for width, dtype in ((8, np.uint8), (16, np.uint16), (32, np.uint32)):
+            if bits <= width:
+                return np.dtype(dtype)
+        return np.dtype(np.int64)
+
     def weighted_sum(self, coeffs, arrays):
-        # Accumulate unreduced on int64 and reduce once: each term is at most
-        # (m-1)**2 and m <= 2**16, so the sum stays below 2**63.
+        """sum_i coeffs[i] * arrays[i], accumulated unreduced and reduced once.
+
+        The sum is accumulated in the dtype of the first array and returned in
+        it.  Each term is at most (m-1)**2, so that dtype must hold
+        len(coeffs) * (m-1)**2; `sum_dtype` gives the narrowest that does, and
+        int64 always does.
+        """
         coeffs = [int(c) % self.m for c in coeffs]
-        assert len(coeffs) * (self.m - 1) ** 2 < 1 << 63
         out = None
         for c, a in zip(coeffs, arrays):
-            a = np.asarray(a, dtype=np.int64)
+            a = np.asarray(a)
             if out is None:
-                out = a * c
+                bits = (len(coeffs) * (self.m - 1) ** 2).bit_length()
+                if bits > 8 * a.dtype.itemsize - (a.dtype.kind != "u"):
+                    raise InvalidParameterError(
+                        f"{a.dtype} cannot hold a {len(coeffs)}-term sum mod {self.m}"
+                    )
+                out = a.copy() if c == 1 else a * c
             elif c == 1:
                 out += a
             else:
                 out += a * c
-        out %= self.m
+        if out.dtype.kind == "u":
+            # numpy vectorizes unsigned floor division by a scalar but not the
+            # remainder, so x - (x // m) * m is several times faster than x % m.
+            quot = out // self.m
+            quot *= self.m
+            out -= quot
+        else:
+            out %= self.m
         return out
 
     def lincomb(self, coefs, rows):

@@ -37,6 +37,7 @@ __all__ = [
     "frobenius_power",
     "apply_poly",
     "stencil",
+    "TorusStencil",
     "parse_rule",
     "format_rule",
 ]
@@ -267,32 +268,119 @@ def poly_pow_naive_small(f: ShiftPolynomial, d: int) -> ShiftPolynomial:
     return result
 
 
+def _centred_residue(x: int, n: int) -> int:
+    """x mod n in (-n/2, n/2]: the shortest way round a cycle of length n."""
+    r = x % n
+    return r - n if r > n // 2 else r
+
+
+class TorusStencil:
+    """sum_h c_h * shift(x, h) on a torus, planned once for a batch shape.
+
+    The plan holds everything that depends only on (terms, window, ring,
+    shape): each offset reduced to its centred residue mod the extents (the
+    torus identifies them, so a Frobenius term at p**k * h costs no more than
+    one at h), the wrap-padded shape, the interior and halo slices, one view
+    slice per term, and the ring's `sum_dtype` for the term count.  A step
+    writes one wrap-padded copy of its input in that dtype (the interior plus
+    at most two halo slice copies per axis), takes every term as a view into
+    it and hands the views to `Ring.weighted_sum`.
+    """
+
+    def __init__(self, terms, window: WindowSpec, ring: Ring, shape):
+        terms = tuple(terms)
+        if not terms:
+            raise InvalidParameterError("a torus stencil needs at least one term")
+        self.ring = ring
+        self.coeffs = [c for _, c in terms]
+        self.dtype = ring.sum_dtype(len(terms))
+        extents = window.extents
+        residues = [
+            tuple(_centred_residue(x, n) for x, n in zip(off, extents)) for off, _ in terms
+        ]
+        lows = [max(0, -min(r[i] for r in residues)) for i in range(window.axes)]
+        highs = [max(0, max(r[i] for r in residues)) for i in range(window.axes)]
+        shape = tuple(shape)
+        self.padded_shape = (
+            shape[:1]
+            + tuple(n + lo + hi for n, lo, hi in zip(extents, lows, highs))
+            + shape[1 + window.axes :]
+        )
+        self.interior = (slice(None),) + tuple(
+            slice(lo, lo + n) for n, lo in zip(extents, lows)
+        )
+        # Halo copies run axis by axis over the full padded range of every
+        # other axis: earlier axes' halos are already filled, and later axes'
+        # halos are filled afterwards from slabs that include this one's.
+        self.halos = []
+        for i, (n, lo, hi) in enumerate(zip(extents, lows, highs)):
+            if lo:
+                self.halos.append((_axis_slice(i, 0, lo), _axis_slice(i, n, n + lo)))
+            if hi:
+                high = _axis_slice(i, lo + n, lo + n + hi)
+                self.halos.append((high, _axis_slice(i, lo, lo + hi)))
+        self.views = [
+            (slice(None),) + tuple(slice(lo + x, lo + x + n) for n, lo, x in zip(extents, lows, r))
+            for r in residues
+        ]
+
+    def _step(self, codes):
+        padded = np.empty(self.padded_shape, dtype=self.dtype)
+        padded[self.interior] = codes
+        for dst, src in self.halos:
+            padded[dst] = padded[src]
+        return self.ring.weighted_sum(self.coeffs, (padded[v] for v in self.views))
+
+    def apply(self, values: np.ndarray, steps: int = 1) -> np.ndarray:
+        """`steps` applications to values, returned in the dtype of values.
+
+        Codes stay in the plan's dtype between steps; int64 in gives int64 out.
+        """
+        codes = values
+        for _ in range(steps):
+            codes = self._step(codes)
+        return codes.astype(values.dtype, copy=False)
+
+
+def _axis_slice(axis: int, start: int, stop: int) -> tuple:
+    """Index of start:stop on spatial axis `axis` of a (count, *extents, rank) array."""
+    return (slice(None),) * (1 + axis) + (slice(start, stop),)
+
+
 def stencil(terms, values: np.ndarray, window: WindowSpec, mode: str, ring: Ring):
     """sum_h c_h * shift(x, h) for a batch of configurations on one window.
 
     `terms` is a sequence of (offset h, coefficient c_h) and `values` has shape
     (count, *window.extents, rank).  Torus mode wraps every axis and keeps the
-    window.  Exact mode evaluates at every anchor whose full stencil lies in
-    the window (clipped to the lattice) and raises DomainExhaustedError when
-    none does.  No terms give zeros on the same window.  Returns
-    (out_window, out) with out of shape (count, *out_window.extents, rank).
+    window; it runs one `TorusStencil` step, which accumulates in the ring's
+    `sum_dtype` for the term count (for Z/m the narrowest unsigned dtype that
+    holds n_terms * (m-1)**2) and returns the dtype of `values`: int64 in,
+    int64 out.  Exact mode evaluates at every anchor whose full stencil lies
+    in the window (clipped to the lattice) and raises DomainExhaustedError
+    when none does; it takes and returns int64 codes.  No terms give zeros on
+    the same window.  Returns (out_window, out) with out of shape
+    (count, *out_window.extents, rank).
     """
     terms = tuple(terms)
     if not terms:
         return window, np.zeros_like(values)
     if mode == "torus":
-        spatial = tuple(range(1, 1 + window.axes))
-        out_window = window
-        blocks = (np.roll(values, tuple(-x for x in off), axis=spatial) for off, _ in terms)
-    else:
-        out_window = window.stencil_anchors([off for off, _ in terms])
-        if out_window is None:
-            raise DomainExhaustedError(f"stencil span exceeds window {window}")
-        blocks = (
-            values[(slice(None),) + window.relative_slices(out_window.translate(off))]
-            for off, _ in terms
-        )
+        return window, TorusStencil(terms, window, ring, values.shape).apply(values)
+    out_window = window.stencil_anchors([off for off, _ in terms])
+    if out_window is None:
+        raise DomainExhaustedError(f"stencil span exceeds window {window}")
+    blocks = (
+        values[(slice(None),) + window.relative_slices(out_window.translate(off))]
+        for off, _ in terms
+    )
     return out_window, ring.weighted_sum([c for _, c in terms], blocks)
+
+
+def _check_applicable(poly: ShiftPolynomial, config: WindowConfig):
+    if poly.ring != config.module.ring:
+        raise RingMismatchError("polynomial/config ring mismatch")
+    if poly.dims[0] + poly.dims[1] != config.window.axes:
+        raise RingMismatchError("polynomial/config lattice arity mismatch")
 
 
 def apply_poly(poly: ShiftPolynomial, config: WindowConfig) -> WindowConfig:
@@ -301,10 +389,7 @@ def apply_poly(poly: ShiftPolynomial, config: WindowConfig) -> WindowConfig:
     Exact mode: the output window is every site whose full stencil stays inside
     the stored window (clipped to the lattice); torus mode wraps all axes.
     """
-    if poly.ring != config.module.ring:
-        raise RingMismatchError("polynomial/config ring mismatch")
-    if poly.dims[0] + poly.dims[1] != config.window.axes:
-        raise RingMismatchError("polynomial/config lattice arity mismatch")
+    _check_applicable(poly, config)
     out_window, out = stencil(
         poly.terms, config.values[None], config.window, config.mode, poly.ring
     )
@@ -312,8 +397,16 @@ def apply_poly(poly: ShiftPolynomial, config: WindowConfig) -> WindowConfig:
 
 
 def iterate_rule(rule: LocalRule, config: WindowConfig, t: int) -> WindowConfig:
-    """t-fold naive application (the reference path for fast-forward checks)."""
+    """t-fold naive application (the reference path for fast-forward checks).
+
+    A torus configuration runs t steps of one `TorusStencil` plan, carrying
+    narrow codes between steps; an exact one shrinks its window each step.
+    """
     poly = from_rule(rule)
+    _check_applicable(poly, config)
+    if config.mode == "torus":
+        plan = TorusStencil(poly.terms, config.window, poly.ring, (1,) + config.values.shape)
+        return config.with_values(plan.apply(config.values[None], t)[0])
     out = config
     for _ in range(t):
         out = apply_poly(poly, out)

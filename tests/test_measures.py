@@ -198,6 +198,32 @@ def test_pushforward_kernel_haar_matches_enumeration_oracle(cb_system):
     assert enumerated == oracle
 
 
+def test_coset_pushforward_over_a_field_powers_the_rule_once(cb_system, monkeypatch):
+    from modshift import measures
+    from modshift.shiftpoly import apply_poly, from_rule, poly_pow_charp
+
+    window = cb_system.window(12, 6)
+    mu = coset_haar(cb_system.checkerboard(window), cb_system.kernel, seed=5)
+    calls = []
+
+    def counting(f, t):
+        calls.append(t)
+        return poly_pow_charp(f, t)
+
+    monkeypatch.setattr(measures, "poly_pow_charp", counting)
+    pushed = pushforward(mu, cb_system.rule, 4)
+    assert calls == [4]
+    monkeypatch.undo()
+    # The same measure as pushing the subgroup and the representative apart.
+    sub = pushforward(mu.subgroup, cb_system.rule, 4)
+    assert pushed.window == sub.window and pushed.subgroup.provenance == sub.provenance
+    assert [s.ring for s in pushed.subgroup.spans] == [s.ring for s in sub.spans]
+    for got, want in zip(pushed.subgroup.spans, sub.spans):
+        assert np.array_equal(got.basis, want.basis)
+    rep = apply_poly(poly_pow_charp(from_rule(cb_system.rule), 4), mu.rep)
+    assert pushed.rep == rep and pushed.rep.values.tobytes() == rep.values.tobytes()
+
+
 def test_fourier_trivial_is_one(cb_system, eta6):
     w6 = cb_system.six_site_window()
     trivial = CharacterSpec.build(cb_system.module, w6, {})

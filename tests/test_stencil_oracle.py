@@ -4,7 +4,10 @@
 table arithmetic, and every caller (`apply_poly`, `constraint_residual`,
 `batch_membership`, the batched Frobenius and CRT checks) goes through it.
 Ring arithmetic is exact, so each must equal the original evaluation, which
-reduces after every multiply and every add, bit for bit.
+reduces after every multiply and every add, bit for bit.  The torus path
+writes one wrap-padded copy in the ring's narrowest sum dtype; the `np.roll`
+oracle checks it at offsets far beyond the extents, at every dtype boundary
+and over many steps of narrow codes.
 """
 
 import dataclasses
@@ -14,7 +17,7 @@ import pytest
 
 from modshift import GFRing, KernelShiftSpec, ModuleSpec, WindowSpec, ZmodRing
 from modshift.crt import component_map_verdicts, conjugacy_check, decompose_ring
-from modshift.errors import DomainExhaustedError
+from modshift.errors import DomainExhaustedError, InvalidParameterError
 from modshift.experiment import frobenius_check
 from modshift.kernels import batch_membership, constraint_matrix, constraint_residual
 from modshift.lattice import WindowConfig, checkerboard_config, config_from_function
@@ -23,9 +26,11 @@ from modshift.rng import CounterRng
 from modshift.shiftpoly import (
     LocalRule,
     ShiftPolynomial,
+    TorusStencil,
     apply_poly,
     frobenius_power,
     from_rule,
+    iterate_rule,
     parse_rule,
     poly_pow,
     stencil,
@@ -332,3 +337,207 @@ def test_checkerboard_matches_per_site_evaluation(ring_text, dims, origin, exten
     want = config_from_function(module, window, lambda site: ring.from_int(sum(site)), "torus")
     got = checkerboard_config(module, window, "torus")
     assert got == want and got.values.tobytes() == want.values.tobytes()
+
+
+# -- torus stencils: one wrap-padded copy in the ring's narrowest sum dtype --------------
+
+# (dims, extents, offsets): offsets at, beyond and far beyond the extents, both signs.
+TORUS_CASES = {
+    "at_extent": ((2, 0), (5, 4), ((5, 0), (0, -4), (-5, 4), (1, 1))),
+    "beyond_extent": ((2, 0), (5, 4), ((7, -9), (-11, 6), (0, 0), (23, 1))),
+    "far_beyond": ((1, 0), (7,), ((7 * 1000 + 3,), (-7 * 999 - 2,), (1,))),
+    "extent_one_axis": ((1, 1), (1, 6), ((0, 0), (3, 1), (-2, 7))),
+    "all_extent_one": ((2, 0), (1, 1), ((0, 0), (1, -1), (5, 2))),
+    "even_half_turn": ((1, 1), (6, 4), ((3, 0), (-3, 2), (0, 1))),
+}
+
+# Rings on each side of every dtype boundary of n_terms * (m-1)**2.
+BOUNDARY_RINGS = [ZmodRing(m) for m in (2, 16, 17, 256, 257, 65521, 65536)]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=_ids)
+@pytest.mark.parametrize("case", sorted(TORUS_CASES))
+@pytest.mark.parametrize("count, rank", [(1, 1), (3, 2)])
+def test_torus_stencil_matches_roll_oracle(ring, case, count, rank):
+    dims, extents, offsets = TORUS_CASES[case]
+    window = WindowSpec(dims, (0,) * len(extents), extents)
+    poly = ShiftPolynomial.from_terms(
+        ring, dims, dict(zip(offsets, _coeffs(ring, len(offsets), seed=count)))
+    )
+    values = _values(ring, count, extents, rank, seed=rank)
+    _, want = reduce_each_batch(poly, window, values, "torus", ring)
+    got_window, got = stencil(poly.terms, values, window, "torus", ring)
+    assert got_window == window
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ring", BOUNDARY_RINGS, ids=_ids)
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 4])
+def test_torus_stencil_on_each_side_of_the_dtype_boundaries(ring, n_terms):
+    offsets = [(0, 0), (1, -1), (-2, 3), (4, 5)][:n_terms]
+    window = WindowSpec((2, 0), (0, 0), (6, 5))
+    coeffs = [ring.size - 1] * n_terms  # every term at its largest, (m-1)**2
+    poly = ShiftPolynomial.from_terms(ring, (2, 0), dict(zip(offsets, coeffs)))
+    values = _values(ring, 2, window.extents, 1, seed=n_terms)
+    values[0] = ring.size - 1
+    plan = TorusStencil(poly.terms, window, ring, values.shape)
+    assert plan.dtype == ring.sum_dtype(n_terms)
+    _, want = reduce_each_batch(poly, window, values, "torus", ring)
+    _, got = stencil(poly.terms, values, window, "torus", ring)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    narrow = plan.apply(values.astype(plan.dtype))
+    assert narrow.dtype == plan.dtype and np.array_equal(narrow, want)
+
+
+@pytest.mark.parametrize(
+    "m, n_terms, dtype",
+    [
+        (2, 255, np.uint8), (2, 256, np.uint16),
+        (16, 1, np.uint8), (16, 2, np.uint16), (17, 1, np.uint16),
+        (256, 1, np.uint16), (256, 2, np.uint32), (257, 1, np.uint32),
+        (65521, 1, np.uint32), (65521, 2, np.int64), (65536, 1, np.uint32), (65536, 2, np.int64),
+    ],
+)
+def test_sum_dtype_is_the_narrowest_holding_the_unreduced_sum(m, n_terms, dtype):
+    assert ZmodRing(m).sum_dtype(n_terms) == np.dtype(dtype)
+
+
+@pytest.mark.parametrize("ring", [r for r in RINGS if r.kind != "zmod"], ids=_ids)
+def test_table_rings_sum_in_int64(ring):
+    assert ring.sum_dtype(1) == ring.sum_dtype(64) == np.dtype(np.int64)
+
+
+def test_weighted_sum_refuses_a_dtype_too_narrow_for_the_sum():
+    ring = ZmodRing(17)
+    arrays = _values(ring, 2, (4,), 1, seed=2).astype(np.uint8)
+    with pytest.raises(InvalidParameterError):
+        ring.weighted_sum([1], arrays)
+    got = ring.weighted_sum([3, 5], arrays.astype(np.uint16))
+    assert got.dtype == np.uint16
+    assert np.array_equal(got, Ring.weighted_sum(ring, [3, 5], list(arrays)))
+
+
+@pytest.mark.parametrize(
+    "rule_text, torus",
+    [
+        ("rule ring=zmod:3 rank=1 dims=1,1 H=(0,0):1;(1,1):2", (16, 16)),
+        ("rule ring=zmod:5 rank=1 dims=1,1 H=(-1,0):2;(0,1):3", (7, 5)),
+        ("rule ring=zmod:2 rank=2 dims=1,0 H=(-1):1;(0):1;(1):1", (9,)),
+        ("rule ring=gf:2:2:1,1,1 rank=1 dims=0,1 H=(0):2;(1):3", (13,)),
+        ("rule ring=prod:[zmod:2;gf:2:2:1,1,1] rank=1 dims=2,0 H=(0,0):5;(1,0):1;(0,1):7", (4, 3)),
+    ],
+)
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_frobenius_terms_on_small_tori_match_roll_oracle(rule_text, torus, k):
+    # p**k * h is far beyond the extents; the centred residues wrap it back.
+    rule = parse_rule(rule_text)
+    poly = frobenius_power(rule, k)
+    window = WindowSpec(rule.dims, (0,) * len(torus), torus)
+    values = _values(rule.ring, 2, torus, rule.module.rank, seed=k)
+    _, want = reduce_each_batch(poly, window, values, "torus", rule.ring)
+    _, got = stencil(poly.terms, values, window, "torus", rule.ring)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ring", RINGS + BOUNDARY_RINGS, ids=_ids)
+def test_narrow_iteration_equals_int64_oracle_steps(ring):
+    window = WindowSpec((1, 1), (0, 0), (5, 4))
+    poly = ShiftPolynomial.from_terms(
+        ring, (1, 1), dict(zip(((-1, 0), (0, 1), (2, 3)), _coeffs(ring, 3, seed=6)))
+    )
+    values = _values(ring, 3, window.extents, 2, seed=7)
+    want = values
+    for _ in range(9):
+        _, want = reduce_each_batch(poly, window, want, "torus", ring)
+    plan = TorusStencil(poly.terms, window, ring, values.shape)
+    got = plan.apply(values, 9)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    narrow = plan.apply(values.astype(plan.dtype), 9)
+    assert narrow.dtype == plan.dtype and np.array_equal(narrow, want)
+    assert plan.apply(values, 0) is values
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=_ids)
+@pytest.mark.parametrize("rank", [1, 2])
+def test_iterate_rule_matches_reduce_each_steps_on_tori(ring, rank):
+    module = ModuleSpec(ring, rank)
+    rule = LocalRule(module, (1, 1), ((0, 0), (1, 0), (-3, 2)), tuple(_coeffs(ring, 3, seed=rank)))
+    window = WindowSpec((1, 1), (-2, 1), (6, 5))
+    cfg = WindowConfig(window, module, _values(ring, 1, window.extents, rank, seed=9)[0], "torus")
+    want = cfg
+    for t in range(6):
+        assert iterate_rule(rule, cfg, t) == want
+        want = reduce_each_apply(from_rule(rule), want)
+
+
+def test_iterate_rule_runs_one_plan_on_tori_and_shrinks_exact_windows(monkeypatch):
+    from modshift import shiftpoly
+
+    ring = ZmodRing(3)
+    module = ModuleSpec(ring)
+    rule = LocalRule(module, (1, 0), ((0,), (1,)), (1, 2))
+    window = WindowSpec((1, 0), (0,), (12,))
+    values = _values(ring, 1, window.extents, 1, seed=3)[0]
+    exact = WindowConfig(window, module, values, "exact")
+    want_exact = exact
+    for _ in range(4):
+        want_exact = reduce_each_apply(from_rule(rule), want_exact)
+    torus = WindowConfig(window, module, values, "torus")
+    want_torus = torus
+    for _ in range(27):
+        want_torus = reduce_each_apply(from_rule(rule), want_torus)
+    calls = []
+    real = shiftpoly.apply_poly
+    monkeypatch.setattr(shiftpoly, "apply_poly", lambda *a: calls.append(1) or real(*a))
+    assert iterate_rule(rule, torus, 27) == want_torus and calls == []
+    got = iterate_rule(rule, exact, 4)
+    assert got == want_exact and got.window.extents == (8,) and len(calls) == 4
+
+
+def _torus_callers():
+    """Each caller of the torus path on int64 codes: its code array or verdict."""
+    ring = ZmodRing(5)
+    module = ModuleSpec(ring, 2)
+    rule = LocalRule(module, (1, 1), ((-1, 0), (0, 1), (3, 2)), (2, 1, 4))
+    poly = from_rule(rule)
+    window = WindowSpec((1, 1), (0, 0), (6, 5))
+    values = _values(ring, 2, window.extents, 2, seed=1)
+    cfg = WindowConfig(window, module, values[0], "torus")
+    return {
+        "stencil": lambda: stencil(poly.terms, values, window, "torus", ring)[1],
+        "plan": lambda: TorusStencil(poly.terms, window, ring, values.shape).apply(values, 3),
+        "apply_poly": lambda: apply_poly(poly, cfg).values,
+        "iterate_rule": lambda: iterate_rule(rule, cfg, 3).values,
+        "frobenius_check": lambda: frobenius_check(rule, 1, window.extents, 2, seed=3)["applied"],
+        "conjugacy_check": lambda: conjugacy_check(
+            rule, decompose_ring(ring), trials=3, torus_extents=(6, 5)
+        ).ok,
+    }
+
+
+@pytest.mark.parametrize("caller", sorted(_torus_callers()))
+def test_torus_callers_give_int64_and_never_roll(caller, monkeypatch):
+    want = _torus_callers()[caller]()
+
+    def no_roll(*args, **kwargs):
+        raise AssertionError("np.roll called on the torus path")
+
+    monkeypatch.setattr(np, "roll", no_roll)
+    got = _torus_callers()[caller]()
+    if isinstance(want, np.ndarray):
+        assert want.dtype == got.dtype == np.int64 and np.array_equal(got, want)
+    else:
+        assert got is want is True
+
+
+def test_torus_stencil_keeps_the_dtype_it_is_given():
+    ring = ZmodRing(3)
+    window = WindowSpec((1, 0), (0,), (10,))
+    terms = (((0,), 1), ((4,), 2))
+    values = _values(ring, 2, window.extents, 1, seed=4)
+    _, want = reduce_each_batch(
+        ShiftPolynomial.from_terms(ring, (1, 0), dict(terms)), window, values, "torus", ring
+    )
+    for dtype in (np.int64, np.uint8, np.uint16, np.int32):
+        _, got = stencil(terms, values.astype(dtype), window, "torus", ring)
+        assert got.dtype == dtype and np.array_equal(got, want)
