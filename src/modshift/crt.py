@@ -88,15 +88,26 @@ class CrtDecomposition:
 
     def split_arrays(self, values: np.ndarray):
         values = np.asarray(values, dtype=np.int64)
-        return [self.forward_table[values, j] for j in range(self.n_components)]
+        return [self.forward_table[:, j][values] for j in range(self.n_components)]
 
     def merge_arrays(self, comp_values) -> np.ndarray:
+        """Source-ring codes of per-component code arrays.
+
+        The codes come back in the dtype of the component arrays when it holds
+        every source code (the mixed-radix index never exceeds one), else in
+        int64; a degenerate decomposition returns its one input unchanged.
+        """
+        comp_values = [np.asarray(c) for c in comp_values]
         if self.degenerate:  # identity tables: the one component is the value
-            return np.asarray(comp_values[0], dtype=np.int64)
-        idx = np.zeros_like(np.asarray(comp_values[0], dtype=np.int64))
+            return comp_values[0]
+        dtype = np.result_type(*comp_values)
+        if np.iinfo(dtype).max < self.ring.size - 1:
+            dtype = np.dtype(np.int64)
+        idx = np.zeros(comp_values[0].shape, dtype=dtype)
         for c, ring in zip(reversed(comp_values), reversed(self.component_rings)):
-            idx = idx * ring.size + np.asarray(c, dtype=np.int64)
-        return self.inverse_table[idx]
+            idx *= ring.size
+            idx += c
+        return self.inverse_table[idx].astype(dtype, copy=False)
 
     def merge_product(self, stacks) -> np.ndarray:
         """Merges of every choice of one row from each component's stack.
@@ -105,7 +116,7 @@ class CrtDecomposition:
         holds the prod(count_j) merges with the last component varying fastest.
         """
         if self.degenerate:
-            return np.asarray(stacks[0], dtype=np.int64)
+            return np.asarray(stacks[0])
         grids = np.meshgrid(*[np.arange(len(s)) for s in stacks], indexing="ij")
         return self.merge_arrays([s[g.ravel()] for s, g in zip(stacks, grids)])
 
@@ -350,8 +361,9 @@ def conjugacy_check(
         mismatches = []
         for j, comp_poly in enumerate(comp_polys):
             ring_j = deco.component_rings[j]
-            _, direct = stencil(comp_poly.terms, deco.forward_table[block, j], window, "torus", ring_j)
-            mismatches.append(direct != deco.forward_table[image, j])
+            column = deco.forward_table[:, j]
+            _, direct = stencil(comp_poly.terms, column[block], window, "torus", ring_j)
+            mismatches.append(direct != column[image])
         bad = np.stack([m.reshape(len(block), -1).any(axis=1) for m in mismatches], axis=1)
         if bad.any():
             trial, j = (int(x) for x in np.argwhere(bad)[0])
@@ -403,7 +415,7 @@ def project_measure(mu, deco: CrtDecomposition, j: int):
     if isinstance(mu, measures.ExactWordMeasure):
         words = []
         for vals, p in mu.words:
-            words.append((deco.forward_table[vals, j], p))
+            words.append((deco.forward_table[:, j][vals], p))
         return measures.ExactWordMeasure(
             module_j, mu.window, words, seed=mu.seed, mode=mu.mode,
             label=f"{mu.label}|p{ring_j.characteristic}",
@@ -411,7 +423,7 @@ def project_measure(mu, deco: CrtDecomposition, j: int):
         )
 
     def transform(batch):
-        return deco.forward_table[batch, j]
+        return deco.forward_table[:, j][batch]
 
     return measures.TransformedMeasure(
         mu, transform, mu.window, module_j,

@@ -14,7 +14,7 @@ prime field per prime, and any other ring is refused before elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iter_product
 
 import numpy as np
@@ -201,10 +201,15 @@ def _coefficient_vectors(q: int, n: int) -> np.ndarray:
 
 
 def _component_words(ring, basis, rank, codes):
-    """Module-valued words (count, n_sites, rank) for coefficient codes (count, nb*rank)."""
+    """Module-valued words (count, n_sites, rank) for coefficient codes (count, nb*rank).
+
+    The words come out in the dtype of `basis` for Z/m components (int64 for
+    table rings), so a basis cast to narrow codes gives narrow words.
+    """
     count = codes.shape[0]
     nb, n_sites = basis.shape
-    words = ring.lincomb(codes.reshape(count * rank, nb), basis)
+    codes = codes.reshape(count * rank, nb).astype(basis.dtype, copy=False)
+    words = ring.lincomb(codes, basis)
     return np.transpose(words.reshape(count, rank, n_sites), (0, 2, 1))
 
 
@@ -224,7 +229,11 @@ def enumerate_kernel_words(basis: WindowBasis, limit: int = ENUMERATION_CAP) -> 
 
 
 def draw_kernel_words(basis: WindowBasis, count: int, seed: int, start: int = 0) -> np.ndarray:
-    """Uniform kernel words via uniform free coefficients; pure in (seed, index)."""
+    """Uniform kernel words via uniform free coefficients; pure in (seed, index).
+
+    The words come out in the dtype of the component bases, as
+    `_component_words` and `CrtDecomposition.merge_arrays` keep it.
+    """
     rank = basis.module.rank
     comp_values = []
     for ci, (ring, comp_basis, _) in enumerate(basis.components):
@@ -233,6 +242,23 @@ def draw_kernel_words(basis: WindowBasis, count: int, seed: int, start: int = 0)
         codes = rng.uniform_codes(start * max(nvars, 1), (count, nvars), ring.size) if nvars else np.zeros((count, 0), dtype=np.int64)
         comp_values.append(_component_words(ring, comp_basis, rank, codes))
     return basis.decomposition.merge_arrays(comp_values)
+
+
+def _element_code(ring: Ring, value, what: str) -> int:
+    """`value` as an element code of the ring; InvalidParameterError when outside [0, |R|)."""
+    value = int(value)
+    if not 0 <= value < ring.size:
+        raise InvalidParameterError(
+            f"{what} {value} is not an element code of {ring.descriptor()} "
+            f"(codes are 0..{ring.size - 1})"
+        )
+    return value
+
+
+def _narrow_basis(basis: WindowBasis, dtype) -> WindowBasis:
+    """The same basis with every component basis cast to `dtype`."""
+    comps = tuple((ring, b.astype(dtype, copy=False), free) for ring, b, free in basis.components)
+    return replace(basis, components=comps)
 
 
 def submodule_condition_check(
@@ -245,27 +271,34 @@ def submodule_condition_check(
     """Closure of the window set under sum_h r_h * s_h for tuples from the set.
 
     `window_set` is a WindowBasis (membership = in-window constraints) or an
-    explicit (count, n_sites, rank) word array paired with nothing else
+    explicit (count, n_sites, rank) word array paired with its module
     (membership = listed words).  Tiny sets are checked exhaustively, larger
-    ones on `samples` seeded random tuples.
+    ones on `samples` seeded random tuples.  Every generator must be an
+    element code of the ring.
+
+    A WindowBasis is checked on narrow codes from the draw to the membership
+    test: its component bases are cast once to the ring's `sum_dtype` for
+    len(gens) terms, so the words, their weighted sum and the exact-mode
+    stencil of `batch_membership` all run in it (uint8 for Z/2 and three
+    generators; int64 for table rings).  The words equal the int64 ones.
     """
-    gens = [int(g) for g in gens]
+    ring = window_set.module.ring if isinstance(window_set, WindowBasis) else window_set[1].ring
+    gens = [_element_code(ring, g, "generator") for g in gens]
     if not gens:
         raise InvalidParameterError("need at least one generator coefficient")
     if isinstance(window_set, WindowBasis):
-        basis = window_set
+        basis = _narrow_basis(window_set, ring.sum_dtype(len(gens)))
         if basis.solution_count ** len(gens) <= max_exhaustive:
             words = enumerate_kernel_words(basis)
             grids = np.meshgrid(*[np.arange(words.shape[0])] * len(gens), indexing="ij")
             blocks = (words[grid.ravel()] for grid in grids)
         else:
             blocks = (draw_kernel_words(basis, samples, seed + 7 * h) for h in range(len(gens)))
-        acc = basis.module.ring.weighted_sum(gens, blocks)
+        acc = ring.weighted_sum(gens, blocks)
         return bool(batch_membership(basis.spec, basis.window, acc).all())
 
-    words, module = window_set
+    words, _ = window_set
     words = np.asarray(words, dtype=np.int64)
-    ring = module.ring
     keys = {words[i].tobytes() for i in range(words.shape[0])}
     n = words.shape[0]
     combos = iter_product(range(n), repeat=len(gens))
@@ -521,12 +554,7 @@ def torsion_free_check(spec: KernelShiftSpec, window: WindowSpec, scalar: int) -
     full window space by the in-window kernel: the solution spaces of M x = 0
     and (scalar*M) x = 0 must coincide.  `scalar` is a ring code.
     """
-    scalar = int(scalar)
-    if not 0 <= scalar < spec.ring.size:
-        raise InvalidParameterError(
-            f"scalar {scalar} is not an element code of {spec.ring.descriptor()} "
-            f"(codes are 0..{spec.ring.size - 1})"
-        )
+    scalar = _element_code(spec.ring, scalar, "scalar")
     for comp_spec, comp_ring, deco, j in _field_components(spec):
         comp_scalar = int(deco.forward_table[scalar, j])
         matrix = constraint_matrix(comp_spec, window)

@@ -152,7 +152,11 @@ class Ring:
         return out
 
     def lincomb(self, coefs, rows):
-        """Ring combinations coefs @ rows: (count, nb) by (nb, ncols) -> (count, ncols)."""
+        """Ring combinations coefs @ rows: (count, nb) by (nb, ncols) -> (count, ncols).
+
+        The generic ring works on int64 codes through `mul_arr` and `add_arr`
+        and returns int64; `ZmodRing` keeps the dtype of its inputs.
+        """
         out = np.zeros((coefs.shape[0], rows.shape[1]), dtype=np.int64)
         for i in range(rows.shape[0]):
             out = self.add_arr(out, self.mul_arr(coefs[:, i][:, None], rows[i][None, :]))
@@ -281,17 +285,49 @@ def _convolve_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return flat.astype(np.int64).reshape(out_shape)
 
 
-def _zmod_matmul(a, b, q):
-    """(a @ b) % q for Z/q code arrays.
+def _unsigned_dtype(bound: int) -> np.dtype:
+    """The narrowest of uint8/uint16/uint32 holding 0..bound, else int64."""
+    bits = bound.bit_length()
+    for width, dtype in ((8, np.uint8), (16, np.uint16), (32, np.uint32)):
+        if bits <= width:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
-    Every product is at most (q-1)**2, so when the inner dimension n keeps
-    n * (q-1)**2 below 2**53 each partial sum is an integer that float64
-    holds exactly, in any summation order; the product then runs as a float64
-    matmul.  Above that bound it stays on int64.
+
+def _reduce_codes(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m in place, for nonnegative integers x; returns x."""
+    if x.dtype.kind == "u":
+        # numpy vectorizes unsigned floor division by a scalar but not the
+        # remainder, so x - (x // m) * m is several times faster than x % m.
+        quot = x // m
+        quot *= m
+        x -= quot
+    else:
+        x %= m
+    return x
+
+
+def _zmod_matmul(a, b, q):
+    """(a @ b) % q for Z/q code arrays, in the dtype numpy promotes a and b to.
+
+    Every product is at most (q-1)**2, so with inner dimension n every partial
+    sum is an integer of at most n * (q-1)**2.  That bound picks one of three
+    exact tiers:
+    - below 2**24 float32 holds every partial sum exactly, in any summation
+      order, and the product runs as a float32 matmul;
+    - below 2**53 the same holds for float64;
+    - above that the product stays on int64.
+    A float product is reduced in the narrowest unsigned dtype holding the
+    bound and q, so int64 in gives int64 out and uint8 in gives uint8 out.
     """
-    if a.shape[-1] * (q - 1) ** 2 < 1 << 53:
-        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % q
-    return np.matmul(a, b) % q
+    dtype = np.result_type(a, b)
+    bound = a.shape[-1] * (q - 1) ** 2
+    if bound >= 1 << 53:
+        sums = np.matmul(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False))
+    else:
+        ftype = np.float32 if bound < 1 << 24 else np.float64
+        sums = np.matmul(a.astype(ftype), b.astype(ftype)).astype(_unsigned_dtype(max(bound, q)))
+    return _reduce_codes(sums, q).astype(dtype, copy=False)
 
 
 class ZmodRing(Ring):
@@ -337,11 +373,7 @@ class ZmodRing(Ring):
         m <= 2**16, so int64 holds the unreduced sum of any term count below
         2**31.
         """
-        bits = (n_terms * (self.m - 1) ** 2).bit_length()
-        for width, dtype in ((8, np.uint8), (16, np.uint16), (32, np.uint32)):
-            if bits <= width:
-                return np.dtype(dtype)
-        return np.dtype(np.int64)
+        return _unsigned_dtype(n_terms * (self.m - 1) ** 2)
 
     def weighted_sum(self, coeffs, arrays):
         """sum_i coeffs[i] * arrays[i], accumulated unreduced and reduced once.
@@ -366,17 +398,13 @@ class ZmodRing(Ring):
                 out += a
             else:
                 out += a * c
-        if out.dtype.kind == "u":
-            # numpy vectorizes unsigned floor division by a scalar but not the
-            # remainder, so x - (x // m) * m is several times faster than x % m.
-            quot = out // self.m
-            quot *= self.m
-            out -= quot
-        else:
-            out %= self.m
-        return out
+        return _reduce_codes(out, self.m)
 
     def lincomb(self, coefs, rows):
+        """coefs @ rows mod m by `_zmod_matmul`, in the dtype numpy promotes them to.
+
+        Narrow code arrays give narrow codes: int64 in, int64 out.
+        """
         return _zmod_matmul(coefs, rows, self.m)
 
     def unit_inverse(self, a):

@@ -351,17 +351,24 @@ def stencil(terms, values: np.ndarray, window: WindowSpec, mode: str, ring: Ring
     """sum_h c_h * shift(x, h) for a batch of configurations on one window.
 
     `terms` is a sequence of (offset h, coefficient c_h) and `values` has shape
-    (count, *window.extents, rank).  Torus mode wraps every axis and keeps the
-    window; it runs one `TorusStencil` step, which accumulates in the ring's
-    `sum_dtype` for the term count (for Z/m the narrowest unsigned dtype that
-    holds n_terms * (m-1)**2) and returns the dtype of `values`: int64 in,
-    int64 out.  Exact mode evaluates at every anchor whose full stencil lies
-    in the window (clipped to the lattice) and raises DomainExhaustedError
-    when none does; it takes and returns int64 codes.  No terms give zeros on
-    the same window.  Returns (out_window, out) with out of shape
-    (count, *out_window.extents, rank).
+    (count, *window.extents, rank).  Both modes share one dtype rule: they
+    accumulate in the ring's `sum_dtype` for the term count (for Z/m the
+    narrowest unsigned dtype that holds n_terms * (m-1)**2, int64 for table
+    rings) and return the dtype of `values`, so int64 in gives int64 out and
+    narrow codes stay narrow.  A dtype that cannot hold every code of the
+    ring is refused with InvalidParameterError.  Torus mode wraps every axis
+    and keeps the window; it runs one `TorusStencil` step.  Exact mode
+    evaluates at every anchor whose full stencil lies in the window (clipped
+    to the lattice) and raises DomainExhaustedError when none does; every
+    term is a view into one copy of `values` in the sum dtype (no copy when
+    `values` already has it).  No terms give zeros on the same window.
+    Returns (out_window, out) with out of shape (count, *out_window.extents,
+    rank).
     """
     terms = tuple(terms)
+    dtype = values.dtype
+    if dtype.kind not in "iu" or np.iinfo(dtype).max < ring.size - 1:
+        raise InvalidParameterError(f"{dtype} cannot hold the codes of {ring.descriptor()}")
     if not terms:
         return window, np.zeros_like(values)
     if mode == "torus":
@@ -369,11 +376,13 @@ def stencil(terms, values: np.ndarray, window: WindowSpec, mode: str, ring: Ring
     out_window = window.stencil_anchors([off for off, _ in terms])
     if out_window is None:
         raise DomainExhaustedError(f"stencil span exceeds window {window}")
+    codes = values.astype(ring.sum_dtype(len(terms)), copy=False)
     blocks = (
-        values[(slice(None),) + window.relative_slices(out_window.translate(off))]
+        codes[(slice(None),) + window.relative_slices(out_window.translate(off))]
         for off, _ in terms
     )
-    return out_window, ring.weighted_sum([c for _, c in terms], blocks)
+    out = ring.weighted_sum([c for _, c in terms], blocks)
+    return out_window, out.astype(dtype, copy=False)
 
 
 def _check_applicable(poly: ShiftPolynomial, config: WindowConfig):

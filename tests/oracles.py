@@ -21,7 +21,11 @@ the single array-based Fourier engine.  The forked word enumerations are the
 library's original `enumerate_kernel_words` and
 `SubgroupHaarMeasure.enumerate_words`, which treated a field apart from a CRT
 split and merged components through the inverse table, kept as the reference
-for the one-component field decomposition.
+for the one-component field decomposition.  The int64 closure check is the
+library's original `draw_kernel_words` and `WindowBasis` branch of
+`submodule_condition_check`, which moved every word as int64 (float64 or
+int64 matmul, int64 merge, reduce-each membership), kept as the reference for
+the narrow-code closure check.
 """
 
 import csv
@@ -680,3 +684,81 @@ def forked_subgroup_words(mu):
     deco = _field_or_split(mu.module.ring)
     merged = per_span[0] if deco is None else _meshgrid_merge(deco, per_span)
     return merged.reshape(-1, n_sites, rank), p
+
+
+# -- the submodule closure check on int64 words ------------------------------------------
+
+
+def int64_lincomb(ring, coefs, rows):
+    """`Ring.lincomb` on int64 codes as it was: the float64/int64 matmul for Z/m."""
+    from modshift.rings import Ring
+
+    if ring.kind != "zmod":
+        return Ring.lincomb(ring, coefs, rows)
+    q = ring.m
+    if coefs.shape[-1] * (q - 1) ** 2 < 1 << 53:
+        return np.matmul(coefs.astype(np.float64), rows.astype(np.float64)).astype(np.int64) % q
+    return np.matmul(coefs, rows) % q
+
+
+def _int64_component_words(ring, basis, rank, codes):
+    count = codes.shape[0]
+    nb, n_sites = basis.shape
+    words = int64_lincomb(ring, codes.reshape(count * rank, nb), basis)
+    return np.transpose(words.reshape(count, rank, n_sites), (0, 2, 1))
+
+
+def _int64_merge(deco, comp_values):
+    if deco.degenerate:
+        return np.asarray(comp_values[0], dtype=np.int64)
+    return _inverse_merge(deco, comp_values)
+
+
+def int64_draw_kernel_words(basis, count, seed, start=0):
+    """Uniform kernel words on int64 codes, as `draw_kernel_words` was."""
+    from modshift.rng import CounterRng
+
+    rank = basis.module.rank
+    comp_values = []
+    for ci, (ring, comp_basis, _) in enumerate(basis.components):
+        rng = CounterRng(seed, stream=101 + ci)
+        nvars = comp_basis.shape[0] * rank
+        codes = rng.uniform_codes(start * max(nvars, 1), (count, nvars), ring.size) if nvars else np.zeros((count, 0), dtype=np.int64)
+        comp_values.append(_int64_component_words(ring, comp_basis, rank, codes))
+    return _int64_merge(basis.decomposition, comp_values)
+
+
+def int64_kernel_words(basis):
+    """All kernel words on int64 codes, in `enumerate_kernel_words` order."""
+    rank = basis.module.rank
+    per_comp = []
+    for ring, comp_basis, _ in basis.components:
+        q, nvars = ring.size, comp_basis.shape[0] * rank
+        idx = np.arange(q**nvars)
+        codes = np.zeros((q**nvars, nvars), dtype=np.int64)
+        for v in range(nvars):
+            codes[:, v] = (idx // q**v) % q
+        per_comp.append(_int64_component_words(ring, comp_basis, rank, codes))
+    deco = basis.decomposition
+    if deco.degenerate:
+        return per_comp[0]
+    return _meshgrid_merge(deco, per_comp)
+
+
+def int64_submodule_condition(basis, gens, max_exhaustive=1 << 17, samples=10000, seed=2024):
+    """The `WindowBasis` branch of `submodule_condition_check` as it was, on int64 words.
+
+    The sum reduces after every multiply and add (`Ring.weighted_sum`), and
+    membership is the reduce-each oracle.
+    """
+    from modshift.rings import Ring
+
+    gens = [int(g) for g in gens]
+    if basis.solution_count ** len(gens) <= max_exhaustive:
+        words = int64_kernel_words(basis)
+        grids = np.meshgrid(*[np.arange(words.shape[0])] * len(gens), indexing="ij")
+        blocks = [words[grid.ravel()] for grid in grids]
+    else:
+        blocks = [int64_draw_kernel_words(basis, samples, seed + 7 * h) for h in range(len(gens))]
+    acc = Ring.weighted_sum(basis.module.ring, gens, blocks)
+    return bool(reduce_each_membership(basis.spec, basis.window, acc).all())

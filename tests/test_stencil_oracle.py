@@ -11,6 +11,7 @@ and over many steps of narrow codes.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -541,3 +542,129 @@ def test_torus_stencil_keeps_the_dtype_it_is_given():
     for dtype in (np.int64, np.uint8, np.uint16, np.int32):
         _, got = stencil(terms, values.astype(dtype), window, "torus", ring)
         assert got.dtype == dtype and np.array_equal(got, want)
+
+
+# -- exact stencils: the torus mode's dtype rule -----------------------------------------
+
+# Each boundary ring with every unsigned input dtype that holds its largest code.
+EXACT_DTYPE_CASES = [
+    (ring, dtype)
+    for ring in BOUNDARY_RINGS
+    for dtype in (np.uint8, np.uint16, np.uint32)
+    if np.iinfo(dtype).max >= ring.size - 1
+]
+
+
+@pytest.mark.parametrize(
+    "ring, dtype", EXACT_DTYPE_CASES, ids=[f"{_ids(r)}-{np.dtype(d)}" for r, d in EXACT_DTYPE_CASES]
+)
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 4])
+def test_exact_stencil_keeps_narrow_codes_at_the_largest_codes(ring, dtype, n_terms):
+    # The zn_clip offsets: the N-axis output origin is clipped from -1 to 0.
+    dims, origin, extents, offsets = CASES["zn_clip"]
+    window = WindowSpec(dims, origin, extents)
+    coeffs = [ring.size - 1] * n_terms  # every term at its largest, (m-1)**2
+    poly = ShiftPolynomial.from_terms(ring, dims, dict(zip(offsets[:n_terms], coeffs)))
+    values = _values(ring, 3, extents, 2, seed=n_terms)
+    values[0] = ring.size - 1
+    want_window, want = reduce_each_batch(poly, window, values, "exact", ring)
+    assert want_window.origin[1] == 0
+    got_window, got = stencil(poly.terms, values.astype(dtype), window, "exact", ring)
+    assert got_window == want_window
+    assert got.dtype == dtype and np.array_equal(got, want)
+    _, wide = stencil(poly.terms, values, window, "exact", ring)
+    assert wide.dtype == np.int64 and np.array_equal(wide, want)
+
+
+@pytest.mark.parametrize("mode", ["exact", "torus"])
+def test_stencil_refuses_a_dtype_too_narrow_for_the_codes(mode):
+    window = WindowSpec((1, 0), (0,), (6,))
+    terms = (((0,), 1), ((1,), 2))
+    for ring, dtype in [(ZmodRing(257), np.uint8), (ZmodRing(200), np.int8), (ZmodRing(2), np.bool_)]:
+        values = np.zeros((1, 6, 1), dtype=dtype)
+        with pytest.raises(InvalidParameterError, match="cannot hold the codes of"):
+            stencil(terms, values, window, mode, ring)
+    _, out = stencil(terms, np.full((1, 6, 1), 255, dtype=np.uint8), window, mode, ZmodRing(256))
+    assert out.dtype == np.uint8 and (out == (3 * 255) % 256).all()
+
+
+def _exact_callers():
+    """Each exact-mode caller of the stencil on int64 codes: (result, reduce-each oracle)."""
+    from modshift.measures import CosetHaarMeasure, SubgroupHaarMeasure
+    from modshift import bernoulli, point_mass, pushforward, uniform_bernoulli
+
+    ring = ZmodRing(5)
+    module = ModuleSpec(ring, 2)
+    rule = LocalRule(module, (1, 1), ((-1, 0), (0, 1), (3, 2)), (2, 1, 4))
+    poly = from_rule(rule)
+    spec = KernelShiftSpec(rule)
+    window = WindowSpec((1, 1), (-2, 0), (9, 7))
+    values = _values(ring, 3, window.extents, 2, seed=5)
+    values[1] = 0
+    cfg = WindowConfig(window, module, values[0])
+    words = values.reshape(3, -1, 2)
+    scalar = ModuleSpec(ring, 1)
+    scalar_rule = LocalRule(scalar, (1, 0), ((0,), (1,)), (1, 3))
+    line = WindowSpec((1, 0), (0,), (6,))
+    # 5**9 words exceed the enumeration cap, so this pushforward is sampled.
+    long_line = WindowSpec((1, 0), (0,), (9,))
+    biased = bernoulli(scalar, long_line, [Fraction(1, 2)] + [Fraction(1, 8)] * 4, seed=3)
+    coset = CosetHaarMeasure(cfg, SubgroupHaarMeasure.full_space(module, window, seed=1))
+    return {
+        "apply_poly": (
+            lambda: apply_poly(poly, cfg).values,
+            lambda: reduce_each_apply(poly, cfg).values,
+        ),
+        "constraint_residual": (
+            lambda: constraint_residual(spec, cfg),
+            lambda: reduce_each_residual(spec, cfg),
+        ),
+        "batch_membership": (
+            lambda: batch_membership(spec, window, words),
+            lambda: reduce_each_membership(spec, window, words),
+        ),
+        "pushforward_subgroup": (
+            lambda: pushforward(uniform_bernoulli(scalar, line, seed=1), scalar_rule, 1).spans[0].basis,
+            None,
+        ),
+        "pushforward_coset": (
+            lambda: pushforward(coset, rule, 1).rep.values,
+            lambda: reduce_each_apply(poly, cfg).values,
+        ),
+        "pushforward_words": (
+            lambda: pushforward(point_mass(cfg), rule, 1).words[0][0],
+            lambda: reduce_each_apply(poly, cfg).values.reshape(-1, 2),
+        ),
+        "pushforward_sampled": (
+            lambda: pushforward(biased, scalar_rule, 1).draw_values(0, 4),
+            lambda: reduce_each_batch(
+                from_rule(scalar_rule), long_line, biased.draw_values(0, 4).reshape(4, 9, 1), "exact", ring
+            )[1].reshape(4, -1, 1),
+        ),
+    }
+
+
+@pytest.mark.parametrize("caller", sorted(_exact_callers()))
+def test_exact_callers_give_int64(caller, monkeypatch):
+    from modshift import kernels, measures, shiftpoly
+
+    seen = []
+    for module in (kernels, measures, shiftpoly):
+        real = module.stencil
+
+        def spy(terms, values, window, mode, ring, real=real):
+            out_window, out = real(terms, values, window, mode, ring)
+            seen.append((mode, values.dtype, out.dtype))
+            return out_window, out
+
+        monkeypatch.setattr(module, "stencil", spy)
+    got_fn, want_fn = _exact_callers()[caller]
+    got = got_fn()
+    assert seen and all(s == ("exact", np.int64, np.int64) for s in seen)
+    if caller == "batch_membership":
+        want = want_fn()
+        assert want.any() and not want.all() and np.array_equal(got, want)
+        return
+    assert got.dtype == np.int64
+    if want_fn is not None:
+        assert np.array_equal(got, want_fn())
