@@ -101,6 +101,7 @@ from .measures import (
 )
 from .rings import (
     GFRing,
+    MixedRadix,
     ModuleSpec,
     ProductRing,
     Ring,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ENUMERATION_CAP, ConfigParseError, InvalidParameterError, ResourceLimitError
 from .lattice import WindowSpec
-from .rings import ModuleSpec
+from .rings import MixedRadix, ModuleSpec
 
 __all__ = [
     "RootSum",
@@ -278,14 +278,8 @@ def character_codes(module: ModuleSpec, window: WindowSpec, limit: int = ENUMERA
     """
     total = _check_sweep_size(module, window, limit)
     n_sites, rank = window.n_sites, module.rank
-    q = module.ring.size
-    digit = np.arange(q, dtype=np.min_scalar_type(q - 1))
-    codes = np.empty((total, n_sites * rank), dtype=digit.dtype)
-    for place in range(n_sites * rank):
-        site, comp = n_sites - 1 - place // rank, place % rank
-        stride = q**place  # run length of equal digits at this place
-        codes[:, site * rank + comp] = np.tile(np.repeat(digit, stride), total // (stride * q))
-    return codes
+    digits = MixedRadix((module.ring.size,) * (n_sites * rank)).all_digits()
+    return digits.reshape(total, n_sites, rank)[:, ::-1].reshape(total, n_sites * rank)
 
 
 def _term_text(site, code: int) -> str:

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedCharacteristicError
 from .lattice import WindowConfig
-from .rings import ModuleSpec, ProductRing, Ring, ZmodRing, is_prime
+from .rings import MixedRadix, ModuleSpec, ProductRing, Ring, ZmodRing, is_prime
 from .rng import CounterRng
 from .shiftpoly import LocalRule, from_rule, stencil
 
@@ -80,11 +80,13 @@ class CrtDecomposition:
     def forward(self, code: int):
         return tuple(int(x) for x in self.forward_table[code])
 
+    @cached_property
+    def codec(self) -> MixedRadix:
+        """Codes of component tuples, the index of `inverse_table`."""
+        return MixedRadix(ring.size for ring in self.component_rings)
+
     def inverse(self, comps) -> int:
-        idx = 0
-        for c, ring in zip(reversed(comps), reversed(self.component_rings)):
-            idx = idx * ring.size + int(c)
-        return int(self.inverse_table[idx])
+        return int(self.inverse_table[self.codec.encode(comps)])
 
     def split_arrays(self, values: np.ndarray):
         values = np.asarray(values, dtype=np.int64)
@@ -100,14 +102,8 @@ class CrtDecomposition:
         comp_values = [np.asarray(c) for c in comp_values]
         if self.degenerate:  # identity tables: the one component is the value
             return comp_values[0]
-        dtype = np.result_type(*comp_values)
-        if np.iinfo(dtype).max < self.ring.size - 1:
-            dtype = np.dtype(np.int64)
-        idx = np.zeros(comp_values[0].shape, dtype=dtype)
-        for c, ring in zip(reversed(comp_values), reversed(self.component_rings)):
-            idx *= ring.size
-            idx += c
-        return self.inverse_table[idx].astype(dtype, copy=False)
+        idx = self.codec.join(np.stack(comp_values, axis=-1))
+        return self.inverse_table[idx].astype(idx.dtype, copy=False)
 
     def merge_product(self, stacks) -> np.ndarray:
         """Merges of every choice of one row from each component's stack.
@@ -227,21 +223,17 @@ def _decompose(ring: Ring) -> CrtDecomposition:
         # so components follow `factors` in increasing p.
         members = [[ring.factors[i] for i in groups[p]] for p, _ in factors]
         comps = tuple(m[0] if len(m) == 1 else ProductRing(m) for m in members)
-        fwd = np.zeros((ring.size, len(comps)), dtype=np.int64)
-        for code in range(ring.size):
-            parts = ring.decode(code)
-            for j, (p, _) in enumerate(factors):
-                sel = [parts[i] for i in groups[p]]
-                fwd[code, j] = comps[j].encode(sel) if len(sel) > 1 else sel[0]
+        parts = ring.codec.split(codes)
+        fwd = np.stack([
+            MixedRadix(ring.factors[i].size for i in groups[p]).join(parts[:, groups[p]])
+            for p, _ in factors
+        ], axis=1)
     else:
         raise UnsupportedCharacteristicError(
             f"cannot decompose {ring.descriptor()} of characteristic {char}"
         )
-    idx = np.zeros(ring.size, dtype=np.int64)
-    for j in reversed(range(len(comps))):
-        idx = idx * comps[j].size + fwd[:, j]
     inv = np.zeros(ring.size, dtype=np.int64)
-    inv[idx] = codes
+    inv[MixedRadix(comp.size for comp in comps).join(fwd)] = codes
     qs = [char // p**s for p, s in factors]
     deco = CrtDecomposition(ring, tuple(factors), comps, fwd, inv, tuple(_ideals(ring, qs)))
     _verify_bijection(deco)
@@ -386,11 +378,9 @@ def project_measure(mu, deco: CrtDecomposition, j: int):
     note = f"crt projection to component {j} ({ring_j.descriptor()})"
     if isinstance(mu, measures.BernoulliMeasure):
         probs = [Fraction(0)] * module_j.size
-        for code, p in enumerate(mu.probs):
-            comps = mu.module.decode(code)
-            comp_code = module_j.encode(
-                tuple(int(deco.forward_table[c, j]) for c in comps)
-            )
+        values = mu.module.unpack_arr(np.arange(mu.module.size))
+        comp_codes = module_j.pack_arr(deco.forward_table[values, j]).tolist()
+        for comp_code, p in zip(comp_codes, mu.probs):
             probs[comp_code] += p
         return measures.BernoulliMeasure(
             module_j, mu.window, probs, seed=mu.seed, mode=mu.mode,
@@ -439,16 +429,11 @@ def merge_product_bernoulli(components, deco: CrtDecomposition):
         raise InvalidParameterError("component count mismatch")
     module = ModuleSpec(deco.ring, components[0].module.rank)
     window = components[0].window
-    probs = []
-    for code in range(module.size):
-        comps = module.decode(code)
-        p = Fraction(1)
-        for jj, comp_mu in enumerate(components):
-            comp_code = comp_mu.module.encode(
-                tuple(int(deco.forward_table[c, jj]) for c in comps)
-            )
-            p *= comp_mu.probs[comp_code]
-        probs.append(p)
+    values = module.unpack_arr(np.arange(module.size))
+    probs = [Fraction(1)] * module.size
+    for j, comp_mu in enumerate(components):
+        comp_codes = comp_mu.module.pack_arr(deco.forward_table[values, j]).tolist()
+        probs = [p * comp_mu.probs[c] for p, c in zip(probs, comp_codes)]
     return measures.BernoulliMeasure(
         module, window, probs, seed=components[0].seed, mode=components[0].mode,
         label="product-joining",

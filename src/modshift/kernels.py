@@ -36,7 +36,7 @@ from .lattice import (
     scaled_offset,
     shift_config,
 )
-from .rings import ModuleSpec, Ring
+from .rings import MixedRadix, ModuleSpec, Ring
 from .rng import CounterRng
 from .shiftpoly import LocalRule, apply_poly, from_rule, stencil
 
@@ -190,16 +190,6 @@ def batch_membership(spec: KernelShiftSpec, window: WindowSpec, values: np.ndarr
     return ~residual.reshape(count, -1).any(axis=1)
 
 
-def _coefficient_vectors(q: int, n: int) -> np.ndarray:
-    """All q**n vectors of n codes in [0, q), shape (q**n, n); the first varies fastest."""
-    count = q**n
-    idx = np.arange(count)
-    codes = np.zeros((count, n), dtype=np.int64)
-    for v in range(n):
-        codes[:, v] = (idx // q**v) % q
-    return codes
-
-
 def _component_words(ring, basis, rank, codes):
     """Module-valued words (count, n_sites, rank) for coefficient codes (count, nb*rank).
 
@@ -223,7 +213,7 @@ def enumerate_kernel_words(basis: WindowBasis, limit: int = ENUMERATION_CAP) -> 
         )
     rank = basis.module.rank
     return basis.decomposition.merge_product([
-        _component_words(ring, b, rank, _coefficient_vectors(ring.size, b.shape[0] * rank))
+        _component_words(ring, b, rank, MixedRadix((ring.size,) * (b.shape[0] * rank)).all_digits())
         for ring, b, _ in basis.components
     ])
 

@@ -47,12 +47,11 @@ from .errors import (
 from .kernels import (
     KernelShiftSpec,
     WindowBasis,
-    _coefficient_vectors,
     coset_shift_check,
     window_kernel,
 )
 from .lattice import WindowConfig, WindowSpec, scaled_offset
-from .rings import ModuleSpec, Ring, is_prime
+from .rings import MixedRadix, ModuleSpec, Ring, is_prime
 from .rng import CounterRng, cdf_thresholds
 from .shiftpoly import (
     LocalRule,
@@ -431,7 +430,7 @@ class SubgroupHaarMeasure(MeasureHandle):
         n_sites = self.window.n_sites
         p = Fraction(1, total)
         merged = self.decomposition.merge_product([
-            span.ring.lincomb(_coefficient_vectors(span.ring.size, span.dim), span.basis)
+            span.ring.lincomb(MixedRadix((span.ring.size,) * span.dim).all_digits(), span.basis)
             for span in self.spans
         ])
         for i in range(merged.shape[0]):
@@ -849,27 +848,17 @@ def _sample_count(budget, name: str) -> int:
 _SWEEP_CHUNK_CELLS = 1 << 21
 
 
-def _mixed_radix_keys(rows: np.ndarray, base: int) -> np.ndarray:
-    """One int64 key per row of codes in [0, base), first column most significant.
-
-    Keys order like the rows compared lexicographically; callers keep
-    base**ncols below 2**62.
-    """
-    keys = np.zeros(rows.shape[0], dtype=np.int64)
-    for j in range(rows.shape[1]):
-        keys = keys * base + rows[:, j]
-    return keys
-
-
 def _unique_rows(rows: np.ndarray, base: int, **kwargs):
     """`np.unique(rows, axis=0, **kwargs)` without the unique rows themselves.
 
-    Rows of codes in [0, base) are compared as one int64 key each while
+    Rows of codes in [0, base) are compared as one mixed-radix key each while
     base**ncols < 2**62; the keys order like the rows, so every output is the
     same.  Wider rows would overflow the keys and are compared as rows.
     """
     if base ** rows.shape[1] < 1 << 62:
-        return np.unique(_mixed_radix_keys(rows, base), **kwargs)[1:]
+        # Reversed columns make the first column most significant.
+        keys = MixedRadix((base,) * rows.shape[1]).join(rows[:, ::-1])
+        return np.unique(keys, **kwargs)[1:]
     return np.unique(rows, axis=0, **kwargs)[1:]
 
 

@@ -6,6 +6,13 @@ Every ring element is encoded as a canonical nonnegative integer code:
 * ``gf:p:k``   -- base-p digits of the polynomial representative, little-endian;
 * ``prod:[..]``-- mixed-radix tuple code, first factor least significant.
 
+A module element of R**n packs its n ring codes the same way, first component
+least significant.  Every such code is little-endian mixed radix, and one
+codec, `MixedRadix`, splits, joins and enumerates them all.  A packed code
+must fit in int64, so a module with |R|**n >= 2**63 is refused.  The one
+reading with the first place most significant is character order
+(`chars.all_characters`), where the first site leads.
+
 All arithmetic is total over the code range, and every ring offers both scalar
 (Python int) and vectorized (numpy int64 array) operations.  Rings are
 immutable after construction and safe to share across workers.
@@ -32,6 +39,7 @@ __all__ = [
     "GFRing",
     "ProductRing",
     "ModuleSpec",
+    "MixedRadix",
     "make_ring",
     "parse_ring",
     "is_prime",
@@ -70,6 +78,73 @@ GF_DEFAULT_MODULI = {
     (5, 3): (1, 1, 0, 1),
     (5, 4): (2, 0, 1, 0, 1),
 }
+
+
+class MixedRadix:
+    """Little-endian mixed-radix codes: digits (d_0, .., d_{n-1}) with
+    0 <= d_i < radices[i] have the code sum_i d_i * radices[0] * .. * radices[i-1].
+
+    Place 0 is least significant.  There are `size` = prod(radices) codes and
+    every one fits in int64: a product of 2**63 or more is refused.
+    """
+
+    def __init__(self, radices):
+        self.radices = tuple(int(r) for r in radices)
+        if any(r < 2 for r in self.radices):
+            raise InvalidParameterError(f"radices must be >= 2, got {self.radices}")
+        self.size = prod(self.radices)
+        if self.size >= 1 << 63:
+            raise InvalidParameterError(
+                f"{self.size} codes of radices {self.radices} do not fit in int64"
+            )
+        self._places = tuple(prod(self.radices[:i]) for i in range(len(self.radices)))
+        self._place_arr = np.array(self._places, dtype=np.int64)
+        self._radix_arr = np.array(self.radices, dtype=np.int64)
+
+    def encode(self, digits) -> int:
+        digits = tuple(digits)
+        if len(digits) != len(self.radices):
+            raise InvalidParameterError(f"{len(digits)} digits for {len(self.radices)} places")
+        code = 0
+        for d, r, place in zip(digits, self.radices, self._places):
+            if not 0 <= d < r:
+                raise InvalidParameterError(f"digit {d} out of range [0,{r})")
+            code += int(d) * place
+        return code
+
+    def decode(self, code: int) -> tuple:
+        if not 0 <= code < self.size:
+            raise InvalidParameterError(f"code {code} out of range [0,{self.size})")
+        digits = []
+        for r in self.radices:
+            code, d = divmod(code, r)
+            digits.append(d)
+        return tuple(digits)
+
+    def split(self, codes) -> np.ndarray:
+        """(..) codes -> (.., n) int64 digits; codes are taken as valid."""
+        return np.asarray(codes, dtype=np.int64)[..., None] // self._place_arr % self._radix_arr
+
+    def join(self, digits) -> np.ndarray:
+        """(.., n) digits -> (..) codes, in the digits' dtype if it holds every code, else int64."""
+        digits = np.asarray(digits)
+        dtype = digits.dtype if np.iinfo(digits.dtype).max >= self.size - 1 else np.dtype(np.int64)
+        out = np.zeros(digits.shape[:-1], dtype=dtype)
+        for i in reversed(range(len(self.radices))):
+            if i + 1 < len(self.radices):
+                out *= self.radices[i]  # the partial code stays below size
+            out += digits[..., i]
+        return out
+
+    def all_digits(self) -> np.ndarray:
+        """Row i is split(i) for every code i, in the narrowest unsigned digit dtype."""
+        dtype = np.min_scalar_type(max(self.radices, default=1) - 1)
+        out = np.empty((self.size, len(self.radices)), dtype=dtype)
+        for i, (r, place) in enumerate(zip(self.radices, self._places)):
+            # Place i holds runs of `place` equal digits, cycling every place * r codes.
+            run = np.repeat(np.arange(r, dtype=dtype), place)
+            out[:, i] = np.tile(run, self.size // (place * r))
+        return out
 
 
 class Ring:
@@ -493,7 +568,9 @@ class GFRing(Ring):
         self.characteristic = p
         self.one = 1
         self.char_exponent = p
-        self._digits = self._all_digits()
+        self.codec = MixedRadix((p,) * k)
+        # int64 before any table arithmetic: (-d) % p and d + d are wrong in uint8.
+        self._digits = self.codec.all_digits().astype(np.int64)
         self._build_tables()
 
     @staticmethod
@@ -508,17 +585,6 @@ class GFRing(Ring):
                 if not rem:
                     raise ReducibleModulusError(modulus, cand, p)
 
-    def _all_digits(self):
-        digits = np.zeros((self.size, self.k), dtype=np.int64)
-        codes = np.arange(self.size)
-        for i in range(self.k):
-            digits[:, i] = (codes // self.p**i) % self.p
-        return digits
-
-    def _digits_to_codes(self, digits):
-        weights = self.p ** np.arange(self.k, dtype=np.int64)
-        return (np.asarray(digits, dtype=np.int64) @ weights).astype(np.int64)
-
     def _reduction_rows(self):
         # x**d mod modulus as digit vectors, for d in [k, 2k-2].
         rows = {}
@@ -532,8 +598,8 @@ class GFRing(Ring):
     def _build_tables(self):
         q, k, p = self.size, self.k, self.p
         d = self._digits
-        self._add_table = self._digits_to_codes((d[:, None, :] + d[None, :, :]) % p)
-        self._neg_table = self._digits_to_codes((-d) % p)
+        self._add_table = self.codec.join((d[:, None, :] + d[None, :, :]) % p)
+        self._neg_table = self.codec.join((-d) % p)
         conv = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
         for i in range(k):
             for j in range(k):
@@ -542,7 +608,7 @@ class GFRing(Ring):
         low = conv[:, :, :k].copy()
         for deg in range(k, 2 * k - 1):
             low += conv[:, :, deg, None] * red[deg][None, None, :]
-        self._mul_table = self._digits_to_codes(low % p)
+        self._mul_table = self.codec.join(low % p)
         self._inv_table = np.full(q, -1, dtype=np.int64)
         for a in range(1, q):
             hits = np.nonzero(self._mul_table[a] == self.one)[0]
@@ -619,7 +685,7 @@ class GFRing(Ring):
         low = conv[..., :k].copy()
         for deg in range(k, 2 * k - 1):
             low += conv[..., deg, None] * self._conv_red[deg]
-        return self._digits_to_codes(low % self.p)
+        return self.codec.join(low % self.p)
 
 
 class ProductRing(Ring):
@@ -632,46 +698,29 @@ class ProductRing(Ring):
         if len(factors) < 2:
             raise InvalidParameterError("product ring needs at least 2 factors")
         self.factors = factors
-        self.size = int(np.prod([f.size for f in factors]))
+        self.size = prod(f.size for f in factors)
         if self.size > 1 << 16:
             raise InvalidParameterError("product ring size capped at 2**16")
         self.characteristic = reduce(
             lambda a, b: a * b // gcd(a, b), (f.characteristic for f in factors)
         )
-        self._strides = []
-        s = 1
-        for f in factors:
-            self._strides.append(s)
-            s *= f.size
-        self.one = self.encode([f.one for f in factors])
+        self.codec = MixedRadix(f.size for f in factors)
+        self.one = self.codec.encode([f.one for f in factors])
         self.char_exponent = reduce(
             lambda a, b: a * b // gcd(a, b), (f.char_exponent for f in factors)
         )
 
-    def encode(self, comps) -> int:
-        return sum(c * s for c, s in zip(comps, self._strides))
-
-    def decode(self, code: int):
-        return tuple(
-            (code // s) % f.size for f, s in zip(self.factors, self._strides)
-        )
-
-    def _split_arr(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        return [
-            (a // s) % f.size for f, s in zip(self.factors, self._strides)
-        ]
-
-    def _join_arr(self, comps):
-        out = np.zeros_like(np.asarray(comps[0], dtype=np.int64))
-        for c, s in zip(comps, self._strides):
-            out = out + np.asarray(c, dtype=np.int64) * s
-        return out
-
     def _map2(self, op, a, b):
-        ca = self.decode(a)
-        cb = self.decode(b)
-        return self.encode([op(f, x, y) for f, x, y in zip(self.factors, ca, cb)])
+        ca = self.codec.decode(a)
+        cb = self.codec.decode(b)
+        return self.codec.encode([op(f, x, y) for f, x, y in zip(self.factors, ca, cb)])
+
+    def _map_arr(self, op, *arrays):
+        """Join op(factor, *digits) over the factors, each fed its digits of `arrays`."""
+        digits = [self.codec.split(a) for a in arrays]
+        return self.codec.join(np.stack(
+            [op(f, *(d[..., i] for d in digits)) for i, f in enumerate(self.factors)], axis=-1
+        ))
 
     def add(self, a, b):
         return self._map2(lambda f, x, y: f.add(x, y), a, b)
@@ -680,31 +729,25 @@ class ProductRing(Ring):
         return self._map2(lambda f, x, y: f.mul(x, y), a, b)
 
     def neg(self, a):
-        return self.encode([f.neg(x) for f, x in zip(self.factors, self.decode(a))])
+        return self.codec.encode([f.neg(x) for f, x in zip(self.factors, self.codec.decode(a))])
 
     def add_arr(self, a, b):
-        return self._join_arr(
-            [f.add_arr(x, y) for f, x, y in zip(self.factors, self._split_arr(a), self._split_arr(b))]
-        )
+        return self._map_arr(lambda f, x, y: f.add_arr(x, y), a, b)
 
     def neg_arr(self, a):
-        return self._join_arr(
-            [f.neg_arr(x) for f, x in zip(self.factors, self._split_arr(a))]
-        )
+        return self._map_arr(lambda f, x: f.neg_arr(x), a)
 
     def mul_arr(self, a, b):
-        return self._join_arr(
-            [f.mul_arr(x, y) for f, x, y in zip(self.factors, self._split_arr(a), self._split_arr(b))]
-        )
+        return self._map_arr(lambda f, x, y: f.mul_arr(x, y), a, b)
 
     def unit_inverse(self, a):
         invs = []
-        for f, x in zip(self.factors, self.decode(a)):
+        for f, x in zip(self.factors, self.codec.decode(a)):
             inv = f.unit_inverse(x)
             if inv is None:
                 return None
             invs.append(inv)
-        return self.encode(invs)
+        return self.codec.encode(invs)
 
     def descriptor(self):
         return "prod:[" + ";".join(f.descriptor() for f in self.factors) + "]"
@@ -712,25 +755,20 @@ class ProductRing(Ring):
     def pair_exponent(self, u, a):
         L = self.char_exponent
         total = 0
-        for f, x, y in zip(self.factors, self.decode(u), self.decode(a)):
+        for f, x, y in zip(self.factors, self.codec.decode(u), self.codec.decode(a)):
             total += (L // f.char_exponent) * f.pair_exponent(x, y)
         return total % L
 
     def pair_exponent_arr(self, u, a):
         L = self.char_exponent
-        us = self._split_arr(u)
-        as_ = self._split_arr(a)
-        total = np.zeros_like(np.asarray(u, dtype=np.int64))
-        for f, x, y in zip(self.factors, us, as_):
-            total = total + (L // f.char_exponent) * f.pair_exponent_arr(x, y)
+        us, as_ = self.codec.split(u), self.codec.split(a)
+        total = 0
+        for i, f in enumerate(self.factors):
+            total = total + (L // f.char_exponent) * f.pair_exponent_arr(us[..., i], as_[..., i])
         return total % L
 
     def convolve_codes(self, a, b):
-        comps = [
-            f.convolve_codes(x, y)
-            for f, x, y in zip(self.factors, self._split_arr(a), self._split_arr(b))
-        ]
-        return self._join_arr(comps)
+        return self._map_arr(lambda f, x, y: f.convolve_codes(x, y), a, b)
 
 
 def parse_ring(text: str) -> Ring:
@@ -785,7 +823,8 @@ class ModuleSpec:
     """The free module R**n with componentwise ring action.
 
     Module elements are length-n tuples of ring codes; their packed single-code
-    form (mixed radix, base |R|, little-endian) is used in file formats.
+    form (mixed radix, base |R|, little-endian) is used in file formats.  A
+    module whose packed codes could reach 2**63 is refused.
     """
 
     def __init__(self, ring: Ring, rank: int = 1):
@@ -793,39 +832,24 @@ class ModuleSpec:
             raise InvalidParameterError(f"module rank must be >= 1, got {rank}")
         self.ring = ring
         self.rank = rank
-        self.size = ring.size**rank
+        self.codec = MixedRadix((ring.size,) * rank)
+        self.size = self.codec.size
 
+    # Defined here, not delegated by attribute, so the benchmark tracer finds
+    # pack_arr and unpack_arr in this class's own namespace.
     def encode(self, comps) -> int:
-        comps = tuple(comps)
-        if len(comps) != self.rank:
-            raise InvalidParameterError("component count != rank")
-        code = 0
-        for c in reversed(comps):
-            if not 0 <= c < self.ring.size:
-                raise InvalidParameterError(f"ring code {c} out of range")
-            code = code * self.ring.size + c
-        return code
+        return self.codec.encode(comps)
 
     def decode(self, code: int):
-        if not 0 <= code < self.size:
-            raise InvalidParameterError(f"module code {code} out of range")
-        out = []
-        for _ in range(self.rank):
-            out.append(code % self.ring.size)
-            code //= self.ring.size
-        return tuple(out)
+        return self.codec.decode(code)
 
     def pack_arr(self, comps: np.ndarray) -> np.ndarray:
-        """(.., rank) component array -> (..) packed module codes."""
-        weights = self.ring.size ** np.arange(self.rank, dtype=np.int64)
-        return (np.asarray(comps, dtype=np.int64) * weights).sum(axis=-1)
+        """(.., rank) component array -> (..) int64 packed module codes."""
+        return self.codec.join(np.asarray(comps, dtype=np.int64))
 
     def unpack_arr(self, codes: np.ndarray) -> np.ndarray:
-        codes = np.asarray(codes, dtype=np.int64)
-        out = np.zeros(codes.shape + (self.rank,), dtype=np.int64)
-        for i in range(self.rank):
-            out[..., i] = (codes // self.ring.size**i) % self.ring.size
-        return out
+        """(..) packed module codes -> (.., rank) int64 component array."""
+        return self.codec.split(codes)
 
     def __eq__(self, other):
         return (

@@ -21,8 +21,10 @@ from modshift import (
     CharacterSpec,
     ConfigParseError,
     CosetHaarMeasure,
+    InvalidParameterError,
     KernelShiftSpec,
     LocalRule,
+    MixedRadix,
     ModuleSpec,
     OutOfWindowError,
     ResourceLimitError,
@@ -408,14 +410,15 @@ def test_block_entropy_keys_match_row_unique(ring_text, extents, block):
 
 
 def test_unique_rows_falls_back_past_the_key_range():
-    # 2**64 in base 3 has 41 digits: as a 45-column row its int64 key wraps
-    # to 0, the key of the zero row.
+    # 2**64 in base 3 has 41 digits: a 45-column row has no int64 key, so the
+    # codec refuses 45 base-3 places and the rows are compared as rows.
     digits = np.zeros(45, dtype=np.int64)
     n = 1 << 64
     for j in range(44, -1, -1):
         n, digits[j] = divmod(n, 3)
     rows = np.stack([digits, np.zeros(45, dtype=np.int64), digits])
-    assert measures._mixed_radix_keys(rows, 3)[0] == 0
+    with pytest.raises(InvalidParameterError):
+        MixedRadix((3,) * 45)
     first, inverse = measures._unique_rows(rows, 3, return_index=True, return_inverse=True)
     assert first.tolist() == [1, 0] and inverse.tolist() == [1, 0, 1]
     narrow = rows[:, 6:]  # 3**39 < 2**62: keys
@@ -426,7 +429,7 @@ def test_unique_rows_falls_back_past_the_key_range():
 
 def test_mixed_radix_keys_sort_like_rows():
     rows = CounterRng(9, stream=2).uniform_codes(0, (500, 4), 5)
-    keys = measures._mixed_radix_keys(rows, 5)
+    keys = MixedRadix((5,) * 4).join(rows[:, ::-1])
     order = np.lexsort(rows.T[::-1])
     assert np.array_equal(np.argsort(keys, kind="stable"), order)
 

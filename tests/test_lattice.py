@@ -142,6 +142,27 @@ def test_decode_out_of_range_names_offset():
     assert err.value.line == 8
 
 
+def test_decode_refuses_a_module_whose_codes_overflow_int64():
+    # zmod:65536 at rank 4 has 2**64 packed codes: the largest cannot be int64.
+    text = (
+        "MODSHIFT-CFG v1\nzmod:65536\nrank 4\ndims 1 0\norigin 0\nextents 1\n"
+        "mode exact\n9223372036854775808\n"
+    )
+    with pytest.raises(ConfigParseError) as err:
+        decode_config(text)
+    assert err.value.line == 3
+    with pytest.raises(InvalidParameterError):
+        ModuleSpec(ZmodRing(65536), 4)
+
+
+def test_largest_codes_roundtrip_at_rank_3_of_zmod_65536():
+    module = ModuleSpec(ZmodRing(65536), 3)
+    cfg = constant_config(module, w((1, 0), (0,), (2,)), (65535,) * 3)
+    text = encode_config(cfg)
+    assert text.endswith(f"\n{2**48 - 1} {2**48 - 1}\n")
+    assert decode_config(text) == cfg
+
+
 def test_decode_malformed_header():
     with pytest.raises(ConfigParseError):
         decode_config("BANANAS v1\n")

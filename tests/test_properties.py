@@ -1,9 +1,15 @@
 """Algebraic-law property tests over randomly drawn elements and windows."""
 
+from math import prod
+
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from modshift import (
     GFRing,
+    InvalidParameterError,
+    MixedRadix,
     ModuleSpec,
     ProductRing,
     ShiftPolynomial,
@@ -129,3 +135,62 @@ def test_config_roundtrip_and_shift_additivity(ring, data):
     assert shift_config(config_add(cfg, other), u) == config_add(
         shift_config(cfg, u), shift_config(other, u)
     )
+
+
+def _divmod_digits(code, radices):
+    """Little-endian digits of code by repeated divmod: place 0 first."""
+    digits = []
+    for r in radices:
+        code, d = divmod(code, r)
+        digits.append(d)
+    return tuple(digits)
+
+
+def _check_codec(codec, encode, decode, join, split, data):
+    """Scalar and array codes of `codec` against the divmod reference."""
+    radices, size = codec.radices, codec.size
+    assert size == prod(radices)
+    codes = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=20))
+    want = [_divmod_digits(c, radices) for c in codes]
+    assert [decode(c) for c in codes] == want
+    assert [encode(d) for d in want] == codes
+    digits = split(np.array(codes, dtype=np.int64))
+    assert digits.shape == (len(codes), len(radices)) and digits.tolist() == [list(d) for d in want]
+    joined = join(digits)
+    assert joined.dtype == np.int64 and joined.tolist() == codes
+    for bad in (-1, size):
+        with pytest.raises(InvalidParameterError):
+            decode(bad)
+    if radices:
+        with pytest.raises(InvalidParameterError):
+            encode((radices[0],) + want[0][1:])
+    if size <= 1 << 12:
+        table = codec.all_digits()
+        assert table.dtype == np.min_scalar_type(max(radices, default=1) - 1)
+        # Row i is code i's digits: the first digit varies fastest.
+        assert table.tolist() == [list(_divmod_digits(i, radices)) for i in range(size)]
+        assert np.array_equal(table, split(np.arange(size)))
+        assert codec.join(table).tolist() == list(range(size))
+
+
+@COMMON
+@given(rings, st.integers(min_value=1, max_value=3), st.data())
+def test_module_codes_round_trip(ring, rank, data):
+    mod = ModuleSpec(ring, rank)
+    assert mod.codec.radices == (ring.size,) * rank
+    _check_codec(mod.codec, mod.encode, mod.decode, mod.pack_arr, mod.unpack_arr, data)
+
+
+@COMMON
+@given(
+    st.one_of(
+        st.lists(st.integers(min_value=2, max_value=12), max_size=4),
+        st.lists(st.integers(min_value=2, max_value=1 << 16), max_size=4).filter(
+            lambda radices: prod(radices) < 1 << 63
+        ),
+    ),
+    st.data(),
+)
+def test_mixed_radix_round_trip(radices, data):
+    codec = MixedRadix(radices)
+    _check_codec(codec, codec.encode, codec.decode, codec.join, codec.split, data)

@@ -266,8 +266,7 @@ def _tracer_tables():
     tables = {}
     for node in tree.body:
         if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-            if node.targets[0].id in ("FUNCTIONS", "METHODS"):
-                tables[node.targets[0].id] = node.value
+            tables[node.targets[0].id] = node.value
     return tables
 
 
@@ -282,12 +281,50 @@ def test_tracer_functions_exist():
     assert named > 50
 
 
+def _method_names(node, tables):
+    """The names a METHODS entry lists: a list literal, a named list, or a sum of them."""
+    if isinstance(node, ast.Name):
+        return _method_names(tables[node.id], tables)
+    if isinstance(node, ast.BinOp):
+        return _method_names(node.left, tables) + _method_names(node.right, tables)
+    return ast.literal_eval(node)
+
+
+# Names the tracer lists but finds nowhere it patches: measures.py has no
+# fourier_root_sum since the Fourier paths merged, `marginal` exists only on
+# the Haar measures, and TransformedMeasure inherits three methods from the
+# unnamed MeasureHandle.  Pinned exactly, so a new gap fails and a mended one
+# must leave this set.
+_UNTRACED = {
+    "BernoulliMeasure.fourier_root_sum", "BernoulliMeasure.marginal",
+    "SubgroupHaarMeasure.fourier_root_sum", "CosetHaarMeasure.fourier_root_sum",
+    "ExactWordMeasure.fourier_root_sum", "ExactWordMeasure.marginal",
+    "TransformedMeasure.cylinder_probability", "TransformedMeasure.fourier_root_sum",
+    "TransformedMeasure.enumerate_words", "TransformedMeasure.entropy_bits_per_site",
+    "TransformedMeasure.marginal",
+}
+
+
 def test_tracer_method_classes_exist():
-    methods = _tracer_tables()["METHODS"]
+    tables = _tracer_tables()
+    methods = tables["METHODS"]
+    traced, untraced = 0, set()
     for layer, value in zip(methods.keys, methods.values):
         module = importlib.import_module(f"modshift.{layer.value}")
+        classes = {pair.elts[0].value for pair in value.elts}
         for pair in value.elts:
-            assert isinstance(getattr(module, pair.elts[0].value, None), type)
+            cls = getattr(module, pair.elts[0].value, None)
+            assert isinstance(cls, type)
+            for meth in _method_names(pair.elts[1], tables):
+                # The tracer patches a method only in the __dict__ of a class
+                # it names; a method defined anywhere else goes untimed.
+                owner = next((c for c in cls.__mro__ if meth in c.__dict__), None)
+                if owner is not None and owner.__name__ in classes:
+                    traced += 1
+                else:
+                    untraced.add(f"{cls.__name__}.{meth}")
+    assert untraced == _UNTRACED
+    assert traced > 50
 
 
 def test_write_report_returns_the_five_files(tmp_path):

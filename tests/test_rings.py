@@ -224,11 +224,19 @@ def test_recurrent_power_sums_vs_horizon_oracle(ring, coeffs):
     assert recurrent_power_sums(ring, coeffs) == _recurrent_oracle(ring, coeffs)
 
 
-def test_module_codes_bijective():
-    for ring in (GFRing(3, 2), ProductRing([ZmodRing(2), ZmodRing(3)])):
-        mod = ModuleSpec(ring, 2)
-        for code in range(mod.size):
-            assert mod.encode(mod.decode(code)) == code
+@pytest.mark.parametrize("code", [6, -1])
+def test_product_ring_decode_refuses_codes_out_of_range(code):
+    ring = ProductRing([ZmodRing(2), ZmodRing(3)])
+    with pytest.raises(InvalidParameterError):
+        ring.codec.decode(code)
+    with pytest.raises(InvalidParameterError):
+        ModuleSpec(ring, 1).decode(code)
+
+
+def test_product_ring_size_cap_counts_past_int64():
+    # 65536**4 = 2**64 would wrap to 0 in an int64 product.
+    with pytest.raises(InvalidParameterError, match="capped"):
+        ProductRing([ZmodRing(65536)] * 4)
 
 
 def test_module_scalar_action_bilinear_exhaustive():
