@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
+from math import gcd
 
 import numpy as np
 
@@ -143,8 +144,6 @@ class RootSum:
         return out
 
     def _reduced_int_coeffs(self):
-        from math import gcd
-
         den = 1
         for w in self.weights:
             den = den * w.denominator // gcd(den, w.denominator)
@@ -197,7 +196,9 @@ class CharacterSpec:
 
     @staticmethod
     def build(module, window, dual_map) -> "CharacterSpec":
+        """A character from {site: dual}; `window.flat_indices` refuses a bad site."""
         items = []
+        window.flat_indices(sorted(dual_map))
         for site, dual in sorted(dual_map.items()):
             site = tuple(int(x) for x in site)
             if isinstance(dual, int):
@@ -205,8 +206,6 @@ class CharacterSpec:
             dual = tuple(int(x) for x in dual)
             if len(dual) != module.rank:
                 raise InvalidParameterError("dual arity != module rank")
-            if not window.contains_site(site):
-                raise InvalidParameterError(f"dual site {site} outside base window")
             if any(not 0 <= d < module.ring.size for d in dual):
                 raise InvalidParameterError(f"dual code out of range at {site}")
             if any(dual):
@@ -221,21 +220,12 @@ class CharacterSpec:
     def order(self) -> int:
         return self.module.ring.char_exponent
 
-    def exponents_of_values(self, values: np.ndarray, site_positions: dict) -> np.ndarray:
-        """Vectorized exponents for draws shaped (count, n_selected_sites, rank).
-
-        `site_positions` maps absolute sites to indices in the selection axis.
-        """
+    def exponents_of_values(self, values: np.ndarray) -> np.ndarray:
+        """Exponents for draws shaped (count, n_sites, rank); column i is site i of `duals`."""
         ring = self.module.ring
-        L = ring.char_exponent
-        total = np.zeros(values.shape[0], dtype=np.int64)
-        for site, dual in self.duals:
-            col = site_positions[site]
-            for c, d in enumerate(dual):
-                total = total + ring.pair_exponent_arr(
-                    np.int64(d), values[:, col, c]
-                )
-        return total % L
+        duals = np.array([dual for _, dual in self.duals], dtype=np.int64)
+        duals = duals.reshape(1, -1, self.module.rank)
+        return ring.pair_exponent_arr(duals, values).sum(axis=(1, 2)) % ring.char_exponent
 
     def sites(self):
         return tuple(site for site, _ in self.duals)

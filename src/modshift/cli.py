@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import crt as crt_mod
@@ -193,8 +194,6 @@ def cmd_measure_entropy(args):
 
 
 def cmd_crt_split(args):
-    import os
-
     cfg = _read_config(args.config)
     deco = crt_mod.decompose_ring(cfg.module.ring)
     parts = crt_mod.split_config(cfg, deco)

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedCharacteristicError
-from .lattice import WindowConfig
+from .lattice import WindowConfig, WindowSpec
 from .rings import MixedRadix, ModuleSpec, ProductRing, Ring, ZmodRing, is_prime
 from .rng import CounterRng
 from .shiftpoly import LocalRule, from_rule, stencil
@@ -333,8 +333,6 @@ def conjugacy_check(
         raise InvalidParameterError("rule ring differs from decomposition source")
     if len(torus_extents) != dims[0] + dims[1]:
         raise InvalidParameterError("torus extents arity != rule dims")
-    from .lattice import WindowSpec
-
     window = WindowSpec(dims, (0,) * len(torus_extents), tuple(torus_extents))
     poly = from_rule(rule)
     comp_polys = [

@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +29,7 @@ from .errors import ENUMERATION_CAP, ConfigParseError, InvalidParameterError, Re
 from .kernels import (
     KernelShiftSpec,
     coset_shift_check,
+    extension_certificate,
     invariance_and_surjectivity_check,
     kernel_membership,
     submodule_condition_check,
@@ -241,8 +243,6 @@ def _step_kernel_count(params, seed):
         out["submodule_condition"] = closed
         out["pass"] = out["pass"] and closed
     if params.get("extension-check", "false") == "true":
-        from .kernels import extension_certificate
-
         cert = extension_certificate(spec, window)
         out["extension_certificate"] = cert
         out["pass"] = out["pass"] and cert
@@ -622,8 +622,6 @@ def _csv_bytes(tables, columns) -> bytes:
 
 def write_report(report: dict, outdir, raw_text: str) -> dict:
     """Write report.json, CSV tables, config echo, and the timestamp sidecar."""
-    import os
-
     os.makedirs(outdir, exist_ok=True)
     paths = {}
 
@@ -657,8 +655,6 @@ def bundled_config_path(name: str):
 
 def run_file(path: str, outdir: str, workers: int = 1, force: bool = False, seed=None) -> int:
     """Run a config (a path or a bundled name); returns the process exit code."""
-    import os
-
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

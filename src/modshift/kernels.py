@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     ENUMERATION_CAP,
+    DomainExhaustedError,
     InfeasiblePinError,
     InvalidParameterError,
     ResourceLimitError,
@@ -29,8 +30,10 @@ from . import crt, linalg
 from .lattice import (
     WindowConfig,
     WindowSpec,
+    config_add,
     config_scale,
     config_sub,
+    constant_config,
     coordinate_sum_images,
     restrict_config,
     scaled_offset,
@@ -162,6 +165,10 @@ def constraint_residual(spec: KernelShiftSpec, config: WindowConfig):
     """Constraint values at every in-window anchor; None when no anchor fits."""
     rule = spec.constraint
     rule.module.check_same(config.module)
+    if config.window.dims != spec.dims:
+        raise InvalidParameterError(
+            f"word window {config.window} does not have the kernel's dims {spec.dims}"
+        )
     if anchor_window(rule.offsets, config.window) is None:
         return None
     _, out = stencil(
@@ -410,8 +417,6 @@ class Cocycle:
     @staticmethod
     def linear(a, window, module, mode="exact") -> "Cocycle":
         """The cocycle b^m = (m_1 + ... + m_k) * a: every generator image is a^M."""
-        from .lattice import constant_config
-
         img = constant_config(module, window, a, mode)
         return Cocycle([img] * window.axes)
 
@@ -420,8 +425,6 @@ class Cocycle:
         m = tuple(int(x) for x in m)
         if any(x < 0 for x in m):
             raise InvalidParameterError("derivation implemented for nonnegative steps")
-        from .lattice import config_add, constant_config
-
         current = constant_config(self.module, self.window, 0, self.images[0].mode)
         for axis, steps in enumerate(m):
             unit = tuple(int(i == axis) for i in range(self.window.axes))
@@ -438,8 +441,6 @@ class Cocycle:
 
     def check_law(self, config: WindowConfig, vector_pairs) -> bool:
         """Verify b^{u+v} = sigma^v(b^u) + b^v for the coboundary of config."""
-        from .lattice import config_add
-
         for u, v in vector_pairs:
             (b_u,) = coboundary(config, [u])
             (b_v,) = coboundary(config, [v])
@@ -460,8 +461,6 @@ class Cocycle:
 
 def coboundary(config: WindowConfig, vectors) -> list:
     """sigma^v(c) - c for each vector, on the common (shrunken) window."""
-    from .errors import DomainExhaustedError
-
     out = []
     for v in vectors:
         shifted = shift_config(config, v)
@@ -520,8 +519,6 @@ def coset_shift_check(
     Default vectors are the lattice generators plus a few seeded random ones;
     defaults that would empty the window are skipped, explicit vectors are not.
     """
-    from .errors import DomainExhaustedError
-
     defaulted = vectors is None
     if defaulted:
         vectors = _default_check_vectors(config.window, random_vectors, seed)
@@ -572,45 +569,40 @@ def topological_mixing_check(spec: KernelShiftSpec, pairs, n: int) -> bool:
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    module = spec.module
-    pins = {}
+    coords, values = [], []
     for h, word in pairs:
-        module.check_same(word.module)
+        spec.module.check_same(word.module)
         v = scaled_offset(h, n, sum(spec.dims))
         if not kernel_membership(spec, word):
             raise InvalidParameterError("pinned word is not in the window kernel")
-        for site in word.window.sites():
-            target = word.value_at(site)
-            abs_site = tuple(s + d for s, d in zip(site, v))
-            if abs_site in pins and pins[abs_site] != target:
-                raise InfeasiblePinError(
-                    f"site {abs_site} pinned to both {pins[abs_site]} and {target}"
-                )
-            pins[abs_site] = target
-    if not pins:
+        coords.append(np.array(list(word.window.sites()), dtype=np.int64) + v)
+        values.append(word.flat())
+    if not coords:
         return True
-    sites = list(pins)
-    lo = [min(s[i] for s in sites) for i in range(len(sites[0]))]
-    hi = [max(s[i] for s in sites) for i in range(len(sites[0]))]
-    dims = spec.dims
-    box = WindowSpec(dims, tuple(lo), tuple(h - l + 1 for l, h in zip(lo, hi)))
-    site_order = list(box.sites())
-    site_idx = {s: i for i, s in enumerate(site_order)}
-    pin_cols = np.array([site_idx[s] for s in sites], dtype=np.int64)
-    free_cols = np.array(
-        [i for i in range(box.n_sites) if i not in set(pin_cols.tolist())],
-        dtype=np.int64,
+    coords, values = np.concatenate(coords), np.concatenate(values)
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    box = WindowSpec(spec.dims, tuple(lo.tolist()), tuple((hi - lo + 1).tolist()))
+    pin_cols, first, which = np.unique(
+        box.flat_indices(coords), return_index=True, return_inverse=True
     )
-    rank_mod = module.rank
+    clash = (values != values[first[which]]).any(axis=1)
+    if clash.any():
+        i = int(np.argmax(clash))
+        raise InfeasiblePinError(
+            f"site {tuple(coords[i].tolist())} pinned to both "
+            f"{tuple(values[first[which[i]]].tolist())} and {tuple(values[i].tolist())}"
+        )
+    free = np.ones(box.n_sites, dtype=bool)
+    free[pin_cols] = False
     for comp_spec, comp_ring, deco, j in _field_components(spec):
         matrix = constraint_matrix(comp_spec, box)
         if matrix.shape[0] == 0:
             continue
-        for c in range(rank_mod):
-            targets = deco.forward_table[[pins[s][c] for s in sites], j]
+        for c in range(spec.module.rank):
+            targets = deco.forward_table[values[first, c], j]
             pinned_part = matrix[:, pin_cols]
             rhs = comp_ring.neg_arr(comp_ring.lincomb(pinned_part, targets[:, None])[:, 0])
-            solution, _ = linalg.solve_affine(matrix[:, free_cols], rhs, comp_ring)
+            solution, _ = linalg.solve_affine(matrix[:, free], rhs, comp_ring)
             if solution is None:
                 return False
     return True
@@ -624,11 +616,7 @@ def extension_certificate(spec: KernelShiftSpec, window: WindowSpec, layers: int
     """
     axes = window.axes
     big = window.expanded([layers] * axes, [layers] * axes)
-    site_cols = []
-    big_sites = {s: i for i, s in enumerate(big.sites())}
-    for s in window.sites():
-        site_cols.append(big_sites[s])
-    site_cols = np.array(site_cols, dtype=np.int64)
+    site_cols = big.flat_indices(window.sites())
     for comp_spec, comp_ring, _, _ in _field_components(spec):
         big_matrix = constraint_matrix(comp_spec, big)
         big_basis = linalg.nullspace(big_matrix, comp_ring)

@@ -79,9 +79,12 @@ class WindowSpec:
             yield tuple(o + r for o, r in zip(self.origin, rel))
 
     def contains_site(self, site) -> bool:
-        return all(
-            o <= s < o + e for s, o, e in zip(site, self.origin, self.extents)
-        )
+        """Whether the site is in the window; `flat_indices` refuses a malformed site."""
+        try:
+            self.flat_indices([site])
+        except OutOfWindowError:
+            return False
+        return True
 
     def contains_window(self, other: "WindowSpec") -> bool:
         return all(
@@ -91,14 +94,31 @@ class WindowSpec:
             )
         )
 
+    def flat_indices(self, sites) -> np.ndarray:
+        """Row-major indices of `sites` in this window, as an int64 array.
+
+        A site without D+E integer coordinates raises InvalidParameterError,
+        a site outside the window OutOfWindowError; both name the first such
+        site.  `sites` is any iterable of sites, or an (n, D+E) array.
+        """
+        sites = sites if isinstance(sites, np.ndarray) else list(sites)
+        if len(sites) == 0:
+            return np.zeros(0, dtype=np.int64)
+        coords = integer_array(sites, (len(sites), self.axes))
+        if coords is None:
+            bad = next(s for s in sites if integer_array(s, (self.axes,)) is None)
+            raise InvalidParameterError(
+                f"site {bad} does not have D+E = {self.axes} integer coordinates"
+            )
+        rel = coords - np.array(self.origin, dtype=np.int64)
+        inside = ((rel >= 0) & (rel < np.array(self.extents))).all(axis=1)
+        if not inside.all():
+            bad = tuple(coords[np.argmin(inside)].tolist())
+            raise OutOfWindowError(f"site {bad} not in window {self}")
+        return np.ravel_multi_index(tuple(rel.T), self.extents).astype(np.int64, copy=False)
+
     def index_of(self, site) -> int:
-        idx = 0
-        for s, o, e in zip(site, self.origin, self.extents):
-            r = s - o
-            if not 0 <= r < e:
-                raise OutOfWindowError(f"site {site} not in window {self}")
-            idx = idx * e + r
-        return idx
+        return int(self.flat_indices([site])[0])
 
     def relative_slices(self, sub: "WindowSpec"):
         return tuple(
@@ -203,10 +223,7 @@ class WindowConfig:
 
     def value_at(self, site):
         """The module element (tuple of ring codes) stored at an absolute site."""
-        rel = tuple(s - o for s, o in zip(site, self.window.origin))
-        if not all(0 <= r < e for r, e in zip(rel, self.window.extents)):
-            raise OutOfWindowError(f"site {site} outside {self.window}")
-        return tuple(int(x) for x in self.values[rel])
+        return tuple(self.flat()[self.window.index_of(site)].tolist())
 
     def flat(self) -> np.ndarray:
         """(n_sites, rank) view, row-major."""
@@ -228,6 +245,17 @@ class WindowConfig:
         )
 
 
+def integer_array(values, shape):
+    """`values` as an int64 array of `shape`, or None when they are not integers of that shape."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged: rows of different lengths
+        return None
+    if arr.dtype.kind not in "iu" or arr.shape != shape:
+        return None
+    return arr.astype(np.int64, copy=False)
+
+
 def constant_config(module, window, element, mode="exact") -> WindowConfig:
     """Every site holds `element` (a module code tuple or single ring code)."""
     if isinstance(element, int):
@@ -238,14 +266,11 @@ def constant_config(module, window, element, mode="exact") -> WindowConfig:
 
 def config_from_function(module, window, fn, mode="exact") -> WindowConfig:
     """Build a config by evaluating fn(site) -> module element at every site."""
-    vals = np.zeros(window.extents + (module.rank,), dtype=np.int64)
-    for rel in iter_product(*(range(e) for e in window.extents)):
-        site = tuple(o + r for o, r in zip(window.origin, rel))
+    vals = np.zeros((window.n_sites, module.rank), dtype=np.int64)
+    for i, site in enumerate(window.sites()):
         v = fn(site)
-        if isinstance(v, int):
-            v = (v,) * module.rank
-        vals[rel] = v
-    return WindowConfig(window, module, vals, mode)
+        vals[i] = (v,) * module.rank if isinstance(v, int) else v
+    return WindowConfig(window, module, vals.reshape(window.extents + (module.rank,)), mode)
 
 
 def coordinate_sum_images(ring, window: WindowSpec) -> np.ndarray:

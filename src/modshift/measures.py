@@ -24,6 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product as iter_product
 
 import numpy as np
 
@@ -50,12 +51,13 @@ from .kernels import (
     coset_shift_check,
     window_kernel,
 )
-from .lattice import WindowConfig, WindowSpec, scaled_offset
+from .lattice import WindowConfig, WindowSpec, integer_array, restrict_config, scaled_offset
 from .rings import MixedRadix, ModuleSpec, Ring, is_prime
 from .rng import CounterRng, cdf_thresholds
 from .shiftpoly import (
     LocalRule,
     ShiftPolynomial,
+    format_rule,
     from_rule,
     poly_pow,
     poly_pow_charp,
@@ -172,12 +174,39 @@ def _merge_pins(pin_dicts):
 
 def _pins_from_word(word: WindowConfig, offset=None, n: int = 0):
     """The word's values pinned on its window translated by n * offset."""
-    v = scaled_offset(offset, n, word.window.axes) if offset is not None else None
-    out = {}
-    for site in word.window.sites():
-        t = site if v is None else tuple(s + x for s, x in zip(site, v))
-        out[t] = word.value_at(site)
-    return out
+    axes = word.window.axes
+    v = scaled_offset(offset, n, axes) if offset is not None else (0,) * axes
+    sites = (tuple(s + x for s, x in zip(site, v)) for site in word.window.sites())
+    return dict(zip(sites, map(tuple, word.flat().tolist())))
+
+
+def _site_columns(idx, rank: int) -> np.ndarray:
+    """Module-variable columns of window site indices: component c of site i is column i * rank + c."""
+    return (idx[:, None] * rank + np.arange(rank)).ravel()
+
+
+def _codes_ok(values, shape, size: int) -> bool:
+    """Whether `values` is an integer array of `shape` with every entry in [0, size)."""
+    arr = integer_array(values, shape)
+    return arr is not None and bool(((arr >= 0) & (arr < size)).all())
+
+
+def _pin_arrays(window: WindowSpec, module: ModuleSpec, pins: dict):
+    """A pin dict as (window site indices, (n, rank) element codes).
+
+    A site `flat_indices` refuses, or a value that is not a rank-tuple of
+    element codes, raises, naming the first such site.
+    """
+    idx = window.flat_indices(list(pins))
+    rank, size = module.rank, module.ring.size
+    values = list(pins.values())
+    if values and not _codes_ok(values, (len(values), rank), size):
+        site = next(s for s, v in pins.items() if not _codes_ok(v, (rank,), size))
+        raise InvalidParameterError(
+            f"pin at site {site}: {pins[site]!r} is not a rank-{rank} tuple "
+            f"of element codes in [0, {size})"
+        )
+    return idx, np.asarray(values, dtype=np.int64).reshape(len(values), rank)
 
 
 class BernoulliMeasure(MeasureHandle):
@@ -202,11 +231,10 @@ class BernoulliMeasure(MeasureHandle):
         return self._uniform
 
     def cylinder_probability(self, pins):
+        _, vals = _pin_arrays(self.window, self.module, pins)
         out = Fraction(1)
-        for site, val in pins.items():
-            if not self.window.contains_site(site):
-                raise OutOfWindowError(f"pin site {site} outside {self.window}")
-            out *= self.probs[self.module.encode(val)]
+        for code in self.module.pack_arr(vals).tolist():
+            out *= self.probs[code]
         return out
 
     def enumerate_words(self, limit=ENUMERATION_CAP):
@@ -218,8 +246,6 @@ class BernoulliMeasure(MeasureHandle):
                 required=total,
             )
         support = [c for c, p in enumerate(self.probs) if p]
-        from itertools import product as iter_product
-
         for combo in iter_product(support, repeat=n):
             p = Fraction(1)
             for c in combo:
@@ -351,12 +377,7 @@ class SubgroupHaarMeasure(MeasureHandle):
         """Exact marginal on a sub-window (projection of a subgroup is a subgroup)."""
         if not self.window.contains_window(sub_window):
             raise OutOfWindowError(f"{sub_window} not inside {self.window}")
-        rank = self.module.rank
-        cols = []
-        for site in sub_window.sites():
-            base = self.window.index_of(site) * rank
-            cols.extend(range(base, base + rank))
-        cols = np.array(cols, dtype=np.int64)
+        cols = _site_columns(self.window.flat_indices(sub_window.sites()), self.module.rank)
         nvars = len(cols)
         spans = [
             _FieldSpan(span.ring, _echelonize(span.ring, span.basis[:, cols], nvars))
@@ -391,23 +412,14 @@ class SubgroupHaarMeasure(MeasureHandle):
         return np.concatenate(gens)
 
     # exact interface ----------------------------------------------------------
-    def _pin_vars(self, pins):
-        rank = self.module.rank
-        cols = []
-        vals = []
-        for site, val in pins.items():
-            if not self.window.contains_site(site):
-                raise OutOfWindowError(f"pin site {site} outside {self.window}")
-            base = self.window.index_of(site) * rank
-            for c in range(rank):
-                cols.append(base + c)
-                vals.append(val[c])
-        return np.array(cols, dtype=np.int64), np.array(vals, dtype=np.int64)
-
     def cylinder_probability(self, pins):
-        if not pins:
+        return self._pinned_probability(*_pin_arrays(self.window, self.module, pins))
+
+    def _pinned_probability(self, idx, vals):
+        """Probability that sites `idx` hold the (n, rank) codes `vals`."""
+        if not idx.size:
             return Fraction(1)
-        cols, vals = self._pin_vars(pins)
+        cols, vals = _site_columns(idx, self.module.rank), vals.ravel()
         out = Fraction(1)
         for si, span in enumerate(self.spans):
             targets = self._component_targets(vals, si)
@@ -437,10 +449,8 @@ class SubgroupHaarMeasure(MeasureHandle):
             yield merged[i].reshape(n_sites, rank), p
 
     def entropy_bits_per_site(self, site_indices):
-        rank = self.module.rank
         sel = self._site_selection(site_indices)
-        cols = np.concatenate([sel * rank + c for c in range(rank)]) if rank > 1 else sel * rank
-        cols = np.sort(cols)
+        cols = np.sort(_site_columns(sel, self.module.rank))
         bits = 0.0
         for span in self.spans:
             sub = span.basis[:, cols] if span.dim else np.zeros((0, len(cols)), dtype=np.int64)
@@ -456,7 +466,7 @@ class SubgroupHaarMeasure(MeasureHandle):
         # sliced.
         rank = self.module.rank
         sel = self._site_selection(site_indices)
-        cols = (sel[:, None] * rank + np.arange(rank)).ravel()
+        cols = _site_columns(sel, rank)
         first = np.arange(start, start + count, dtype=np.uint64)[:, None]
         comp_vals = []
         for si, span in enumerate(self.spans):
@@ -489,18 +499,10 @@ class CosetHaarMeasure(MeasureHandle):
             provenance,
         )
 
-    def _shift_pins(self, pins):
-        ring = self.module.ring
-        out = {}
-        for site, val in pins.items():
-            rep_val = self.rep.value_at(site)
-            out[site] = tuple(
-                ring.sub(v, r) for v, r in zip(val, rep_val)
-            )
-        return out
-
     def cylinder_probability(self, pins):
-        return self.subgroup.cylinder_probability(self._shift_pins(pins))
+        idx, vals = _pin_arrays(self.window, self.module, pins)
+        shifted = self.module.ring.sub_arr(vals, self.rep.flat()[idx])
+        return self.subgroup._pinned_probability(idx, shifted)
 
     def enumerate_words(self, limit=ENUMERATION_CAP):
         ring = self.module.ring
@@ -512,8 +514,6 @@ class CosetHaarMeasure(MeasureHandle):
         return self.subgroup.entropy_bits_per_site(site_indices)
 
     def marginal(self, sub_window: WindowSpec) -> "CosetHaarMeasure":
-        from .lattice import restrict_config
-
         return CosetHaarMeasure(
             restrict_config(self.rep, sub_window),
             self.subgroup.marginal(sub_window),
@@ -565,20 +565,19 @@ class ExactWordMeasure(MeasureHandle):
             label=label,
         )
 
+    @cached_property
+    def _word_array(self) -> np.ndarray:
+        """The words as one read-only (n_words, n_sites, rank) array."""
+        stacked = np.stack([w for w, _ in self.words]).reshape(
+            len(self.words), self.window.n_sites, self.module.rank
+        )
+        stacked.setflags(write=False)
+        return stacked
+
     def cylinder_probability(self, pins):
-        rank = self.module.rank
-        cols = []
-        vals = []
-        for site, val in pins.items():
-            if not self.window.contains_site(site):
-                raise OutOfWindowError(f"pin site {site} outside {self.window}")
-            cols.append(self.window.index_of(site))
-            vals.append(val)
-        out = Fraction(0)
-        for word, p in self.words:
-            if all(tuple(word[c]) == tuple(v) for c, v in zip(cols, vals)):
-                out += p
-        return out
+        idx, vals = _pin_arrays(self.window, self.module, pins)
+        hits = (self._word_array[:, idx] == vals).all(axis=(1, 2))
+        return sum((p for (_, p), hit in zip(self.words, hits) if hit), start=Fraction(0))
 
     def enumerate_words(self, limit=ENUMERATION_CAP):
         if len(self.words) > limit:
@@ -601,8 +600,7 @@ class ExactWordMeasure(MeasureHandle):
     def draw_values(self, start, count, site_indices=None):
         sel = self._site_selection(site_indices)
         idx = self._rng.uniform_from_cdf(start, (count,), self._thresholds)
-        stacked = np.stack([self.words[i][0] for i in range(len(self.words))])
-        return stacked[idx][:, sel, :]
+        return self._word_array[idx][:, sel, :]
 
 
 class TransformedMeasure(MeasureHandle):
@@ -815,20 +813,15 @@ def fourier(mu: MeasureHandle, chi: CharacterSpec, budget="exact", start: int = 
     this one character; an integer budget estimates from that many
     reproducible draws with stderr 1/sqrt(N).
     """
-    for site in chi.sites():
-        if not mu.window.contains_site(site):
-            raise OutOfWindowError(f"character site {site} outside measure window")
+    sites, codes = _character_rows([chi], mu.module.rank)
+    idx = _character_indices(mu.window, sites, codes)
     if budget == "exact":
-        class_ids, root_sums = _coefficients(mu, *_character_rows([chi], mu.module.rank))
+        class_ids, root_sums = _coefficients(mu, sites, codes)
         rs = root_sums[class_ids[0]]
         return FourierResult(chi, rs.to_complex(), 0.0, root_sum=rs)
     n = _sample_count(budget, "sample budget")
-    sites = chi.sites()
     if sites:
-        sel = [mu.window.index_of(s) for s in sites]
-        positions = {s: i for i, s in enumerate(sites)}
-        draws = mu.draw_values(start, n, sel)
-        exps = chi.exponents_of_values(draws, positions)
+        exps = chi.exponents_of_values(mu.draw_values(start, n, idx))
     else:
         exps = np.zeros(n, dtype=np.int64)
     L = chi.order
@@ -884,6 +877,22 @@ def _character_rows(characters, rank: int):
     return sites, codes
 
 
+def _character_indices(window: WindowSpec, sites, codes: np.ndarray) -> np.ndarray:
+    """Window indices of the character sites `sites` (see `_character_rows`).
+
+    When some site is outside the window, the first character (row of
+    `codes`) that touches one raises, naming its first such site.
+    """
+    try:
+        return window.flat_indices(sites)
+    except OutOfWindowError:
+        pass
+    outside = [j for j, site in enumerate(sites) if not window.contains_site(site)]
+    touched = codes.reshape(codes.shape[0], len(sites), -1)[:, outside].any(axis=2)
+    row = touched[np.argmax(touched.any(axis=1))]
+    raise OutOfWindowError(f"character site {sites[outside[np.argmax(row)]]} outside measure window")
+
+
 def _coefficients(mu: MeasureHandle, sites, codes: np.ndarray):
     """Exact Fourier coefficients of many characters at once: the one exact path.
 
@@ -898,13 +907,8 @@ def _coefficients(mu: MeasureHandle, sites, codes: np.ndarray):
     L = ring.char_exponent
     if not isinstance(mu, (SubgroupHaarMeasure, CosetHaarMeasure, BernoulliMeasure, ExactWordMeasure)):
         raise InvalidParameterError(f"{mu.label} has no exact Fourier path; pass a sample budget")
+    idx = _character_indices(mu.window, sites, codes)
     by_site = codes.reshape(codes.shape[0], len(sites), module.rank)
-    outside = [j for j, site in enumerate(sites) if not mu.window.contains_site(site)]
-    if outside:
-        touched = by_site[:, outside].any(axis=2)
-        row = touched[np.argmax(touched.any(axis=1))]
-        raise OutOfWindowError(f"character site {sites[outside[np.argmax(row)]]} outside measure window")
-    idx = np.array([mu.window.index_of(site) for site in sites], dtype=np.int64)
 
     if isinstance(mu, BernoulliMeasure):
         # Sites are i.i.d. and the arithmetic is exact, so characters with the
@@ -932,7 +936,7 @@ def _coefficients(mu: MeasureHandle, sites, codes: np.ndarray):
         # 1 on the annihilator of the subgroup (times the character's phase at
         # a coset representative), 0 off it: keys 0 off and 1 + phase on.
         coset = isinstance(mu, CosetHaarMeasure)
-        cols = (idx[:, None] * module.rank + np.arange(module.rank)).ravel()
+        cols = _site_columns(idx, module.rank)
         gens = (mu.subgroup if coset else mu).merged_generators()[:, cols]
         rep = mu.rep.flat()[idx].reshape(1, -1) if coset else None
         raw = np.empty(codes.shape[0], dtype=np.int64)
@@ -949,7 +953,7 @@ def _coefficients(mu: MeasureHandle, sites, codes: np.ndarray):
 
     # A word list: sum_w p(w) zeta**chi(w), from one pairing product with the
     # words per chunk of characters; equal exponent rows share a coefficient.
-    words = np.stack([w for w, _ in mu.words])[:, idx].reshape(len(mu.words), -1)
+    words = mu._word_array[:, idx].reshape(len(mu.words), -1)
     class_ids = np.empty(codes.shape[0], dtype=np.int64)
     root_sums = []
     chunk = max(1, _SWEEP_CHUNK_CELLS // (words.shape[0] + codes.shape[1] + 1))
@@ -1157,12 +1161,9 @@ def mixing_statistic(mu: MeasureHandle, pairs, n: int, budget="exact", start: in
         mu.module.check_same(word.module)
         marg_pins.append(_pins_from_word(word))
         trans_pins.append(_pins_from_word(word, h, n))
-    for pins in marg_pins + trans_pins:
-        for site in pins:
-            if not mu.window.contains_site(site):
-                raise OutOfWindowError(
-                    f"translated window site {site} exceeds measure window {mu.window}"
-                )
+    marg_arrays = [_pin_arrays(mu.window, mu.module, pins) for pins in marg_pins]
+    for pins in trans_pins:
+        mu.window.flat_indices(list(pins))  # a translated site outside the window raises
     joint = _merge_pins(trans_pins)
     if budget == "exact":
         if not mu.is_exact:
@@ -1176,24 +1177,16 @@ def mixing_statistic(mu: MeasureHandle, pairs, n: int, budget="exact", start: in
             n, float(observed), float(product), float(dev), 0.0, True, observed, product
         )
     count = _sample_count(budget, "sample budget")
-    needed = sorted({site for pins in marg_pins + trans_pins for site in pins})
-    sel = [mu.window.index_of(s) for s in needed]
-    pos = {s: i for i, s in enumerate(needed)}
+    joint_arrays = [] if joint is None else [_pin_arrays(mu.window, mu.module, joint)]
+    # Sorted indices are the sorted sites: the window is row-major.
+    sel = np.unique(np.concatenate([idx for idx, _ in marg_arrays + joint_arrays]))
     draws = mu.draw_values(start, count, sel)
 
-    def indicator(pins):
-        ok = np.ones(count, dtype=bool)
-        for site, val in pins.items():
-            col = pos[site]
-            for c, v in enumerate(val):
-                ok &= draws[:, col, c] == v
-        return ok
+    def frequency(idx, vals):
+        return float(np.mean((draws[:, np.searchsorted(sel, idx)] == vals).all(axis=(1, 2))))
 
-    if joint is None:
-        obs_hat = 0.0
-    else:
-        obs_hat = float(np.mean(indicator(joint)))
-    marg_hats = [float(np.mean(indicator(pins))) for pins in marg_pins]
+    obs_hat = frequency(*joint_arrays[0]) if joint_arrays else 0.0
+    marg_hats = [frequency(idx, vals) for idx, vals in marg_arrays]
     product_hat = float(np.prod(marg_hats))
     deviation = obs_hat - product_hat
     var = obs_hat * (1.0 - obs_hat) / count
@@ -1215,7 +1208,7 @@ def block_entropy(mu: MeasureHandle, block: WindowSpec, n_samples=None, start: i
     """
     if not mu.window.contains_window(block):
         raise OutOfWindowError(f"block {block} not inside measure window {mu.window}")
-    sel = [mu.window.index_of(s) for s in block.sites()]
+    sel = mu.window.flat_indices(block.sites())
     if n_samples is None:
         if not mu.is_exact:
             raise InvalidParameterError("sampled handle needs an explicit n_samples")
@@ -1290,8 +1283,6 @@ def rigidity_experiment(
     exact pushforward answers every character in one `_coefficients` call;
     a sampled pushforward is estimated from 10000 draws per character.
     """
-    from .shiftpoly import format_rule
-
     characters = list(characters)
     sites, codes = _character_rows(characters, mu0.module.rank)
     t_schedule = list(t_schedule if t_schedule is not None else default_t_schedule(rule.ring))

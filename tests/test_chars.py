@@ -7,6 +7,7 @@ from modshift import (
     CharacterSpec,
     GFRing,
     InvalidParameterError,
+    OutOfWindowError,
     ModuleSpec,
     ProductRing,
     RootSum,
@@ -109,3 +110,16 @@ def test_character_text_roundtrip():
     again = parse_character(format_character(chi), module, win)
     assert again == chi
     assert parse_character("trivial", module, win).is_trivial
+
+
+def test_character_sites_need_every_coordinate():
+    module = ModuleSpec(ZmodRing(2), 1)
+    line = WindowSpec((1, 0), (0,), (4,))
+    with pytest.raises(InvalidParameterError, match=r"site \(1, 5\)"):
+        parse_character("(1,5):1", module, line)
+    plane = WindowSpec((2, 0), (0, 0), (4, 4))
+    with pytest.raises(InvalidParameterError, match=r"site \(1,\)"):
+        parse_character("(1):1", module, plane)
+    with pytest.raises(OutOfWindowError, match=r"site \(4,\)"):
+        parse_character("(0):1;(4):1", module, line)
+    assert parse_character("(1,3):1", module, plane).sites() == ((1, 3),)

@@ -171,6 +171,10 @@ UNIFORM = ("--measure", "uniform", "--ring", "zmod:2", "--extents", "4")
          "InvalidParameterError", "offset (1, 0, 7)"),
         (["shift", "mixing-check", "--kernel", KERNEL, "--offsets", "(1);(0,2)", "--n", "3"],
          "InvalidParameterError", "offset (1,)"),
+        (["measure", "fourier", "--measure", "uniform", "--ring", "zmod:2", "--dims", "2 0",
+          "--extents", "4 4", "--chi", "(1):1"], "InvalidParameterError", "site (1,)"),
+        (["measure", "fourier", "--measure", "uniform", "--ring", "zmod:2", "--dims", "2 0",
+          "--extents", "4 4", "--chi", "(1):1", "--budget", "100"], "InvalidParameterError", "site (1,)"),
     ],
 )
 def test_malformed_flags_exit_2_with_typed_error(capsys, argv, kind, flag):

@@ -329,3 +329,16 @@ def test_rank2_module_kernel(cb_system):
     for i in range(words.shape[0]):
         cfg = WindowConfig(win, mod, words[i].reshape(win.extents + (2,)))
         assert kernel_membership(spec, cfg)
+
+
+def test_topological_mixing_names_the_first_clash_and_refuses_other_dims(cb_system):
+    w6 = cb_system.six_site_window()
+    words = enumerate_kernel_words(window_kernel(cb_system.kernel, w6))
+    a, b = (WindowConfig(w6, cb_system.module, words[i].reshape(w6.extents + (1,))) for i in (2, 1))
+    with pytest.raises(InfeasiblePinError, match=r"site \(1, 0\) pinned to both \(1,\) and \(0,\)"):
+        topological_mixing_check(cb_system.kernel, [((0, 0), a), ((1, 0), b)], 1)
+    line = constant_config(cb_system.module, WindowSpec((1, 0), (0,), (3,)), 0)
+    with pytest.raises(InvalidParameterError, match=r"does not have the kernel's dims \(1, 1\)"):
+        topological_mixing_check(cb_system.kernel, [((1, 0), line)], 2)
+    with pytest.raises(InvalidParameterError, match=r"does not have the kernel's dims"):
+        kernel_membership(cb_system.kernel, line)

@@ -214,3 +214,35 @@ def test_value_at_and_word_key():
     assert cb.value_at((2, 1)) == (1,)
     with pytest.raises(OutOfWindowError):
         cb.value_at((5, 5))
+
+
+def test_flat_indices_are_row_major_with_z_axes_first():
+    win = w((1, 1), (-2, 0), (3, 2))
+    sites = list(win.sites())
+    assert sites[:3] == [(-2, 0), (-2, 1), (-1, 0)]
+    assert win.flat_indices(sites).tolist() == list(range(6))
+    assert win.flat_indices(np.array([[0, 1], [-2, 0]])).tolist() == [5, 0]
+    assert win.flat_indices([]).dtype == np.int64 and win.flat_indices([]).size == 0
+    assert [win.index_of(s) for s in sites] == list(range(6))
+
+
+def test_flat_indices_name_the_first_bad_site():
+    win = w((1, 1), (0, 0), (2, 2))
+    with pytest.raises(OutOfWindowError, match=r"site \(2, 0\) not in window"):
+        win.flat_indices([(1, 1), (2, 0), (5, 5)])
+    with pytest.raises(InvalidParameterError, match=r"site \(1, 0, 3\) does not have D\+E = 2"):
+        win.flat_indices([(1, 1), (1, 0, 3), (0,)])
+    with pytest.raises(InvalidParameterError, match=r"site \(0\.5, 1\)"):
+        win.flat_indices([(0.5, 1)])
+
+
+def test_wrong_arity_sites_are_refused_not_cut_short():
+    line = w((1, 0), (0,), (4,))
+    with pytest.raises(InvalidParameterError, match=r"site \(1, 5\)"):
+        line.contains_site((1, 5))
+    with pytest.raises(InvalidParameterError, match=r"site \(\)"):
+        line.index_of(())
+    cfg = constant_config(Z2, line, 1)
+    with pytest.raises(InvalidParameterError, match=r"site \(1, 5\)"):
+        cfg.value_at((1, 5))
+    assert line.contains_site((3,)) and not line.contains_site((4,))

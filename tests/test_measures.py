@@ -31,8 +31,9 @@ from modshift import (
     uniform_bernoulli,
     window_kernel,
 )
-from modshift.kernels import enumerate_kernel_words
-from modshift.measures import ExactWordMeasure
+from modshift.kernels import KernelShiftSpec, enumerate_kernel_words
+from modshift.measures import CosetHaarMeasure, ExactWordMeasure
+from modshift.shiftpoly import parse_rule
 
 
 # The zeroth-row counting oracle lives in oracles.py: members of the parity
@@ -649,3 +650,48 @@ def test_experiment_step_with_zero_samples():
     )
     with pytest.raises(InvalidParameterError, match="n_samples must be >= 1, got 0"):
         run_experiment(parse_experiment(text))
+
+
+def _z3_line_handles():
+    """One handle of each exact kind on 4 sites of zmod:3."""
+    mod = ModuleSpec(ZmodRing(3), 1)
+    win = WindowSpec((1, 0), (0,), (4,))
+    spec = KernelShiftSpec(parse_rule("kernel ring=zmod:3 rank=1 dims=1,0 H=(0):1;(1):1", "kernel"))
+    rep = WindowConfig(win, mod, np.array([[1], [0], [2], [1]], dtype=np.int64))
+    return {
+        "bernoulli": bernoulli(mod, win, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]),
+        "subgroup": kernel_haar(spec, win),
+        "words": ExactWordMeasure(mod, win, [(rep.flat(), Fraction(2, 3)),
+                                             (constant_config(mod, win, 2).flat(), Fraction(1, 3))]),
+        "coset": CosetHaarMeasure(rep, kernel_haar(spec, win)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "subgroup", "words", "coset"])
+@pytest.mark.parametrize("value", [(-1,), (5,), (2, 7), ()], ids=repr)
+def test_malformed_pin_values_are_refused_by_every_handle(kind, value):
+    mu = _z3_line_handles()[kind]
+    with pytest.raises(InvalidParameterError, match=r"pin at site \(0,\)"):
+        mu.cylinder_probability({(0,): value})
+    with pytest.raises(InvalidParameterError, match=r"pin at site \(2,\)"):
+        mu.cylinder_probability({(1,): (0,), (2,): value})
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "subgroup", "words", "coset"])
+def test_valid_pins_match_word_enumeration(kind):
+    mu = _z3_line_handles()[kind]
+    words = list(mu.enumerate_words())
+    for pins in [{}, {(0,): (1,)}, {(3,): (2,), (1,): (0,)}, {(0,): (2,), (1,): (1,), (2,): (2,)}]:
+        want = sum(
+            (p for vals, p in words if all(tuple(vals[s[0]]) == v for s, v in pins.items())),
+            start=Fraction(0),
+        )
+        assert mu.cylinder_probability(pins) == want
+    with pytest.raises(InvalidParameterError, match=r"site \(1, 0\)"):
+        mu.cylinder_probability({(1, 0): (0,)})
+
+
+def test_valid_pins_keep_their_fractions():
+    got = {k: mu.cylinder_probability({(0,): (1,)}) for k, mu in _z3_line_handles().items()}
+    assert got == {"bernoulli": Fraction(1, 3), "subgroup": Fraction(1, 3),
+                   "words": Fraction(2, 3), "coset": Fraction(1, 3)}

@@ -1,5 +1,6 @@
 """Algebraic-law property tests over randomly drawn elements and windows."""
 
+import re
 from math import prod
 
 import numpy as np
@@ -11,6 +12,7 @@ from modshift import (
     InvalidParameterError,
     MixedRadix,
     ModuleSpec,
+    OutOfWindowError,
     ProductRing,
     ShiftPolynomial,
     WindowConfig,
@@ -194,3 +196,34 @@ def test_module_codes_round_trip(ring, rank, data):
 def test_mixed_radix_round_trip(radices, data):
     codec = MixedRadix(radices)
     _check_codec(codec, codec.encode, codec.decode, codec.join, codec.split, data)
+
+
+@st.composite
+def windows(draw):
+    axes = draw(st.integers(min_value=1, max_value=3))
+    D = draw(st.integers(min_value=0, max_value=axes))
+    origin = tuple(
+        draw(st.integers(min_value=-4, max_value=4) if i < D else st.integers(min_value=0, max_value=4))
+        for i in range(axes)
+    )
+    extents = tuple(draw(st.lists(st.integers(min_value=1, max_value=5), min_size=axes, max_size=axes)))
+    return WindowSpec((D, axes - D), origin, extents)
+
+
+@COMMON
+@given(windows(), st.data())
+def test_flat_indices_match_the_site_order(win, data):
+    sites = list(win.sites())
+    assert np.array_equal(win.flat_indices(sites), np.arange(win.n_sites))
+    picks = data.draw(st.lists(st.sampled_from(sites), max_size=6))
+    assert win.flat_indices(picks).tolist() == [sites.index(s) for s in picks]
+    axis = data.draw(st.integers(min_value=0, max_value=win.axes - 1))
+    lo, hi = win.origin[axis], win.origin[axis] + win.extents[axis]
+    site = list(data.draw(st.sampled_from(sites)))
+    site[axis] = data.draw(st.sampled_from([lo - 7, lo - 1, hi, hi + 3]))
+    outside = tuple(site)
+    with pytest.raises(OutOfWindowError, match=re.escape(f"site {outside}")):
+        win.flat_indices(picks + [outside])
+    short = outside[:-1] if data.draw(st.booleans()) else outside + (0,)
+    with pytest.raises(InvalidParameterError, match=re.escape(f"site {short}")):
+        win.flat_indices(picks + [short, outside])
