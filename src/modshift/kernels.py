@@ -24,6 +24,7 @@ from .errors import (
     DomainExhaustedError,
     InfeasiblePinError,
     InvalidParameterError,
+    OutOfWindowError,
     ResourceLimitError,
 )
 from . import crt, linalg
@@ -41,7 +42,7 @@ from .lattice import (
 )
 from .rings import MixedRadix, ModuleSpec, Ring
 from .rng import CounterRng
-from .shiftpoly import LocalRule, apply_poly, from_rule, stencil
+from .shiftpoly import LocalRule, from_rule, stencil
 
 __all__ = [
     "KernelShiftSpec",
@@ -194,7 +195,7 @@ def batch_membership(spec: KernelShiftSpec, window: WindowSpec, values: np.ndarr
         return np.ones(count, dtype=bool)
     values = values.reshape((count,) + window.extents + (values.shape[-1],))
     _, residual = stencil(zip(rule.offsets, rule.coeffs), values, window, "exact", rule.ring)
-    return ~residual.reshape(count, -1).any(axis=1)
+    return ~residual.any(axis=tuple(range(1, residual.ndim)))
 
 
 def _component_words(ring, basis, rank, codes):
@@ -241,17 +242,6 @@ def draw_kernel_words(basis: WindowBasis, count: int, seed: int, start: int = 0)
     return basis.decomposition.merge_arrays(comp_values)
 
 
-def _element_code(ring: Ring, value, what: str) -> int:
-    """`value` as an element code of the ring; InvalidParameterError when outside [0, |R|)."""
-    value = int(value)
-    if not 0 <= value < ring.size:
-        raise InvalidParameterError(
-            f"{what} {value} is not an element code of {ring.descriptor()} "
-            f"(codes are 0..{ring.size - 1})"
-        )
-    return value
-
-
 def _narrow_basis(basis: WindowBasis, dtype) -> WindowBasis:
     """The same basis with every component basis cast to `dtype`."""
     comps = tuple((ring, b.astype(dtype, copy=False), free) for ring, b, free in basis.components)
@@ -280,7 +270,7 @@ def submodule_condition_check(
     generators; int64 for table rings).  The words equal the int64 ones.
     """
     ring = window_set.module.ring if isinstance(window_set, WindowBasis) else window_set[1].ring
-    gens = [_element_code(ring, g, "generator") for g in gens]
+    gens = [ring.element_code(g, "generator") for g in gens]
     if not gens:
         raise InvalidParameterError("need at least one generator coefficient")
     if isinstance(window_set, WindowBasis):
@@ -322,61 +312,38 @@ def _field_components(spec: KernelShiftSpec):
         yield KernelShiftSpec(comp_rule, spec.label), comp_ring, deco, j
 
 
-def invariance_and_surjectivity_check(
-    rule: LocalRule,
-    spec: KernelShiftSpec,
-    window: WindowSpec,
-    samples: int = 5,
-    seed: int = 0,
-):
+def invariance_and_surjectivity_check(rule: LocalRule, spec: KernelShiftSpec, window: WindowSpec):
     """(invariant, surjective) for the rule acting on the kernel over a window.
 
-    The kernel on the stencil-expanded window is pushed through the rule and
-    compared against the kernel on the target window: containment gives
-    invariance, image span rank gives surjectivity.  The check runs on scalar
-    (rank-1) values; free-module components transform identically.
+    The kernel basis on the stencil-expanded window is pushed through the rule
+    as one stack and compared against the kernel on the target window:
+    membership of every image gives invariance (membership is linear, so the
+    basis decides it), image span rank gives surjectivity.  The check runs on
+    scalar (rank-1) values; free-module components transform identically.
     """
     rule.module.check_same(spec.module)
     offs = np.array(rule.offsets, dtype=np.int64)
-    lo_h = offs.min(axis=0)
-    hi_h = offs.max(axis=0)
-    expand_lo = [max(0, -int(l)) for l in lo_h]
-    expand_hi = [max(0, int(h)) for h in hi_h]
+    expand_lo = [max(0, -int(l)) for l in offs.min(axis=0)]
+    expand_hi = [max(0, int(h)) for h in offs.max(axis=0)]
     big = window.expanded(expand_lo, expand_hi)
-    scalar_module = ModuleSpec(spec.ring, 1)
-    scalar_rule = LocalRule(scalar_module, rule.dims, rule.offsets, rule.coeffs)
+    scalar_rule = LocalRule(ModuleSpec(spec.ring, 1), rule.dims, rule.offsets, rule.coeffs)
     invariant = True
     surjective = True
     for comp_spec, comp_ring, deco, j in _field_components(spec):
         comp_poly = from_rule(crt.component_rule(scalar_rule, deco, j))
-        comp_scalar_module = ModuleSpec(comp_ring, 1)
-        big_basis = window_kernel(comp_spec, big)
-        ((_, scalar_basis, _),) = big_basis.components
-        small_basis = window_kernel(comp_spec, window)
-        ((_, small_scalar, _),) = small_basis.components
-        nb = scalar_basis.shape[0]
-        vectors = [scalar_basis[i] for i in range(nb)]
-        if nb:
-            rng = CounterRng(seed, stream=5)
-            coefs = rng.uniform_codes(0, (samples, nb), comp_ring.size)
-            combos = _component_words(comp_ring, scalar_basis, 1, coefs)
-            vectors += [combos[i, :, 0] for i in range(samples)]
-        images = []
-        for vec in vectors:
-            cfg = WindowConfig(
-                big, comp_scalar_module, vec.reshape(big.extents + (1,))
-            )
-            out = apply_poly(comp_poly, cfg)
-            out_small = restrict_config(out, window)
-            if not kernel_membership(comp_spec, out_small):
-                invariant = False
-            images.append(out_small.values.reshape(-1))
-        image_rows = (
-            np.array(images[:nb], dtype=np.int64).reshape(nb, -1)
-            if nb
-            else np.zeros((0, window.n_sites), dtype=np.int64)
+        ((_, big_basis, _),) = window_kernel(comp_spec, big).components
+        ((_, small_basis, _),) = window_kernel(comp_spec, window).components
+        nb = big_basis.shape[0]
+        out_window, out = stencil(
+            comp_poly.terms, big_basis.reshape((nb,) + big.extents + (1,)), big, "exact", comp_ring
         )
-        if linalg.row_span_rank(image_rows, comp_ring) != small_scalar.shape[0]:
+        if not out_window.contains_window(window):
+            raise OutOfWindowError(f"{window} not contained in {out_window}")
+        images = out[(slice(None),) + out_window.relative_slices(window)]
+        images = images.reshape(nb, window.n_sites)
+        if not batch_membership(comp_spec, window, images[..., None]).all():
+            invariant = False
+        if linalg.row_span_rank(images, comp_ring) != small_basis.shape[0]:
             surjective = False
     return invariant, surjective
 
@@ -541,7 +508,7 @@ def torsion_free_check(spec: KernelShiftSpec, window: WindowSpec, scalar: int) -
     full window space by the in-window kernel: the solution spaces of M x = 0
     and (scalar*M) x = 0 must coincide.  `scalar` is a ring code.
     """
-    scalar = _element_code(spec.ring, scalar, "scalar")
+    scalar = spec.ring.element_code(scalar, "scalar")
     for comp_spec, comp_ring, deco, j in _field_components(spec):
         comp_scalar = int(deco.forward_table[scalar, j])
         matrix = constraint_matrix(comp_spec, window)

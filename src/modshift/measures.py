@@ -534,11 +534,25 @@ class ExactWordMeasure(MeasureHandle):
     is_exact = True
 
     def __init__(self, module, window, word_probs, seed=0, mode="exact", label="exact", provenance=()):
-        # word_probs: iterable of (values (n_sites, rank) ndarray, Fraction)
+        # word_probs: iterable of (word, probability); a word is any integer
+        # array of n_sites * rank codes, read as (n_sites, rank).
+        shape = (window.n_sites, module.rank)
+        size = module.ring.size
         items = []
-        for vals, p in word_probs:
-            vals = np.ascontiguousarray(vals, dtype=np.int64)
-            items.append((vals.tobytes(), vals, Fraction(p)))
+        for i, (vals, p) in enumerate(word_probs):
+            try:
+                vals = integer_array(np.reshape(vals, shape), shape)
+            except ValueError:  # ragged, or not n_sites * rank values
+                vals = None
+            if vals is None or not ((vals >= 0) & (vals < size)).all():
+                raise InvalidParameterError(
+                    f"word {i} is not {shape[0] * shape[1]} integer codes in [0,{size}) "
+                    f"({shape[0]} sites of rank {shape[1]})"
+                )
+            p = Fraction(p)
+            if p < 0:
+                raise InvalidParameterError(f"word {i} has negative probability {p}")
+            items.append((vals.tobytes(), vals, p))
         items.sort(key=lambda kvp: kvp[0])
         merged = []
         for key, vals, p in items:

@@ -13,9 +13,12 @@ must fit in int64, so a module with |R|**n >= 2**63 is refused.  The one
 reading with the first place most significant is character order
 (`chars.all_characters`), where the first site leads.
 
-All arithmetic is total over the code range, and every ring offers both scalar
-(Python int) and vectorized (numpy int64 array) operations.  Rings are
-immutable after construction and safe to share across workers.
+Each concrete ring defines its arithmetic once, on code arrays (`add_arr`,
+`neg_arr`, `mul_arr`, `pair_exponent_arr`, `convolve_codes`).  The scalar
+operations of `Ring` are those array operations on one code, and every scalar
+entry point first passes its codes through `Ring.element_code`, which refuses
+anything outside [0, |R|) with InvalidParameterError.  Rings are immutable
+after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -156,15 +159,25 @@ class Ring:
     one: int
     zero = 0
 
-    # -- scalar arithmetic -------------------------------------------------
+    # -- scalar arithmetic: the array ops on one range-checked code ----------
+    def element_code(self, value, what: str = "operand") -> int:
+        """`value` as an element code of the ring; InvalidParameterError when outside [0, |R|)."""
+        value = int(value)
+        if not 0 <= value < self.size:
+            raise InvalidParameterError(
+                f"{what} {value} is not an element code of {self.descriptor()} "
+                f"(codes are 0..{self.size - 1})"
+            )
+        return value
+
     def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return int(self.add_arr(self.element_code(a), self.element_code(b)))
 
     def neg(self, a: int) -> int:
-        raise NotImplementedError
+        return int(self.neg_arr(self.element_code(a)))
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return int(self.mul_arr(self.element_code(a), self.element_code(b)))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -173,7 +186,7 @@ class Ring:
         if n < 0:
             raise InvalidParameterError("negative exponent; use unit_inverse first")
         result = self.one
-        base = a
+        base = self.element_code(a)
         while n:
             if n & 1:
                 result = self.mul(result, base)
@@ -239,7 +252,7 @@ class Ring:
 
     # -- units --------------------------------------------------------------
     def unit_inverse(self, a: int):
-        """Multiplicative inverse of a, or None when a is not a unit."""
+        """Multiplicative inverse of the code a, or None when a is not a unit."""
         raise NotImplementedError
 
     def is_unit(self, a: int) -> bool:
@@ -268,7 +281,7 @@ class Ring:
     char_exponent: int
 
     def pair_exponent(self, u: int, a: int) -> int:
-        raise NotImplementedError
+        return int(self.pair_exponent_arr(self.element_code(u), self.element_code(a)))
 
     def pair_exponent_arr(self, u, a):
         raise NotImplementedError
@@ -421,15 +434,6 @@ class ZmodRing(Ring):
         self.one = 1 % m
         self.char_exponent = m
 
-    def add(self, a, b):
-        return (a + b) % self.m
-
-    def neg(self, a):
-        return (-a) % self.m
-
-    def mul(self, a, b):
-        return (a * b) % self.m
-
     def from_int(self, n):
         return n % self.m
 
@@ -483,7 +487,7 @@ class ZmodRing(Ring):
         return _zmod_matmul(coefs, rows, self.m)
 
     def unit_inverse(self, a):
-        a %= self.m
+        a = self.element_code(a)
         if gcd(a, self.m) != 1:
             return None
         return pow(a, -1, self.m)
@@ -495,11 +499,7 @@ class ZmodRing(Ring):
     def descriptor(self):
         return f"zmod:{self.m}"
 
-    def pair_exponent(self, u, a):
-        return (u * a) % self.m
-
-    def pair_exponent_arr(self, u, a):
-        return (np.asarray(u, dtype=np.int64) * np.asarray(a, dtype=np.int64)) % self.m
+    pair_exponent_arr = mul_arr
 
     def convolve_codes(self, a, b):
         return _exact_convolve_int(a, b) % self.m
@@ -586,62 +586,41 @@ class GFRing(Ring):
                     raise ReducibleModulusError(modulus, cand, p)
 
     def _reduction_rows(self):
-        # x**d mod modulus as digit vectors, for d in [k, 2k-2].
-        rows = {}
+        """(k-1, k) int64: row d - k holds the digits of x**d mod the modulus, d in [k, 2k-2]."""
+        rows = []
         for d in range(self.k, 2 * self.k - 1):
-            poly = [0] * d + [1]
-            _, rem = _poly_divmod(poly, list(self.modulus), self.p)
-            rem = rem + [0] * (self.k - len(rem))
-            rows[d] = np.array(rem[: self.k], dtype=np.int64)
-        return rows
+            _, rem = _poly_divmod([0] * d + [1], list(self.modulus), self.p)
+            rows.append(rem + [0] * (self.k - len(rem)))
+        return np.array(rows, dtype=np.int64).reshape(self.k - 1, self.k)
+
+    def _join_reduced(self, conv):
+        """Codes of (.., 2k-1) int64 digit convolutions, reduced by the modulus."""
+        low = conv[..., : self.k] + conv[..., self.k :] @ self._conv_red
+        return self.codec.join(low % self.p)
 
     def _build_tables(self):
         q, k, p = self.size, self.k, self.p
         d = self._digits
+        codes = np.arange(q, dtype=np.int64)
         self._add_table = self.codec.join((d[:, None, :] + d[None, :, :]) % p)
         self._neg_table = self.codec.join((-d) % p)
         conv = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
         for i in range(k):
             for j in range(k):
                 conv[:, :, i + j] += d[:, None, i] * d[None, :, j]
-        red = self._reduction_rows()
-        low = conv[:, :, :k].copy()
-        for deg in range(k, 2 * k - 1):
-            low += conv[:, :, deg, None] * red[deg][None, None, :]
-        self._mul_table = self.codec.join(low % p)
-        self._inv_table = np.full(q, -1, dtype=np.int64)
-        for a in range(1, q):
-            hits = np.nonzero(self._mul_table[a] == self.one)[0]
-            if hits.size:
-                self._inv_table[a] = hits[0]
+        self._conv_red = self._reduction_rows()
+        self._mul_table = self._join_reduced(conv)
+        # In a field every nonzero code has exactly one inverse; 0 has none (-1).
+        hits = self._mul_table == self.one
+        self._inv_table = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
         # Absolute trace to the prime field: Tr(x) = x + x**p + ... + x**(p**(k-1)).
+        frobenius = np.full(q, self.one, dtype=np.int64)
+        for _ in range(p):
+            frobenius = self._mul_table[frobenius, codes]
         self._trace_table = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            acc, t = 0, a
-            for _ in range(k):
-                acc = self._add_table[acc, t]
-                t = self._pow_code(t, p)
-            self._trace_table[a] = acc % p  # trace lies in the prime subfield
-        self._conv_red = red
-
-    def _pow_code(self, a, n):
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = int(self._mul_table[result, base])
-            base = int(self._mul_table[base, base])
-            n >>= 1
-        return result
-
-    def add(self, a, b):
-        return int(self._add_table[a, b])
-
-    def neg(self, a):
-        return int(self._neg_table[a])
-
-    def mul(self, a, b):
-        return int(self._mul_table[a, b])
+        for _ in range(k):
+            self._trace_table = self._add_table[self._trace_table, codes]
+            codes = frobenius[codes]
 
     def add_arr(self, a, b):
         return self._add_table[np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)]
@@ -653,7 +632,7 @@ class GFRing(Ring):
         return self._mul_table[np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)]
 
     def unit_inverse(self, a):
-        inv = int(self._inv_table[a])
+        inv = int(self._inv_table[self.element_code(a)])
         return None if inv < 0 else inv
 
     @property
@@ -662,9 +641,6 @@ class GFRing(Ring):
 
     def descriptor(self):
         return f"gf:{self.p}:{self.k}:" + ",".join(str(c) for c in self.modulus)
-
-    def pair_exponent(self, u, a):
-        return int(self._trace_table[self.mul(u, a)])
 
     def pair_exponent_arr(self, u, a):
         return self._trace_table[self.mul_arr(u, a)]
@@ -682,10 +658,7 @@ class GFRing(Ring):
         for i in range(k):
             for j in range(k):
                 conv[..., i + j] += _exact_convolve_int(da[..., i], db[..., j])
-        low = conv[..., :k].copy()
-        for deg in range(k, 2 * k - 1):
-            low += conv[..., deg, None] * self._conv_red[deg]
-        return self.codec.join(low % self.p)
+        return self._join_reduced(conv)
 
 
 class ProductRing(Ring):
@@ -710,26 +683,12 @@ class ProductRing(Ring):
             lambda a, b: a * b // gcd(a, b), (f.char_exponent for f in factors)
         )
 
-    def _map2(self, op, a, b):
-        ca = self.codec.decode(a)
-        cb = self.codec.decode(b)
-        return self.codec.encode([op(f, x, y) for f, x, y in zip(self.factors, ca, cb)])
-
     def _map_arr(self, op, *arrays):
         """Join op(factor, *digits) over the factors, each fed its digits of `arrays`."""
         digits = [self.codec.split(a) for a in arrays]
         return self.codec.join(np.stack(
             [op(f, *(d[..., i] for d in digits)) for i, f in enumerate(self.factors)], axis=-1
         ))
-
-    def add(self, a, b):
-        return self._map2(lambda f, x, y: f.add(x, y), a, b)
-
-    def mul(self, a, b):
-        return self._map2(lambda f, x, y: f.mul(x, y), a, b)
-
-    def neg(self, a):
-        return self.codec.encode([f.neg(x) for f, x in zip(self.factors, self.codec.decode(a))])
 
     def add_arr(self, a, b):
         return self._map_arr(lambda f, x, y: f.add_arr(x, y), a, b)
@@ -742,7 +701,7 @@ class ProductRing(Ring):
 
     def unit_inverse(self, a):
         invs = []
-        for f, x in zip(self.factors, self.codec.decode(a)):
+        for f, x in zip(self.factors, self.codec.decode(self.element_code(a))):
             inv = f.unit_inverse(x)
             if inv is None:
                 return None
@@ -751,13 +710,6 @@ class ProductRing(Ring):
 
     def descriptor(self):
         return "prod:[" + ";".join(f.descriptor() for f in self.factors) + "]"
-
-    def pair_exponent(self, u, a):
-        L = self.char_exponent
-        total = 0
-        for f, x, y in zip(self.factors, self.codec.decode(u), self.codec.decode(a)):
-            total += (L // f.char_exponent) * f.pair_exponent(x, y)
-        return total % L
 
     def pair_exponent_arr(self, u, a):
         L = self.char_exponent
@@ -876,12 +828,9 @@ def subring_closure(ring: Ring, gens) -> frozenset:
     because the finite characteristic wraps the additive orbit.  Runs as a
     worklist fixed point over the finite carrier.
     """
-    gens = sorted(set(int(g) for g in gens))
+    gens = sorted(set(ring.element_code(g, "generator") for g in gens))
     if not gens:
         raise InvalidParameterError("subring_closure needs at least one generator")
-    for g in gens:
-        if not 0 <= g < ring.size:
-            raise InvalidParameterError(f"generator {g} out of range")
     members = np.zeros(ring.size, dtype=bool)
     current = np.array(gens, dtype=np.int64)
     members[current] = True
@@ -917,7 +866,7 @@ def stable_power_subring(ring: Ring, coeffs, p: int | None = None) -> frozenset:
     descending at every step.
     """
     p = _require_prime_characteristic(ring, p)
-    coeffs = [int(c) for c in coeffs]
+    coeffs = [ring.element_code(c, "coefficient") for c in coeffs]
     if not coeffs or any(c == 0 for c in coeffs):
         raise InvalidParameterError("coefficients must be nonzero")
     gens = coeffs
@@ -940,7 +889,7 @@ def recurrent_power_sums(ring: Ring, coeffs, p: int | None = None) -> frozenset:
     detected cycle (k starts at 1).
     """
     p = _require_prime_characteristic(ring, p)
-    coeffs = [int(c) for c in coeffs]
+    coeffs = [ring.element_code(c, "coefficient") for c in coeffs]
     if not coeffs or any(c == 0 for c in coeffs):
         raise InvalidParameterError("coefficients must be nonzero")
     state = tuple(ring.pow(c, p) for c in coeffs)  # k = 1

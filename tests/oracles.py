@@ -25,7 +25,9 @@ for the one-component field decomposition.  The int64 closure check is the
 library's original `draw_kernel_words` and `WindowBasis` branch of
 `submodule_condition_check`, which moved every word as int64 (float64 or
 int64 matmul, int64 merge, reduce-each membership), kept as the reference for
-the narrow-code closure check.
+the narrow-code closure check.  The loop GF tables are `GFRing`'s original
+per-element construction of its inverse and trace tables, kept as the
+reference for the table-gather construction.
 """
 
 import csv
@@ -762,3 +764,36 @@ def int64_submodule_condition(basis, gens, max_exhaustive=1 << 17, samples=10000
         blocks = [int64_draw_kernel_words(basis, samples, seed + 7 * h) for h in range(len(gens))]
     acc = Ring.weighted_sum(basis.module.ring, gens, blocks)
     return bool(reduce_each_membership(basis.spec, basis.window, acc).all())
+
+
+def loop_gf_tables(ring):
+    """`GFRing`'s inverse and trace tables as it first built them, one element at a time.
+
+    Returns (inverse table, trace table); a code without an inverse maps to -1.
+    The p-th powers are repeated squaring over the multiplication table.
+    """
+    q, k, p = ring.size, ring.k, ring.p
+    mul, add = ring._mul_table, ring._add_table
+
+    def pow_code(a, n):
+        result, base = ring.one, a
+        while n:
+            if n & 1:
+                result = int(mul[result, base])
+            base = int(mul[base, base])
+            n >>= 1
+        return result
+
+    inverse = np.full(q, -1, dtype=np.int64)
+    for a in range(1, q):
+        hits = np.nonzero(mul[a] == ring.one)[0]
+        if hits.size:
+            inverse[a] = hits[0]
+    trace = np.zeros(q, dtype=np.int64)
+    for a in range(q):
+        acc, t = 0, a
+        for _ in range(k):
+            acc = add[acc, t]
+            t = pow_code(t, p)
+        trace[a] = acc % p
+    return inverse, trace

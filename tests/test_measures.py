@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -607,6 +608,34 @@ def test_exact_word_measure_validation():
     vals = np.zeros((2, 1), dtype=np.int64)
     with pytest.raises(InvalidParameterError):
         ExactWordMeasure(mod, win, [(vals, Fraction(1, 2))])
+
+
+@pytest.mark.parametrize(
+    "words, message",
+    [
+        ([(np.array([[5], [7], [9], [-1]]), 1)], "word 0 is not 4 integer codes in [0,3)"),
+        ([(np.zeros((4, 1), dtype=np.int64), Fraction(1, 2)),
+          (np.zeros((2, 1), dtype=np.int64), Fraction(1, 2))],
+         "word 1 is not 4 integer codes in [0,3)"),
+        ([(np.full((4, 1), 0.5), 1)], "word 0 is not 4 integer codes"),
+        ([(np.zeros((4, 1), dtype=np.int64), 2), (np.ones((4, 1), dtype=np.int64), -1)],
+         "word 1 has negative probability -1"),
+    ],
+)
+def test_exact_word_measure_refuses_bad_words(words, message):
+    mod = ModuleSpec(ZmodRing(3), 1)
+    win = WindowSpec((1, 0), (0,), (4,))
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        ExactWordMeasure(mod, win, words)
+
+
+def test_exact_word_measure_reads_words_as_sites_by_rank():
+    mod = ModuleSpec(ZmodRing(3), 2)
+    win = WindowSpec((1, 0), (0,), (3,))
+    word = np.arange(6) % 3
+    mu = ExactWordMeasure(mod, win, [(word, 1)])
+    assert mu.words[0][0].shape == (3, 2)
+    assert mu.draw_values(0, 2).tolist() == [word.reshape(3, 2).tolist()] * 2
 
 
 # -- sample counts below one ---------------------------------------------------------

@@ -22,10 +22,15 @@ from modshift import (
     config_add,
     decode_config,
     encode_config,
+    parse_ring,
     poly_mul,
+    recurrent_power_sums,
     shift_config,
+    stable_power_subring,
     subring_closure,
 )
+from modshift.rings import GF_DEFAULT_MODULI
+from oracles import loop_gf_tables
 
 RING_POOL = [
     ZmodRing(2),
@@ -227,3 +232,84 @@ def test_flat_indices_match_the_site_order(win, data):
     short = outside[:-1] if data.draw(st.booleans()) else outside + (0,)
     with pytest.raises(InvalidParameterError, match=re.escape(f"site {short}")):
         win.flat_indices(picks + [short, outside])
+
+
+# -- scalar ring ops are the array ops on one checked code ------------------------
+
+SCALAR_RINGS = RING_POOL + [ZmodRing(65521), parse_ring("prod:[zmod:3;gf:2:2:1,1,1]")]
+
+
+def _sample_codes(ring, count=64):
+    """Every code of a ring of at most `count` elements, else 0, 1, |R|-1 and seeded others."""
+    if ring.size <= count:
+        return np.arange(ring.size, dtype=np.int64)
+    drawn = np.random.default_rng(0).choice(ring.size, count - 3, replace=False)
+    return np.unique(np.concatenate([[0, 1, ring.size - 1], drawn])).astype(np.int64)
+
+
+@pytest.mark.parametrize("ring", SCALAR_RINGS, ids=lambda r: r.descriptor())
+def test_scalar_ops_equal_array_ops(ring):
+    codes = _sample_codes(ring)
+    a, b = codes[:, None], codes[None, :]
+    tables = {
+        "add": ring.add_arr(a, b),
+        "mul": ring.mul_arr(a, b),
+        "sub": ring.sub_arr(a, b),
+        "pair_exponent": ring.pair_exponent_arr(a, b),
+    }
+    negs = ring.neg_arr(codes)
+    for i, x in enumerate(codes.tolist()):
+        assert ring.neg(x) == negs[i]
+        for name, table in tables.items():
+            row = [getattr(ring, name)(x, y) for y in codes.tolist()]
+            assert all(type(v) is int for v in row)
+            assert row == table[i].tolist(), (name, x)
+
+
+SCALAR_CALLS = {
+    "add(x, 0)": lambda r, x: r.add(x, 0),
+    "add(0, x)": lambda r, x: r.add(0, x),
+    "neg(x)": lambda r, x: r.neg(x),
+    "mul(x, 1)": lambda r, x: r.mul(x, r.one),
+    "mul(1, x)": lambda r, x: r.mul(r.one, x),
+    "sub(x, 0)": lambda r, x: r.sub(x, 0),
+    "sub(0, x)": lambda r, x: r.sub(0, x),
+    "pow(x, 0)": lambda r, x: r.pow(x, 0),
+    "pow(x, 3)": lambda r, x: r.pow(x, 3),
+    "pair_exponent(x, 1)": lambda r, x: r.pair_exponent(x, r.one),
+    "pair_exponent(1, x)": lambda r, x: r.pair_exponent(r.one, x),
+    "unit_inverse(x)": lambda r, x: r.unit_inverse(x),
+    "is_unit(x)": lambda r, x: r.is_unit(x),
+    "inverse(x)": lambda r, x: r.inverse(x),
+}
+
+
+@pytest.mark.parametrize("descriptor", ["zmod:5", "gf:2:2:1,1,1", "prod:[zmod:2;zmod:3]"])
+@pytest.mark.parametrize("call", SCALAR_CALLS)
+def test_scalar_entry_points_refuse_codes_outside_the_ring(descriptor, call):
+    ring = parse_ring(descriptor)
+    for bad in (-1, ring.size):
+        message = f"{bad} is not an element code of {descriptor}"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            SCALAR_CALLS[call](ring, bad)
+
+
+@pytest.mark.parametrize(
+    "descriptor, coeffs", [("zmod:5", [7]), ("gf:2:2:1,1,1", [5]), ("zmod:3", [1, -1])]
+)
+@pytest.mark.parametrize("fn", [recurrent_power_sums, stable_power_subring, subring_closure])
+def test_power_subrings_refuse_coefficients_outside_the_ring(descriptor, coeffs, fn):
+    with pytest.raises(
+        InvalidParameterError, match=re.escape(f"is not an element code of {descriptor}")
+    ):
+        fn(parse_ring(descriptor), coeffs)
+
+
+@pytest.mark.parametrize(
+    "p, k", sorted(pk for pk in GF_DEFAULT_MODULI if pk[0] ** pk[1] <= GFRing.MAX_ORDER)
+)
+def test_gf_tables_equal_the_loop_construction(p, k):
+    ring = GFRing(p, k)
+    inverse, trace = loop_gf_tables(ring)
+    assert ring._inv_table.tolist() == inverse.tolist()
+    assert ring._trace_table.tolist() == trace.tolist()
