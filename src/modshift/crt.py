@@ -369,6 +369,8 @@ def project_measure(mu, deco: CrtDecomposition, j: int):
     """Component-j marginal of a measure over the source ring."""
     from . import measures
 
+    if mu.module.ring != deco.ring:
+        raise InvalidParameterError("measure ring differs from decomposition source")
     if not 0 <= j < deco.n_components:
         raise InvalidParameterError(f"component index {j} out of range")
     ring_j = deco.component_rings[j]
@@ -390,16 +392,10 @@ def project_measure(mu, deco: CrtDecomposition, j: int):
             if deco.degenerate and j == 0:
                 return mu
             raise InvalidParameterError("subgroup measure is not CRT-split")
-        span = mu.spans[j]
-        return measures.SubgroupHaarMeasure(
-            module_j, mu.window, (span,), seed=mu.seed, mode=mu.mode,
-            label=f"{mu.label}|p{ring_j.characteristic}",
-            provenance=mu.derived(note),
+        return mu._rebuilt(
+            module_j, mu.window, (mu.spans[j],), deco.split_arrays(mu.rep_codes)[j], note,
+            f"|p{ring_j.characteristic}",
         )
-    if isinstance(mu, measures.CosetHaarMeasure):
-        rep_j = split_config(mu.rep, deco)[j]
-        sub_j = project_measure(mu.subgroup, deco, j)
-        return measures.CosetHaarMeasure(rep_j, sub_j, provenance=mu.derived(note))
     if isinstance(mu, measures.ExactWordMeasure):
         words = []
         for vals, p in mu.words:

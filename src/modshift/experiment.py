@@ -136,6 +136,11 @@ def _ints(text: str):
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
+def _two_words(text: str):
+    first, second = text.split()  # another word count raises ValueError
+    return first, second
+
+
 def _exact_or_int(text: str):
     return "exact" if text == "exact" else int(text)
 
@@ -164,7 +169,11 @@ def _pattern_config(pattern: str, module, window, mode):
     if pattern == "checkerboard":
         return checkerboard_config(module, window, mode=mode)
     if pattern.startswith("constant:"):
-        return constant_config(module, window, int(pattern.split(":", 1)[1]), mode=mode)
+        try:
+            element = int(pattern[len("constant:"):])
+        except ValueError:
+            raise InvalidParameterError(f"bad constant pattern {pattern!r}") from None
+        return constant_config(module, window, element, mode=mode)
     raise InvalidParameterError(f"unknown pattern {pattern!r}")
 
 
@@ -274,7 +283,7 @@ def _step_invariance_check(params, seed):
     spec = KernelShiftSpec(parse_rule(params["kernel"], expect_prefix="kernel"))
     window = _window_from(params, spec.dims)
     inv, surj = invariance_and_surjectivity_check(rule, spec, window)
-    want_inv, want_surj = params.get("expected", "true true").split()
+    want_inv, want_surj = params.value("expected", _two_words, "true true")
     ok = inv == (want_inv == "true") and surj == (want_surj == "true")
     return {"pass": ok, "invariant": inv, "surjective": surj}
 
@@ -389,7 +398,8 @@ def _step_pushforward_invariance(params, seed):
     target = _window_from(
         params, rule.dims, "target-extents", "target-origin", "0 " * src_window.axes
     )
-    uni = uniform_bernoulli(module, src_window, seed=seed)
+    # A Haar handle, so every pushforward (t = 0 too) has an exact marginal.
+    uni = SubgroupHaarMeasure.full_space(module, src_window, seed=seed)
     pushed = pushforward(uni, rule, params.value("t", int, "1"))
     if not pushed.window.contains_window(target):
         raise InvalidParameterError("pushforward window does not cover the target window")

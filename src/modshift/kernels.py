@@ -441,12 +441,15 @@ def coboundary(config: WindowConfig, vectors) -> list:
 
 
 def coset_from_cocycle(c0, a, window: WindowSpec, module: ModuleSpec, mode="exact") -> WindowConfig:
-    """The configuration c_m = c0 + (m_1 + ... + m_{D+E}) * a on the window."""
+    """The configuration c_m = c0 + (m_1 + ... + m_{D+E}) * a on the window.
+
+    `c0` and `a` are element codes (one per component, or one for all).
+    """
     ring = module.ring
-    if isinstance(c0, int):
-        c0 = (c0,) * module.rank
-    if isinstance(a, int):
-        a = (a,) * module.rank
+    c0, a = (
+        [ring.element_code(x, name) for x in ((v,) * module.rank if isinstance(v, int) else v)]
+        for v, name in ((c0, "c0"), (a, "a"))
+    )
     scalars = coordinate_sum_images(ring, window)
     vals = np.zeros(window.extents + (module.rank,), dtype=np.int64)
     for c in range(module.rank):
@@ -522,7 +525,7 @@ def torsion_free_check(spec: KernelShiftSpec, window: WindowSpec, scalar: int) -
 
 def scaled_coset_in_kernel(word: WindowConfig, spec: KernelShiftSpec, scalar: int) -> bool:
     """True iff scalar * word satisfies the in-window constraints."""
-    return kernel_membership(spec, config_scale(int(scalar), word))
+    return kernel_membership(spec, config_scale(scalar, word))
 
 
 def topological_mixing_check(spec: KernelShiftSpec, pairs, n: int) -> bool:

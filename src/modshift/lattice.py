@@ -348,8 +348,9 @@ def config_sub(a: WindowConfig, b: WindowConfig) -> WindowConfig:
 
 
 def config_scale(scalar: int, c: WindowConfig) -> WindowConfig:
+    """`scalar * c`; the scalar is an element code of the ring, else InvalidParameterError."""
     ring = c.module.ring
-    return c.with_values(ring.mul_arr(np.int64(scalar), c.values))
+    return c.with_values(ring.mul_arr(np.int64(ring.element_code(scalar, "scalar")), c.values))
 
 
 def encode_config(config: WindowConfig) -> str:
@@ -429,7 +430,7 @@ def decode_config(text: str) -> WindowConfig:
         raise ConfigParseError(
             f"expected {n_rows} value rows, found {len(body)}", line=8
         )
-    packed = np.zeros((n_rows, row_len), dtype=np.int64)
+    packed = []
     for r, line in enumerate(body):
         toks = line.split(" ")
         if toks == [""]:
@@ -452,6 +453,6 @@ def decode_config(text: str) -> WindowConfig:
                     line=8 + r,
                     column=cidx + 1,
                 )
-            packed[r, cidx] = val
-    comps = module.unpack_arr(packed.reshape(window.extents))
+            packed.append(val)
+    comps = module.unpack_arr(np.array(packed, dtype=np.int64).reshape(window.extents))
     return WindowConfig(window, module, comps, mode)

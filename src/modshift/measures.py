@@ -8,12 +8,17 @@ matter how work is partitioned.
 Exact Fourier coefficients, as root-of-unity sums, come from one engine,
 `_coefficients`, that takes a whole array of characters at once: `fourier`
 hands it one character, `fourier_sweep` every character of a window and
-`rigidity_experiment` its character list at each t.  It answers subgroup and
-coset Haar measures from annihilator membership, Bernoulli measures once per
-multiset of duals, and word lists from one pairing product with the words.
+`rigidity_experiment` its character list at each t.  It answers Haar
+measures from annihilator membership and the phase at the representative,
+Bernoulli measures once per multiset of duals, and word lists from one
+pairing product with the words.
 
-The subgroup-Haar handle is the workhorse: uniform measures on window
-subgroups are closed under linear rule pushforward (transform the generators,
+`SubgroupHaarMeasure` is the one Haar handle and the workhorse: the uniform
+measure on a coset of a window subgroup, held as echelonized spans plus the
+(n_sites, rank) codes of a representative, which are zero for a subgroup.
+`CosetHaarMeasure` only builds such a handle from a representative
+configuration and a subgroup handle.  Haar measures are closed under linear
+rule pushforward (transform the generators and the representative,
 re-echelonize), which keeps exactness available far beyond enumerable sizes.
 """
 
@@ -51,7 +56,7 @@ from .kernels import (
     coset_shift_check,
     window_kernel,
 )
-from .lattice import WindowConfig, WindowSpec, integer_array, restrict_config, scaled_offset
+from .lattice import WindowConfig, WindowSpec, integer_array, scaled_offset
 from .rings import MixedRadix, ModuleSpec, Ring, is_prime
 from .rng import CounterRng, cdf_thresholds
 from .shiftpoly import (
@@ -297,18 +302,19 @@ def _echelonize(ring, rows, nvars):
 
 
 class SubgroupHaarMeasure(MeasureHandle):
-    """Uniform measure on a subgroup of module words over a window.
+    """Uniform measure on a coset of a subgroup of module words over a window.
 
     The subgroup is held as one echelonized span per field component of
     `crt.field_decomposition(module.ring)`; a field is its own single
-    component.  Canonical RREF bases make equality of distributions a plain
-    array comparison.
+    component.  `rep_codes` holds the (n_sites, rank) codes of the coset's
+    representative, zero (the default) for the subgroup itself.  Canonical
+    RREF bases make equality of subgroups a plain array comparison.
     """
 
     is_exact = True
 
     def __init__(self, module, window, spans, seed=0, mode="exact",
-                 label="subgroup-haar", provenance=(), kernel_spec=None):
+                 label="subgroup-haar", provenance=(), rep_codes=None):
         self._init_common(module, window, mode, label, seed, provenance)
         self.spans = tuple(spans)
         self.decomposition = crt.field_decomposition(module.ring)
@@ -317,43 +323,47 @@ class SubgroupHaarMeasure(MeasureHandle):
                 f"{len(self.spans)} spans for the {self.decomposition.n_components} "
                 f"field components of {module.ring.descriptor()}"
             )
-        self.kernel_spec = kernel_spec
-        for span in self.spans:
-            span.basis.setflags(write=False)
+        shape = (window.n_sites, module.rank)
+        rep_codes = np.zeros(shape) if rep_codes is None else rep_codes
+        self.rep_codes = np.array(rep_codes, dtype=np.int64).reshape(shape)
+        for arr in [span.basis for span in self.spans] + [self.rep_codes]:
+            arr.setflags(write=False)
         self._rng = [CounterRng(self.seed, stream=31 + i) for i in range(len(self.spans))]
 
     # constructors ---------------------------------------------------------
     @staticmethod
-    def full_space(module, window, seed=0, mode="exact", label="uniform"):
+    def full_space(module, window, seed=0, mode="exact", label="uniform", provenance=()):
         nvars = window.n_sites * module.rank
         spans = [
             _FieldSpan(r, np.eye(nvars, dtype=np.int64) * r.one)
             for r in crt.field_decomposition(module.ring).component_rings
         ]
-        return SubgroupHaarMeasure(module, window, spans, seed, mode, label)
+        return SubgroupHaarMeasure(module, window, spans, seed, mode, label, provenance)
 
     @staticmethod
     def from_window_basis(basis: WindowBasis, seed=0, mode="exact", label=None):
         module = basis.module
-        rank = module.rank
-        n_sites = basis.window.n_sites
-        nvars = n_sites * rank
-        spans = []
-        for ring, scalar_basis, _ in basis.components:
-            nb = scalar_basis.shape[0]
-            rows = np.zeros((nb * rank, nvars), dtype=np.int64)
-            for i in range(nb):
-                for c in range(rank):
-                    rows[i * rank + c, c::rank] = scalar_basis[i]
-            spans.append(_FieldSpan(ring, _echelonize(ring, rows, nvars)))
+        nvars = basis.window.n_sites * module.rank
+        # Row i * rank + c is scalar basis row i placed on component c of every site.
+        eye = np.eye(module.rank, dtype=np.int64)
+        spans = [
+            _FieldSpan(ring, _echelonize(ring, np.kron(scalar_basis, eye), nvars))
+            for ring, scalar_basis, _ in basis.components
+        ]
         return SubgroupHaarMeasure(
-            module,
-            basis.window,
-            spans,
-            seed,
-            mode,
-            label or f"kernel-haar[{basis.spec.label}]",
-            kernel_spec=basis.spec,
+            module, basis.window, spans, seed, mode, label or f"kernel-haar[{basis.spec.label}]"
+        )
+
+    def _rebuilt(self, module, window, spans, rep_codes, note: str, suffix: str = ""):
+        """A handle of this kind on new spans and representative codes.
+
+        It keeps the seed and mode, appends `suffix` to the label and `note`
+        to the provenance.  `pushforward`, `marginal` and
+        `crt.project_measure` build their results here.
+        """
+        return SubgroupHaarMeasure(
+            module, window, spans, seed=self.seed, mode=self.mode, label=self.label + suffix,
+            provenance=self.derived(note), rep_codes=rep_codes,
         )
 
     # structure --------------------------------------------------------------
@@ -364,34 +374,29 @@ class SubgroupHaarMeasure(MeasureHandle):
         return out
 
     def same_distribution(self, other: "SubgroupHaarMeasure") -> bool:
+        """Equal spans, and representatives that differ by a subgroup word."""
         if self.window != other.window or self.module != other.module:
             return False
-        if len(self.spans) != len(other.spans):
+        if not all(np.array_equal(a.basis, b.basis) for a, b in zip(self.spans, other.spans)):
             return False
-        return all(
-            a.ring == b.ring and np.array_equal(a.basis, b.basis)
-            for a, b in zip(self.spans, other.spans)
-        )
+        diff = self.module.ring.sub_arr(other.rep_codes, self.rep_codes)
+        everywhere = np.arange(self.window.n_sites)
+        return not diff.any() or self._pinned_probability(everywhere, diff) > 0
 
     def marginal(self, sub_window: WindowSpec) -> "SubgroupHaarMeasure":
-        """Exact marginal on a sub-window (projection of a subgroup is a subgroup)."""
+        """Exact marginal on a sub-window (projection of a coset is a coset)."""
         if not self.window.contains_window(sub_window):
             raise OutOfWindowError(f"{sub_window} not inside {self.window}")
-        cols = _site_columns(self.window.flat_indices(sub_window.sites()), self.module.rank)
+        idx = self.window.flat_indices(sub_window.sites())
+        cols = _site_columns(idx, self.module.rank)
         nvars = len(cols)
         spans = [
             _FieldSpan(span.ring, _echelonize(span.ring, span.basis[:, cols], nvars))
             for span in self.spans
         ]
-        return SubgroupHaarMeasure(
-            self.module, sub_window, spans, seed=self.seed, mode=self.mode, label=self.label,
-            provenance=self.derived(f"marginal on {sub_window}"),
+        return self._rebuilt(
+            self.module, sub_window, spans, self.rep_codes[idx], f"marginal on {sub_window}"
         )
-
-    def _component_targets(self, values_by_var, span_index):
-        """Map source-ring codes (per var) into the span's field codes."""
-        codes = np.asarray(values_by_var, dtype=np.int64)
-        return self.decomposition.forward_table[codes, span_index]
 
     def merged_generators(self) -> np.ndarray:
         """Additive generators of the subgroup as source-ring code rows (g, nvars).
@@ -413,18 +418,18 @@ class SubgroupHaarMeasure(MeasureHandle):
 
     # exact interface ----------------------------------------------------------
     def cylinder_probability(self, pins):
-        return self._pinned_probability(*_pin_arrays(self.window, self.module, pins))
+        idx, vals = _pin_arrays(self.window, self.module, pins)
+        return self._pinned_probability(idx, self.module.ring.sub_arr(vals, self.rep_codes[idx]))
 
     def _pinned_probability(self, idx, vals):
-        """Probability that sites `idx` hold the (n, rank) codes `vals`."""
+        """Probability that the subgroup holds the (n, rank) codes `vals` at sites `idx`."""
         if not idx.size:
             return Fraction(1)
         cols, vals = _site_columns(idx, self.module.rank), vals.ravel()
         out = Fraction(1)
         for si, span in enumerate(self.spans):
-            targets = self._component_targets(vals, si)
-            A = span.basis[:, cols].T if span.dim else np.zeros((len(cols), 0), dtype=np.int64)
-            solution, null = linalg.solve_affine(A, targets, span.ring)
+            targets = self.decomposition.forward_table[vals, si]
+            solution, null = linalg.solve_affine(span.basis[:, cols].T, targets, span.ring)
             if solution is None:
                 return Fraction(0)
             r = span.dim - null.shape[0]  # rank of A, from the same elimination
@@ -438,32 +443,32 @@ class SubgroupHaarMeasure(MeasureHandle):
                 f"subgroup of size {total} exceeds enumeration cap {limit}",
                 required=total,
             )
-        rank = self.module.rank
-        n_sites = self.window.n_sites
         p = Fraction(1, total)
         merged = self.decomposition.merge_product([
             span.ring.lincomb(MixedRadix((span.ring.size,) * span.dim).all_digits(), span.basis)
             for span in self.spans
         ])
-        for i in range(merged.shape[0]):
-            yield merged[i].reshape(n_sites, rank), p
+        words = self.module.ring.add_arr(
+            merged.reshape((total,) + self.rep_codes.shape), self.rep_codes
+        )
+        for i in range(total):
+            yield words[i], p
 
     def entropy_bits_per_site(self, site_indices):
         sel = self._site_selection(site_indices)
         cols = np.sort(_site_columns(sel, self.module.rank))
-        bits = 0.0
-        for span in self.spans:
-            sub = span.basis[:, cols] if span.dim else np.zeros((0, len(cols)), dtype=np.int64)
-            r = linalg.row_span_rank(sub, span.ring)
-            bits += r * math.log2(span.ring.size)
+        bits = sum(
+            linalg.row_span_rank(span.basis[:, cols], span.ring) * math.log2(span.ring.size)
+            for span in self.spans
+        )
         return bits / len(sel)
 
     # sampled interface ----------------------------------------------------------
     def draw_values(self, start, count, site_indices=None):
         # Draw i combines the basis rows with coefficients at counters
-        # (start + i) * nb + row.  Only the selected columns are computed, and
-        # only for the rows that touch them, so the values equal full draws
-        # sliced.
+        # (start + i) * nb + row, plus the representative.  Only the selected
+        # columns are computed, and only for the rows that touch them, so the
+        # values equal full draws sliced.
         rank = self.module.rank
         sel = self._site_selection(site_indices)
         cols = _site_columns(sel, rank)
@@ -475,57 +480,37 @@ class SubgroupHaarMeasure(MeasureHandle):
             counters = first * np.uint64(span.dim) + rows.astype(np.uint64)
             coefs = self._rng[si].codes_at(counters, span.ring.size)
             comp_vals.append(span.ring.lincomb(coefs, basis[rows]))
-        merged = self.decomposition.merge_arrays(comp_vals)
-        return merged.reshape(count, sel.size, rank)
+        merged = self.decomposition.merge_arrays(comp_vals).reshape(count, sel.size, rank)
+        return self.module.ring.add_arr(merged, self.rep_codes[sel])
 
 
-class CosetHaarMeasure(MeasureHandle):
-    """Translate of a subgroup Haar measure by a coset representative."""
+class CosetHaarMeasure(SubgroupHaarMeasure):
+    """The Haar handle of a subgroup handle translated by a representative.
 
-    is_exact = True
+    `rep` is the representative configuration and `subgroup` the untranslated
+    handle; every measure operation is the one `SubgroupHaarMeasure` defines.
+    """
 
     def __init__(self, rep: WindowConfig, subgroup: SubgroupHaarMeasure, label=None, provenance=()):
         if rep.window != subgroup.window:
             raise InvalidParameterError("representative window != subgroup window")
         rep.module.check_same(subgroup.module)
+        if subgroup.rep_codes.any():
+            raise InvalidParameterError(f"{subgroup.label} is a translated handle, not a subgroup")
+        super().__init__(
+            subgroup.module, subgroup.window, subgroup.spans, subgroup.seed, subgroup.mode,
+            label or f"coset[{subgroup.label}]", provenance, rep.flat(),
+        )
         self.rep = rep
         self.subgroup = subgroup
-        self._init_common(
-            subgroup.module,
-            subgroup.window,
-            subgroup.mode,
-            label or f"coset[{subgroup.label}]",
-            subgroup.seed,
-            provenance,
-        )
 
-    def cylinder_probability(self, pins):
-        idx, vals = _pin_arrays(self.window, self.module, pins)
-        shifted = self.module.ring.sub_arr(vals, self.rep.flat()[idx])
-        return self.subgroup._pinned_probability(idx, shifted)
-
-    def enumerate_words(self, limit=ENUMERATION_CAP):
-        ring = self.module.ring
-        rep_flat = self.rep.flat()
-        for vals, p in self.subgroup.enumerate_words(limit):
-            yield ring.add_arr(vals, rep_flat), p
-
-    def entropy_bits_per_site(self, site_indices):
-        return self.subgroup.entropy_bits_per_site(site_indices)
-
-    def marginal(self, sub_window: WindowSpec) -> "CosetHaarMeasure":
+    def _rebuilt(self, module, window, spans, rep_codes, note, suffix=""):
+        rep = WindowConfig(window, module, rep_codes.reshape(window.extents + (module.rank,)),
+                           self.mode)
         return CosetHaarMeasure(
-            restrict_config(self.rep, sub_window),
-            self.subgroup.marginal(sub_window),
-            label=self.label,
-            provenance=self.derived(f"marginal on {sub_window}"),
+            rep, self.subgroup._rebuilt(module, window, spans, np.zeros_like(rep_codes), note, suffix),
+            label=self.label + suffix, provenance=self.derived(note),
         )
-
-    def draw_values(self, start, count, site_indices=None):
-        sel = self._site_selection(site_indices)
-        base = self.subgroup.draw_values(start, count, sel)
-        rep_sel = self.rep.flat()[sel]
-        return self.module.ring.add_arr(base, rep_sel[None, :, :])
 
 
 class ExactWordMeasure(MeasureHandle):
@@ -681,41 +666,29 @@ def _power_poly(rule: LocalRule, t: int) -> ShiftPolynomial:
     return poly_pow(f, t)
 
 
-def _transform_span(span: _FieldSpan, poly, window, rank, comp_ring):
-    vals = span.basis.reshape(span.dim, window.n_sites, rank)
-    vals = vals.reshape((span.dim,) + window.extents + (rank,))
-    if span.dim == 0:
-        vals = np.zeros((1,) + window.extents + (rank,), dtype=np.int64)
-    out_window, out_vals = stencil(poly.terms, vals, window, "exact", comp_ring)
+def _transform_span(span: _FieldSpan, rep: np.ndarray, poly, window, rank):
+    """The exact stencil image of a span and of a representative's component codes.
+
+    The representative is one more row of the span's batch.  Returns the
+    output window, the echelonized image span and the image representative.
+    """
+    rows = np.concatenate([span.basis, rep.reshape(1, -1)])
+    vals = rows.reshape((span.dim + 1,) + window.extents + (rank,))
+    out_window, out_vals = stencil(poly.terms, vals, window, "exact", span.ring)
     nvars = out_window.n_sites * rank
-    rows = out_vals.reshape(-1, nvars)[: span.dim]
-    return out_window, _FieldSpan(comp_ring, _echelonize(comp_ring, rows, nvars))
+    out = out_vals.reshape(span.dim + 1, nvars)
+    return out_window, _FieldSpan(span.ring, _echelonize(span.ring, out[:-1], nvars)), out[-1]
 
 
 def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERATION_CAP) -> MeasureHandle:
     """Distribution of t rule applications of draws from mu.
 
-    t = 0 returns mu itself.  Subgroup and coset Haar handles transform
-    exactly at any size; other exact handles push by enumeration when within
-    `limit`; everything else becomes a sampled handle using the fast
-    (base-p Frobenius) polynomial power.
+    t = 0 returns mu itself.  Haar handles transform exactly at any size, one
+    field component at a time, so only component rules are powered; other
+    exact handles push by enumeration when within `limit`; everything else
+    becomes a sampled handle using the fast (base-p Frobenius) polynomial
+    power.
     """
-    return _pushforward(mu, rule, t, limit, {})
-
-
-def _pushforward(mu, rule, t, limit, powers):
-    """`pushforward`, computing each distinct rule's t-th power once.
-
-    `powers` maps a rule to its power and is shared with the recursive call
-    for a coset's subgroup: over a field the subgroup's one component rule is
-    the rule itself.
-    """
-
-    def power(r):
-        if r not in powers:
-            powers[r] = _power_poly(r, t)
-        return powers[r]
-
     if t < 0:
         raise InvalidParameterError(f"t must be >= 0, got {t}")
     if t == 0:
@@ -727,34 +700,23 @@ def _pushforward(mu, rule, t, limit, powers):
     if isinstance(mu, BernoulliMeasure) and mu.is_uniform and mu.mode == "exact":
         try:
             source = SubgroupHaarMeasure.full_space(
-                mu.module, mu.window, seed=mu.seed, mode=mu.mode, label=mu.label
+                mu.module, mu.window, seed=mu.seed, mode=mu.mode, label=mu.label,
+                provenance=mu.provenance,
             )
         except UnsupportedCharacteristicError:
             pass  # not a product of fields: enumerate or sample below
     if isinstance(source, SubgroupHaarMeasure) and source.mode == "exact":
-        new_spans = []
-        for si, span in enumerate(source.spans):
-            comp_poly = power(crt.component_rule(rule, source.decomposition, si))
-            out_window, new_span = _transform_span(
-                span, comp_poly, source.window, mu.module.rank, span.ring
+        deco = source.decomposition
+        spans, reps = [], []
+        for si, (span, rep) in enumerate(zip(source.spans, deco.split_arrays(source.rep_codes))):
+            comp_poly = _power_poly(crt.component_rule(rule, deco, si), t)
+            out_window, new_span, new_rep = _transform_span(
+                span, rep, comp_poly, source.window, mu.module.rank
             )
-            new_spans.append(new_span)
-        return SubgroupHaarMeasure(
-            mu.module,
-            out_window,
-            new_spans,
-            seed=mu.seed,
-            mode=mu.mode,
-            label=mu.label,
-            provenance=mu.derived(note),
-        )
-    poly = power(rule)
-    if isinstance(source, CosetHaarMeasure) and source.mode == "exact":
-        sub = _pushforward(source.subgroup, rule, t, limit, powers)
-        rep_vals = source.rep.values[None, ...]
-        out_window, rep_out = stencil(poly.terms, rep_vals, source.window, "exact", rule.ring)
-        rep_cfg = WindowConfig(out_window, mu.module, rep_out[0], "exact")
-        return CosetHaarMeasure(rep_cfg, sub, label=mu.label, provenance=mu.derived(note))
+            spans.append(new_span)
+            reps.append(new_rep)
+        return source._rebuilt(mu.module, out_window, spans, deco.merge_arrays(reps), note)
+    poly = _power_poly(rule, t)
     if mu.is_exact:
         try:
             words = list(mu.enumerate_words(limit))
@@ -919,7 +881,7 @@ def _coefficients(mu: MeasureHandle, sites, codes: np.ndarray):
     """
     module, ring = mu.module, mu.module.ring
     L = ring.char_exponent
-    if not isinstance(mu, (SubgroupHaarMeasure, CosetHaarMeasure, BernoulliMeasure, ExactWordMeasure)):
+    if not isinstance(mu, (SubgroupHaarMeasure, BernoulliMeasure, ExactWordMeasure)):
         raise InvalidParameterError(f"{mu.label} has no exact Fourier path; pass a sample budget")
     idx = _character_indices(mu.window, sites, codes)
     by_site = codes.reshape(codes.shape[0], len(sites), module.rank)
@@ -946,19 +908,18 @@ def _coefficients(mu: MeasureHandle, sites, codes: np.ndarray):
             root_sums.append(rs)
         return class_ids, root_sums
 
-    if isinstance(mu, (SubgroupHaarMeasure, CosetHaarMeasure)):
-        # 1 on the annihilator of the subgroup (times the character's phase at
-        # a coset representative), 0 off it: keys 0 off and 1 + phase on.
-        coset = isinstance(mu, CosetHaarMeasure)
+    if isinstance(mu, SubgroupHaarMeasure):
+        # 1 on the annihilator of the subgroup, times the character's phase at
+        # the representative, 0 off it: keys 0 off and 1 + phase on.
         cols = _site_columns(idx, module.rank)
-        gens = (mu.subgroup if coset else mu).merged_generators()[:, cols]
-        rep = mu.rep.flat()[idx].reshape(1, -1) if coset else None
+        gens = mu.merged_generators()[:, cols]
+        rep = mu.rep_codes[idx].reshape(1, -1)
         raw = np.empty(codes.shape[0], dtype=np.int64)
         chunk = max(1, _SWEEP_CHUNK_CELLS // (cols.size + gens.shape[0] + 1))
         for lo in range(0, codes.shape[0], chunk):
             duals = codes[lo:lo + chunk]
             in_annihilator = ~_pair_exponents(ring, duals, gens).any(axis=1)
-            phase = 0 if rep is None else _pair_exponents(ring, duals, rep)[:, 0]
+            phase = _pair_exponents(ring, duals, rep)[:, 0]
             raw[lo:lo + chunk] = np.where(in_annihilator, 1 + phase, 0)
         used = np.flatnonzero(np.bincount(raw))
         remap = np.zeros(raw.max(initial=0) + 1, dtype=np.int64)

@@ -542,12 +542,13 @@ class GFRing(Ring):
     MAX_ORDER = 256
 
     def __init__(self, p: int, k: int, modulus=None):
-        if not is_prime(p):
-            raise InvalidParameterError(f"gf base {p} is not prime")
         if k < 1:
             raise InvalidParameterError(f"gf degree must be >= 1, got {k}")
-        if p**k > self.MAX_ORDER:
-            raise InvalidParameterError(f"gf order {p**k} exceeds cap {self.MAX_ORDER}")
+        # The degree bound keeps p**k small before it is computed.
+        if k >= self.MAX_ORDER.bit_length() or p**k > self.MAX_ORDER:
+            raise InvalidParameterError(f"gf order {p}**{k} exceeds cap {self.MAX_ORDER}")
+        if not is_prime(p):
+            raise InvalidParameterError(f"gf base {p} is not prime")
         if modulus is None:
             try:
                 modulus = GF_DEFAULT_MODULI[(p, k)]
@@ -782,6 +783,10 @@ class ModuleSpec:
     def __init__(self, ring: Ring, rank: int = 1):
         if rank < 1:
             raise InvalidParameterError(f"module rank must be >= 1, got {rank}")
+        if rank >= 63:  # 2**63 codes or more, refused before the radices are built
+            raise InvalidParameterError(
+                f"module rank {rank} over {ring.descriptor()} has codes beyond int64"
+            )
         self.ring = ring
         self.rank = rank
         self.codec = MixedRadix((ring.size,) * rank)

@@ -495,6 +495,10 @@ def _fourier_root_sum(mu, chi):
                 site_sum.add_weight(e, p)
             out = out * site_sum
         return out
+    if isinstance(mu, CosetHaarMeasure):
+        base = _fourier_root_sum(mu.subgroup, chi)
+        e = exponent_of_config(chi, mu.rep)
+        return RootSum.monomial(base.L, e) * base
     if isinstance(mu, SubgroupHaarMeasure):
         ring = mu.module.ring
         L = ring.char_exponent
@@ -510,10 +514,6 @@ def _fourier_root_sum(mu, chi):
             if total % L:
                 return RootSum.zero(L)
         return RootSum.one(L)
-    if isinstance(mu, CosetHaarMeasure):
-        base = _fourier_root_sum(mu.subgroup, chi)
-        e = exponent_of_config(chi, mu.rep)
-        return RootSum.monomial(base.L, e) * base
     if isinstance(mu, ExactWordMeasure):
         L = mu.module.ring.char_exponent
         out = RootSum.zero(L)

@@ -196,6 +196,12 @@ def test_project_uniform_bernoulli(z6_deco):
         project_measure(mu, z6_deco, 2)
 
 
+def test_project_refuses_a_decomposition_of_another_ring(z6_deco):
+    mu = uniform_bernoulli(ModuleSpec(ZmodRing(10), 1), WindowSpec((1, 0), (0,), (3,)))
+    with pytest.raises(InvalidParameterError, match="differs from decomposition source"):
+        project_measure(mu, z6_deco, 0)
+
+
 def test_project_point_mass(z6_deco):
     mod = ModuleSpec(ZmodRing(6), 1)
     win = WindowSpec((1, 0), (0,), (3,))

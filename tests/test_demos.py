@@ -1,6 +1,7 @@
-"""Each demo script runs to completion on the package in this checkout."""
+"""Each demo script, and README's quick tour, runs to completion on the package in this checkout."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,18 @@ def test_demo_runs_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_readme_quick_tour_runs_cleanly():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (tour,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert "coset_haar(" in tour
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", tour], capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

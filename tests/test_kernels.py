@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from modshift import (
     ZmodRing,
     coboundary,
     config_add,
+    config_scale,
     constant_config,
     coset_from_cocycle,
     coset_shift_check,
@@ -19,6 +22,7 @@ from modshift import (
     extension_certificate,
     invariance_and_surjectivity_check,
     kernel_membership,
+    make_ring,
     restrict_config,
     scaled_coset_in_kernel,
     shift_config,
@@ -217,6 +221,43 @@ def test_scaled_coset_in_kernel(cb_system, torsion_system):
     assert scaled_coset_in_kernel(constant1, spec3, 1)
     assert scaled_coset_in_kernel(linear, spec3, 1)
     assert not scaled_coset_in_kernel(quadratic, spec3, 1)
+
+
+SCALAR_RINGS = ["zmod:3", "gf:2:2", "prod:[zmod:2;zmod:3]"]
+
+
+def _scalar_case(desc):
+    module = ModuleSpec(make_ring(desc), 1)
+    window = WindowSpec((1, 0), (0,), (4,))
+    one = module.ring.one
+    spec = KernelShiftSpec(LocalRule(module, (1, 0), ((0,), (1,)), (one, one)))
+    return module, window, spec, constant_config(module, window, one)
+
+
+@pytest.mark.parametrize("desc", SCALAR_RINGS)
+def test_scalars_outside_the_ring_are_refused(desc):
+    module, window, spec, word = _scalar_case(desc)
+    pattern = rf"is not an element code of {re.escape(desc)}"
+    for bad in (-1, module.ring.size):
+        with pytest.raises(InvalidParameterError, match=pattern):
+            config_scale(bad, word)
+        with pytest.raises(InvalidParameterError, match=pattern):
+            scaled_coset_in_kernel(word, spec, bad)
+        with pytest.raises(InvalidParameterError, match=pattern):
+            coset_from_cocycle(bad, 0, window, module)
+        with pytest.raises(InvalidParameterError, match=pattern):
+            coset_from_cocycle(0, (bad,), window, module)
+
+
+@pytest.mark.parametrize("desc", SCALAR_RINGS)
+def test_scalars_inside_the_ring_scale_codewise(desc):
+    module, window, _, word = _scalar_case(desc)
+    ring = module.ring
+    for scalar in range(ring.size):
+        want = [ring.mul(scalar, int(v)) for v in word.values.ravel()]
+        assert config_scale(scalar, word).values.ravel().tolist() == want
+        built = coset_from_cocycle(scalar, 0, window, module)
+        assert built == constant_config(module, window, scalar)
 
 
 def test_topological_mixing(cb_system):

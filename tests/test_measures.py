@@ -25,6 +25,7 @@ from modshift import (
     fourier,
     haar_criterion,
     kernel_haar,
+    make_ring,
     mixing_statistic,
     point_mass,
     pushforward,
@@ -33,8 +34,9 @@ from modshift import (
     window_kernel,
 )
 from modshift.kernels import KernelShiftSpec, enumerate_kernel_words
-from modshift.measures import CosetHaarMeasure, ExactWordMeasure
-from modshift.shiftpoly import parse_rule
+from modshift.measures import CosetHaarMeasure, ExactWordMeasure, default_t_schedule
+from modshift.rng import CounterRng
+from modshift.shiftpoly import apply_poly, from_rule, parse_rule, poly_pow
 
 
 # The zeroth-row counting oracle lives in oracles.py: members of the parity
@@ -224,6 +226,70 @@ def test_coset_pushforward_over_a_field_powers_the_rule_once(cb_system, monkeypa
         assert np.array_equal(got.basis, want.basis)
     rep = apply_poly(poly_pow_charp(from_rule(cb_system.rule), 4), mu.rep)
     assert pushed.rep == rep and pushed.rep.values.tobytes() == rep.values.tobytes()
+
+
+COMPOSITE_RINGS = [("zmod:6", 1), ("zmod:30", 2), ("prod:[zmod:2;zmod:3]", 1)]
+
+
+def _composite_coset(desc, rank, length):
+    """A coset of a three-term kernel over a composite ring, with a seeded representative."""
+    ring = make_ring(desc)
+    module = ModuleSpec(ring, rank)
+    one = ring.one
+    spec = KernelShiftSpec(LocalRule(module, (1, 0), ((0,), (1,), (2,)), (one, one, one)))
+    win = WindowSpec((1, 0), (0,), (length,))
+    codes = CounterRng(1, stream=5).uniform_codes(0, win.extents + (rank,), ring.size)
+    rule = LocalRule(module, (1, 0), ((0,), (1,)), (one, one))
+    return rule, CosetHaarMeasure(WindowConfig(win, module, codes), kernel_haar(spec, win, seed=3))
+
+
+@pytest.mark.parametrize("desc,rank", COMPOSITE_RINGS)
+def test_composite_coset_pushforward_matches_the_full_ring_image(desc, rank):
+    # The Haar path pushes each field component of the representative; the
+    # independent side powers the rule over the whole ring.
+    schedule = default_t_schedule(make_ring(desc))
+    rule, mu = _composite_coset(desc, rank, max(schedule) + 4)
+    for t in schedule[1:]:
+        pushed = pushforward(mu, rule, t)
+        assert isinstance(pushed, CosetHaarMeasure)
+        want = apply_poly(poly_pow(from_rule(rule), t), mu.rep)
+        assert pushed.rep == want and pushed.window == want.window
+        sub = pushforward(mu.subgroup, rule, t)
+        assert pushed.subgroup.same_distribution(sub)
+        assert (pushed.subgroup.label, pushed.subgroup.provenance) == (sub.label, sub.provenance)
+        assert not pushed.subgroup.rep_codes.any()
+
+
+@pytest.mark.parametrize("desc,rank", COMPOSITE_RINGS)
+def test_coset_draws_are_subgroup_draws_plus_the_representative(desc, rank):
+    _, mu = _composite_coset(desc, rank, 9)
+    ring = mu.module.ring
+    for sel in (None, [0], [8, 2, 2]):
+        idx = np.arange(9) if sel is None else np.array(sel)
+        want = ring.add_arr(mu.subgroup.draw_values(7, 50, sel), mu.rep.flat()[idx])
+        assert np.array_equal(mu.draw_values(7, 50, sel), want)
+
+
+@pytest.mark.parametrize("desc,rank", COMPOSITE_RINGS)
+def test_same_distribution_compares_cosets(desc, rank):
+    _, mu = _composite_coset(desc, rank, 9)
+    ring = mu.module.ring
+    word = mu.subgroup.draw(3)
+    assert word.values.any()
+    moved = WindowConfig(mu.window, mu.module, ring.add_arr(mu.rep.values, word.values))
+    other = constant_config(mu.module, mu.window, ring.one)
+    assert mu.same_distribution(CosetHaarMeasure(moved, mu.subgroup))
+    assert mu.subgroup.same_distribution(CosetHaarMeasure(word, mu.subgroup))
+    assert not mu.same_distribution(CosetHaarMeasure(other, mu.subgroup))
+    assert not mu.subgroup.same_distribution(CosetHaarMeasure(other, mu.subgroup))
+    assert not mu.same_distribution(mu.subgroup) and not mu.subgroup.same_distribution(mu)
+
+
+def test_coset_of_a_translated_handle_is_refused(cb_system):
+    win = cb_system.window(4, 3)
+    mu = CosetHaarMeasure(cb_system.checkerboard(win), kernel_haar(cb_system.kernel, win))
+    with pytest.raises(InvalidParameterError, match="translated handle, not a subgroup"):
+        CosetHaarMeasure(cb_system.checkerboard(win), mu)
 
 
 def test_fourier_trivial_is_one(cb_system, eta6):
