@@ -9,7 +9,16 @@ evidence used for the bundled examples.
 
 Every ring is solved per field component of `crt.field_decomposition`: a
 field is its own single component, a squarefree characteristic gives one
-prime field per prime, and any other ring is refused before elimination.
+prime field per prime, and any other ring is refused before solving.
+
+Kernels are solved by propagation, with no elimination.  Weights w single
+out the lexicographically first stencil term b*, so each anchor m fixes the
+site m+b* from sites of smaller w-score (component coefficients are units)
+and the other sites are free.  Each constraint row starts at m+b*, so these
+are the free columns of the constraint matrix's RREF, which by matroid
+duality fix the canonical basis (see `window_kernel`): the propagated basis
+is that basis.  Torsion needs no matrix: a nonzero component scalar is a
+unit, and a zero one enlarges the solutions iff an anchor fits.
 """
 
 from __future__ import annotations
@@ -90,22 +99,28 @@ def anchor_window(stencil_offsets, window: WindowSpec):
     return window.stencil_anchors(stencil_offsets)
 
 
+def _anchors(spec: KernelShiftSpec, window: WindowSpec):
+    """The kernel's anchor window in `window` (None if empty), once its dims are checked."""
+    if window.dims != spec.dims:
+        raise InvalidParameterError(f"window {window} does not have the kernel's dims {spec.dims}")
+    return anchor_window(spec.constraint.offsets, window)
+
+
+def _anchor_columns(offsets, window: WindowSpec, anchors):
+    """Anchor coordinates relative to the window, (axes, n_anchors) row-major, and the flat
+    site index of anchor + offset, (n_terms, n_anchors), for an anchor window or None."""
+    origin, extents = (anchors.origin, anchors.extents) if anchors else (window.origin, (0,) * window.axes)
+    rel = np.indices(extents).reshape(window.axes, -1) + np.subtract(origin, window.origin)[:, None]
+    offs = np.array(offsets, dtype=np.int64)
+    return rel, np.ravel_multi_index(tuple(rel[:, None] + offs.T[:, :, None]), window.extents)
+
+
 def constraint_matrix(spec: KernelShiftSpec, window: WindowSpec) -> np.ndarray:
     """(n_anchors, n_sites) matrix of constraint coefficients on scalar sites."""
     rule = spec.constraint
-    anchors = anchor_window(rule.offsets, window)
-    n_sites = window.n_sites
-    if anchors is None:
-        return np.zeros((0, n_sites), dtype=np.int64)
-    # Anchor coordinates relative to the window origin, anchors row-major.
-    rel = np.indices(anchors.extents).reshape(window.axes, -1) + np.subtract(
-        anchors.origin, window.origin
-    )[:, None]
-    matrix = np.zeros((rel.shape[1], n_sites), dtype=np.int64)
-    rows = np.arange(rel.shape[1])
-    for off, c in zip(rule.offsets, rule.coeffs):
-        cols = np.ravel_multi_index(tuple(rel + np.array(off)[:, None]), window.extents)
-        matrix[rows, cols] = c
+    _, cols = _anchor_columns(rule.offsets, window, _anchors(spec, window))
+    matrix = np.zeros((cols.shape[1], window.n_sites), dtype=np.int64)
+    matrix[np.arange(cols.shape[1]), cols] = np.array(rule.coeffs, dtype=np.int64)[:, None]
     return matrix
 
 
@@ -147,18 +162,55 @@ class WindowBasis:
         return tuple(basis.shape[0] for _, basis, _ in self.components)
 
 
+def _lead_weights(offsets) -> np.ndarray:
+    """Weights w under which the lexicographically first offset alone has the largest w.b:
+    negated lexicographic weights on the shortest prefix of axes that singles it out."""
+    offs = np.array(offsets, dtype=np.int64)
+    base = int(np.ptp(offs, axis=0).max()) + 1
+    for j in range(1, offs.shape[1] + 1):
+        w = np.zeros(offs.shape[1], dtype=np.int64)
+        w[:j] = -(base ** np.arange(j - 1, -1, -1, dtype=np.int64))
+        scores = offs @ w
+        if np.count_nonzero(scores == scores.max()) == 1:
+            return w
+
+
 def window_kernel(spec: KernelShiftSpec, window: WindowSpec) -> WindowBasis:
     """Deterministic echelon basis of all in-window constraints' solutions.
 
-    One elimination per field component gives both the nullspace basis and
-    the free sites.
+    Per field component, by propagation with no elimination.  `_lead_weights`
+    gives w under which the lexicographically first term b* alone has the
+    largest w.b; each anchor m fixes x_{m+b*} = -c*^-1 sum_{b != b*} c_b x_{m+b},
+    whose reads have smaller w-score.  From the identity on the other (free)
+    sites, one `Ring.weighted_sum` per value of w.m fills the fixed sites of
+    the (sites x dim) array, gathered by flat site index.  RREF free columns
+    of the constraint matrix are, by matroid duality, the greedy-from-the-right
+    pivots of any kernel basis; with anchors row-major each row starts at
+    m+b*, so the matrix is already echelon, its free columns are the free
+    sites, and the propagated basis is the `nullspace_from_rref` basis bit
+    for bit.  A single-term rule fixes its sites to 0.
     """
+    anchors = _anchors(spec, window)
+    offsets = spec.constraint.offsets
+    w = _lead_weights(offsets)
+    lead = int(np.argmax(np.array(offsets) @ w))
+    rest = [k for k in range(len(offsets)) if k != lead]
+    rel, cols = _anchor_columns(offsets, window, anchors)
+    fixed = np.zeros(window.n_sites, dtype=bool)
+    fixed[cols[lead]] = True
+    free = np.flatnonzero(~fixed)
+    order = np.argsort(w @ rel, kind="stable")
+    batches = np.split(order, np.flatnonzero(np.diff((w @ rel)[order])) + 1)
     comps = []
-    for comp_spec, comp_ring, _, _ in _field_components(spec):
-        matrix = constraint_matrix(comp_spec, window)
-        reduced, pivots = linalg.rref(matrix, comp_ring)
-        basis, free = linalg.nullspace_from_rref(reduced, pivots, comp_ring)
-        comps.append((comp_ring, basis, free))
+    for comp_spec, ring, _, _ in _field_components(spec):
+        coeffs = comp_spec.constraint.coeffs
+        x = np.zeros((window.n_sites, free.size), dtype=ring.sum_dtype(len(rest)))
+        x[free, np.arange(free.size)] = ring.one
+        scale = ring.neg(ring.inverse(coeffs[lead]))
+        weights = [ring.mul(scale, coeffs[k]) for k in rest]
+        for batch in batches if rest else ():
+            x[cols[lead, batch]] = ring.weighted_sum(weights, (x[cols[k, batch]] for k in rest))
+        comps.append((ring, np.ascontiguousarray(x.T, dtype=np.int64), tuple(free.tolist())))
     return WindowBasis(spec, window, tuple(comps))
 
 
@@ -166,11 +218,7 @@ def constraint_residual(spec: KernelShiftSpec, config: WindowConfig):
     """Constraint values at every in-window anchor; None when no anchor fits."""
     rule = spec.constraint
     rule.module.check_same(config.module)
-    if config.window.dims != spec.dims:
-        raise InvalidParameterError(
-            f"word window {config.window} does not have the kernel's dims {spec.dims}"
-        )
-    if anchor_window(rule.offsets, config.window) is None:
+    if _anchors(spec, config.window) is None:
         return None
     _, out = stencil(
         zip(rule.offsets, rule.coeffs), config.values[None], config.window, "exact", rule.ring
@@ -191,7 +239,7 @@ def batch_membership(spec: KernelShiftSpec, window: WindowSpec, values: np.ndarr
     """Vectorized membership for (count, n_sites, rank) word stacks."""
     rule = spec.constraint
     count = values.shape[0]
-    if anchor_window(rule.offsets, window) is None:
+    if _anchors(spec, window) is None:
         return np.ones(count, dtype=bool)
     values = values.reshape((count,) + window.extents + (values.shape[-1],))
     _, residual = stencil(zip(rule.offsets, rule.coeffs), values, window, "exact", rule.ring)
@@ -507,18 +555,14 @@ def coset_shift_check(
 def torsion_free_check(spec: KernelShiftSpec, window: WindowSpec, scalar: int) -> bool:
     """No word outside the window kernel lands inside it under scalar multiplication.
 
-    Equivalently the scalar acts with trivial kernel on the quotient of the
-    full window space by the in-window kernel: the solution spaces of M x = 0
-    and (scalar*M) x = 0 must coincide.  `scalar` is a ring code.
+    Equivalently M x = 0 and (scalar*M) x = 0 have the same solutions in each
+    field component: a nonzero component scalar is a unit, and a zero one
+    changes them exactly when an anchor fits the window.  `scalar` is a ring code.
     """
     scalar = spec.ring.element_code(scalar, "scalar")
-    for comp_spec, comp_ring, deco, j in _field_components(spec):
-        comp_scalar = int(deco.forward_table[scalar, j])
-        matrix = constraint_matrix(comp_spec, window)
-        scaled = comp_ring.mul_arr(np.int64(comp_scalar), matrix)
-        base_nullity = window.n_sites - linalg.rank(matrix, comp_ring)
-        scaled_nullity = window.n_sites - linalg.rank(scaled, comp_ring)
-        if scaled_nullity != base_nullity:
+    anchored = _anchors(spec, window) is not None
+    for _, _, deco, j in _field_components(spec):
+        if anchored and deco.forward_table[scalar, j] == 0:
             return False
     return True
 
@@ -582,17 +626,13 @@ def extension_certificate(spec: KernelShiftSpec, window: WindowSpec, layers: int
     """Every in-window kernel word extends by `layers` rings of extra sites.
 
     Certified by comparing the rank of the expanded kernel's projection onto
-    the window against the in-window kernel dimension.
+    the window against the in-window kernel dimension, both from `window_kernel`.
     """
-    axes = window.axes
-    big = window.expanded([layers] * axes, [layers] * axes)
-    site_cols = big.flat_indices(window.sites())
-    for comp_spec, comp_ring, _, _ in _field_components(spec):
-        big_matrix = constraint_matrix(comp_spec, big)
-        big_basis = linalg.nullspace(big_matrix, comp_ring)
-        small_matrix = constraint_matrix(comp_spec, window)
-        small_dim = window.n_sites - linalg.rank(small_matrix, comp_ring)
-        projected = big_basis[:, site_cols] if big_basis.size else np.zeros((0, window.n_sites), dtype=np.int64)
-        if linalg.row_span_rank(projected, comp_ring) != small_dim:
+    small = window_kernel(spec, window)
+    big_window = window.expanded([layers] * window.axes, [layers] * window.axes)
+    big = window_kernel(spec, big_window)
+    site_cols = big_window.flat_indices(window.sites())
+    for (ring, big_basis, _), small_dim in zip(big.components, small.scalar_dims()):
+        if linalg.row_span_rank(big_basis[:, site_cols], ring) != small_dim:
             return False
     return True

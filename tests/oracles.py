@@ -27,7 +27,11 @@ library's original `draw_kernel_words` and `WindowBasis` branch of
 int64 matmul, int64 merge, reduce-each membership), kept as the reference for
 the narrow-code closure check.  The loop GF tables are `GFRing`'s original
 per-element construction of its inverse and trace tables, kept as the
-reference for the table-gather construction.
+reference for the table-gather construction.  The eliminated window kernel,
+the rank-comparison torsion check and the nullspace extension certificate are
+the library's original `window_kernel` (one `rref` of the whole constraint
+matrix per field component), `torsion_free_check` and
+`extension_certificate`, kept as the reference for kernels by propagation.
 """
 
 import csv
@@ -797,3 +801,58 @@ def loop_gf_tables(ring):
             t = pow_code(t, p)
         trace[a] = acc % p
     return inverse, trace
+
+
+# -- window kernels by eliminating the whole constraint matrix -------------------
+
+
+def eliminated_window_kernel(spec, window):
+    """`window_kernel` as first written: per field component, one `rref` of the
+    (anchors x sites) constraint matrix, read off by `nullspace_from_rref`.
+
+    Returns the (ring, basis, free site indices) triple of each component.
+    """
+    from modshift import linalg
+    from modshift.kernels import _field_components, constraint_matrix
+
+    comps = []
+    for comp_spec, comp_ring, _, _ in _field_components(spec):
+        reduced, pivots = linalg.rref(constraint_matrix(comp_spec, window), comp_ring)
+        basis, free = linalg.nullspace_from_rref(reduced, pivots, comp_ring)
+        comps.append((comp_ring, basis, free))
+    return tuple(comps)
+
+
+def rank_torsion_free_check(spec, window, scalar):
+    """`torsion_free_check` as first written: M x = 0 and (scalar*M) x = 0 must
+    have the same nullity in every field component."""
+    from modshift import linalg
+    from modshift.kernels import _field_components, constraint_matrix
+
+    scalar = spec.ring.element_code(scalar, "scalar")
+    for comp_spec, comp_ring, deco, j in _field_components(spec):
+        comp_scalar = int(deco.forward_table[scalar, j])
+        matrix = constraint_matrix(comp_spec, window)
+        scaled = comp_ring.mul_arr(np.int64(comp_scalar), matrix)
+        if linalg.rank(scaled, comp_ring) != linalg.rank(matrix, comp_ring):
+            return False
+    return True
+
+
+def nullspace_extension_certificate(spec, window, layers=1):
+    """`extension_certificate` as first written: the nullspace of the expanded
+    window's constraint matrix, projected onto the window, must span as much as
+    the in-window kernel, whose dimension comes from a rank."""
+    from modshift import linalg
+    from modshift.kernels import _field_components, constraint_matrix
+
+    axes = window.axes
+    big = window.expanded([layers] * axes, [layers] * axes)
+    site_cols = big.flat_indices(window.sites())
+    for comp_spec, comp_ring, _, _ in _field_components(spec):
+        big_basis = linalg.nullspace(constraint_matrix(comp_spec, big), comp_ring)
+        small_matrix = constraint_matrix(comp_spec, window)
+        small_dim = window.n_sites - linalg.rank(small_matrix, comp_ring)
+        if linalg.row_span_rank(big_basis[:, site_cols], comp_ring) != small_dim:
+            return False
+    return True
