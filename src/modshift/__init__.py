@@ -31,6 +31,7 @@ from .crt import (
 from .errors import (
     ConfigParseError,
     DomainExhaustedError,
+    DrawLimitError,
     InfeasiblePinError,
     InvalidCosetError,
     InvalidParameterError,

@@ -62,6 +62,8 @@ class InvalidCosetError(ModshiftError):
 
 # Default bound on the words or characters an exhaustive path may enumerate.
 ENUMERATION_CAP = 1 << 20
+# Fixed bound on the cells (draws x counters) one Monte Carlo draw may compute.
+DRAW_CAP = 1 << 27
 
 
 class ResourceLimitError(ModshiftError):
@@ -70,6 +72,10 @@ class ResourceLimitError(ModshiftError):
     def __init__(self, message, required):
         self.required = required
         super().__init__(message)
+
+
+class DrawLimitError(ResourceLimitError):
+    """A Monte Carlo draw would exceed DRAW_CAP cells; no option raises it."""
 
 
 class MissingTrivialCharacterError(ModshiftError):

@@ -25,7 +25,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import ENUMERATION_CAP, ConfigParseError, InvalidParameterError, ResourceLimitError
+from .errors import ENUMERATION_CAP, ConfigParseError, DrawLimitError, InvalidParameterError
+from .errors import ResourceLimitError
 from .kernels import (
     KernelShiftSpec,
     coset_shift_check,
@@ -434,12 +435,8 @@ def _run_step(name, params, seed):
     try:
         result = handler(params, seed)
     except ResourceLimitError as exc:
-        return {
-            "name": name,
-            "kind": kind,
-            "pass": False,
-            "error": f"resource limit: {exc} (use --force to raise caps)",
-        }
+        hint = "" if isinstance(exc, DrawLimitError) else " (use --force to raise caps)"
+        return {"name": name, "kind": kind, "pass": False, "error": f"resource limit: {exc}{hint}"}
     result.update({"name": name, "kind": kind})
     return result
 

@@ -285,7 +285,7 @@ def draw_kernel_words(basis: WindowBasis, count: int, seed: int, start: int = 0)
     for ci, (ring, comp_basis, _) in enumerate(basis.components):
         rng = CounterRng(seed, stream=101 + ci)
         nvars = comp_basis.shape[0] * rank
-        codes = rng.uniform_codes(start * max(nvars, 1), (count, nvars), ring.size) if nvars else np.zeros((count, 0), dtype=np.int64)
+        codes = rng.uniform_codes(start * nvars, (count, nvars), ring.size)
         comp_values.append(_component_words(ring, comp_basis, rank, codes))
     return basis.decomposition.merge_arrays(comp_values)
 

@@ -270,15 +270,10 @@ class BernoulliMeasure(MeasureHandle):
     def draw_values(self, start, count, site_indices=None):
         sel = self._site_selection(site_indices)
         n = self.window.n_sites
-        counters = (
-            (np.arange(start, start + count, dtype=np.uint64)[:, None]) * np.uint64(n)
-            + sel.astype(np.uint64)[None, :]
-        )
-        raw = self._rng.uint64(counters)
         if self._uniform:
-            codes = (raw % np.uint64(self.module.size)).astype(np.int64)
+            codes = self._rng.uniform_codes(start * n, (count, n), self.module.size, columns=sel)
         else:
-            codes = np.searchsorted(self._thresholds, raw, side="right").astype(np.int64)
+            codes = self._rng.uniform_from_cdf(start * n, (count, n), self._thresholds, columns=sel)
         return self.module.unpack_arr(codes)
 
 
@@ -472,13 +467,12 @@ class SubgroupHaarMeasure(MeasureHandle):
         rank = self.module.rank
         sel = self._site_selection(site_indices)
         cols = _site_columns(sel, rank)
-        first = np.arange(start, start + count, dtype=np.uint64)[:, None]
         comp_vals = []
         for si, span in enumerate(self.spans):
             basis = span.basis[:, cols]
             rows = np.flatnonzero(basis.any(axis=1))
-            counters = first * np.uint64(span.dim) + rows.astype(np.uint64)
-            coefs = self._rng[si].codes_at(counters, span.ring.size)
+            shape = (count, span.dim)
+            coefs = self._rng[si].uniform_codes(start * span.dim, shape, span.ring.size, columns=rows)
             comp_vals.append(span.ring.lincomb(coefs, basis[rows]))
         merged = self.decomposition.merge_arrays(comp_vals).reshape(count, sel.size, rank)
         return self.module.ring.add_arr(merged, self.rep_codes[sel])

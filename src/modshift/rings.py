@@ -126,6 +126,8 @@ class MixedRadix:
 
     def split(self, codes) -> np.ndarray:
         """(..) codes -> (.., n) int64 digits; codes are taken as valid."""
+        if len(self.radices) == 1:  # the code is its one digit; a copy, never a view
+            return np.array(codes, dtype=np.int64)[..., None]
         return np.asarray(codes, dtype=np.int64)[..., None] // self._place_arr % self._radix_arr
 
     def join(self, digits) -> np.ndarray:

@@ -32,6 +32,10 @@ the rank-comparison torsion check and the nullspace extension certificate are
 the library's original `window_kernel` (one `rref` of the whole constraint
 matrix per field component), `torsion_free_check` and
 `extension_certificate`, kept as the reference for kernels by propagation.
+The counter-array draws are the library's original `CounterRng.uint64`,
+`uniform_codes` and `uniform_from_cdf` and the Bernoulli, Haar and word
+`draw_values`, which built an explicit uint64 counter array and mixed it with
+one fresh array per step, kept as the reference for the blocked draw kernel.
 """
 
 import csv
@@ -856,3 +860,95 @@ def nullspace_extension_certificate(spec, window, layers=1):
         if linalg.row_span_rank(big_basis[:, site_cols], comp_ring) != small_dim:
             return False
     return True
+
+
+# -- draws by explicit counter arrays -------------------------------------------
+
+
+def array_mix(z):
+    """splitmix64's output function on a uint64 array, one fresh array per step,
+    as `rng._mix` was before the blocked kernel."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def counter_uint64(rng, counters):
+    """`CounterRng.uint64` as first written: mix(key + counter * golden)."""
+    from modshift.rng import _GOLDEN, _MASK, derive_key
+
+    key = np.uint64(derive_key(rng.seed, rng.stream))
+    c = np.asarray(counters, dtype=np.uint64)
+    return array_mix((key + c * np.uint64(_GOLDEN)) & np.uint64(_MASK))
+
+
+def _counters_from(start, n):
+    """The uint64 counters `np.arange(start, start + n, dtype=np.uint64)` gave,
+    wrapping past 2**64; built as offsets because that `arange` raises for
+    start = 2**64 - 1 with n >= 2."""
+    return np.arange(n, dtype=np.uint64) + np.uint64(start)
+
+
+def counter_uniform_codes(rng, start, shape, modulus):
+    """`CounterRng.uniform_codes` as first written: one counter array from
+    `start`, mixed, reduced by `%` and cast to int64."""
+    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    counters = _counters_from(start, n)
+    return (counter_uint64(rng, counters) % np.uint64(modulus)).astype(np.int64).reshape(shape)
+
+
+def counter_uniform_from_cdf(rng, start, shape, thresholds):
+    """`CounterRng.uniform_from_cdf` as first written."""
+    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    vals = counter_uint64(rng, _counters_from(start, n))
+    return np.searchsorted(thresholds, vals, side="right").astype(np.int64).reshape(shape)
+
+
+def counter_grid(rng, start, count, stride, columns, modulus=None, thresholds=None):
+    """Codes at counters (start + i) * stride + columns[j] from an explicit
+    (count, len(columns)) counter array, as the Bernoulli and Haar draws built
+    them; `start` is the row index."""
+    counters = (
+        _counters_from(start, count)[:, None] * np.uint64(stride)
+        + np.asarray(columns, dtype=np.int64).astype(np.uint64)[None, :]
+    )
+    raw = counter_uint64(rng, counters)
+    if thresholds is not None:
+        return np.searchsorted(thresholds, raw, side="right").astype(np.int64)
+    return (raw % np.uint64(modulus)).astype(np.int64)
+
+
+def counter_bernoulli_draw(mu, start, count, site_indices=None):
+    """`BernoulliMeasure.draw_values` as first written."""
+    sel = mu._site_selection(site_indices)
+    n = mu.window.n_sites
+    if mu.is_uniform:
+        codes = counter_grid(mu._rng, start, count, n, sel, modulus=mu.module.size)
+    else:
+        codes = counter_grid(mu._rng, start, count, n, sel, thresholds=mu._thresholds)
+    return mu.module.unpack_arr(codes)
+
+
+def counter_haar_draw(mu, start, count, site_indices=None):
+    """`SubgroupHaarMeasure.draw_values` as first written: coefficients at
+    counters (start + i) * dim + row for the rows that touch the selection."""
+    from modshift.measures import _site_columns
+
+    rank = mu.module.rank
+    sel = mu._site_selection(site_indices)
+    cols = _site_columns(sel, rank)
+    comp_vals = []
+    for si, span in enumerate(mu.spans):
+        basis = span.basis[:, cols]
+        rows = np.flatnonzero(basis.any(axis=1))
+        coefs = counter_grid(mu._rng[si], start, count, span.dim, rows, modulus=span.ring.size)
+        comp_vals.append(span.ring.lincomb(coefs, basis[rows]))
+    merged = mu.decomposition.merge_arrays(comp_vals).reshape(count, sel.size, rank)
+    return mu.module.ring.add_arr(merged, mu.rep_codes[sel])
+
+
+def counter_word_draw(mu, start, count, site_indices=None):
+    """`ExactWordMeasure.draw_values` as first written."""
+    sel = mu._site_selection(site_indices)
+    idx = counter_uniform_from_cdf(mu._rng, start, (count,), mu._thresholds)
+    return mu._word_array[idx][:, sel, :]
