@@ -200,7 +200,8 @@ def test_oversized_grids_are_refused_before_allocating():
         with pytest.raises(DrawLimitError, match="draw cap") as info:
             rng.uniform_codes(*args, **kwargs)
         assert info.value.required > DRAW_CAP
-    assert rng.uniform_codes(0, (DRAW_CAP // 4, 4), 2, columns=[1]).shape == (DRAW_CAP // 4, 1)
+    # The cap counts the computed cells, not the grid the columns are taken from.
+    assert rng.uniform_codes(0, (4, DRAW_CAP), 2, columns=[1]).shape == (4, 1)
 
 
 def test_negative_extents_and_start_rows_outside_64_bits_are_refused():
