@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ENUMERATION_CAP, ConfigParseError, InvalidParameterError, ResourceLimitError
 from .lattice import WindowSpec
-from .rings import MixedRadix, ModuleSpec
+from .rings import MixedRadix, ModuleSpec, poly_divmod
 
 __all__ = [
     "RootSum",
@@ -47,37 +47,10 @@ def cyclotomic_polynomial(L: int) -> tuple:
     poly = [-1] + [0] * (L - 1) + [1]  # x**L - 1
     for d in range(1, L):
         if L % d == 0:
-            poly = _polydiv_exact(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = poly_divmod(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("non-exact cyclotomic division")
     return tuple(poly)
-
-
-def _polydiv_exact(num, den):
-    num = list(num)
-    out_len = len(num) - len(den) + 1
-    q = [0] * out_len
-    for shift in range(out_len - 1, -1, -1):
-        coef = num[shift + len(den) - 1]
-        if coef % den[-1]:
-            raise ArithmeticError("non-exact cyclotomic division")
-        coef //= den[-1]
-        q[shift] = coef
-        for i, d in enumerate(den):
-            num[shift + i] -= coef * d
-    if any(num):
-        raise ArithmeticError("non-exact cyclotomic division")
-    return q
-
-
-def _poly_rem_int(coeffs, modpoly):
-    """Remainder of an integer polynomial modulo a monic integer polynomial."""
-    rem = list(coeffs)
-    deg_m = len(modpoly) - 1
-    for shift in range(len(rem) - deg_m - 1, -1, -1):
-        lead = rem[shift + deg_m]
-        if lead:
-            for i, d in enumerate(modpoly):
-                rem[shift + i] -= lead * d
-    return rem[:deg_m]
 
 
 class RootSum:
@@ -148,7 +121,7 @@ class RootSum:
         for w in self.weights:
             den = den * w.denominator // gcd(den, w.denominator)
         ints = [int(w * den) for w in self.weights]
-        rem = _poly_rem_int(ints, list(cyclotomic_polynomial(self.L)))
+        _, rem = poly_divmod(ints, cyclotomic_polynomial(self.L))
         return rem, den
 
     def is_zero(self) -> bool:

@@ -24,6 +24,7 @@ from .experiment import (
     _offsets,
     _window_from,
     frobenius_check,
+    read_text,
     run_file,
 )
 from .kernels import (
@@ -57,8 +58,7 @@ def _emit(payload) -> None:
 
 
 def _read_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return decode_config(fh.read())
+    return decode_config(read_text(path))
 
 
 def _write_config(path, config):
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ModshiftError as exc:
+    except (ModshiftError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnsupportedCharacteristicError
+from .errors import DRAW_CAP, DrawLimitError, InvalidParameterError, UnsupportedCharacteristicError
 from .lattice import WindowConfig, WindowSpec
 from .rings import MixedRadix, ModuleSpec, ProductRing, Ring, ZmodRing, is_prime
 from .rng import CounterRng
@@ -339,14 +339,18 @@ def conjugacy_check(
         from_rule(component_rule(rule, deco, j)) for j in range(deco.n_components)
     ]
     rng = CounterRng(seed, stream=57)
-    shape = (trials,) + window.extents + (module.rank,)
-    draws = rng.uniform_codes(0, shape, module.ring.size)
-    # Trials run in batches of about 2**16 cells, which bounds the memory of
-    # the intermediate arrays; the first counterexample is reported in
-    # (trial, component, site) order.
-    batch = max(1, (1 << 16) // (window.n_sites * module.rank))
+    # Batches of about 2**16 cells, each drawn at its own counter offset, bound the memory
+    # and give one draw's codes; counterexamples are ordered (trial, component, site).
+    cells = window.n_sites * module.rank
+    if trials < 0:
+        raise InvalidParameterError(f"trials must be >= 0, got {trials}")
+    if trials * cells > DRAW_CAP:
+        raise DrawLimitError(f"draw of {trials} x {cells} cells exceeds the draw cap {DRAW_CAP}",
+                             required=trials * cells)
+    batch = max(1, (1 << 16) // cells)
     for first in range(0, trials, batch):
-        block = draws[first : first + batch]
+        shape = (min(batch, trials - first),) + window.extents + (module.rank,)
+        block = rng.uniform_codes(first * cells, shape, module.ring.size)
         _, image = stencil(poly.terms, block, window, "torus", module.ring)
         mismatches = []
         for j, comp_poly in enumerate(comp_polys):

@@ -481,99 +481,77 @@ def _json_default(obj):
 
 # -- report writing ---------------------------------------------------------
 
-_INDENT = "  "
-_CONTAINERS = (dict, list, tuple, FourierTable)
-_NATIVE = (str, int, float, type(None)) + _CONTAINERS
 _FOURIER_COLUMNS = ["step", "chi", "t", "re", "im", "modulus", "stderr", "exact"]
 _MIXING_COLUMNS = ["step", "n", "observed", "product", "deviation", "stderr", "exact"]
+_WRITE_CHUNK = 1 << 16  # report.json pieces joined and encoded per write
+_dumps = functools.partial(json.dumps, sort_keys=True, indent=2, ensure_ascii=True,
+                           default=_json_default)
 
 
-@functools.lru_cache(maxsize=None)
-def _scalar_encoder(level: int) -> json.JSONEncoder:
-    """The C encoder for a container at depth `level` whose members are all scalars.
+def _report_pieces(report) -> list:
+    """The text of `report_bytes` as a list of pieces, each table's rows its own pieces.
 
-    Without an indent `json` uses its C encoder; the item separator then
-    carries the newline and indent that ``indent=2`` puts between members.
+    json writes the report with each `FourierTable` as a quoted marker, a
+    random token drawn again if the text holds it anywhere else; each marker
+    is then replaced by its table.  ``indent=2`` puts every member on its own
+    line, so the table's depth is its marker line's leading spaces over two.
     """
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * (level + 1), ": "))
+    def default(obj):
+        if isinstance(obj, FourierTable):
+            tables.append(obj)
+            return marker
+        return _json_default(obj)
+
+    while True:
+        marker, tables = os.urandom(16).hex(), []
+        between = _dumps(report, default=default).split(f'"{marker}"')
+        if len(between) == len(tables) + 1:
+            break
+    pieces = [between[0]]
+    for table, after in zip(tables, between[1:]):
+        line = pieces[-1][pieces[-1].rfind("\n") + 1:]
+        pieces.extend(_table_json(table, (len(line) - len(line.lstrip(" "))) // 2))
+        pieces.append(after)
+    pieces.append("\n")
+    return pieces
 
 
-def _native(value):
-    """`value` as ``json.dumps(default=_json_default)`` encodes it."""
-    while not isinstance(value, _NATIVE):
-        value = _json_default(value)
-    return value
+def _interleave(heads, labels, tails, class_ids) -> list:
+    """head[class], label, tail[class] for each row, as one list of text pieces."""
+    parts = [None] * (3 * len(class_ids))
+    parts[0::3] = np.array(heads, dtype=object)[class_ids].tolist()
+    parts[1::3] = labels
+    parts[2::3] = np.array(tails, dtype=object)[class_ids].tolist()
+    return parts
 
 
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    return json.dumps({key: 0})[1:-4]  # json's text for an int, float, bool or None key
-
-
-def _emit_json(value, level: int, out: list) -> None:
-    """Append the text of `value` at depth `level` to `out`, as `report_bytes` writes it."""
-    value = _native(value)
-    if isinstance(value, FourierTable):
-        _emit_table(value, level, out)
-        return
-    if not isinstance(value, (dict, list, tuple)):
-        out.append(_scalar_encoder(0).encode(value))
-        return
-    if not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
-        return
-    keys, members = zip(*sorted(value.items())) if isinstance(value, dict) else (None, value)
-    members = [_native(v) for v in members]
-    inner = "\n" + _INDENT * (level + 1)
-    close = "\n" + _INDENT * level
-    if not any(isinstance(v, _CONTAINERS) for v in members):
-        text = _scalar_encoder(level).encode(members if keys is None else dict(zip(keys, members)))
-        out.append(text[0] + inner + text[1:-1] + close + text[-1])
-        return
-    out.append("[" if keys is None else "{")
-    for i, v in enumerate(members):
-        out.append(("," if i else "") + inner + ("" if keys is None else _key_text(keys[i]) + ": "))
-        _emit_json(v, level + 1, out)
-    out.append(close + ("]" if keys is None else "}"))
-
-
-def _emit_table(table: FourierTable, level: int, out: list) -> None:
-    """A table's row list from one encoded head and tail per class around each label."""
+def _table_json(table: FourierTable, depth: int) -> list:
+    """A table's row list at `depth`, from one encoded head and tail per class around each label."""
     if not len(table):
-        out.append("[]")
-        return
-    row = "\n" + _INDENT * (level + 1)
-    chi = "\n" + _INDENT * (level + 2) + '"chi": '
+        return ["[]"]
+    row = "\n" + "  " * (depth + 1)
+    chi = row + '  "chi": '
     heads, tails = [], []
     for template in table.templates:
-        parts = []
-        _emit_json({"chi": "", **template, **table.extra}, level + 1, parts)
-        head, tail = "".join(parts).split(chi + '""')
+        text = _dumps({"chi": "", **template, **table.extra}).replace("\n", row)
+        head, tail = text.split(chi + '""')
         heads.append("," + row + head + chi)
         tails.append(tail)
-    ids = table.class_ids
-    parts = [None] * (3 * len(ids))
-    parts[0::3] = np.array(heads, dtype=object)[ids].tolist()
-    parts[1::3] = map(encode_basestring_ascii, table.labels)
-    parts[2::3] = np.array(tails, dtype=object)[ids].tolist()
+    parts = _interleave(heads, map(encode_basestring_ascii, table.labels), tails, table.class_ids)
     parts[0] = "[" + parts[0][1:]
-    out.extend(parts)
-    out.append("\n" + _INDENT * level + "]")
+    parts.append("\n" + "  " * depth + "]")
+    return parts
 
 
 def report_bytes(report: dict) -> bytes:
     """``json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True)`` plus a newline.
 
     The bytes are exactly those of that call with ``default=_json_default``.
-    Containers whose members are all scalars go through a cached C encoder
-    per depth, and a `FourierTable` is written from per-class fragments, so
-    no row dict is built.
+    json itself writes the report; each `FourierTable` in it is spliced in
+    from one encoded fragment per class around its encoded labels, so no row
+    dict is built.
     """
-    out = []
-    _emit_json(report, 0, out)
-    out.append("\n")
-    return "".join(out).encode("ascii")
+    return "".join(_report_pieces(report)).encode("ascii")
 
 
 def _csv_fields(row: dict, columns) -> list:
@@ -604,10 +582,8 @@ def _table_csv(step: str, table: FourierTable, columns) -> str:
     # "x" is never quoted, so what follows it is the fragment with its leading comma.
     ends = [_csv_line(["x", *_csv_fields({**t, **table.extra}, columns)])[1:]
             for t in table.templates]
-    parts = [start] * (3 * len(table))
-    parts[1::3] = ['"%s"' % f.replace('"', '""') if special(f) else f for f in table.labels]
-    parts[2::3] = np.array(ends, dtype=object)[table.class_ids].tolist()
-    return "".join(parts)
+    labels = ['"%s"' % f.replace('"', '""') if special(f) else f for f in table.labels]
+    return "".join(_interleave([start] * len(ends), labels, ends, table.class_ids))
 
 
 def _csv_bytes(tables, columns) -> bytes:
@@ -627,25 +603,31 @@ def _csv_bytes(tables, columns) -> bytes:
     return buf.getvalue().encode("ascii")
 
 
+def _encoded(pieces: list):
+    """ASCII bytes of the text pieces, `_WRITE_CHUNK` pieces at a time, never all at once."""
+    for i in range(0, len(pieces), _WRITE_CHUNK):
+        yield "".join(pieces[i:i + _WRITE_CHUNK]).encode("ascii")
+
+
 def write_report(report: dict, outdir, raw_text: str) -> dict:
     """Write report.json, CSV tables, config echo, and the timestamp sidecar."""
     os.makedirs(outdir, exist_ok=True)
     paths = {}
 
-    def emit(name, data: bytes):
+    def emit(name, chunks):
         path = os.path.join(outdir, name)
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         paths[name] = path
 
-    emit("report.json", report_bytes(report))
+    emit("report.json", _encoded(_report_pieces(report)))
     steps = report["steps"]
     for name, key, columns in (("fourier.csv", "fourier_table", _FOURIER_COLUMNS),
                                ("mixing.csv", "mixing_table", _MIXING_COLUMNS)):
-        emit(name, _csv_bytes([(s["name"], s[key]) for s in steps if s.get(key)], columns))
-    emit("config_echo.cfg", raw_text.encode("utf-8"))
+        emit(name, [_csv_bytes([(s["name"], s[key]) for s in steps if s.get(key)], columns)])
+    emit("config_echo.cfg", [raw_text.encode("utf-8")])
     sidecar = {"written_unix_time": time.time()}
-    emit("run_meta.json", (json.dumps(sidecar) + "\n").encode("ascii"))
+    emit("run_meta.json", [(json.dumps(sidecar) + "\n").encode("ascii")])
     return paths
 
 
@@ -660,11 +642,19 @@ def bundled_config_path(name: str):
     )
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file; other bytes raise `ConfigParseError` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def run_file(path: str, outdir: str, workers: int = 1, force: bool = False, seed=None) -> int:
     """Run a config (a path or a bundled name); returns the process exit code."""
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(path)
     else:
         text = bundled_config_path(path).read_text(encoding="utf-8")
     config = parse_experiment(text)

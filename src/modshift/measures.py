@@ -994,8 +994,9 @@ class FourierTable(Sequence):
 
     Row i is ``{"chi": labels[i], **templates[class_ids[i]], **extra}``: `len`,
     indexing and iteration give the dicts of `FourierSweep.rows(**extra)`,
-    built only when read.  `experiment.report_bytes` writes a table from one
-    encoded fragment per class plus the encoded labels; the text is exactly
+    built only when read.  `experiment.report_bytes` lets ``json.dumps`` write
+    the report around each table, then splices the table in from one encoded
+    fragment per class around the encoded labels; the text is exactly
     ``json.dumps(rows, sort_keys=True, indent=2, ensure_ascii=True)`` at the
     table's depth, and its `fourier.csv` lines carry `repr` floats.
     """

@@ -507,29 +507,23 @@ class ZmodRing(Ring):
         return _exact_convolve_int(a, b) % self.m
 
 
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def poly_divmod(num, den, p=None):
+    """(quotient, remainder) of little-endian integer coefficient lists.
 
-
-def _poly_divmod(num, den, p):
-    num = [x % p for x in num]
-    den = _poly_trim([x % p for x in den])
-    if not den:
-        raise InvalidParameterError("division by zero polynomial")
-    inv = pow(den[-1], -1, p)
-    q = [0] * max(len(num) - len(den) + 1, 0)
-    num = _poly_trim(num)
-    while len(num) >= len(den):
-        shift = len(num) - len(den)
-        factor = num[-1] * inv % p
-        q[shift] = factor
+    Over Z/p when the prime `p` is given, else over the integers, where `den`
+    must be monic.  The remainder always has len(den) - 1 coefficients.
+    """
+    lead = (den[-1] % p if p else den[-1]) if len(den) else 0
+    if lead == 0 or (p is None and lead != 1):
+        raise InvalidParameterError(f"divisor {list(den)} has no unit leading coefficient")
+    n, inv = len(den) - 1, pow(lead, -1, p) if p else 1
+    rem = list(num) + [0] * (n - len(num))
+    quot = [0] * (len(rem) - n)
+    for shift in reversed(range(len(quot))):
+        quot[shift] = factor = rem[shift + n] * inv % p if p else rem[shift + n]
         for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - factor * c) % p
-        num = _poly_trim(num)
-    return q, num
+            rem[shift + i] -= factor * c
+    return quot, [c % p for c in rem[:n]] if p else rem[:n]
 
 
 class GFRing(Ring):
@@ -584,16 +578,14 @@ class GFRing(Ring):
         for deg in range(1, k):
             for tail in iter_product(range(p), repeat=deg):
                 cand = list(tail) + [1]
-                _, rem = _poly_divmod(modulus, cand, p)
-                if not rem:
+                _, rem = poly_divmod(modulus, cand, p)
+                if not any(rem):
                     raise ReducibleModulusError(modulus, cand, p)
 
     def _reduction_rows(self):
         """(k-1, k) int64: row d - k holds the digits of x**d mod the modulus, d in [k, 2k-2]."""
-        rows = []
-        for d in range(self.k, 2 * self.k - 1):
-            _, rem = _poly_divmod([0] * d + [1], list(self.modulus), self.p)
-            rows.append(rem + [0] * (self.k - len(rem)))
+        rows = [poly_divmod([0] * d + [1], self.modulus, self.p)[1]
+                for d in range(self.k, 2 * self.k - 1)]
         return np.array(rows, dtype=np.int64).reshape(self.k - 1, self.k)
 
     def _join_reduced(self, conv):

@@ -183,6 +183,36 @@ def test_malformed_flags_exit_2_with_typed_error(capsys, argv, kind, flag):
     assert code == 2 and err["type"] == kind and flag in err["error"]
 
 
+@pytest.mark.parametrize(
+    "argv,kind,named",
+    [
+        (["experiment", "run", "{dir}"], "IsADirectoryError", "{dir}"),
+        (["experiment", "run", "{latin1}", "--out", "{dir}/rep"], "ConfigParseError", "{latin1}"),
+        (["experiment", "run", "example_checkerboard", "--out", "{file}"], "FileExistsError", "{file}"),
+        (["crt", "split", "--config", "{missing}"], "FileNotFoundError", "{missing}"),
+        (["crt", "split", "--config", "{latin1}"], "ConfigParseError", "{latin1}"),
+        (["crt", "split", "--config", "{file}", "--out", "{file}"], "FileExistsError", "{file}"),
+        (["lca", "step", "--rule", RULE, "--config", "{missing}"], "FileNotFoundError", "{missing}"),
+        (["lca", "step", "--rule", RULE, "--config", "{dir}"], "IsADirectoryError", "{dir}"),
+        (["lca", "step", "--rule", RULE, "--config", "{latin1}"], "ConfigParseError", "{latin1}"),
+        (["shift", "coset-check", "--kernel", KERNEL, "--config", "{missing}"],
+         "FileNotFoundError", "{missing}"),
+    ],
+)
+def test_unreadable_paths_exit_2_with_typed_error(tmp_path, capsys, argv, kind, named):
+    cfg = constant_config(ModuleSpec(ZmodRing(6), 1), WindowSpec((1, 0), (0,), (4,)), 5)
+    (tmp_path / "c6.cfg").write_text(encode_config(cfg))
+    (tmp_path / "latin1.cfg").write_bytes(encode_config(cfg).replace("\n", "\n# caf\xe9\n", 1)
+                                          .encode("latin-1"))
+    paths = {"dir": str(tmp_path), "file": str(tmp_path / "c6.cfg"),
+             "missing": str(tmp_path / "missing.cfg"), "latin1": str(tmp_path / "latin1.cfg")}
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert code == 2 and captured.out == ""
+    assert err["type"] == kind and named.format(**paths) in err["error"]
+
+
 def test_flag_numbers_parse_as_before(capsys):
     # A trailing ';' and an empty origin were accepted and ignored before.
     code, out = run_cli(

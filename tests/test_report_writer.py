@@ -1,10 +1,13 @@
 """Differential tests of the report writer against the original one.
 
-`report_bytes` and the CSV tables are written from pre-encoded fragments; the
-oracle is the original writer kept in `tests/oracles.py` (the pure-Python
-indented ``json.dumps`` and one row dict per table row).  Both must give the
-same bytes on the bundled suites, the benchmark workloads and generated
-reports with every value the encoder treats specially.
+`report_bytes` is ``json.dumps`` itself with each Fourier table spliced in
+from pre-encoded per-class fragments at its depth, and `write_report` encodes
+that text a bounded number of pieces at a time; the CSV tables are written
+from the same fragments.  The oracle is the original writer kept in
+`tests/oracles.py` (the indented ``json.dumps`` and one row dict per table
+row).  Both must give the same bytes on the bundled suites, the benchmark
+workloads, reports longer than one write chunk and generated reports with
+every value the encoder treats specially.
 """
 
 import ast
@@ -21,11 +24,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from modshift import FourierTable, all_characters, fourier, fourier_sweep, kernel_haar
+from modshift import FourierTable, all_characters, experiment, fourier, fourier_sweep, kernel_haar
 from modshift.bundled import checkerboard_system
 from modshift.errors import InvalidParameterError
 from modshift.experiment import (
+    _WRITE_CHUNK,
     _json_default,
+    _report_pieces,
     bundled_config_path,
     parse_experiment,
     report_bytes,
@@ -90,6 +95,37 @@ def test_write_path_builds_no_row_dict(monkeypatch):
     monkeypatch.setattr(FourierTable, "__iter__", refuse)
     monkeypatch.setattr(FourierTable, "__getitem__", refuse)
     assert _written(report) == want
+
+
+def test_report_longer_than_one_write_chunk_matches_oracle():
+    # 3 pieces a row: the 30,000-row table alone spans two write chunks, and
+    # the tables around it put the chunk boundaries at other depths.
+    rng = np.random.default_rng(5)
+    templates = [{"re": 0.5, "im": -0.0, "modulus": 1.0, "exact": True},
+                 {"re": math.nan, "stderr": Fraction(1, 3), "exact": False}, {}]
+    big = FourierTable([f"({i},{i % 7}):{i % 3}" for i in range(30_000)],
+                       rng.integers(0, 3, 30_000), templates, {"t": 0})
+    small = FourierTable(['"q"', "back\\slash"], np.array([2, 0]), templates, {})
+    report = {"schema": "s", "steps": [
+        {"name": "a", "fourier_table": small, "nested": {"deep": [small, big]}},
+        {"name": "b", "fourier_table": big, "violations": list(range(50))},
+    ]}
+    assert len(_report_pieces(report)) > 2 * _WRITE_CHUNK
+    with tempfile.TemporaryDirectory() as outdir:
+        write_report(report, outdir, "")
+        written = (pathlib.Path(outdir) / "report.json").read_bytes()
+    assert written == report_bytes(report) == oracles.report_bytes(report)
+
+
+def test_report_text_holding_the_marker_matches_oracle(monkeypatch):
+    # The first marker drawn occurs in the report as a value and as a key, so
+    # the writer must draw another; the bytes do not depend on which.
+    tokens = iter([b"\xfe\xed\xfa\xce", b"\xc0\xff\xee"])
+    monkeypatch.setattr(experiment.os, "urandom", lambda n: next(tokens))
+    table = FourierTable(["a", "b"], np.array([0, 0]), [{"re": 1.0}], {"t": 0})
+    report = {"feedface": ["feedface", table], "steps": [], "t": table}
+    assert report_bytes(report) == oracles.report_bytes(report)
+    assert next(tokens, None) is None
 
 
 # -- the in-memory table keeps the old list's behaviour ----------------------

@@ -15,6 +15,7 @@ from modshift import (
     stable_power_subring,
     subring_closure,
 )
+from modshift.rings import poly_divmod
 
 SMALL_RINGS = [
     ZmodRing(2),
@@ -256,3 +257,36 @@ def test_module_scalar_action_bilinear_exhaustive():
                 left = tuple(ring.mul(rs, x) for x in a)
                 right = tuple(ring.add(ring.mul(r, x), ring.mul(s, x)) for x in a)
                 assert left == right
+
+
+def _poly_value(coeffs, p):
+    """Coefficients reduced mod p (when given), without trailing zeros."""
+    coeffs = [c % p for c in coeffs] if p else list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 7])
+def test_poly_divmod_reconstructs_the_dividend(p):
+    rng = np.random.default_rng(p or 0)
+    for _ in range(200):
+        num = rng.integers(-20, 21, rng.integers(0, 9)).tolist()
+        den = rng.integers(-20, 21, rng.integers(1, 6)).tolist()
+        den[-1] = 1 if p is None else int(rng.integers(1, p)) + p * int(rng.integers(-2, 3))
+        quot, rem = poly_divmod(num, den, p)
+        assert len(rem) == len(den) - 1 and len(quot) == max(len(num) - len(den) + 1, 0)
+        back = [0] * (len(num) + len(den))
+        for i, q in enumerate(quot):
+            for j, d in enumerate(den):
+                back[i + j] += q * d
+        for i, r in enumerate(rem):
+            back[i] += r
+        assert _poly_value(back, p) == _poly_value(num, p)
+        assert p is None or all(0 <= c < p for c in quot + rem)
+
+
+@pytest.mark.parametrize("den,p", [([1, 2], None), ([1, 0], None), ([], None), ([1, 3], 3), ([], 5)])
+def test_poly_divmod_refuses_a_divisor_without_unit_lead(den, p):
+    with pytest.raises(InvalidParameterError, match="leading coefficient"):
+        poly_divmod([1, 2, 3], den, p)

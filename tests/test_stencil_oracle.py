@@ -18,7 +18,7 @@ import pytest
 
 from modshift import GFRing, KernelShiftSpec, ModuleSpec, WindowSpec, ZmodRing
 from modshift.crt import component_map_verdicts, conjugacy_check, decompose_ring
-from modshift.errors import DomainExhaustedError, InvalidParameterError
+from modshift.errors import DRAW_CAP, DomainExhaustedError, DrawLimitError, InvalidParameterError
 from modshift.experiment import frobenius_check
 from modshift.kernels import batch_membership, constraint_matrix, constraint_residual
 from modshift.lattice import WindowConfig, checkerboard_config, config_from_function
@@ -318,6 +318,31 @@ def test_conjugacy_counterexample_in_a_later_batch():
     res = conjugacy_check(rule, bad, trials=400, torus_extents=(256,), seed=24)
     assert res.counterexample == per_trial_conjugacy(rule, bad, 400, (256,), 24)
     assert res.counterexample["trial"] == 368
+
+
+def test_conjugacy_counterexample_in_the_last_partial_batch():
+    # 1024 cells a trial run in batches of 64 trials, each drawn at its own
+    # counter offset; 120 trials leave a last batch of 56, whose final trial
+    # holds the first counterexample under this seed (one corrupted code of 65498).
+    rule = parse_rule("rule ring=zmod:65498 rank=1 dims=1,0 H=(0):3")
+    deco = decompose_ring(rule.ring)
+    fwd = deco.forward_table.copy()
+    fwd[65497, 0] ^= 1
+    bad = dataclasses.replace(deco, forward_table=fwd)
+    res = conjugacy_check(rule, bad, trials=120, torus_extents=(1024,), seed=13)
+    assert res.counterexample == per_trial_conjugacy(rule, bad, 120, (1024,), 13)
+    assert res.counterexample["trial"] == 119
+    assert conjugacy_check(rule, bad, trials=119, torus_extents=(1024,), seed=13).ok
+
+
+def test_conjugacy_refuses_negative_and_oversized_trial_counts():
+    rule = parse_rule("rule ring=zmod:6 rank=1 dims=1,0 H=(0):1;(1):5")
+    deco = decompose_ring(rule.ring)
+    with pytest.raises(InvalidParameterError, match="trials"):
+        conjugacy_check(rule, deco, trials=-1, torus_extents=(4,))
+    with pytest.raises(DrawLimitError, match="draw cap") as info:
+        conjugacy_check(rule, deco, trials=DRAW_CAP // 4 + 1, torus_extents=(4,))
+    assert info.value.required == DRAW_CAP + 4
 
 
 # -- checkerboard from one coordinate-sum array --------------------------------------------
