@@ -39,6 +39,7 @@ from .kernels import (
 )
 from .lattice import WindowSpec, checkerboard_config, constant_config
 from .measures import (
+    _checked_criterion,
     block_entropy,
     coset_haar,
     fourier_sweep,
@@ -308,6 +309,7 @@ def _build_measure(params, seed):
 
 
 def _step_haar_sweep(params, seed):
+    criterion = params.value("criterion", _checked_criterion, "subgroup")
     mu, module, window = _build_measure(params, seed)
     sweep_window = window
     if "sweep-extents" in params:
@@ -315,7 +317,6 @@ def _step_haar_sweep(params, seed):
             params, window.dims, "sweep-extents", "sweep-origin",
             params.get("origin", "0 " * window.axes),
         )
-    criterion = params.get("criterion", "subgroup")
     limit = (1 << 24) if params.get("_force") else ENUMERATION_CAP
     sweep = fourier_sweep(mu, sweep_window, limit=limit)
     verdict = haar_criterion(sweep, criterion=criterion)

@@ -25,6 +25,7 @@ re-echelonize), which keeps exactness available far beyond enumerable sizes.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -338,11 +339,11 @@ class SubgroupHaarMeasure(MeasureHandle):
     @staticmethod
     def from_window_basis(basis: WindowBasis, seed=0, mode="exact", label=None):
         module = basis.module
-        nvars = basis.window.n_sites * module.rank
-        # Row i * rank + c is scalar basis row i placed on component c of every site.
+        # Row i * rank + c is scalar basis row i placed on component c of every
+        # site; the Kronecker product of an RREF with the identity is in RREF.
         eye = np.eye(module.rank, dtype=np.int64)
         spans = [
-            _FieldSpan(ring, _echelonize(ring, np.kron(scalar_basis, eye), nvars))
+            _FieldSpan(ring, np.kron(_echelonize(ring, scalar_basis, basis.window.n_sites), eye))
             for ring, scalar_basis, _ in basis.components
         ]
         return SubgroupHaarMeasure(
@@ -749,7 +750,9 @@ def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERA
 
 @dataclass
 class FourierResult:
-    chi: CharacterSpec
+    """A Fourier coefficient, exact iff it has a root sum; `chi` is None for a class of characters."""
+
+    chi: CharacterSpec | None
     value: complex
     stderr: float
     root_sum: RootSum | None = None
@@ -764,16 +767,12 @@ class FourierResult:
         return abs(self.value)
 
     def row(self, **extra) -> dict:
-        out = {
-            "chi": format_character(self.chi),
-            "re": self.value.real,
-            "im": self.value.imag,
-            "modulus": self.modulus,
-            "stderr": self.stderr,
-            "exact": self.is_exact,
-        }
-        out.update(extra)
-        return out
+        return {"chi": format_character(self.chi), **self._template(), **extra}
+
+    def _template(self) -> dict:
+        """The row's columns after ``chi``."""
+        return {"re": self.value.real, "im": self.value.imag, "modulus": self.modulus,
+                "stderr": self.stderr, "exact": self.is_exact}
 
 
 def fourier(mu: MeasureHandle, chi: CharacterSpec, budget="exact", start: int = 0) -> FourierResult:
@@ -801,8 +800,11 @@ def fourier(mu: MeasureHandle, chi: CharacterSpec, budget="exact", start: int = 
 
 
 def _sample_count(budget, name: str) -> int:
-    """`budget` as a number of draws; fewer than one raises."""
-    n = int(budget)
+    """`budget` as a number of draws; anything but an integer >= 1 raises."""
+    try:
+        n = operator.index(budget)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {budget!r}") from None
     if n < 1:
         raise InvalidParameterError(f"{name} must be >= 1, got {budget}")
     return n
@@ -969,13 +971,12 @@ class FourierSweep:
         return character_labels(self.module, self.window)
 
     @cached_property
+    def _classes(self):
+        return [FourierResult(None, rs.to_complex(), 0.0, rs) for rs in self.root_sums]
+
+    @cached_property
     def _templates(self):
-        out = []
-        for rs in self.root_sums:
-            value = rs.to_complex()
-            out.append({"re": value.real, "im": value.imag, "modulus": abs(value),
-                        "stderr": 0.0, "exact": True})
-        return out
+        return [cls._template() for cls in self._classes]
 
     def row(self, i: int, **extra) -> dict:
         """`FourierResult.row` of character i, with the same values bit for bit."""
@@ -990,10 +991,10 @@ class FourierSweep:
 
 
 class FourierTable(Sequence):
-    """The rows of a Fourier sweep, held by column.
+    """Fourier rows (a sweep's, a character list's or a verdict's violations), held by column.
 
     Row i is ``{"chi": labels[i], **templates[class_ids[i]], **extra}``: `len`,
-    indexing and iteration give the dicts of `FourierSweep.rows(**extra)`,
+    indexing and iteration give the dicts of `FourierResult.row(**extra)`,
     built only when read.  `experiment.report_bytes` lets ``json.dumps`` write
     the report around each table, then splices the table in from one encoded
     fragment per class around the encoded labels; the text is exactly
@@ -1031,62 +1032,80 @@ def fourier_sweep(mu: MeasureHandle, window: WindowSpec, limit: int = ENUMERATIO
 
 @dataclass
 class HaarVerdict:
+    """The outcome of `haar_criterion` on `n_checked` rows.
+
+    `violations` is a sequence of the violating rows' dicts, in row order: a
+    `FourierTable` when violations exist, which `experiment.report_bytes`
+    splices like a sweep, else an empty list.  `to_dict` lists them.
+    """
+
     consistent: bool
     criterion: str
     n_checked: int
-    violations: list = field(default_factory=list)
+    violations: Sequence = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "consistent": self.consistent,
-            "criterion": self.criterion,
-            "n_checked": self.n_checked,
-            "violations": self.violations,
-        }
-
-
-def _exact_ok(rs: RootSum, criterion: str) -> bool:
-    if criterion == "subgroup":
-        return rs.is_zero() or rs.is_one()
-    return rs.modulus_is_zero() or rs.modulus_is_one()
+        return {**vars(self), "violations": list(self.violations)}
 
 
 def haar_criterion(results, criterion="subgroup", tol=EXACT_TOL) -> HaarVerdict:
-    """Check a Fourier sweep for the subgroup-Haar signature.
+    """Test Fourier coefficients for the Haar signature of a subgroup or a coset.
 
     criterion='subgroup' demands every coefficient be 0 or 1; 'coset' demands
-    every modulus be 0 or 1.  Exact results are tested exactly; sampled ones
-    within max(tol, 4*stderr).  The trivial character must be present.
-    `results` is a list of `FourierResult`s or a `FourierSweep`; a sweep is
-    tested once per distinct coefficient.
+    every modulus be 0 or 1; another value raises.  Exact coefficients are
+    tested exactly, sampled ones within max(tol, 4*stderr), and the trivial
+    character, which must be present, must have coefficient 1.  `results` is
+    a `FourierSweep`, tested once per coefficient class, or a list of
+    `FourierResult`s, one class each.
     """
-    if isinstance(results, FourierSweep):
-        ok = np.array([_exact_ok(rs, criterion) for rs in results.root_sums], dtype=bool)
-        bad = ~ok[results.class_ids]
-        bad[0] |= not results.root_sums[results.class_ids[0]].is_one()  # row 0 is trivial
-        rows = np.flatnonzero(bad)
-        table = results.table() if rows.size else ()  # one table for every violation
-        violations = [table[i] for i in rows]
-        return HaarVerdict(not violations, criterion, len(results), violations)
+    if isinstance(results, FourierSweep):  # row 0 is the trivial character
+        return _haar_verdict(results._classes, results.class_ids, [0], criterion, tol, results.table)
     results = list(results)
-    if not any(r.chi.is_trivial for r in results):
+    rows = np.arange(len(results))
+    trivial = [i for i, r in enumerate(results) if r.chi.is_trivial]
+    return _haar_verdict(results, rows, trivial, criterion, tol, lambda: FourierTable(
+        [format_character(r.chi) for r in results], rows, [r._template() for r in results], {}
+    ))
+
+
+def _checked_criterion(criterion: str) -> str:
+    if criterion not in ("subgroup", "coset"):
+        raise InvalidParameterError(f"unknown Haar criterion {criterion!r}; expected subgroup or coset")
+    return criterion
+
+
+def _haar_verdict(classes, class_ids, trivial, criterion, tol, table) -> HaarVerdict:
+    """`haar_criterion` of rows whose coefficients come in classes: the one Haar test.
+
+    Row i has the coefficient of the `FourierResult` ``classes[class_ids[i]]``
+    and the rows `trivial` hold the trivial character.  `table()`, called only
+    when a row violates, gives the `FourierTable` of every row.
+    """
+    _checked_criterion(criterion)
+    if not len(trivial):
         raise MissingTrivialCharacterError("sweep does not include the trivial character")
-    violations = []
-    for r in results:
+
+    def within(r, value, target):
+        return abs(value - target) <= max(tol, 4.0 * r.stderr)
+
+    def zero_or_one(r):
         if r.is_exact:
-            ok = _exact_ok(r.root_sum, criterion)
-        else:
-            v = abs(r.value) if criterion == "coset" else r.value
-            dist = min(abs(v - 0.0), abs(v - 1.0))
-            ok = dist <= max(tol, 4.0 * r.stderr)
-        if r.chi.is_trivial:
-            if r.is_exact:
-                ok = ok and r.root_sum.is_one()
-            else:
-                ok = ok and abs(r.value - 1.0) <= max(tol, 4.0 * r.stderr)
-        if not ok:
-            violations.append(r.row())
-    return HaarVerdict(not violations, criterion, len(results), violations)
+            rs = r.root_sum
+            return rs.is_zero() or (rs.is_one() if criterion == "subgroup" else rs.modulus_is_one())
+        v = r.modulus if criterion == "coset" else r.value
+        return within(r, v, 0.0) or within(r, v, 1.0)
+
+    bad = ~np.array([zero_or_one(r) for r in classes], dtype=bool)[class_ids]
+    for i in trivial:  # the trivial character's coefficient is 1 itself
+        r = classes[class_ids[i]]
+        bad[i] |= not (r.root_sum.is_one() if r.is_exact else within(r, r.value, 1.0))
+    rows, violations = np.flatnonzero(bad), []
+    if rows.size:
+        full = table()
+        used, ids = np.unique(full.class_ids[rows], return_inverse=True)
+        violations = FourierTable([full.labels[i] for i in rows.tolist()], ids,
+                                  [full.templates[k] for k in used.tolist()], {})
+    return HaarVerdict(not rows.size, criterion, len(class_ids), violations)
 
 
 # -- mixing -----------------------------------------------------------------
@@ -1104,16 +1123,8 @@ class MixingResult:
     product_fraction: Fraction | None = None
 
     def row(self, **extra):
-        out = {
-            "n": self.n,
-            "observed": self.observed,
-            "product": self.product,
-            "deviation": self.deviation,
-            "stderr": self.stderr,
-            "exact": self.exact,
-        }
-        out.update(extra)
-        return out
+        return {"n": self.n, "observed": self.observed, "product": self.product,
+                "deviation": self.deviation, "stderr": self.stderr, "exact": self.exact, **extra}
 
 
 def mixing_statistic(mu: MeasureHandle, pairs, n: int, budget="exact", start: int = 0) -> MixingResult:
@@ -1224,11 +1235,7 @@ class RigidityReport:
 
 def default_t_schedule(ring: Ring):
     p = ring.characteristic
-    base = [0, 1, 2, 4, 8]
-    for extra in (p, p * p):
-        if extra not in base:
-            base.append(extra)
-    return sorted(base)
+    return sorted({0, 1, 2, 4, 8, p, p * p})
 
 
 DEFAULT_N_SCHEDULE = (1, 2, 4, 8, 16)
@@ -1255,43 +1262,35 @@ def rigidity_experiment(
     """
     characters = list(characters)
     sites, codes = _character_rows(characters, mu0.module.rank)
+    labels = [format_character(chi) for chi in characters]
+    trivial = [i for i, chi in enumerate(characters) if chi.is_trivial]
     t_schedule = list(t_schedule if t_schedule is not None else default_t_schedule(rule.ring))
     n_schedule = list(n_schedule if n_schedule is not None else DEFAULT_N_SCHEDULE)
-    fourier_rows = []
-    verdicts = []
-    classification = "consistent-with-coset-haar"
-    any_inconclusive = False
+    fourier_rows, verdicts, violated, mixing_bad = [], [], False, False
     for t in t_schedule:
         mu_t = pushforward(mu0, rule, t)
         if budget == "exact" and mu_t.is_exact:
             class_ids, root_sums = _coefficients(mu_t, sites, codes)
-            values = [rs.to_complex() for rs in root_sums]
-            results = [
-                FourierResult(chi, values[k], 0.0, root_sum=root_sums[k])
-                for chi, k in zip(characters, class_ids)
-            ]
+            classes = [FourierResult(None, rs.to_complex(), 0.0, rs) for rs in root_sums]
         else:
             n = 10000 if budget == "exact" else budget
-            results = [fourier(mu_t, chi, n) for chi in characters]
-        fourier_rows.extend(r.row(t=t) for r in results)
-        verdict = haar_criterion(results, criterion="coset", tol=tol)
+            classes = [fourier(mu_t, chi, n) for chi in characters]
+            class_ids = np.arange(len(characters))
+        table = FourierTable(labels, class_ids, [c._template() for c in classes], {"t": t})
+        fourier_rows.extend(table)
+        verdict = _haar_verdict(classes, class_ids, trivial, "coset", tol, lambda: table)
         verdicts.append({"t": t, **verdict.to_dict()})
-        if not verdict.consistent:
-            exact_violation = any(v["exact"] for v in verdict.violations)
-            classification = "inconsistent" if exact_violation or budget == "exact" else classification
-            if not exact_violation and budget != "exact":
-                any_inconclusive = True
+        violated |= not verdict.consistent
     mixing_rows = []
     if mixing_pairs:
-        for n in n_schedule:
-            res = mixing_statistic(mu0, mixing_pairs, n, budget)
-            mixing_rows.append(res.row())
+        mixing_rows = [mixing_statistic(mu0, mixing_pairs, n, budget).row() for n in n_schedule]
         final = mixing_rows[-1]
-        slack = max(tol, 4.0 * final["stderr"])
-        if abs(final["deviation"]) > slack:
-            classification = "inconsistent"
-    if classification != "inconsistent" and any_inconclusive:
-        classification = "inconclusive"
+        mixing_bad = abs(final["deviation"]) > max(tol, 4.0 * final["stderr"])
+    # An integer budget samples every row, so its violations are inconclusive.
+    if mixing_bad or (violated and budget == "exact"):
+        classification = "inconsistent"
+    else:
+        classification = "inconclusive" if violated else "consistent-with-coset-haar"
     return RigidityReport(
         rule={"text": format_rule(rule)},
         measure=mu0.describe(),

@@ -17,8 +17,12 @@ oracle is the library's original one-character-at-a-time coefficient (one
 `fourier_root_sum` method per measure handle, the enumeration fallback of
 `fourier` and `CharacterSpec.exponent_of_config`), and the per-character
 rigidity experiment its original loop over it; both are the reference for
-the single array-based Fourier engine.  The forked word enumerations are the
-library's original `enumerate_kernel_words` and
+the single array-based Fourier engine.  The per-result Haar criterion is the
+library's original loop over a list of `FourierResult`s, kept as the
+reference for the one per-class Haar verdict, and the eliminated Haar spans
+are `from_window_basis`'s original `rref` of the Kronecker product, kept as
+the reference for echelonizing the scalar basis alone.  The forked word
+enumerations are the library's original `enumerate_kernel_words` and
 `SubgroupHaarMeasure.enumerate_words`, which treated a field apart from a CRT
 split and merged components through the inverse table, kept as the reference
 for the one-component field decomposition.  The int64 closure check is the
@@ -563,6 +567,48 @@ def per_character_fourier(mu, chi):
     return FourierResult(chi, rs.to_complex(), 0.0, root_sum=rs)
 
 
+def per_result_haar_criterion(results, criterion="subgroup", tol=1e-9):
+    """`haar_criterion` of a list of `FourierResult`s, one result at a time."""
+    from modshift.errors import MissingTrivialCharacterError
+    from modshift.measures import HaarVerdict
+
+    def exact_ok(rs, criterion):
+        if criterion == "subgroup":
+            return rs.is_zero() or rs.is_one()
+        return rs.modulus_is_zero() or rs.modulus_is_one()
+
+    results = list(results)
+    if not any(r.chi.is_trivial for r in results):
+        raise MissingTrivialCharacterError("sweep does not include the trivial character")
+    violations = []
+    for r in results:
+        if r.is_exact:
+            ok = exact_ok(r.root_sum, criterion)
+        else:
+            v = abs(r.value) if criterion == "coset" else r.value
+            dist = min(abs(v - 0.0), abs(v - 1.0))
+            ok = dist <= max(tol, 4.0 * r.stderr)
+        if r.chi.is_trivial:
+            if r.is_exact:
+                ok = ok and r.root_sum.is_one()
+            else:
+                ok = ok and abs(r.value - 1.0) <= max(tol, 4.0 * r.stderr)
+        if not ok:
+            violations.append(r.row())
+    return HaarVerdict(not violations, criterion, len(results), violations)
+
+
+def eliminated_haar_spans(basis):
+    """The span bases of `SubgroupHaarMeasure.from_window_basis`, each one
+    `rref` of the scalar basis placed on every component of every site."""
+    from modshift.measures import _echelonize
+
+    eye = np.eye(basis.module.rank, dtype=np.int64)
+    nvars = basis.window.n_sites * basis.module.rank
+    return [_echelonize(ring, np.kron(scalar_basis, eye), nvars)
+            for ring, scalar_basis, _ in basis.components]
+
+
 def per_character_rigidity(rule, mu0, characters, t_schedule=None, n_schedule=None,
                            budget="exact", mixing_pairs=None, tol=1e-9):
     """`rigidity_experiment` with every exact coefficient from `per_character_fourier`."""
@@ -571,7 +617,6 @@ def per_character_rigidity(rule, mu0, characters, t_schedule=None, n_schedule=No
         RigidityReport,
         default_t_schedule,
         fourier,
-        haar_criterion,
         mixing_statistic,
         pushforward,
     )
@@ -594,7 +639,7 @@ def per_character_rigidity(rule, mu0, characters, t_schedule=None, n_schedule=No
                 r = fourier(mu_t, chi_t, budget if budget != "exact" else 10000)
             results.append(r)
             fourier_rows.append(r.row(t=t))
-        verdict = haar_criterion(results, criterion="coset", tol=tol)
+        verdict = per_result_haar_criterion(results, criterion="coset", tol=tol)
         verdicts.append({"t": t, **verdict.to_dict()})
         if not verdict.consistent:
             exact_violation = any(v["exact"] for v in verdict.violations)

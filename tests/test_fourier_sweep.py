@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modshift.measures as measures
 from modshift import (
@@ -52,7 +53,7 @@ from modshift.crt import _verify_bijection, decompose_ring, field_decomposition
 from modshift.experiment import parse_experiment, run_experiment
 from modshift.measures import ExactWordMeasure, TransformedMeasure
 from modshift.rng import CounterRng
-from oracles import per_character_fourier, per_character_rigidity
+from oracles import per_character_fourier, per_character_rigidity, per_result_haar_criterion
 
 
 def _win(extents, origin=None):
@@ -76,7 +77,7 @@ def _check_sweep(mu, window, criteria=("subgroup", "coset")):
         assert sweep.root_sums[sweep.class_ids[i]].weights == r.root_sum.weights
     verdicts = {}
     for criterion in criteria:
-        want = haar_criterion(results, criterion=criterion).to_dict()
+        want = per_result_haar_criterion(results, criterion=criterion).to_dict()
         got = haar_criterion(sweep, criterion=criterion).to_dict()
         assert _dump(got) == _dump(want)
         verdicts[criterion] = got
@@ -270,7 +271,7 @@ def test_sweep_verdict_demands_trivial_coefficient_one():
     coefs = [RootSum.zero(2)] * len(chars)
     results = [FourierResult(chi, rs.to_complex(), 0.0, root_sum=rs) for chi, rs in zip(chars, coefs)]
     sweep = FourierSweep(mod, win, character_codes(mod, win), np.zeros(len(chars), dtype=np.int64), (coefs[0],))
-    want = haar_criterion(results).to_dict()
+    want = per_result_haar_criterion(results).to_dict()
     assert not want["consistent"] and len(want["violations"]) == 1
     assert _dump(haar_criterion(sweep).to_dict()) == _dump(want)
 
@@ -287,10 +288,62 @@ def test_sweep_verdict_builds_one_table(monkeypatch):
     monkeypatch.setattr(FourierSweep, "table", lambda self, **extra: calls.append(1) or original(self, **extra))
     verdict = haar_criterion(sweep)
     assert len(calls) == 1
-    assert verdict.violations == want and len(want) == 63
+    assert list(verdict.violations) == want and len(want) == 63
     calls.clear()
     assert haar_criterion(fourier_sweep(uniform_bernoulli(mod, win), win)).consistent
     assert not calls
+
+
+# Coefficients on both sides of the verdict's tests: exactly 0, 1 or a phase,
+# an arbitrary rational root sum; sampled values at, near and far from 0 and 1.
+_VERDICT_CHARS = list(all_characters(ModuleSpec(make_ring("zmod:3"), 1), _win((2,))))
+_SAMPLED_PARTS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 3e-10, 1 - 3e-10, 0.97, 0.02]),
+                           st.floats(-1.5, 1.5))
+
+
+@st.composite
+def _verdict_class(draw):
+    from modshift import FourierResult, RootSum
+
+    L = draw(st.sampled_from([2, 3, 6]))
+    kind = draw(st.sampled_from(["zero", "one", "phase", "weights", "sampled"]))
+    if kind == "sampled":
+        value = complex(draw(_SAMPLED_PARTS), draw(st.sampled_from([0.0, 1e-10, 0.3, -0.02])))
+        return FourierResult(None, value, draw(st.sampled_from([0.0, 1e-4, 0.01, 0.25])))
+    if kind == "weights":
+        rs = RootSum(L, [Fraction(draw(st.integers(-2, 4)), 4) for _ in range(L)])
+    elif kind == "phase":
+        rs = RootSum.monomial(L, draw(st.integers(1, L - 1)))
+    else:
+        rs = RootSum.zero(L) if kind == "zero" else RootSum.one(L)
+    return FourierResult(None, rs.to_complex(), 0.0, rs)
+
+
+def _outcome_of(call):
+    try:
+        return _dump(call().to_dict())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.lists(_verdict_class(), min_size=1, max_size=4), st.data(),
+       st.sampled_from(["subgroup", "coset"]), st.booleans(), st.sampled_from([1e-9, 0.05]))
+def test_class_verdict_matches_per_result_oracle(classes, data, criterion, with_trivial, tol):
+    # Row i holds character i (row 0 the trivial one) or, without the trivial
+    # row, character i + 1; rows share classes as a sweep's characters do.
+    n_rows = data.draw(st.integers(1, len(_VERDICT_CHARS) - 1))
+    ids = np.array(data.draw(st.lists(st.integers(0, len(classes) - 1),
+                                      min_size=n_rows, max_size=n_rows)))
+    chars = _VERDICT_CHARS[0 if with_trivial else 1:][:n_rows]
+    results = [dataclasses.replace(classes[k], chi=chi) for chi, k in zip(chars, ids)]
+    want = _outcome_of(lambda: per_result_haar_criterion(results, criterion, tol))
+    assert _outcome_of(lambda: haar_criterion(results, criterion, tol)) == want
+    table = measures.FourierTable([format_character(chi) for chi in chars], ids,
+                                  [c._template() for c in classes], {"t": 3})
+    trivial = [0] if with_trivial else []
+    got = _outcome_of(lambda: measures._haar_verdict(classes, ids, trivial, criterion, tol, lambda: table))
+    assert got == want
 
 
 def test_character_codes_and_labels_follow_all_characters():

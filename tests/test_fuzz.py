@@ -239,7 +239,9 @@ def _one_step_suite(kind, **params):
 @pytest.mark.parametrize("text,error", [
     (_one_step_suite("fixed-point", pattern="constant:x"), "bad constant pattern"),
     (_one_step_suite("invariance-check", expected="true"), "bad value for 'expected'"),
-], ids=["constant-x", "one-word-expected"])
+    (_one_step_suite("haar-sweep", criterion="subgrop"), "bad value for 'criterion': 'subgrop'"),
+    (_one_step_suite("haar-sweep", criterion="x"), "bad value for 'criterion': 'x'"),
+], ids=["constant-x", "one-word-expected", "criterion-typo", "criterion-junk"])
 def test_found_suite_escapes_are_typed(text, error):
     with pytest.raises(ModshiftError, match=error):
         run_experiment(parse_experiment(text))

@@ -7,6 +7,7 @@ import pytest
 
 from modshift import (
     CharacterSpec,
+    ConfigParseError,
     InvalidCosetError,
     InvalidParameterError,
     LocalRule,
@@ -23,6 +24,7 @@ from modshift import (
     coset_from_cocycle,
     coset_haar,
     fourier,
+    fourier_sweep,
     haar_criterion,
     kernel_haar,
     make_ring,
@@ -398,6 +400,32 @@ def test_haar_criterion_coset_moduli(cb_system):
     )
 
 
+def test_haar_criterion_refuses_an_unknown_criterion(cb_system):
+    # A typo was once judged as 'coset' on an exact sweep (consistent here)
+    # and as 'subgroup' on sampled results (inconsistent here).
+    w6 = cb_system.six_site_window()
+    mu = coset_haar(cb_system.checkerboard(w6), cb_system.kernel, seed=2)
+    sampled = [fourier(mu, chi, 20000) for chi in all_characters(cb_system.module, w6)]
+    for results in (fourier_sweep(mu, w6), sampled):
+        assert haar_criterion(results, criterion="coset").consistent
+        for typo in ("subgrop", "", "Coset"):
+            with pytest.raises(InvalidParameterError, match=f"unknown Haar criterion {typo!r}"):
+                haar_criterion(results, criterion=typo)
+
+
+def test_haar_sweep_step_refuses_an_unknown_criterion_before_sweeping(monkeypatch):
+    from modshift import experiment
+
+    def refuse(*args):
+        raise AssertionError("the measure was built")
+
+    monkeypatch.setattr(experiment, "_build_measure", refuse)
+    text = ("[experiment]\nseed = 1\n\n[step typo]\nkind = haar-sweep\nmeasure = uniform\n"
+            "ring = zmod:2\nextents = 2\ncriterion = subgrop\n")
+    with pytest.raises(ConfigParseError, match=r"\[step typo\] bad value for 'criterion': 'subgrop'"):
+        experiment.run_experiment(experiment.parse_experiment(text))
+
+
 def test_coset_fourier_is_phase_times_kernel_fourier(cb_system, eta6):
     # factorization of the translate: coefficient of the coset measure equals
     # the character's value at the representative times the kernel coefficient
@@ -734,6 +762,34 @@ def test_block_entropy_sample_count_below_one(sampled_case, count):
     module, win, mu = sampled_case
     with pytest.raises(InvalidParameterError, match=f"n_samples must be >= 1, got {count}"):
         block_entropy(mu, WindowSpec((1, 1), (0, 0), (2, 2)), n_samples=count)
+
+
+# n_samples=None asks block_entropy for the exact entropy.
+@pytest.mark.parametrize("call,budget", [
+    (call, budget) for call in ("fourier", "mixing", "entropy")
+    for budget in ("exac", None, 2.5, np.float64(3.0), "3", Fraction(4))
+    if call != "entropy" or budget is not None
+])
+def test_sample_budgets_must_be_integers(sampled_case, call, budget):
+    module, win, mu = sampled_case
+    chi = CharacterSpec.build(module, win, {(0, 0): 1})
+    word = constant_config(module, WindowSpec((1, 1), (0, 0), (1, 1)), 0)
+    name = "n_samples" if call == "entropy" else "sample budget"
+    with pytest.raises(InvalidParameterError, match=re.escape(f"{name} must be an integer, got {budget!r}")):
+        if call == "fourier":
+            fourier(mu, chi, budget)
+        elif call == "mixing":
+            mixing_statistic(mu, [((0, 1), word)], 1, budget=budget)
+        else:
+            block_entropy(mu, WindowSpec((1, 1), (0, 0), (2, 2)), n_samples=budget)
+
+
+def test_numpy_integer_sample_budgets_are_counts(sampled_case):
+    module, win, mu = sampled_case
+    chi = CharacterSpec.build(module, win, {(0, 0): 1})
+    assert fourier(mu, chi, np.int64(3)) == fourier(mu, chi, 3)
+    block = WindowSpec((1, 1), (0, 0), (2, 2))
+    assert block_entropy(mu, block, n_samples=np.int32(40)) == block_entropy(mu, block, n_samples=40)
 
 
 def test_experiment_step_with_zero_samples():

@@ -97,6 +97,38 @@ def test_write_path_builds_no_row_dict(monkeypatch):
     assert _written(report) == want
 
 
+# No bundled suite or workload fails a sweep: under 'subgroup', the
+# checkerboard coset of the constant words has 1,024 coefficients of -1.
+FAILING_SWEEP = """[experiment]
+name = failing_sweep
+seed = 1
+
+[step checkerboard_as_subgroup]
+kind = haar-sweep
+measure = coset
+kernel = kernel ring=zmod:2 rank=1 dims=1,0 H=(0):1;(1):1
+pattern = checkerboard
+extents = 12
+criterion = subgroup
+"""
+
+
+def test_failing_sweep_files_match_oracle(monkeypatch):
+    report = _suite_report(FAILING_SWEEP)
+    (step,) = report["steps"]
+    assert not step["pass"] and isinstance(step["violations"], FourierTable)
+    assert len(step["violations"]) == 1024
+    want = _oracle(report)
+    assert _written(report) == want and want[1] is None
+
+    def refuse(*args):
+        raise AssertionError("a row dict was built on the write path")
+
+    monkeypatch.setattr(FourierTable, "__iter__", refuse)
+    monkeypatch.setattr(FourierTable, "__getitem__", refuse)
+    assert _written(report) == want
+
+
 def test_report_longer_than_one_write_chunk_matches_oracle():
     # 3 pieces a row: the 30,000-row table alone spans two write chunks, and
     # the tables around it put the chunk boundaries at other depths.

@@ -18,6 +18,7 @@ from modshift import (
     KernelShiftSpec,
     LocalRule,
     ModuleSpec,
+    SubgroupHaarMeasure,
     WindowSpec,
     ZmodRing,
     enumerate_kernel_words,
@@ -29,6 +30,7 @@ from modshift import (
 from modshift.kernels import constraint_matrix
 from oracles import (
     brute_kernel_words,
+    eliminated_haar_spans,
     eliminated_window_kernel,
     nullspace_extension_certificate,
     rank_torsion_free_check,
@@ -36,6 +38,7 @@ from oracles import (
 
 KERNEL_RINGS = [ZmodRing(2), ZmodRing(3), ZmodRing(5), GFRing(2, 2), ZmodRing(6), ZmodRing(30)]
 TORSION_RINGS = [ZmodRing(6), ZmodRing(210), ZmodRing(3), GFRing(2, 2)]
+HAAR_RINGS = [ZmodRing(2), ZmodRing(3), GFRing(2, 2), ZmodRing(6), ZmodRing(210)]
 DIMS = [(1, 0), (2, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 1)]
 ORACLE = settings(deadline=None, derandomize=True, max_examples=150)
 
@@ -45,7 +48,7 @@ def units(ring):
 
 
 @st.composite
-def kernel_cases(draw, ring_pool, max_terms=4, with_zero=False):
+def kernel_cases(draw, ring_pool, max_terms=4, with_zero=False, max_rank=2):
     """(spec, window): a rule with unit coefficients and a window of its dims.
 
     Z-axis offsets lie in [-1, 1] and N-axis offsets in [0, 2]; with
@@ -61,7 +64,7 @@ def kernel_cases(draw, ring_pool, max_terms=4, with_zero=False):
     if with_zero and (0,) * axes not in offsets:
         offsets = [(0,) * axes] + offsets[: max_terms - 1]
     coeffs = [draw(st.sampled_from(units(ring))) for _ in offsets]
-    rank = draw(st.integers(1, 2))
+    rank = draw(st.integers(1, max_rank))
     spec = KernelShiftSpec(LocalRule(ModuleSpec(ring, rank), dims, tuple(offsets), tuple(coeffs)))
     origin = [draw(st.integers(-2, 2)) for _ in range(dims[0])] + [
         draw(st.integers(0, 2)) for _ in range(dims[1])
@@ -159,6 +162,18 @@ def test_window_kernel_matches_brute_force_on_tiny_windows(case):
     if spec.module.rank == 1:
         words = enumerate_kernel_words(basis)
         assert {tuple(int(v) for v in w[:, 0]) for w in words} == set(brute)
+
+
+@ORACLE
+@given(kernel_cases(HAAR_RINGS, max_rank=3))
+def test_kernel_haar_spans_match_elimination(case):
+    basis = window_kernel(*case)
+    got = SubgroupHaarMeasure.from_window_basis(basis).spans
+    want = eliminated_haar_spans(basis)
+    assert len(got) == len(want)
+    for span, want_basis in zip(got, want):
+        assert span.basis.dtype == want_basis.dtype
+        assert np.array_equal(span.basis, want_basis)
 
 
 def scalars(ring):
