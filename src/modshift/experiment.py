@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import filterfalse
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -484,7 +485,7 @@ def _json_default(obj):
 
 _FOURIER_COLUMNS = ["step", "chi", "t", "re", "im", "modulus", "stderr", "exact"]
 _MIXING_COLUMNS = ["step", "n", "observed", "product", "deviation", "stderr", "exact"]
-_WRITE_CHUNK = 1 << 16  # report.json pieces joined and encoded per write
+_WRITE_CHUNK = 1 << 16  # text pieces joined and encoded per write
 _dumps = functools.partial(json.dumps, sort_keys=True, indent=2, ensure_ascii=True,
                            default=_json_default)
 
@@ -572,11 +573,11 @@ def _csv_quoting():
     return re.compile("[" + re.escape("".join(special)) + "]")
 
 
-def _table_csv(step: str, table: FourierTable, columns) -> str:
-    """The table's CSV lines: each label's field between its step and its class's fragment.
+def _table_csv(step: str, table: FourierTable, columns) -> list:
+    """The table's CSV text pieces: each label's field between its step and its class's fragment.
 
     An ASCII field is quoted, with its quotes doubled, iff it holds a character
-    that `_csv_quoting` finds; other text fails at the ASCII encode as before.
+    that `_csv_quoting` finds; other text fails the ASCII check of `_csv_pieces`.
     """
     special = _csv_quoting().search
     start = _csv_line([step, "x"])[:-2]  # the step's field and its comma
@@ -584,24 +585,25 @@ def _table_csv(step: str, table: FourierTable, columns) -> str:
     ends = [_csv_line(["x", *_csv_fields({**t, **table.extra}, columns)])[1:]
             for t in table.templates]
     labels = ['"%s"' % f.replace('"', '""') if special(f) else f for f in table.labels]
-    return "".join(_interleave([start] * len(ends), labels, ends, table.class_ids))
+    return _interleave([start] * len(ends), labels, ends, table.class_ids)
 
 
-def _csv_bytes(tables, columns) -> bytes:
-    """CSV of (step name, rows) pairs, one line per row, floats as `repr`.
+def _csv_pieces(tables, columns) -> list:
+    """CSV text pieces of (step name, rows) pairs, one line per row, floats as `repr`.
 
     A `FourierTable` is written as the csv-quoted ``step,chi`` of each row
-    followed by its class's encoded fragment.
+    followed by its class's encoded fragment.  A piece that is not ASCII
+    raises `UnicodeEncodeError` here, before any file is opened.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    pieces = [_csv_line(columns)]
     for step, rows in tables:
         if isinstance(rows, FourierTable):
-            buf.write(_table_csv(step, rows, columns[2:]))
-            continue
-        writer.writerows(_csv_fields({"step": step, **row}, columns) for row in rows)
-    return buf.getvalue().encode("ascii")
+            pieces += _table_csv(step, rows, columns[2:])
+        else:
+            pieces += (_csv_line(_csv_fields({"step": step, **row}, columns)) for row in rows)
+    for text in filterfalse(str.isascii, pieces):
+        text.encode("ascii")
+    return pieces
 
 
 def _encoded(pieces: list):
@@ -625,7 +627,7 @@ def write_report(report: dict, outdir, raw_text: str) -> dict:
     steps = report["steps"]
     for name, key, columns in (("fourier.csv", "fourier_table", _FOURIER_COLUMNS),
                                ("mixing.csv", "mixing_table", _MIXING_COLUMNS)):
-        emit(name, [_csv_bytes([(s["name"], s[key]) for s in steps if s.get(key)], columns)])
+        emit(name, _encoded(_csv_pieces([(s["name"], s[key]) for s in steps if s.get(key)], columns)))
     emit("config_echo.cfg", [raw_text.encode("utf-8")])
     sidecar = {"written_unix_time": time.time()}
     emit("run_meta.json", [(json.dumps(sidecar) + "\n").encode("ascii")])

@@ -12,18 +12,19 @@ field is its own single component, a squarefree characteristic gives one
 prime field per prime, and any other ring is refused before solving.
 
 Kernels are solved by propagation, with no elimination.  Weights w single
-out the lexicographically first stencil term b*, so each anchor m fixes the
-site m+b* from sites of smaller w-score (component coefficients are units)
-and the other sites are free.  Each constraint row starts at m+b*, so these
-are the free columns of the constraint matrix's RREF, which by matroid
-duality fix the canonical basis (see `window_kernel`): the propagated basis
-is that basis.  Torsion needs no matrix: a nonzero component scalar is a
-unit, and a zero one enlarges the solutions iff an anchor fits.
+out one lead stencil term b*, so each anchor m fixes the site m+b* from
+sites of smaller w-score (component coefficients are units) and the other
+sites are free.  By matroid duality the propagated basis is canonical: with
+the lexicographically first term as lead it is the constraint matrix's
+`nullspace_from_rref` basis (`window_kernel`), with the last it is its own
+RREF (the Haar spans).  Closure is decided on the basis rows, since
+membership is linear, and torsion needs no matrix: a nonzero component
+scalar is a unit, and a zero one enlarges the solutions iff an anchor fits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
@@ -162,42 +163,38 @@ class WindowBasis:
         return tuple(basis.shape[0] for _, basis, _ in self.components)
 
 
-def _lead_weights(offsets) -> np.ndarray:
-    """Weights w under which the lexicographically first offset alone has the largest w.b:
-    negated lexicographic weights on the shortest prefix of axes that singles it out."""
+def _lead_weights(offsets, lead: str) -> np.ndarray:
+    """Weights w under which the lexicographically `lead` ("first" or "last") offset alone
+    has the largest w.b: lexicographic weights, negated for "first", on the shortest
+    prefix of axes that singles it out."""
     offs = np.array(offsets, dtype=np.int64)
     base = int(np.ptp(offs, axis=0).max()) + 1
     for j in range(1, offs.shape[1] + 1):
         w = np.zeros(offs.shape[1], dtype=np.int64)
-        w[:j] = -(base ** np.arange(j - 1, -1, -1, dtype=np.int64))
+        w[:j] = (-1 if lead == "first" else 1) * base ** np.arange(j - 1, -1, -1, dtype=np.int64)
         scores = offs @ w
         if np.count_nonzero(scores == scores.max()) == 1:
             return w
 
 
-def window_kernel(spec: KernelShiftSpec, window: WindowSpec) -> WindowBasis:
-    """Deterministic echelon basis of all in-window constraints' solutions.
+def _propagate(spec: KernelShiftSpec, window: WindowSpec, lead: str) -> tuple:
+    """(field ring, scalar basis, free site indices) per field component, by propagation.
 
-    Per field component, by propagation with no elimination.  `_lead_weights`
-    gives w under which the lexicographically first term b* alone has the
-    largest w.b; each anchor m fixes x_{m+b*} = -c*^-1 sum_{b != b*} c_b x_{m+b},
-    whose reads have smaller w-score.  From the identity on the other (free)
-    sites, one `Ring.weighted_sum` per value of w.m fills the fixed sites of
-    the (sites x dim) array, gathered by flat site index.  RREF free columns
-    of the constraint matrix are, by matroid duality, the greedy-from-the-right
-    pivots of any kernel basis; with anchors row-major each row starts at
-    m+b*, so the matrix is already echelon, its free columns are the free
-    sites, and the propagated basis is the `nullspace_from_rref` basis bit
-    for bit.  A single-term rule fixes its sites to 0.
+    `_lead_weights` gives w under which the lexicographically `lead` term b*
+    alone has the largest w.b; each anchor m fixes x_{m+b*} = -c*^-1 sum_{b != b*}
+    c_b x_{m+b}, whose reads have smaller w-score.  From the identity on the
+    other (free) sites, one `Ring.weighted_sum` per value of w.m fills the fixed
+    sites of the (sites x dim) array, gathered by flat site index.  A
+    single-term rule fixes its sites to 0.
     """
     anchors = _anchors(spec, window)
     offsets = spec.constraint.offsets
-    w = _lead_weights(offsets)
-    lead = int(np.argmax(np.array(offsets) @ w))
-    rest = [k for k in range(len(offsets)) if k != lead]
+    w = _lead_weights(offsets, lead)
+    k_lead = int(np.argmax(np.array(offsets) @ w))
+    rest = [k for k in range(len(offsets)) if k != k_lead]
     rel, cols = _anchor_columns(offsets, window, anchors)
     fixed = np.zeros(window.n_sites, dtype=bool)
-    fixed[cols[lead]] = True
+    fixed[cols[k_lead]] = True
     free = np.flatnonzero(~fixed)
     order = np.argsort(w @ rel, kind="stable")
     batches = np.split(order, np.flatnonzero(np.diff((w @ rel)[order])) + 1)
@@ -206,12 +203,22 @@ def window_kernel(spec: KernelShiftSpec, window: WindowSpec) -> WindowBasis:
         coeffs = comp_spec.constraint.coeffs
         x = np.zeros((window.n_sites, free.size), dtype=ring.sum_dtype(len(rest)))
         x[free, np.arange(free.size)] = ring.one
-        scale = ring.neg(ring.inverse(coeffs[lead]))
+        scale = ring.neg(ring.inverse(coeffs[k_lead]))
         weights = [ring.mul(scale, coeffs[k]) for k in rest]
         for batch in batches if rest else ():
-            x[cols[lead, batch]] = ring.weighted_sum(weights, (x[cols[k, batch]] for k in rest))
+            x[cols[k_lead, batch]] = ring.weighted_sum(weights, (x[cols[k, batch]] for k in rest))
         comps.append((ring, np.ascontiguousarray(x.T, dtype=np.int64), tuple(free.tolist())))
-    return WindowBasis(spec, window, tuple(comps))
+    return tuple(comps)
+
+
+def window_kernel(spec: KernelShiftSpec, window: WindowSpec) -> WindowBasis:
+    """Deterministic echelon basis of all in-window constraints' solutions.
+
+    `_propagate` with the lexicographically first term b* as lead: with
+    anchors row-major each constraint row starts at m+b*, so the free sites
+    are the RREF free columns and the basis is `nullspace_from_rref`'s.
+    """
+    return WindowBasis(spec, window, _propagate(spec, window, "first"))
 
 
 def constraint_residual(spec: KernelShiftSpec, config: WindowConfig):
@@ -290,12 +297,6 @@ def draw_kernel_words(basis: WindowBasis, count: int, seed: int, start: int = 0)
     return basis.decomposition.merge_arrays(comp_values)
 
 
-def _narrow_basis(basis: WindowBasis, dtype) -> WindowBasis:
-    """The same basis with every component basis cast to `dtype`."""
-    comps = tuple((ring, b.astype(dtype, copy=False), free) for ring, b, free in basis.components)
-    return replace(basis, components=comps)
-
-
 def submodule_condition_check(
     window_set,
     gens,
@@ -305,32 +306,27 @@ def submodule_condition_check(
 ) -> bool:
     """Closure of the window set under sum_h r_h * s_h for tuples from the set.
 
-    `window_set` is a WindowBasis (membership = in-window constraints) or an
-    explicit (count, n_sites, rank) word array paired with its module
-    (membership = listed words).  Tiny sets are checked exhaustively, larger
-    ones on `samples` seeded random tuples.  Every generator must be an
-    element code of the ring.
+    `window_set` is a WindowBasis (the set is its span) or an explicit
+    (count, n_sites, rank) word array paired with its module (membership =
+    listed words), checked exhaustively when tiny, else on `samples` seeded
+    tuples.  Every generator must be an element code of the ring.
 
-    A WindowBasis is checked on narrow codes from the draw to the membership
-    test: its component bases are cast once to the ring's `sum_dtype` for
-    len(gens) terms, so the words, their weighted sum and the exact-mode
-    stencil of `batch_membership` all run in it (uint8 for Z/2 and three
-    generators; int64 for table rings).  The words equal the int64 ones.
+    A WindowBasis is decided exactly, with no word drawn.  In field component
+    j the sums are the whole span of its rows if some generator's image there
+    is nonzero, else only 0; membership is linear, so the set is closed iff
+    each such component's rows pass its rule (one `batch_membership` each).
     """
     ring = window_set.module.ring if isinstance(window_set, WindowBasis) else window_set[1].ring
     gens = [ring.element_code(g, "generator") for g in gens]
     if not gens:
         raise InvalidParameterError("need at least one generator coefficient")
     if isinstance(window_set, WindowBasis):
-        basis = _narrow_basis(window_set, ring.sum_dtype(len(gens)))
-        if basis.solution_count ** len(gens) <= max_exhaustive:
-            words = enumerate_kernel_words(basis)
-            grids = np.meshgrid(*[np.arange(words.shape[0])] * len(gens), indexing="ij")
-            blocks = (words[grid.ravel()] for grid in grids)
-        else:
-            blocks = (draw_kernel_words(basis, samples, seed + 7 * h) for h in range(len(gens)))
-        acc = ring.weighted_sum(gens, blocks)
-        return bool(batch_membership(basis.spec, basis.window, acc).all())
+        comps = zip(_field_components(window_set.spec), window_set.components)
+        return all(
+            batch_membership(comp_spec, window_set.window, rows[:, :, None]).all()
+            for (comp_spec, _, deco, j), (_, rows, _) in comps
+            if deco.forward_table[gens, j].any()
+        )
 
     words, _ = window_set
     words = np.asarray(words, dtype=np.int64)

@@ -54,6 +54,7 @@ from .errors import (
 from .kernels import (
     KernelShiftSpec,
     WindowBasis,
+    _propagate,
     coset_shift_check,
     window_kernel,
 )
@@ -338,14 +339,13 @@ class SubgroupHaarMeasure(MeasureHandle):
 
     @staticmethod
     def from_window_basis(basis: WindowBasis, seed=0, mode="exact", label=None):
+        """Haar measure on the in-window kernel of `basis.spec` over `basis.window`, with no
+        elimination: by matroid duality the kernel's RREF is `kernels._propagate` with the
+        lex-last term as lead, and its Kronecker product with the identity is in RREF."""
         module = basis.module
-        # Row i * rank + c is scalar basis row i placed on component c of every
-        # site; the Kronecker product of an RREF with the identity is in RREF.
         eye = np.eye(module.rank, dtype=np.int64)
-        spans = [
-            _FieldSpan(ring, np.kron(_echelonize(ring, scalar_basis, basis.window.n_sites), eye))
-            for ring, scalar_basis, _ in basis.components
-        ]
+        spans = [_FieldSpan(ring, np.kron(rows, eye))
+                 for ring, rows, _ in _propagate(basis.spec, basis.window, "last")]
         return SubgroupHaarMeasure(
             module, basis.window, spans, seed, mode, label or f"kernel-haar[{basis.spec.label}]"
         )
@@ -756,7 +756,6 @@ class FourierResult:
     value: complex
     stderr: float
     root_sum: RootSum | None = None
-    n_samples: int | None = None
 
     @property
     def is_exact(self):
@@ -796,7 +795,7 @@ def fourier(mu: MeasureHandle, chi: CharacterSpec, budget="exact", start: int = 
     L = chi.order
     angles = 2.0 * np.pi * exps.astype(np.float64) / L
     value = complex(np.mean(np.cos(angles)), np.mean(np.sin(angles)))
-    return FourierResult(chi, value, 1.0 / math.sqrt(n), n_samples=n)
+    return FourierResult(chi, value, 1.0 / math.sqrt(n))
 
 
 def _sample_count(budget, name: str) -> int:

@@ -21,7 +21,8 @@ the single array-based Fourier engine.  The per-result Haar criterion is the
 library's original loop over a list of `FourierResult`s, kept as the
 reference for the one per-class Haar verdict, and the eliminated Haar spans
 are `from_window_basis`'s original `rref` of the Kronecker product, kept as
-the reference for echelonizing the scalar basis alone.  The forked word
+the reference for the lex-last propagation that replaced every elimination
+there.  The forked word
 enumerations are the library's original `enumerate_kernel_words` and
 `SubgroupHaarMeasure.enumerate_words`, which treated a field apart from a CRT
 split and merged components through the inverse table, kept as the reference
@@ -29,7 +30,7 @@ for the one-component field decomposition.  The int64 closure check is the
 library's original `draw_kernel_words` and `WindowBasis` branch of
 `submodule_condition_check`, which moved every word as int64 (float64 or
 int64 matmul, int64 merge, reduce-each membership), kept as the reference for
-the narrow-code closure check.  The loop GF tables are `GFRing`'s original
+the closure check decided from the basis rows.  The loop GF tables are `GFRing`'s original
 per-element construction of its inverse and trace tables, kept as the
 reference for the table-gather construction.  The eliminated window kernel,
 the rank-comparison torsion check and the nullspace extension certificate are
@@ -599,8 +600,9 @@ def per_result_haar_criterion(results, criterion="subgroup", tol=1e-9):
 
 
 def eliminated_haar_spans(basis):
-    """The span bases of `SubgroupHaarMeasure.from_window_basis`, each one
-    `rref` of the scalar basis placed on every component of every site."""
+    """The span bases of `SubgroupHaarMeasure.from_window_basis` as it first
+    built them, each one `rref` of the scalar basis placed on every component
+    of every site."""
     from modshift.measures import _echelonize
 
     eye = np.eye(basis.module.rank, dtype=np.int64)

@@ -1,31 +1,31 @@
-"""Differential tests: the narrow-code submodule closure check against int64.
+"""Differential tests: the submodule closure check against the int64 draw check.
 
-`submodule_condition_check` casts a `WindowBasis` once to the ring's
-`sum_dtype` for the generator count and keeps narrow codes from the draw
-(`ZmodRing.lincomb`, a float32 matmul while n * (q-1)**2 < 2**24) through the
-weighted sum to the exact-mode membership stencil.  The oracle is the original
-int64 check in `oracles.py`; every draw must be equal, word for word, and so
-must every verdict, on the exhaustive and the sampled branch.
+`submodule_condition_check` decides a `WindowBasis` from its rows alone: in
+each field component where some generator's image is nonzero, every row must
+pass that component's rule, tested with one `batch_membership`, and no word
+is drawn or enumerated.  The oracle is the original int64 check in
+`oracles.py`, which draws or enumerates kernel words and sums them; every
+verdict must equal it, on intact bases and on bases changed in one field
+component at a time, for generators that vanish in some component too.  The
+words that `enumerate_kernel_words` and `draw_kernel_words` give from a basis
+cast to narrow codes must still equal the int64 words.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from modshift import KernelShiftSpec, WindowSpec, ZmodRing, parse_rule, window_kernel
+from modshift import KernelShiftSpec, WindowSpec, ZmodRing, crt, parse_rule, window_kernel
 from modshift.errors import InvalidParameterError
 from modshift.experiment import parse_experiment, run_experiment
-from modshift.kernels import (
-    _narrow_basis,
-    draw_kernel_words,
-    enumerate_kernel_words,
-    submodule_condition_check,
-)
+from modshift.kernels import draw_kernel_words, enumerate_kernel_words, submodule_condition_check
 from modshift.rings import Ring, make_ring
 from modshift.rng import CounterRng
 
 from oracles import int64_draw_kernel_words, int64_kernel_words, int64_submodule_condition
+from test_window_kernel_oracle import KERNEL_RINGS, kernel_cases
 
 RING_TEXTS = [
     "zmod:2",
@@ -38,6 +38,7 @@ RING_TEXTS = [
     "gf:3:2",
     "prod:[zmod:2;zmod:3]",
 ]
+SPLIT_RING_TEXTS = ["zmod:6", "zmod:210", "prod:[zmod:2;zmod:3]"]
 
 CAP = 1 << 17
 
@@ -86,20 +87,36 @@ def _case(text, rank, branch):
     return ring, basis, gens, limit
 
 
-def _tampered(basis):
-    """The basis with one entry of its first row moved off the kernel at the middle site."""
-    ring, rows, free = basis.components[0]
+def _with_rows(basis, j, rows):
+    """The basis with the scalar rows of field component j replaced."""
+    comps = list(basis.components)
+    comps[j] = (comps[j][0], rows, comps[j][2])
+    return dataclasses.replace(basis, components=tuple(comps))
+
+
+def _tampered(basis, j=0):
+    """The basis with one entry of component j's first row moved off the kernel at the middle site."""
+    ring, rows, _ = basis.components[j]
     rows = rows.copy()
     site = basis.window.n_sites // 2
-    rows[0, site] = (rows[0, site] + 1) % ring.size
-    return dataclasses.replace(basis, components=((ring, rows, free),) + basis.components[1:])
+    rows[0, site] = ring.add(int(rows[0, site]), ring.one)
+    return _with_rows(basis, j, rows)
+
+
+def _vanishing_gens(ring, j):
+    """Up to two nonzero generator codes whose image in field component j is zero,
+    such as (2, 4) over zmod:6 for its Z/2 component."""
+    table = crt.field_decomposition(ring).forward_table
+    return [c for c in range(1, ring.size) if table[c, j] == 0][:2]
 
 
 @pytest.mark.parametrize("text, rank, branch", CASES)
 def test_narrow_words_equal_int64_words(text, rank, branch):
     ring, basis, gens, _ = _case(text, rank, branch)
     dtype = ring.sum_dtype(len(gens))
-    narrow = _narrow_basis(basis, dtype)
+    narrow = dataclasses.replace(basis, components=tuple(
+        (comp_ring, rows.astype(dtype), free) for comp_ring, rows, free in basis.components
+    ))
     if branch == "exhaustive":
         want = int64_kernel_words(basis)
         got = enumerate_kernel_words(narrow)
@@ -124,25 +141,92 @@ def test_closure_verdict_equals_int64_verdict(text, rank, branch):
     assert int64_submodule_condition(tampered, gens, **kwargs) is False
 
 
-def test_parity_closure_runs_on_uint8_codes(monkeypatch):
+SPLIT_CASES = [
+    (text, j, rank, branch)
+    for text in SPLIT_RING_TEXTS
+    for j in range(crt.field_decomposition(make_ring(text)).n_components)
+    for rank in (1, 2)
+    for branch in ("exhaustive", "sampled")
+]
+
+
+@pytest.mark.parametrize("text, j, rank, branch", SPLIT_CASES)
+def test_tampering_each_component_equals_int64_verdict(text, j, rank, branch):
+    """A change in component j opens the set iff some generator's image there is nonzero."""
+    ring, basis, gens, limit = _case(text, rank, branch)
+    kwargs = dict(max_exhaustive=limit, samples=300, seed=11)
+    tampered = _tampered(basis, j)
+    vanishing = _vanishing_gens(ring, j)
+    assert vanishing
+    for some_gens, closed in ((gens, False), (vanishing, True), ([0], True)):
+        assert submodule_condition_check(tampered, some_gens, **kwargs) is closed
+        assert int64_submodule_condition(tampered, some_gens, **kwargs) is closed
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(kernel_cases(KERNEL_RINGS), st.data())
+def test_closure_verdict_matches_int64_oracle(case, data):
+    spec, window = case
+    # Grown by the stencil's span on each axis, the window holds at least one anchor.
+    span = np.ptp(np.array(spec.constraint.offsets), axis=0).tolist()
+    basis = window_kernel(spec, window.expanded([0] * window.axes, span))
+    ring = basis.spec.ring
+    # Counted down from the top code, so that 0 and the non-units are drawn but not most often.
+    code = st.integers(0, ring.size - 1).map(lambda c: ring.size - 1 - c)
+    gens = data.draw(st.lists(code, min_size=1, max_size=3))
+    j = data.draw(st.integers(0, len(basis.components) - 1))
+    comp_ring, rows, free = basis.components[j]
+    intact = data.draw(st.booleans())
+    if rows.size and not intact:
+        rows = rows.copy()
+        i = data.draw(st.integers(0, rows.shape[0] - 1))
+        # A fixed site lies in some in-window constraint, so a change there leaves the kernel.
+        fixed = sorted(set(range(rows.shape[1])) - set(free))
+        sites = st.integers(0, rows.shape[1] - 1)
+        site = data.draw(st.one_of(st.sampled_from(fixed), sites) if fixed else sites)
+        rows[i, site] = comp_ring.add(int(rows[i, site]), data.draw(st.integers(1, comp_ring.size - 1)))
+        basis = _with_rows(basis, j, rows)
+    kwargs = dict(samples=300, seed=11)
+    assert submodule_condition_check(basis, gens, **kwargs) is int64_submodule_condition(
+        basis, gens, **kwargs
+    )
+
+
+@pytest.mark.parametrize(
+    "text, gens",
+    [("zmod:2", (1, 1, 1)), ("zmod:6", (2, 4)), ("zmod:6", (3,)), ("zmod:6", (1,)),
+     ("zmod:210", (6, 10)), ("prod:[zmod:2;zmod:3]", (1, 2)), ("gf:2:2", (3,))],
+)
+def test_closure_tests_basis_rows_without_drawing(text, gens, monkeypatch):
     from modshift import kernels
 
-    spec = KernelShiftSpec(parse_rule(
-        "kernel ring=zmod:2 rank=1 dims=1,1 H=(-1,0):1;(0,0):1;(1,0):1;(0,1):1",
-        expect_prefix="kernel",
-    ))
-    basis = window_kernel(spec, WindowSpec((1, 1), (0, 0), (16, 16)))
+    ring = make_ring(text)
+    basis, _ = _sampled_case(ring, 1)
+    want = int64_submodule_condition(basis, gens)
+    table = crt.field_decomposition(ring).forward_table
+    live = [j for j in range(table.shape[1]) if table[list(gens), j].any()]
     seen = []
     real = kernels.batch_membership
 
     def spy(spec, window, values):
-        seen.append(values.dtype)
+        seen.append((spec, values))
         return real(spec, window, values)
 
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
     monkeypatch.setattr(kernels, "batch_membership", spy)
-    assert submodule_condition_check(basis, (1, 1, 1), samples=2000)
-    assert seen == [np.dtype(np.uint8)]
-    assert int64_submodule_condition(basis, (1, 1, 1), samples=2000)
+    monkeypatch.setattr(kernels, "draw_kernel_words", refuse("draw_kernel_words"))
+    monkeypatch.setattr(kernels, "enumerate_kernel_words", refuse("enumerate_kernel_words"))
+    monkeypatch.setattr(CounterRng, "uniform_codes", refuse("uniform_codes"))
+    assert submodule_condition_check(basis, gens) is want is True
+    assert len(seen) == len(live)
+    for j, (spec, values) in zip(live, seen):
+        comp_ring, rows, _ = basis.components[j]
+        assert spec.ring == comp_ring
+        assert values.shape == rows.shape + (1,) and np.array_equal(values[..., 0], rows)
 
 
 # -- generators must be element codes ----------------------------------------------------

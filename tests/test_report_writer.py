@@ -2,8 +2,8 @@
 
 `report_bytes` is ``json.dumps`` itself with each Fourier table spliced in
 from pre-encoded per-class fragments at its depth, and `write_report` encodes
-that text a bounded number of pieces at a time; the CSV tables are written
-from the same fragments.  The oracle is the original writer kept in
+that text a bounded number of pieces at a time; the CSV tables are built
+from the same fragments and written the same way.  The oracle is the original writer kept in
 `tests/oracles.py` (the indented ``json.dumps`` and one row dict per table
 row).  Both must give the same bytes on the bundled suites, the benchmark
 workloads, reports longer than one write chunk and generated reports with
