@@ -25,10 +25,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DRAW_CAP, DrawLimitError, InvalidParameterError, UnsupportedCharacteristicError
+from .errors import InvalidParameterError, UnsupportedCharacteristicError
 from .lattice import WindowConfig, WindowSpec
 from .rings import MixedRadix, ModuleSpec, ProductRing, Ring, ZmodRing, is_prime
-from .rng import CounterRng
+from .rng import CounterRng, draw_blocks
 from .shiftpoly import LocalRule, from_rule, stencil
 
 __all__ = [
@@ -339,18 +339,16 @@ def conjugacy_check(
         from_rule(component_rule(rule, deco, j)) for j in range(deco.n_components)
     ]
     rng = CounterRng(seed, stream=57)
-    # Batches of about 2**16 cells, each drawn at its own counter offset, bound the memory
-    # and give one draw's codes; counterexamples are ordered (trial, component, site).
+    # Trial t takes counters [t * cells, (t + 1) * cells), so `draw_blocks` gives the
+    # trials a block at a time; counterexamples are ordered (trial, component, site).
     cells = window.n_sites * module.rank
     if trials < 0:
         raise InvalidParameterError(f"trials must be >= 0, got {trials}")
-    if trials * cells > DRAW_CAP:
-        raise DrawLimitError(f"draw of {trials} x {cells} cells exceeds the draw cap {DRAW_CAP}",
-                             required=trials * cells)
-    batch = max(1, (1 << 16) // cells)
-    for first in range(0, trials, batch):
-        shape = (min(batch, trials - first),) + window.extents + (module.rank,)
-        block = rng.uniform_codes(first * cells, shape, module.ring.size)
+
+    def draw(first, n):
+        return rng.uniform_codes(first * cells, (n,) + window.extents + (module.rank,), module.ring.size)
+
+    for first, block in draw_blocks(trials, [cells], cells, draw):
         _, image = stencil(poly.terms, block, window, "torus", module.ring)
         mismatches = []
         for j, comp_poly in enumerate(comp_polys):

@@ -56,11 +56,10 @@ from .kernels import (
     WindowBasis,
     _propagate,
     coset_shift_check,
-    window_kernel,
 )
 from .lattice import WindowConfig, WindowSpec, integer_array, scaled_offset
-from .rings import MixedRadix, ModuleSpec, Ring, is_prime
-from .rng import CounterRng, cdf_thresholds
+from .rings import MixedRadix, ModuleSpec, Ring, is_prime, sorted_unique
+from .rng import CounterRng, cdf_thresholds, draw_blocks
 from .shiftpoly import (
     LocalRule,
     ShiftPolynomial,
@@ -134,7 +133,16 @@ class MeasureHandle:
 
     # sampled interface ------------------------------------------------------
     def draw_values(self, start: int, count: int, site_indices=None) -> np.ndarray:
-        """(count, n_selected_sites, rank) ring codes for draws [start, start+count)."""
+        """(count, n_selected_sites, rank) ring codes for draws [start, start+count).
+
+        Every draw takes its own counters, so draws [start + r0, start + r0 + n)
+        are rows r0..r0+n of the draws from `start`: a consumer that only
+        reduces its draws reads them in blocks (`_draw_blocks`).
+        """
+        raise NotImplementedError
+
+    def _draw_widths(self, site_indices=None) -> list:
+        """Widths of the counter grids `draw_values` computes, one row per draw each, in order."""
         raise NotImplementedError
 
     def draw(self, index: int) -> WindowConfig:
@@ -269,6 +277,9 @@ class BernoulliMeasure(MeasureHandle):
                 h -= float(p) * math.log2(float(p))
         return h
 
+    def _draw_widths(self, site_indices=None):
+        return [self._site_selection(site_indices).size]
+
     def draw_values(self, start, count, site_indices=None):
         sel = self._site_selection(site_indices)
         n = self.window.n_sites
@@ -338,17 +349,21 @@ class SubgroupHaarMeasure(MeasureHandle):
         return SubgroupHaarMeasure(module, window, spans, seed, mode, label, provenance)
 
     @staticmethod
-    def from_window_basis(basis: WindowBasis, seed=0, mode="exact", label=None):
-        """Haar measure on the in-window kernel of `basis.spec` over `basis.window`, with no
+    def from_kernel(spec: KernelShiftSpec, window: WindowSpec, seed=0, mode="exact", label=None):
+        """Haar measure on the in-window kernel of `spec` over `window`, with no
         elimination: by matroid duality the kernel's RREF is `kernels._propagate` with the
-        lex-last term as lead, and its Kronecker product with the identity is in RREF."""
-        module = basis.module
-        eye = np.eye(module.rank, dtype=np.int64)
-        spans = [_FieldSpan(ring, np.kron(rows, eye))
-                 for ring, rows, _ in _propagate(basis.spec, basis.window, "last")]
+        lex-last term as lead, and its Kronecker product with the identity is in RREF.
+        `_propagate` refuses a window without the kernel's dims."""
+        eye = np.eye(spec.module.rank, dtype=np.int64)
+        spans = [_FieldSpan(ring, np.kron(rows, eye)) for ring, rows, _ in _propagate(spec, window, "last")]
         return SubgroupHaarMeasure(
-            module, basis.window, spans, seed, mode, label or f"kernel-haar[{basis.spec.label}]"
+            spec.module, window, spans, seed, mode, label or f"kernel-haar[{spec.label}]"
         )
+
+    @staticmethod
+    def from_window_basis(basis: WindowBasis, seed=0, mode="exact", label=None):
+        """`from_kernel` of the basis' spec and window; the basis rows are not read."""
+        return SubgroupHaarMeasure.from_kernel(basis.spec, basis.window, seed, mode, label)
 
     def _rebuilt(self, module, window, spans, rep_codes, note: str, suffix: str = ""):
         """A handle of this kind on new spans and representative codes.
@@ -460,22 +475,31 @@ class SubgroupHaarMeasure(MeasureHandle):
         return bits / len(sel)
 
     # sampled interface ----------------------------------------------------------
+    def _span_rows(self, sel):
+        """Per span, the basis rows that touch the columns of sites `sel`, restricted to them."""
+        cols = _site_columns(sel, self.module.rank)
+        out = []
+        for span in self.spans:
+            basis = span.basis[:, cols]
+            rows = np.flatnonzero(basis.any(axis=1))
+            out.append((rows, basis[rows]))
+        return out
+
+    def _draw_widths(self, site_indices=None):
+        return [rows.size for rows, _ in self._span_rows(self._site_selection(site_indices))]
+
     def draw_values(self, start, count, site_indices=None):
         # Draw i combines the basis rows with coefficients at counters
         # (start + i) * nb + row, plus the representative.  Only the selected
         # columns are computed, and only for the rows that touch them, so the
         # values equal full draws sliced.
-        rank = self.module.rank
         sel = self._site_selection(site_indices)
-        cols = _site_columns(sel, rank)
         comp_vals = []
-        for si, span in enumerate(self.spans):
-            basis = span.basis[:, cols]
-            rows = np.flatnonzero(basis.any(axis=1))
+        for si, (span, (rows, basis)) in enumerate(zip(self.spans, self._span_rows(sel))):
             shape = (count, span.dim)
             coefs = self._rng[si].uniform_codes(start * span.dim, shape, span.ring.size, columns=rows)
-            comp_vals.append(span.ring.lincomb(coefs, basis[rows]))
-        merged = self.decomposition.merge_arrays(comp_vals).reshape(count, sel.size, rank)
+            comp_vals.append(span.ring.lincomb(coefs, basis))
+        merged = self.decomposition.merge_arrays(comp_vals).reshape(count, sel.size, self.module.rank)
         return self.module.ring.add_arr(merged, self.rep_codes[sel])
 
 
@@ -591,10 +615,13 @@ class ExactWordMeasure(MeasureHandle):
                 h -= float(p) * math.log2(float(p))
         return h / len(sel)
 
+    def _draw_widths(self, site_indices=None):
+        return [1]
+
     def draw_values(self, start, count, site_indices=None):
         sel = self._site_selection(site_indices)
         idx = self._rng.uniform_from_cdf(start, (count,), self._thresholds)
-        return self._word_array[idx][:, sel, :]
+        return self._word_array[idx[:, None], sel]
 
 
 class TransformedMeasure(MeasureHandle):
@@ -607,6 +634,9 @@ class TransformedMeasure(MeasureHandle):
         self.source = source
         self.transform = transform
         self._init_common(module, window, source.mode, label, source.seed, provenance)
+
+    def _draw_widths(self, site_indices=None):
+        return self.source._draw_widths()
 
     def draw_values(self, start, count, site_indices=None):
         sel = self._site_selection(site_indices)
@@ -632,8 +662,7 @@ def bernoulli(module, window, probs, seed=0, mode="exact") -> BernoulliMeasure:
 
 
 def kernel_haar(spec: KernelShiftSpec, window: WindowSpec, seed=0, mode="exact") -> SubgroupHaarMeasure:
-    basis = window_kernel(spec, window)
-    return SubgroupHaarMeasure.from_window_basis(basis, seed=seed, mode=mode)
+    return SubgroupHaarMeasure.from_kernel(spec, window, seed=seed, mode=mode)
 
 
 def coset_haar(rep: WindowConfig, spec: KernelShiftSpec, seed=0, mode="exact") -> CosetHaarMeasure:
@@ -788,10 +817,10 @@ def fourier(mu: MeasureHandle, chi: CharacterSpec, budget="exact", start: int = 
         rs = root_sums[class_ids[0]]
         return FourierResult(chi, rs.to_complex(), 0.0, root_sum=rs)
     n = _sample_count(budget, "sample budget")
-    if sites:
-        exps = chi.exponents_of_values(mu.draw_values(start, n, idx))
-    else:
-        exps = np.zeros(n, dtype=np.int64)
+    blocks = _draw_blocks(mu, start, n, idx) if sites else ()
+    exps = np.zeros(n, dtype=np.int64)
+    for r0, draws in blocks:
+        exps[r0:r0 + len(draws)] = chi.exponents_of_values(draws)
     L = chi.order
     angles = 2.0 * np.pi * exps.astype(np.float64) / L
     value = complex(np.mean(np.cos(angles)), np.mean(np.sin(angles)))
@@ -809,20 +838,41 @@ def _sample_count(budget, name: str) -> int:
     return n
 
 
+def _draw_blocks(mu: MeasureHandle, start: int, count: int, sel: np.ndarray):
+    """`(r0, mu.draw_values(start + r0, n, sel))` over blocks covering draws [0, count).
+
+    A block is rows r0..r0+n of the whole draw (see `MeasureHandle.draw_values`),
+    sized by the cells one draw computes; a whole draw that `mu` would refuse is
+    refused before the first block, with the same `DrawLimitError`.
+    """
+    widths = mu._draw_widths(sel)
+    cells = max(sum(widths), sel.size * mu.module.rank)
+    return draw_blocks(count, widths, cells, lambda r0, n: mu.draw_values(start + r0, n, sel))
+
+
 _SWEEP_CHUNK_CELLS = 1 << 21
+
+
+def _row_radix(base: int, ncols: int) -> MixedRadix | None:
+    """The keys of rows of `ncols` codes in [0, base), or None where they would overflow.
+
+    `key(row) = _row_radix(..).join(row[..., ::-1])`: reversed columns make the
+    first column most significant, so keys order like the rows, while
+    base**ncols < 2**62.
+    """
+    return MixedRadix((base,) * ncols) if base**ncols < 1 << 62 else None
 
 
 def _unique_rows(rows: np.ndarray, base: int, **kwargs):
     """`np.unique(rows, axis=0, **kwargs)` without the unique rows themselves.
 
-    Rows of codes in [0, base) are compared as one mixed-radix key each while
-    base**ncols < 2**62; the keys order like the rows, so every output is the
-    same.  Wider rows would overflow the keys and are compared as rows.
+    Rows of codes in [0, base) are compared as one `_row_radix` key each when
+    they fit, which gives every output the same; wider rows are compared as
+    rows.
     """
-    if base ** rows.shape[1] < 1 << 62:
-        # Reversed columns make the first column most significant.
-        keys = MixedRadix((base,) * rows.shape[1]).join(rows[:, ::-1])
-        return np.unique(keys, **kwargs)[1:]
+    radix = _row_radix(base, rows.shape[1])
+    if radix is not None:
+        return np.unique(radix.join(rows[:, ::-1]), **kwargs)[1:]
     return np.unique(rows, axis=0, **kwargs)[1:]
 
 
@@ -1158,15 +1208,19 @@ def mixing_statistic(mu: MeasureHandle, pairs, n: int, budget="exact", start: in
         )
     count = _sample_count(budget, "sample budget")
     joint_arrays = [] if joint is None else [_pin_arrays(mu.window, mu.module, joint)]
+    events = joint_arrays + marg_arrays
     # Sorted indices are the sorted sites: the window is row-major.
-    sel = np.unique(np.concatenate([idx for idx, _ in marg_arrays + joint_arrays]))
-    draws = mu.draw_values(start, count, sel)
-
-    def frequency(idx, vals):
-        return float(np.mean((draws[:, np.searchsorted(sel, idx)] == vals).all(axis=(1, 2))))
-
-    obs_hat = frequency(*joint_arrays[0]) if joint_arrays else 0.0
-    marg_hats = [frequency(idx, vals) for idx, vals in marg_arrays]
+    sel = sorted_unique(np.concatenate([idx for idx, _ in events]))
+    events = [(np.searchsorted(sel, idx), vals) for idx, vals in events]
+    # Matches are counted per event in integers, so k / count is np.mean's
+    # frequency over the whole draw bit for bit.
+    hits = [0] * len(events)
+    for _, draws in _draw_blocks(mu, start, count, sel):
+        for e, (pos, vals) in enumerate(events):
+            hits[e] += int(np.count_nonzero((draws[:, pos] == vals).all(axis=(1, 2))))
+    freqs = [k / count for k in hits]
+    obs_hat = freqs[0] if joint_arrays else 0.0
+    marg_hats = freqs[len(joint_arrays):]
     product_hat = float(np.prod(marg_hats))
     deviation = obs_hat - product_hat
     var = obs_hat * (1.0 - obs_hat) / count
@@ -1194,10 +1248,16 @@ def block_entropy(mu: MeasureHandle, block: WindowSpec, n_samples=None, start: i
             raise InvalidParameterError("sampled handle needs an explicit n_samples")
         return mu.entropy_bits_per_site(sel)
     n = _sample_count(n_samples, "n_samples")
-    draws = mu.draw_values(start, n, sel)
-    flat = draws.reshape(n, -1)
-    # Counts in the rows' sort order, so the float sum below is the same either way.
-    (counts,) = _unique_rows(flat, mu.module.ring.size, return_counts=True)
+    width = sel.size * mu.module.rank
+    radix = _row_radix(mu.module.ring.size, width)
+    # One key per draw where rows fit a key, else the rows themselves; counts
+    # come in the rows' sort order either way, so the float sum below is too.
+    blocks = _draw_blocks(mu, start, n, sel)
+    keyed = np.empty((n, width) if radix is None else (n,), dtype=np.int64)
+    for r0, draws in blocks:
+        flat = draws.reshape(len(draws), width)
+        keyed[r0:r0 + len(flat)] = flat if radix is None else radix.join(flat[:, ::-1])
+    counts = np.unique(keyed, axis=0 if radix is None else None, return_counts=True)[1]
     freqs = counts.astype(np.float64) / float(n)
     h = float(-(freqs * np.log2(freqs)).sum())
     return h / len(sel)

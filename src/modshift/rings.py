@@ -820,6 +820,15 @@ class ModuleSpec:
             raise RingMismatchError(f"module mismatch: {self} vs {other}")
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The sorted distinct entries of a 1-D array: `np.unique(values)` by one sort and a
+    neighbour comparison, without the `numpy.ma` import that call makes."""
+    out = np.sort(values)
+    keep = np.ones(out.size, dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 def subring_closure(ring: Ring, gens) -> frozenset:
     """Smallest subset of the ring containing gens and closed under + and *.
 
@@ -838,7 +847,7 @@ def subring_closure(ring: Ring, gens) -> frozenset:
         sums = ring.add_arr(current[:, None], base[None, :]).ravel()
         prods = ring.mul_arr(current[:, None], base[None, :]).ravel()
         batch = np.concatenate([sums, prods])
-        fresh = np.unique(batch[~members[batch]])
+        fresh = sorted_unique(batch[~members[batch]])
         members[fresh] = True
         current = fresh
     return frozenset(int(x) for x in np.nonzero(members)[0])

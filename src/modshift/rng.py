@@ -12,6 +12,11 @@ reduced by a mask for a power-of-two modulus m, else by 64-bit remainder
 (bias < m/2**64, far below every statistical tolerance used here), or by a
 fixed-point CDF.  Grids over DRAW_CAP cells are refused before allocating.
 The values are those of the per-counter formula mix(key + counter*golden).
+
+Because rows of a grid are independent, a consumer that only reduces its
+draws reads them through `draw_blocks`: rows r0..r0+n of the whole draw, a
+block of about `_DRAW_BLOCK` cells at a time, each reduced before the next is
+drawn, with the whole draw refused up front as `_grid` would refuse it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .errors import DRAW_CAP, DrawLimitError, InvalidParameterError
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK = 1 << 14  # cells per block: the block and its scratch stay in cache
+_DRAW_BLOCK = 1 << 16  # cells per block of draws a consumer reduces at once
 
 
 def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
@@ -93,9 +99,7 @@ class CounterRng:
         if min(shape, default=0) < 0 or not 0 <= start // max(stride, 1) <= _MASK:
             raise InvalidParameterError(f"draw of shape {shape} from counter {start}: extents "
                                         "must be >= 0 and the start row must fit in 64 bits")
-        if count * max(width, 1) > DRAW_CAP:
-            raise DrawLimitError(f"draw of {count} x {width} cells exceeds the draw cap {DRAW_CAP}",
-                                 required=count * max(width, 1))
+        check_draw_cells(count, width)
         step = stride * _GOLDEN & _MASK
         rows = max(1, min(count, _BLOCK // max(width, 1)))
         base = columns * np.uint64(_GOLDEN) + np.uint64((self._key + start * _GOLDEN) & _MASK)
@@ -113,6 +117,32 @@ class CounterRng:
             else:
                 np.bitwise_and(z, np.uint64(modulus - 1), out=z)
         return out.view(np.int64).reshape(out_shape)
+
+
+def check_draw_cells(count: int, width: int) -> None:
+    """Refuse a grid of `count` rows of `width` cells over DRAW_CAP, before anything is allocated."""
+    if count * max(width, 1) > DRAW_CAP:
+        raise DrawLimitError(f"draw of {count} x {width} cells exceeds the draw cap {DRAW_CAP}",
+                             required=count * max(width, 1))
+
+
+def _block_rows(cells: int) -> int:
+    """Rows per block of `draw_blocks` when one row computes about `cells` cells."""
+    return max(1, _DRAW_BLOCK // max(cells, 1))
+
+
+def draw_blocks(count: int, widths, cells: int, draw):
+    """`(r0, draw(r0, n))` for consecutive blocks of rows r0..r0+n covering [0, count).
+
+    The whole draw computes one grid of `count` rows per entry of `widths`;
+    each is checked here, in order, so a draw that `_grid` would refuse is
+    refused with the same error before any block is drawn.  A block has
+    `_block_rows(cells)` rows.
+    """
+    for width in widths:
+        check_draw_cells(count, width)
+    rows = _block_rows(cells)
+    return ((r0, draw(r0, min(rows, count - r0))) for r0 in range(0, count, rows))
 
 
 def cdf_thresholds(probabilities) -> np.ndarray:

@@ -41,6 +41,10 @@ The counter-array draws are the library's original `CounterRng.uint64`,
 `uniform_codes` and `uniform_from_cdf` and the Bernoulli, Haar and word
 `draw_values`, which built an explicit uint64 counter array and mixed it with
 one fresh array per step, kept as the reference for the blocked draw kernel.
+The whole-draw statistics are the library's original sampled `fourier`,
+`mixing_statistic` and `block_entropy`, which drew every sample before
+reducing any, and `crt.conjugacy_check` with its hand-made batches, kept as
+the reference for the statistics that stream their draws in blocks.
 """
 
 import csv
@@ -999,3 +1003,98 @@ def counter_word_draw(mu, start, count, site_indices=None):
     sel = mu._site_selection(site_indices)
     idx = counter_uniform_from_cdf(mu._rng, start, (count,), mu._thresholds)
     return mu._word_array[idx][:, sel, :]
+
+
+# -- Monte Carlo statistics over the whole draw ------------------------------------
+
+
+def whole_draw_fourier(mu, chi, budget, start=0):
+    """Sampled `fourier` as first written: every draw at once, then the means."""
+    import math
+
+    from modshift.measures import FourierResult, _character_indices, _character_rows
+
+    sites, codes = _character_rows([chi], mu.module.rank)
+    idx = _character_indices(mu.window, sites, codes)
+    n = budget
+    if sites:
+        exps = chi.exponents_of_values(mu.draw_values(start, n, idx))
+    else:
+        exps = np.zeros(n, dtype=np.int64)
+    angles = 2.0 * np.pi * exps.astype(np.float64) / chi.order
+    value = complex(np.mean(np.cos(angles)), np.mean(np.sin(angles)))
+    return FourierResult(chi, value, 1.0 / math.sqrt(n))
+
+
+def whole_draw_mixing(mu, pairs, n, budget, start=0):
+    """Sampled `mixing_statistic` as first written: every draw at once, then
+    one `np.mean` of booleans per event."""
+    import math
+
+    from modshift.measures import MixingResult, _merge_pins, _pin_arrays, _pins_from_word
+
+    marg_arrays = [_pin_arrays(mu.window, mu.module, _pins_from_word(w)) for _, w in pairs]
+    joint = _merge_pins([_pins_from_word(w, h, n) for h, w in pairs])
+    count = budget
+    joint_arrays = [] if joint is None else [_pin_arrays(mu.window, mu.module, joint)]
+    sel = np.unique(np.concatenate([idx for idx, _ in marg_arrays + joint_arrays]))
+    draws = mu.draw_values(start, count, sel)
+
+    def frequency(idx, vals):
+        return float(np.mean((draws[:, np.searchsorted(sel, idx)] == vals).all(axis=(1, 2))))
+
+    obs_hat = frequency(*joint_arrays[0]) if joint_arrays else 0.0
+    marg_hats = [frequency(idx, vals) for idx, vals in marg_arrays]
+    product_hat = float(np.prod(marg_hats))
+    var = obs_hat * (1.0 - obs_hat) / count
+    for ph in marg_hats:
+        others = product_hat / ph if ph > 0 else 0.0
+        var += (others**2) * ph * (1.0 - ph) / count
+    return MixingResult(n, obs_hat, product_hat, obs_hat - product_hat, math.sqrt(var), False)
+
+
+def whole_draw_entropy(mu, block, n_samples, start=0):
+    """Sampled `block_entropy` as first written: every draw at once, then the
+    counts of `np.unique` over the rows."""
+    sel = mu.window.flat_indices(block.sites())
+    n = n_samples
+    flat = mu.draw_values(start, n, sel).reshape(n, -1)
+    _, counts = np.unique(flat, axis=0, return_counts=True)
+    freqs = counts.astype(np.float64) / float(n)
+    return float(-(freqs * np.log2(freqs)).sum()) / len(sel)
+
+
+def batched_conjugacy(rule, deco, trials, torus_extents, seed):
+    """`crt.conjugacy_check` as first written, in hand-made batches of about
+    2**16 cells: (ok, first counterexample or None)."""
+    from modshift.crt import component_rule
+    from modshift.errors import DRAW_CAP, DrawLimitError
+    from modshift.lattice import WindowSpec
+    from modshift.rng import CounterRng
+    from modshift.shiftpoly import from_rule, stencil
+
+    module = rule.module
+    window = WindowSpec(rule.dims, (0,) * len(torus_extents), tuple(torus_extents))
+    poly = from_rule(rule)
+    comp_polys = [from_rule(component_rule(rule, deco, j)) for j in range(deco.n_components)]
+    rng = CounterRng(seed, stream=57)
+    cells = window.n_sites * module.rank
+    if trials * cells > DRAW_CAP:
+        raise DrawLimitError(f"draw of {trials} x {cells} cells exceeds the draw cap {DRAW_CAP}",
+                             required=trials * cells)
+    batch = max(1, (1 << 16) // cells)
+    for first in range(0, trials, batch):
+        shape = (min(batch, trials - first),) + window.extents + (module.rank,)
+        block = rng.uniform_codes(first * cells, shape, module.ring.size)
+        _, image = stencil(poly.terms, block, window, "torus", module.ring)
+        mismatches = []
+        for j, comp_poly in enumerate(comp_polys):
+            column = deco.forward_table[:, j]
+            _, direct = stencil(comp_poly.terms, column[block], window, "torus", deco.component_rings[j])
+            mismatches.append(direct != column[image])
+        bad = np.stack([m.reshape(len(block), -1).any(axis=1) for m in mismatches], axis=1)
+        if bad.any():
+            trial, j = (int(x) for x in np.argwhere(bad)[0])
+            site = tuple(int(x) for x in np.argwhere(mismatches[j][trial])[0][:-1])
+            return False, {"trial": first + trial, "component": j, "site": site}
+    return True, None
