@@ -29,7 +29,7 @@ from .errors import InvalidParameterError, UnsupportedCharacteristicError
 from .lattice import WindowConfig, WindowSpec
 from .rings import MixedRadix, ModuleSpec, ProductRing, Ring, ZmodRing, is_prime
 from .rng import CounterRng, draw_blocks
-from .shiftpoly import LocalRule, from_rule, stencil
+from .shiftpoly import LocalRule, TorusStencil, from_rule
 
 __all__ = [
     "CrtDecomposition",
@@ -334,10 +334,10 @@ def conjugacy_check(
     if len(torus_extents) != dims[0] + dims[1]:
         raise InvalidParameterError("torus extents arity != rule dims")
     window = WindowSpec(dims, (0,) * len(torus_extents), tuple(torus_extents))
-    poly = from_rule(rule)
-    comp_polys = [
+    polys = [from_rule(rule)] + [
         from_rule(component_rule(rule, deco, j)) for j in range(deco.n_components)
     ]
+    rings = [module.ring, *deco.component_rings]
     rng = CounterRng(seed, stream=57)
     # Trial t takes counters [t * cells, (t + 1) * cells), so `draw_blocks` gives the
     # trials a block at a time; counterexamples are ordered (trial, component, site).
@@ -348,14 +348,20 @@ def conjugacy_check(
     def draw(first, n):
         return rng.uniform_codes(first * cells, (n,) + window.extents + (module.rank,), module.ring.size)
 
+    # Forward columns in each component's sum dtype; one plan per stencil and block shape.
+    columns = [deco.forward_table[:, j].astype(ring.sum_dtype(len(poly.terms)))
+               for j, (ring, poly) in enumerate(zip(rings[1:], polys[1:]))]
+
+    @lru_cache(maxsize=None)
+    def plan(i, shape):
+        return TorusStencil(polys[i].terms, window, rings[i], shape)
+
     for first, block in draw_blocks(trials, [cells], cells, draw):
-        _, image = stencil(poly.terms, block, window, "torus", module.ring)
-        mismatches = []
-        for j, comp_poly in enumerate(comp_polys):
-            ring_j = deco.component_rings[j]
-            column = deco.forward_table[:, j]
-            _, direct = stencil(comp_poly.terms, column[block], window, "torus", ring_j)
-            mismatches.append(direct != column[image])
+        image = plan(0, block.shape).apply(block)
+        mismatches = [
+            plan(j + 1, block.shape).apply(column.take(block)) != column.take(image)
+            for j, column in enumerate(columns)
+        ]
         bad = np.stack([m.reshape(len(block), -1).any(axis=1) for m in mismatches], axis=1)
         if bad.any():
             trial, j = (int(x) for x in np.argwhere(bad)[0])

@@ -256,8 +256,8 @@ def batch_membership(spec: KernelShiftSpec, window: WindowSpec, values: np.ndarr
 def _component_words(ring, basis, rank, codes):
     """Module-valued words (count, n_sites, rank) for coefficient codes (count, nb*rank).
 
-    The words come out in the dtype of `basis` for Z/m components (int64 for
-    table rings), so a basis cast to narrow codes gives narrow words.
+    The words come out in the dtype of `basis`, so a basis cast to narrow
+    codes gives narrow words.
     """
     count = codes.shape[0]
     nb, n_sites = basis.shape

@@ -274,14 +274,16 @@ def config_from_function(module, window, fn, mode="exact") -> WindowConfig:
 
 
 def coordinate_sum_images(ring, window: WindowSpec) -> np.ndarray:
-    """(sum of coordinates) * 1 in the ring at every site, shape window.extents."""
+    """(sum of coordinates) * 1 in the ring at every site, shape window.extents: one gather
+    from a table of n * 1 for n from the least sum, as long as the characteristic or the span."""
     grids = np.meshgrid(
         *[np.arange(o, o + e, dtype=np.int64) for o, e in zip(window.origin, window.extents)],
-        indexing="ij",
+        indexing="ij", sparse=True,
     )
-    residues, inverse = np.unique(sum(grids) % ring.characteristic, return_inverse=True)
-    images = np.array([ring.from_int(int(n)) for n in residues], dtype=np.int64)
-    return images[inverse].reshape(window.extents)
+    low = sum(window.origin)
+    n = min(ring.characteristic, sum(window.extents) - window.axes + 1)
+    images = np.array([ring.from_int(low + i) for i in range(n)], dtype=np.int64)
+    return images[(sum(grids) - low) % n]
 
 
 def checkerboard_config(module, window, mode="exact") -> WindowConfig:

@@ -14,7 +14,10 @@ reading with the first place most significant is character order
 (`chars.all_characters`), where the first site leads.
 
 Each concrete ring defines its arithmetic once, on code arrays (`add_arr`,
-`neg_arr`, `mul_arr`, `pair_exponent_arr`, `convolve_codes`).  The scalar
+`neg_arr`, `mul_arr`, `pair_exponent_arr`, `convolve_codes`), and names its
+`additive` digits: residues mod m, base-p digits, or the factors' digits in
+turn.  Sums of many terms (`weighted_sum`, `run_sums`) add those digits
+place by place instead of going through the tables.  The scalar
 operations of `Ring` are those array operations on one code, and every scalar
 entry point first passes its codes through `Ring.element_code`, which refuses
 anything outside [0, |R|) with InvalidParameterError.  Rings are immutable
@@ -160,6 +163,8 @@ class Ring:
     characteristic: int
     one: int
     zero = 0
+    # A sum of codes adds their `additive` digits place by place, each mod its radix.
+    additive: MixedRadix
 
     # -- scalar arithmetic: the array ops on one range-checked code ----------
     def element_code(self, value, what: str = "operand") -> int:
@@ -222,35 +227,57 @@ class Ring:
         return self.add_arr(a, self.neg_arr(b))
 
     def sum_dtype(self, n_terms: int) -> np.dtype:
-        """The narrowest code dtype in which `weighted_sum` of n_terms arrays runs.
-
-        The generic ring combines codes through its int64 tables.
-        """
-        return np.dtype(np.int64)
+        """The narrowest code dtype in which `weighted_sum` of n_terms arrays runs:
+        for a table ring, whatever the term count, the narrowest holding its codes."""
+        return _unsigned_dtype(self.size - 1)
 
     def weighted_sum(self, coeffs, arrays):
         """sum_i coeffs[i] * arrays[i] for a nonempty list of scalar coefficients.
 
         `arrays` may be any iterable of same-shape code arrays; it is consumed
-        one array at a time.  The generic ring works on int64 codes through
-        `mul_arr` and `add_arr` and returns int64.
+        one array at a time, and the sum is returned in the dtype of the first.
+        Term i is one gather from a 1-D table of the `additive` digits of
+        coeffs[i] * a, packed one bit field per digit; a field holds a chunk of
+        terms without carrying.  The chunk is every term unless the fields would
+        pass 64 bits; then it halves, and the fields are reduced after each
+        chunk.  The codes are read off the fields once at the end.
         """
-        out = None
+        radices = self.additive.radices
+        chunk = len(coeffs)
+        while chunk > 2 and sum((chunk * (r - 1)).bit_length() for r in radices) > 64:
+            chunk //= 2
+        widths = [(chunk * (r - 1)).bit_length() for r in radices]
+        places = [1 << sum(widths[:i]) for i in range(len(widths))]
+        dtype = next(np.dtype(f"u{n}") for n in (1, 2, 4, 8) if sum(widths) <= 8 * n)
+        packed = self.additive.all_digits().astype(dtype) @ np.array(places, dtype=dtype)
+        acc = None
         for c, a in zip(coeffs, arrays):
-            term = self.mul_arr(np.int64(c), a)
-            out = term if out is None else self.add_arr(out, term)
-        return out
+            term = packed[self.mul_arr(np.int64(c), np.arange(self.size))].take(a)
+            if acc is None:
+                acc, held, out_dtype = term, 0, np.asarray(a).dtype
+            elif held == chunk:  # the reduced fields count as one term of the next chunk
+                acc, held = _fold_fields(acc, radices, widths, places) + term, 1
+            else:
+                acc += term
+            held += 1
+        return _fold_fields(acc, radices, widths, self.additive._places).astype(out_dtype, copy=False)
+
+    def run_sums(self, codes, starts):
+        """The ring sum of each run codes[starts[i]:starts[i+1]] (the last to the end), as
+        int64 codes: each `additive` digit is summed per run and reduced by its radix."""
+        sums = np.add.reduceat(self.additive.split(codes), starts, axis=0)
+        return self.additive.join(sums % np.array(self.additive.radices))
 
     def lincomb(self, coefs, rows):
         """Ring combinations coefs @ rows: (count, nb) by (nb, ncols) -> (count, ncols).
 
-        The generic ring works on int64 codes through `mul_arr` and `add_arr`
-        and returns int64; `ZmodRing` keeps the dtype of its inputs.
+        The generic ring works on int64 codes through `mul_arr` and `add_arr`;
+        like `ZmodRing`, it returns the dtype numpy promotes the inputs to.
         """
         out = np.zeros((coefs.shape[0], rows.shape[1]), dtype=np.int64)
         for i in range(rows.shape[0]):
             out = self.add_arr(out, self.mul_arr(coefs[:, i][:, None], rows[i][None, :]))
-        return out
+        return out.astype(np.result_type(coefs, rows), copy=False)
 
     # -- units --------------------------------------------------------------
     def unit_inverse(self, a: int):
@@ -308,13 +335,43 @@ class Ring:
             )
 
 
+def term_product(oa, va, ob, vb, mul):
+    """Pairwise products of two nonempty term lists, as (offsets, values, starts).
+
+    Offsets are (n, axes) arrays, int64 when every pairwise sum fits and Python
+    ints otherwise.  `values` holds `mul` of the value pairs sorted by offset
+    sum, `starts` opens each run of equal sums, and `offsets` lists those sums
+    in lexicographic order.  One int64 key per sum, linear in its coordinates,
+    sorts them when their box has fewer than 2**63 cells; otherwise they sort
+    column by column, so no key can overflow.
+    """
+    values = mul(va[:, None], vb[None, :]).ravel()
+    lo_a, lo_b = oa.min(axis=0).tolist(), ob.min(axis=0).tolist()
+    lo = [x + y for x, y in zip(lo_a, lo_b)]
+    spans = [x + y - z + 1 for x, y, z in zip(oa.max(axis=0).tolist(), ob.max(axis=0).tolist(), lo)]
+    if oa.dtype != object and prod(spans) < 1 << 63:
+        # The key is linear, so the key of a sum is the sum of the keys.
+        strides = np.array([prod(spans[i + 1 :]) for i in range(len(spans))], dtype=np.int64)
+        keys = (((oa - lo_a) @ strides)[:, None] + ((ob - lo_b) @ strides)[None, :]).ravel()
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        offs = np.stack(np.unravel_index(keys[starts], spans), axis=1) + np.array(lo)
+        return offs, values[order], starts
+    offs = (oa[:, None, :] + ob[None, :, :]).reshape(-1, oa.shape[1])
+    order = np.lexsort(offs.T[::-1])
+    offs = offs[order]
+    starts = np.flatnonzero(np.concatenate(([True], (offs[1:] != offs[:-1]).any(axis=1))))
+    return offs[starts], values[order], starts
+
+
 def _exact_convolve_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer convolution of nonnegative arrays, full output box.
 
-    Sparse inputs (nnz(a) * nnz(b) at most the output cell count) take the
-    pairwise-product path, whose cost follows the nonzero terms; denser ones
-    take the big-int packing, whose cost follows the box.  Both are exact, so
-    the choice never changes the result.
+    Sparse inputs (nnz(a) * nnz(b) at most the output cell count) take
+    `term_product` over the nonzero cells, whose cost follows the terms;
+    denser ones take the big-int packing, whose cost follows the box.  Both
+    are exact, so the choice never changes the result.
     """
     a = np.ascontiguousarray(a, dtype=np.int64)
     b = np.ascontiguousarray(b, dtype=np.int64)
@@ -334,22 +391,15 @@ def _convolve_guard(amax: int, bmax: int, count: int):
 
 
 def _convolve_sparse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Every pairwise product of nonzero cells, summed into the output box.
-
-    A cell's flat index in the output box is linear in its multi-index, so the
-    product of cells i and j lands at flat(i) + flat(j).
-    """
-    out_shape = _convolve_shape(a, b)
-    ia = np.flatnonzero(a)
-    ib = np.flatnonzero(b)
-    va = a.ravel()[ia]
-    vb = b.ravel()[ib]
-    _convolve_guard(int(va.max(initial=0)), int(vb.max(initial=0)), min(ia.size, ib.size))
-    oa = np.ravel_multi_index(np.unravel_index(ia, a.shape), out_shape)
-    ob = np.ravel_multi_index(np.unravel_index(ib, b.shape), out_shape)
-    out = np.zeros(prod(out_shape), dtype=np.int64)
-    np.add.at(out, (oa[:, None] + ob[None, :]).ravel(), (va[:, None] * vb[None, :]).ravel())
-    return out.reshape(out_shape)
+    """Every pairwise product of nonzero cells by `term_product`, summed into the output box."""
+    out = np.zeros(_convolve_shape(a, b), dtype=np.int64)
+    ia, ib = np.argwhere(a), np.argwhere(b)
+    va, vb = a[tuple(ia.T)], b[tuple(ib.T)]
+    _convolve_guard(int(va.max(initial=0)), int(vb.max(initial=0)), min(len(ia), len(ib)))
+    if len(ia) and len(ib):
+        offs, values, starts = term_product(ia, va, ib, vb, np.multiply)
+        out[tuple(offs.T)] = np.add.reduceat(values, starts)
+    return out
 
 
 def _convolve_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -397,6 +447,19 @@ def _reduce_codes(x: np.ndarray, m: int) -> np.ndarray:
     return x
 
 
+def _fold_fields(packed, radices, widths, weights):
+    """sum_i (field i of `packed` mod radices[i]) * weights[i], in packed's dtype;
+    field 0 holds the lowest widths[0] bits, field 1 the next widths[1], and so on."""
+    out = np.zeros_like(packed)
+    for r, w, weight in zip(radices, widths, weights):
+        if r & (r - 1):
+            out += _reduce_codes(packed & ((1 << w) - 1), r) * weight
+        else:  # a power of two: the low bits are the residue
+            out += (packed & (r - 1)) * weight
+        packed = packed >> w
+    return out
+
+
 def _zmod_matmul(a, b, q):
     """(a @ b) % q for Z/q code arrays, in the dtype numpy promotes a and b to.
 
@@ -435,6 +498,7 @@ class ZmodRing(Ring):
         self.characteristic = m
         self.one = 1 % m
         self.char_exponent = m
+        self.additive = MixedRadix((m,))
 
     def from_int(self, n):
         return n % self.m
@@ -565,7 +629,7 @@ class GFRing(Ring):
         self.characteristic = p
         self.one = 1
         self.char_exponent = p
-        self.codec = MixedRadix((p,) * k)
+        self.codec = self.additive = MixedRadix((p,) * k)
         # int64 before any table arithmetic: (-d) % p and d + d are wrong in uint8.
         self._digits = self.codec.all_digits().astype(np.int64)
         self._build_tables()
@@ -673,6 +737,7 @@ class ProductRing(Ring):
             lambda a, b: a * b // gcd(a, b), (f.characteristic for f in factors)
         )
         self.codec = MixedRadix(f.size for f in factors)
+        self.additive = MixedRadix(r for f in factors for r in f.additive.radices)
         self.one = self.codec.encode([f.one for f in factors])
         self.char_exponent = reduce(
             lambda a, b: a * b // gcd(a, b), (f.char_exponent for f in factors)

@@ -14,6 +14,7 @@ which this module exposes both as a structural identity on term maps
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (
     UnsupportedCharacteristicError,
 )
 from .lattice import WindowConfig, WindowSpec
-from .rings import ModuleSpec, Ring, is_prime, parse_ring
+from .rings import ModuleSpec, Ring, is_prime, parse_ring, term_product
 
 __all__ = [
     "LocalRule",
@@ -149,29 +150,31 @@ def from_rule(rule: LocalRule) -> ShiftPolynomial:
     )
 
 
-def _terms_to_array(poly: ShiftPolynomial):
-    """Dense coefficient box plus the box's minimum corner."""
-    offs = np.array([off for off, _ in poly.terms], dtype=np.int64)
+def _term_arrays(poly: ShiftPolynomial):
+    """(offsets, codes) of the terms: offsets int64 when they fit, else Python ints."""
+    offs = [off for off, _ in poly.terms]
+    try:
+        offs = np.array(offs, dtype=np.int64)
+    except OverflowError:
+        offs = np.array(offs, dtype=object)
+    return offs, np.array([c for _, c in poly.terms], dtype=np.int64)
+
+
+def _box(offs, codes):
+    """Dense coefficient box of int64 term arrays, plus the box's minimum corner."""
     lo = offs.min(axis=0)
     box = np.zeros(tuple((offs.max(axis=0) - lo + 1).tolist()), dtype=np.int64)
-    box[tuple((offs - lo).T)] = [c for _, c in poly.terms]
-    return box, tuple(lo.tolist())
-
-
-def _array_to_terms(ring, dims, box, lo) -> ShiftPolynomial:
-    """The canonical polynomial of a reduced coefficient box.
-
-    `argwhere` lists the nonzero cells in lexicographic order and every cell
-    holds a nonzero code in range, so the terms are already canonical.
-    """
-    nz = np.argwhere(box)
-    codes = box[tuple(nz.T)].tolist()
-    offs = (nz + np.array(lo, dtype=np.int64)).tolist()
-    return ShiftPolynomial(ring, dims, tuple(zip(map(tuple, offs), codes)))
+    box[tuple((offs - lo).T)] = codes
+    return box, lo
 
 
 def poly_mul(a: ShiftPolynomial, b: ShiftPolynomial) -> ShiftPolynomial:
-    """Product: convolution of term maps with ring-coefficient products."""
+    """Product: convolution of term maps with ring-coefficient products.
+
+    When nnz(a) * nnz(b) is at most the output box's cell count, or an offset
+    sum could leave int64, it runs on term arrays (`term_product`, then
+    `Ring.run_sums`); denser products convolve boxes (`Ring.convolve_codes`).
+    """
     if not isinstance(b, ShiftPolynomial):
         raise RingMismatchError(f"cannot multiply polynomial by {type(b).__name__}")
     if a.ring != b.ring:
@@ -180,11 +183,24 @@ def poly_mul(a: ShiftPolynomial, b: ShiftPolynomial) -> ShiftPolynomial:
         raise RingMismatchError("polynomial lattice dims differ")
     if a.is_zero or b.is_zero:
         return ShiftPolynomial.from_terms(a.ring, a.dims, {})
-    box_a, lo_a = _terms_to_array(a)
-    box_b, lo_b = _terms_to_array(b)
-    box_c = a.ring.convolve_codes(box_a, box_b)
-    lo_c = tuple(x + y for x, y in zip(lo_a, lo_b))
-    return _array_to_terms(a.ring, a.dims, box_c, lo_c)
+    ring = a.ring
+    (oa, va), (ob, vb) = _term_arrays(a), _term_arrays(b)
+    lo_a, hi_a, lo_b, hi_b = (o.tolist() for o in (oa.min(0), oa.max(0), ob.min(0), ob.max(0)))
+    wide = max(map(abs, lo_a + hi_a)) + max(map(abs, lo_b + hi_b)) >= 1 << 63
+    cells = prod(ha - la + hb - lb + 1 for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b))
+    if wide or len(va) * len(vb) <= cells:
+        if wide:
+            oa, ob = oa.astype(object), ob.astype(object)
+        offs, products, starts = term_product(oa, va, ob, vb, ring.mul_arr)
+        codes = ring.run_sums(products, starts)
+    else:
+        (box_a, lo_a), (box_b, lo_b) = _box(oa, va), _box(ob, vb)
+        box = ring.convolve_codes(box_a, box_b)
+        offs = np.argwhere(box)  # the nonzero cells in lexicographic order
+        codes = box[tuple(offs.T)]
+        offs += lo_a + lo_b
+    keep = np.flatnonzero(codes)
+    return ShiftPolynomial(ring, a.dims, tuple(zip(zip(*offs[keep].T.tolist()), codes[keep].tolist())))
 
 
 def poly_pow(f: ShiftPolynomial, t: int) -> ShiftPolynomial:
@@ -284,7 +300,8 @@ class TorusStencil:
     slice per term, and the ring's `sum_dtype` for the term count.  A step
     writes one wrap-padded copy of its input in that dtype (the interior plus
     at most two halo slice copies per axis), takes every term as a view into
-    it and hands the views to `Ring.weighted_sum`.
+    it and hands the views to `Ring.weighted_sum`, which for a table ring
+    gathers each term from a 1-D table on those narrow codes.
     """
 
     def __init__(self, terms, window: WindowSpec, ring: Ring, shape):
@@ -353,8 +370,8 @@ def stencil(terms, values: np.ndarray, window: WindowSpec, mode: str, ring: Ring
     `terms` is a sequence of (offset h, coefficient c_h) and `values` has shape
     (count, *window.extents, rank).  Both modes share one dtype rule: they
     accumulate in the ring's `sum_dtype` for the term count (for Z/m the
-    narrowest unsigned dtype that holds n_terms * (m-1)**2, int64 for table
-    rings) and return the dtype of `values`, so int64 in gives int64 out and
+    narrowest unsigned dtype that holds n_terms * (m-1)**2, for table rings
+    the narrowest holding their codes) and return the dtype of `values`, so int64 in gives int64 out and
     narrow codes stay narrow.  A dtype that cannot hold every code of the
     ring is refused with InvalidParameterError.  Torus mode wraps every axis
     and keeps the window; it runs one `TorusStencil` step.  Exact mode

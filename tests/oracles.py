@@ -45,6 +45,11 @@ The whole-draw statistics are the library's original sampled `fourier`,
 `mixing_statistic` and `block_entropy`, which drew every sample before
 reducing any, and `crt.conjugacy_check` with its hand-made batches, kept as
 the reference for the statistics that stream their draws in blocks.
+The box product is the library's original `poly_mul`, which convolved dense
+coefficient boxes for every product, kept as the reference for products on
+term arrays.  The generic weighted sum is the library's original
+`Ring.weighted_sum` of the table rings (two int64 table gathers per term),
+kept as the reference for the packed narrow sum.
 """
 
 import csv
@@ -809,11 +814,9 @@ def int64_kernel_words(basis):
 def int64_submodule_condition(basis, gens, max_exhaustive=1 << 17, samples=10000, seed=2024):
     """The `WindowBasis` branch of `submodule_condition_check` as it was, on int64 words.
 
-    The sum reduces after every multiply and add (`Ring.weighted_sum`), and
+    The sum reduces after every multiply and add (`generic_weighted_sum`), and
     membership is the reduce-each oracle.
     """
-    from modshift.rings import Ring
-
     gens = [int(g) for g in gens]
     if basis.solution_count ** len(gens) <= max_exhaustive:
         words = int64_kernel_words(basis)
@@ -821,7 +824,7 @@ def int64_submodule_condition(basis, gens, max_exhaustive=1 << 17, samples=10000
         blocks = [words[grid.ravel()] for grid in grids]
     else:
         blocks = [int64_draw_kernel_words(basis, samples, seed + 7 * h) for h in range(len(gens))]
-    acc = Ring.weighted_sum(basis.module.ring, gens, blocks)
+    acc = generic_weighted_sum(basis.module.ring, gens, blocks)
     return bool(reduce_each_membership(basis.spec, basis.window, acc).all())
 
 
@@ -1098,3 +1101,36 @@ def batched_conjugacy(rule, deco, trials, torus_extents, seed):
             site = tuple(int(x) for x in np.argwhere(mismatches[j][trial])[0][:-1])
             return False, {"trial": first + trial, "component": j, "site": site}
     return True, None
+
+
+# -- box products and generic weighted sums --------------------------------------------
+
+
+def box_poly_mul(a, b):
+    """`poly_mul` as first written: every product convolves dense coefficient boxes."""
+    from modshift.shiftpoly import ShiftPolynomial
+
+    if a.is_zero or b.is_zero:
+        return ShiftPolynomial.from_terms(a.ring, a.dims, {})
+    boxes = []
+    for poly in (a, b):
+        offs = np.array([off for off, _ in poly.terms], dtype=np.int64)
+        lo = offs.min(axis=0)
+        box = np.zeros(tuple((offs.max(axis=0) - lo + 1).tolist()), dtype=np.int64)
+        box[tuple((offs - lo).T)] = [c for _, c in poly.terms]
+        boxes.append((box, lo))
+    (box_a, lo_a), (box_b, lo_b) = boxes
+    box_c = a.ring.convolve_codes(box_a, box_b)
+    nz = np.argwhere(box_c)
+    offs = (nz + lo_a + lo_b).tolist()
+    return ShiftPolynomial(a.ring, a.dims, tuple(zip(map(tuple, offs), box_c[tuple(nz.T)].tolist())))
+
+
+def generic_weighted_sum(ring, coeffs, arrays):
+    """sum_i coeffs[i] * arrays[i] through `mul_arr` and `add_arr`, reduced after
+    every multiply and add, in int64."""
+    out = None
+    for c, a in zip(coeffs, arrays):
+        term = ring.mul_arr(np.int64(c), a)
+        out = term if out is None else ring.add_arr(out, term)
+    return out

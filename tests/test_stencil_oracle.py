@@ -1,7 +1,7 @@
 """Differential tests: the single stencil engine against the reduce-each oracles.
 
-`stencil` accumulates unreduced and reduces once (over Z/m) or runs the ring's
-table arithmetic, and every caller (`apply_poly`, `constraint_residual`,
+`stencil` accumulates unreduced and reduces once (over Z/m) or adds packed
+additive digits (GF and product rings), and every caller (`apply_poly`, `constraint_residual`,
 `batch_membership`, the batched Frobenius and CRT checks) goes through it.
 Ring arithmetic is exact, so each must equal the original evaluation, which
 reduces after every multiply and every add, bit for bit.  The torus path
@@ -38,6 +38,7 @@ from modshift.shiftpoly import (
 )
 
 from oracles import (
+    generic_weighted_sum,
     pairwise_crt_verdicts,
     per_anchor_constraint_matrix,
     per_trial_conjugacy,
@@ -206,7 +207,7 @@ def test_constraint_matrix_matches_per_anchor_loop_on_larger_windows(rule_text, 
 def test_weighted_sum_matches_generic_loop(ring):
     arrays = _values(ring, 6, (7, 5), 2, seed=11)
     coeffs = [0, ring.one] + _coeffs(ring, 4, seed=12)
-    want = Ring.weighted_sum(ring, coeffs, list(arrays))
+    want = generic_weighted_sum(ring, coeffs, list(arrays))
     got = ring.weighted_sum(coeffs, iter(arrays))
     assert got.dtype == np.int64 and np.array_equal(got, want)
     # One term, unit coefficient: the result is a fresh array equal to the input.
@@ -429,8 +430,9 @@ def test_sum_dtype_is_the_narrowest_holding_the_unreduced_sum(m, n_terms, dtype)
 
 
 @pytest.mark.parametrize("ring", [r for r in RINGS if r.kind != "zmod"], ids=_ids)
-def test_table_rings_sum_in_int64(ring):
-    assert ring.sum_dtype(1) == ring.sum_dtype(64) == np.dtype(np.int64)
+def test_table_rings_sum_in_their_narrowest_code_dtype(ring):
+    assert ring.sum_dtype(1) == ring.sum_dtype(64) == ring.sum_dtype(1 << 20) == np.dtype(np.uint8)
+    assert make_ring("prod:[zmod:251;zmod:256]").sum_dtype(3) == np.dtype(np.uint16)
 
 
 def test_weighted_sum_refuses_a_dtype_too_narrow_for_the_sum():
@@ -440,7 +442,7 @@ def test_weighted_sum_refuses_a_dtype_too_narrow_for_the_sum():
         ring.weighted_sum([1], arrays)
     got = ring.weighted_sum([3, 5], arrays.astype(np.uint16))
     assert got.dtype == np.uint16
-    assert np.array_equal(got, Ring.weighted_sum(ring, [3, 5], list(arrays)))
+    assert np.array_equal(got, generic_weighted_sum(ring, [3, 5], list(arrays)))
 
 
 @pytest.mark.parametrize(
