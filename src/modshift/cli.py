@@ -15,42 +15,14 @@ import sys
 
 from . import crt as crt_mod
 from .chars import parse_character
-from .errors import ModshiftError
-from .experiment import (
-    _Section,
-    _dims,
-    _exact_or_int,
-    _ints,
-    _offsets,
-    _window_from,
-    frobenius_check,
-    read_text,
-    run_file,
-)
-from .kernels import (
-    KernelShiftSpec,
-    kernel_membership,
-    coset_shift_check,
-    topological_mixing_check,
-    window_kernel,
-)
+from .errors import ConfigParseError, ModshiftError
+from .experiment import (_EXACT, _INTS, _KERNEL, _MEASURE_KEYS, _MEASURES, _OFFSETS, _Section,
+                         _step_measure, _window, _window_keys, frobenius_check, read_text,
+                         run_file)
+from .kernels import coset_shift_check, kernel_membership, topological_mixing_check, window_kernel
 from .lattice import WindowSpec, constant_config, decode_config, encode_config
-from .measures import (
-    block_entropy,
-    coset_haar,
-    fourier,
-    kernel_haar,
-    mixing_statistic,
-    uniform_bernoulli,
-)
-from .rings import ModuleSpec, make_ring
-from .shiftpoly import (
-    from_rule,
-    iterate_rule,
-    parse_rule,
-    poly_pow,
-    poly_pow_charp,
-)
+from .measures import block_entropy, coset_haar, fourier, mixing_statistic
+from .shiftpoly import from_rule, iterate_rule, parse_rule, poly_pow, poly_pow_charp
 
 
 def _emit(payload) -> None:
@@ -67,13 +39,9 @@ def _write_config(path, config):
 
 
 def _flags(args) -> _Section:
-    """The given options by flag name, read like experiment config keys.
-
-    A missing required flag or a value that does not parse raises
-    `ConfigParseError` naming the flag.
-    """
+    """The given options by flag name, read like experiment config keys."""
     given = {"--" + k.replace("_", "-"): v for k, v in vars(args).items() if v not in (None, "")}
-    return _Section(f"{args.group} {args.verb}", given)
+    return _Section(f"{args.group} {args.verb}", given, prefix="--")
 
 
 def cmd_lca_step(args):
@@ -91,17 +59,14 @@ def cmd_lca_step(args):
 def cmd_lca_power(args):
     rule = parse_rule(args.rule)
     f = from_rule(rule)
-    if args.frobenius:
-        poly = poly_pow_charp(f, args.t)
-    else:
-        poly = poly_pow(f, args.t)
+    poly = (poly_pow_charp if args.frobenius else poly_pow)(f, args.t)
     _emit({"t": args.t, "terms": [[list(off), c] for off, c in poly.terms]})
     return 0
 
 
 def cmd_lca_frobenius_check(args):
     rule = parse_rule(args.rule)
-    torus = _flags(args).value("--torus", _ints, "")
+    torus = _flags(args).value("torus", _INTS, None)
     check = frobenius_check(rule, args.k, torus, args.configs, args.seed)
     ok = check["structural"] and check["applied"]
     _emit({**check, "pass": ok})
@@ -109,22 +74,17 @@ def cmd_lca_frobenius_check(args):
 
 
 def cmd_shift_kernel(args):
-    spec = KernelShiftSpec(parse_rule(args.kernel, expect_prefix="kernel"))
-    window = _window_from(_flags(args), spec.dims, "--extents", "--origin")
+    flags = _flags(args)
+    spec = flags.value("kernel", _KERNEL)
+    window = _window(spec.dims, **flags.typed(_window_keys()))
     basis = window_kernel(spec, window)
-    _emit(
-        {
-            "window": str(window),
-            "solution_count": basis.solution_count,
-            "scalar_dims": list(basis.scalar_dims()),
-            "free_sites": [list(f) for f in basis.free_sites],
-        }
-    )
+    _emit({"window": str(window), "solution_count": basis.solution_count,
+           "scalar_dims": list(basis.scalar_dims()), "free_sites": [list(f) for f in basis.free_sites]})
     return 0
 
 
 def cmd_shift_coset_check(args):
-    spec = KernelShiftSpec(parse_rule(args.kernel, expect_prefix="kernel"))
+    spec = _flags(args).value("kernel", _KERNEL)
     cfg = _read_config(args.config)
     ok = coset_shift_check(cfg, spec)
     _emit({"coset_shift": ok, "kernel_member": kernel_membership(spec, cfg)})
@@ -132,13 +92,10 @@ def cmd_shift_coset_check(args):
 
 
 def cmd_shift_mixing_check(args):
-    spec = KernelShiftSpec(parse_rule(args.kernel, expect_prefix="kernel"))
-    offsets = _flags(args).value("--offsets", _offsets)
-    if args.word:
-        word = _read_config(args.word)
-    else:
-        word_window = WindowSpec(spec.dims, (0,) * (spec.dims[0] + spec.dims[1]), (1,) * (spec.dims[0] + spec.dims[1]))
-        word = constant_config(spec.module, word_window, 0)
+    spec = _flags(args).value("kernel", _KERNEL)
+    offsets = _flags(args).value("offsets", _OFFSETS)
+    word_window = _window(spec.dims, (1,) * sum(spec.dims))
+    word = _read_config(args.word) if args.word else constant_config(spec.module, word_window, 0)
     pairs = [(h, word) for h in offsets]
     ok = topological_mixing_check(spec, pairs, args.n)
     _emit({"n": args.n, "nonempty": ok})
@@ -147,47 +104,46 @@ def cmd_shift_mixing_check(args):
 
 def _measure_from_args(args):
     flags = _flags(args)
-    if args.measure == "uniform":
-        module = ModuleSpec(make_ring(flags["--ring"]), args.rank)
-        window = _window_from(flags, flags.value("--dims", _dims), "--extents", "--origin")
-        return uniform_bernoulli(module, window, seed=args.seed), module
-    spec = KernelShiftSpec(parse_rule(flags["--kernel"], expect_prefix="kernel"))
-    window = _window_from(flags, spec.dims, "--extents", "--origin")
-    if args.measure == "kernel":
-        return kernel_haar(spec, window, seed=args.seed), spec.module
-    if args.measure == "coset":
-        rep = _read_config(flags["--rep"])
-        return coset_haar(rep, spec, seed=args.seed), spec.module
-    raise ModshiftError(f"unknown measure {args.measure!r}")
+    # Each measure key's flag; the CLI reads a coset representative from the file --rep.
+    flag = {key: "--" + key for key in _MEASURE_KEYS} | {"pattern": "--rep"}
+    for key in sorted(_MEASURE_KEYS - _MEASURES[args.measure].keys()):
+        if flag[key] in flags:
+            raise ConfigParseError(f"[{flags.name}] measure {args.measure!r} does not read {flag[key]}")
+    if args.measure != "coset":
+        step = flags.typed({**_window_keys(), **_MEASURES[args.measure]})
+        return _step_measure({"measure": args.measure, **step}, args.seed)
+    spec = flags.value("kernel", _KERNEL)
+    rep = _read_config(flags["--rep"])
+    window = _window(spec.dims, **flags.typed(_window_keys()))
+    if window != rep.window:
+        raise ConfigParseError(f"[{flags.name}] --extents/--origin window {window} is not --rep's {rep.window}")
+    return coset_haar(rep, spec, seed=args.seed)
 
 
 def cmd_measure_fourier(args):
-    mu, module = _measure_from_args(args)
-    chi = parse_character(args.chi, module, mu.window)
-    r = fourier(mu, chi, _flags(args).value("--budget", _exact_or_int))
-    _emit(r.row())
+    mu = _measure_from_args(args)
+    chi = parse_character(args.chi, mu.module, mu.window)
+    _emit(fourier(mu, chi, _flags(args).value("budget", _EXACT)).row())
     return 0
 
 
 def cmd_measure_mixing(args):
-    mu, module = _measure_from_args(args)
+    mu = _measure_from_args(args)
     flags = _flags(args)
     word_window = WindowSpec(mu.window.dims, mu.window.origin, (1,) * mu.window.axes)
-    word = constant_config(module, word_window, args.word_value)
-    pairs = [(h, word) for h in flags.value("--offsets", _offsets)]
-    budget = flags.value("--budget", _exact_or_int)
-    rows = []
-    for n in flags.value("--n-schedule", _ints):
-        rows.append(mixing_statistic(mu, pairs, n, budget=budget).row())
+    word = constant_config(mu.module, word_window, args.word_value)
+    pairs = [(h, word) for h in flags.value("offsets", _OFFSETS)]
+    budget = flags.value("budget", _EXACT)
+    rows = [mixing_statistic(mu, pairs, n, budget=budget).row() for n in flags.value("n-schedule", _INTS)]
     _emit({"mixing": rows})
     return 0
 
 
 def cmd_measure_entropy(args):
-    mu, module = _measure_from_args(args)
+    mu = _measure_from_args(args)
     flags = _flags(args)
-    block = WindowSpec(mu.window.dims, mu.window.origin, tuple(flags.value("--block-extents", _ints)))
-    samples = flags.value("--samples", _exact_or_int)
+    block = WindowSpec(mu.window.dims, mu.window.origin, tuple(flags.value("block-extents", _INTS)))
+    samples = flags.value("samples", _EXACT)
     h = block_entropy(mu, block, None if samples == "exact" else samples)
     _emit({"bits_per_site": h})
     return 0
@@ -211,16 +167,12 @@ def cmd_crt_split(args):
 
 
 def cmd_experiment_run(args):
-    return run_file(
-        args.config, args.out, workers=args.workers, force=args.force, seed=args.seed
-    )
+    return run_file(args.config, args.out, workers=args.workers, force=args.force, seed=args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="modshift",
-        description="Exact linear-CA toolkit over finite commutative rings.",
-    )
+        prog="modshift", description="Exact linear-CA toolkit over finite commutative rings.")
     sub = parser.add_subparsers(dest="group", required=True)
 
     lca = sub.add_parser("lca", help="local rules and shift polynomials")
@@ -267,10 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     measure_sub = measure.add_subparsers(dest="verb", required=True)
 
     def measure_common(p):
-        p.add_argument("--measure", choices=["uniform", "kernel", "coset"], required=True)
+        p.add_argument("--measure", choices=list(_MEASURES), required=True)
         p.add_argument("--ring", help="ring descriptor (uniform measure)")
-        p.add_argument("--rank", type=int, default=1)
-        p.add_argument("--dims", default="1 0", help="D E (uniform measure)")
+        p.add_argument("--rank", help="module rank (uniform measure; default 1)")
+        p.add_argument("--dims", help="D E (uniform measure; default 1 0)")
         p.add_argument("--kernel", help="kernel rule text (kernel/coset measures)")
         p.add_argument("--rep", help="coset representative config file")
         p.add_argument("--origin")
@@ -309,15 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default="modshift-report")
     s.add_argument("--workers", type=int, default=1)
     s.add_argument("--seed", type=int, help="override the config seed")
-    s.add_argument("--force", action="store_true", help="raise exhaustive enumeration caps")
+    s.add_argument("--force", action="store_true", help="raise the haar-sweep character cap from 2^20 to 2^24")
     s.set_defaults(fn=cmd_experiment_run)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ModshiftError, OSError) as exc:  # OSError: a path that cannot be read or written

@@ -40,8 +40,12 @@ class OutOfWindowError(ModshiftError):
     """A requested site or sub-window is not contained in the stored window."""
 
 
-class ConfigParseError(ModshiftError, ValueError):
-    """Malformed textual input; reports line/column where known."""
+class ConfigParseError(InvalidParameterError):
+    """Malformed textual input; reports line/column where known.
+
+    An out-of-contract value in a config is refused while it is parsed, so
+    this is an `InvalidParameterError` too.
+    """
 
     def __init__(self, message, line=None, column=None):
         self.line = line

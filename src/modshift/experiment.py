@@ -2,7 +2,9 @@
 
 Experiment files are flat key = value sections (no scripting): an
 ``[experiment]`` header followed by ``[step <name>]`` sections, each with a
-``kind`` selecting a registered check.  Reports are byte-stable: identical
+``kind`` from `STEP_KINDS`.  That table declares every key of every kind, and
+`parse_experiment` converts and checks each step against it before any step
+runs, so a handler receives typed values.  Reports are byte-stable: identical
 configs produce identical report bytes regardless of worker count, with wall
 clock metadata segregated into a sidecar file.
 """
@@ -23,125 +25,88 @@ from fractions import Fraction
 from importlib import resources
 from itertools import filterfalse
 from json.encoder import encode_basestring_ascii
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ENUMERATION_CAP, ConfigParseError, DrawLimitError, InvalidParameterError
-from .errors import ResourceLimitError
-from .kernels import (
-    KernelShiftSpec,
-    coset_shift_check,
-    extension_certificate,
-    invariance_and_surjectivity_check,
-    kernel_membership,
-    submodule_condition_check,
-    torsion_free_check,
-    window_kernel,
-)
+from .errors import ModshiftError, ResourceLimitError
+from .kernels import (KernelShiftSpec, coset_shift_check, extension_certificate,
+                      invariance_and_surjectivity_check, kernel_membership,
+                      submodule_condition_check, torsion_free_check, window_kernel)
 from .lattice import WindowSpec, checkerboard_config, constant_config
-from .measures import (
-    _checked_criterion,
-    block_entropy,
-    coset_haar,
-    fourier_sweep,
-    haar_criterion,
-    FourierTable,
-    kernel_haar,
-    mixing_statistic,
-    pushforward,
-    uniform_bernoulli,
-    SubgroupHaarMeasure,
-)
+from .measures import (FourierTable, SubgroupHaarMeasure, _checked_criterion, _sample_count,
+                       block_entropy, coset_haar, fourier_sweep, haar_criterion, kernel_haar,
+                       mixing_statistic, pushforward, uniform_bernoulli)
 from .rings import ModuleSpec, make_ring, recurrent_power_sums
 from .rng import CounterRng
-from .shiftpoly import (
-    TorusStencil,
-    frobenius_power,
-    from_rule,
-    parse_rule,
-    poly_pow,
-    stencil,
-)
+from .shiftpoly import TorusStencil, frobenius_power, from_rule, parse_rule, poly_pow, stencil
 from . import crt as crt_mod
 
-__all__ = [
-    "ExperimentConfig",
-    "parse_experiment",
-    "run_experiment",
-    "write_report",
-    "run_file",
-    "bundled_config_path",
-    "REPORT_SCHEMA",
-]
+__all__ = ["ExperimentConfig", "parse_experiment", "run_experiment", "write_report", "run_file",
+           "bundled_config_path", "REPORT_SCHEMA"]
 
 REPORT_SCHEMA = "modshift-report-v1"
+FORCED_SWEEP_CAP = 1 << 24  # a haar-sweep's character cap under --force
+_REQUIRED = object()
+
+
+class _Type(NamedTuple):
+    """A converter from a key's text, with the name README's table of step keys gives it."""
+    name: str
+    convert: Callable
+
+
+class _Key(NamedTuple):
+    """A key's type, the text an absent key reads as (None: unset) and its bound, which is
+    called as ``bound(value, step=<the keys declared before it>)`` and raises outside it."""
+    type: _Type
+    default: object = _REQUIRED
+    bound: Callable = None
 
 
 class _Section(dict):
-    """The key = value pairs of one config section.
+    """The key = value texts of one config section, or the given flags (`prefix` ``--``) of one
+    CLI verb.  `value` is the one place a text becomes a typed value: a missing required key,
+    a value that does not convert and one out of its bound raise `ConfigParseError` naming
+    the section and the key."""
 
-    A missing required key or a value that does not convert raises
-    `ConfigParseError` naming the section and the key.
-    """
-
-    def __init__(self, name: str, items):
+    def __init__(self, name: str, items, prefix: str = ""):
         super().__init__(items)
-        self.name = name
+        self.name, self.prefix = name, prefix
 
     def __missing__(self, key):
         raise ConfigParseError(f"[{self.name}] missing required key {key!r}")
 
-    def value(self, key: str, convert, default=None):
-        """`convert` applied to the value of `key` (required when no default)."""
-        text = self[key] if default is None else self.get(key, default)
+    def value(self, key: str, type_: _Type, default=_REQUIRED, bound=None):
+        """The typed value of `key`, checked by ``bound(value)``; None when unset."""
+        key = self.prefix + key
+        text = self[key] if default is _REQUIRED else self.get(key, default)
+        if text is None:
+            return None
         try:
-            return convert(text)
-        except ValueError:
-            raise ConfigParseError(f"[{self.name}] bad value for {key!r}: {text!r}") from None
+            value = type_.convert(text)
+            if bound is not None:
+                bound(value)
+            return value
+        except (ValueError, ModshiftError) as exc:
+            # A package check says why; a bare ValueError (int("x")) would only repeat the text.
+            why = f" ({exc})" if isinstance(exc, ModshiftError) else ""
+            raise ConfigParseError(f"[{self.name}] bad value for {key!r}: {text!r}{why}") from None
 
-
-@dataclass
-class ExperimentConfig:
-    name: str
-    seed: int
-    steps: list  # of (name, {key: value})
-    raw_text: str
-
-
-def parse_experiment(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
-    parser.optionxform = str
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigParseError(f"experiment config: {exc}") from None
-    if "experiment" not in parser:
-        raise ConfigParseError("missing [experiment] section", line=1)
-    head = parser["experiment"]
-    name = head.get("name", "experiment")
-    if "seed" not in head:
-        raise ConfigParseError("experiment seed must be explicit")
-    seed = _Section("experiment", head).value("seed", int)
-    steps = []
-    for section in parser.sections():
-        if section == "experiment":
-            continue
-        if not section.startswith("step "):
-            raise ConfigParseError(f"unknown section [{section}]")
-        params = dict(parser[section])
-        if "kind" not in params:
-            raise ConfigParseError(f"step [{section}] missing kind")
-        steps.append((section[5:].strip(), params))
-    return ExperimentConfig(name, seed, steps, text)
+    def typed(self, keys: dict) -> dict:
+        """The typed value of every key of `keys`, in their order."""
+        step = {}
+        for key, (type_, default, bound) in keys.items():
+            step[key] = self.value(key, type_, default, bound and functools.partial(bound, step=step))
+        return step
 
 
 def _ints(text: str):
-    return [int(tok) for tok in text.replace(",", " ").split()]
-
-
-def _two_words(text: str):
-    first, second = text.split()  # another word count raises ValueError
-    return first, second
+    values = [int(tok) for tok in text.replace(",", " ").split()]
+    if not values:  # an empty list would let a check pass over nothing
+        raise ValueError(text)
+    return values
 
 
 def _exact_or_int(text: str):
@@ -150,34 +115,113 @@ def _exact_or_int(text: str):
 
 def _offsets(text: str):
     pieces = (piece.strip().strip("()").strip() for piece in text.split(";"))
-    return [tuple(_ints(piece)) for piece in pieces if piece]
+    offsets = [tuple(_ints(piece)) for piece in pieces if piece]
+    if not offsets:
+        raise ValueError(text)
+    return offsets
 
 
 def _dims(text: str):
-    """The (D, E) pair from its first two integers."""
-    d, e = _ints(text)[:2]
+    d, e = _ints(text)[:2]  # (D, E) from the first two integers
     return d, e
 
 
-def _window_from(params, rule_dims, extents_key="extents", origin_key="origin",
-                 origin_default=None) -> WindowSpec:
-    extents = params.value(extents_key, _ints)
-    if origin_default is None:
-        origin_default = "0 " * len(extents)
-    origin = params.value(origin_key, _ints, origin_default)
-    return WindowSpec(rule_dims, tuple(origin), tuple(extents))
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
 
 
-def _pattern_config(pattern: str, module, window, mode):
-    if pattern == "checkerboard":
-        return checkerboard_config(module, window, mode=mode)
-    if pattern.startswith("constant:"):
+def _bools(text: str):
+    first, second = map(_bool, text.split())
+    return first, second
+
+
+def _pattern(text: str):
+    """The builder ``(module, window, mode=...) -> WindowConfig`` a pattern names."""
+    if text == "checkerboard":
+        return checkerboard_config
+    if text.startswith("constant:"):
         try:
-            element = int(pattern[len("constant:"):])
+            return functools.partial(constant_config, element=int(text[len("constant:"):]))
         except ValueError:
-            raise InvalidParameterError(f"bad constant pattern {pattern!r}") from None
-        return constant_config(module, window, element, mode=mode)
-    raise InvalidParameterError(f"unknown pattern {pattern!r}")
+            raise InvalidParameterError(f"bad constant pattern {text!r}") from None
+    raise InvalidParameterError(f"unknown pattern {text!r}")
+
+
+def _closest(word: str, known) -> str:
+    import difflib  # only a refusal needs it
+    close = difflib.get_close_matches(word, sorted(known), n=1)
+    return f"; closest: {close[0]!r}" if close else ""
+
+
+def _choice(what: str, names):
+    def convert(text: str) -> str:
+        if text not in names:
+            raise InvalidParameterError(f"unknown {what}{_closest(text, names)}")
+        return text
+    return convert
+
+
+def _positive(value, step=None):
+    for n in value if isinstance(value, list) else [value]:
+        if n < 1:
+            raise InvalidParameterError(f"{n} is not positive")
+
+
+def _draw_count(name: str):  # a count of draws, checked as the measures check it
+    return lambda value, step: value == "exact" or _sample_count(value, name)
+
+
+def _kernel_codes(gens, step):
+    for g in gens:
+        step["kernel"].ring.element_code(g, "generator")
+
+
+_INT = _Type("int", int)
+_FLOAT = _Type("float", float)
+_INTS = _Type("ints", _ints)
+_EXACT = _Type("exact or int", _exact_or_int)
+_OFFSETS = _Type("offsets", _offsets)
+_DIMS = _Type("D E", _dims)
+_BOOL = _Type("true or false", _bool)
+_BOOLS = _Type("two true or false", _bools)
+_RING = _Type("ring", make_ring)
+_RULE = _Type("rule", parse_rule)
+_KERNEL = _Type("kernel rule", lambda text: KernelShiftSpec(parse_rule(text, expect_prefix="kernel")))
+_PATTERN = _Type("pattern", _pattern)
+
+
+def _window_keys(prefix: str = "", extents=_REQUIRED) -> dict:
+    """The extents and origin keys of one window; an unset origin is all zeros."""
+    return {prefix + "extents": _Key(_INTS, extents, _positive), prefix + "origin": _Key(_INTS, None)}
+
+
+def _window(dims, extents, origin=None) -> WindowSpec:
+    return WindowSpec(dims, tuple((0,) * len(extents) if origin is None else origin), tuple(extents))
+
+
+# The keys each measure reads, after a measure step's `measure` key.
+_MEASURES = {
+    "uniform": {"ring": _Key(_RING), "rank": _Key(_INT, "1", _positive), "dims": _Key(_DIMS, "1 0")},
+    "kernel": {"kernel": _Key(_KERNEL)},
+    "coset": {"kernel": _Key(_KERNEL), "pattern": _Key(_PATTERN)},
+}
+_MEASURE_KEYS = {key for keys in _MEASURES.values() for key in keys}
+_MEASURE = {"measure": _Key(_Type("measure", _choice("measure", _MEASURES)), "uniform"),
+            **_window_keys()}
+
+
+def _step_measure(step, seed):
+    """The measure handle of a step that reads the `_MEASURE` keys."""
+    if step["measure"] == "uniform":
+        window = _window(step["dims"], step["extents"], step["origin"])
+        return uniform_bernoulli(ModuleSpec(step["ring"], step["rank"]), window, seed=seed)
+    spec = step["kernel"]
+    window = _window(spec.dims, step["extents"], step["origin"])
+    if step["measure"] == "kernel":
+        return kernel_haar(spec, window, seed=seed)
+    return coset_haar(step["pattern"](spec.module, window, mode="exact"), spec, seed=seed)
 
 
 def frobenius_check(rule, k: int, torus, configs: int, seed: int, start: int = 0) -> dict:
@@ -207,147 +251,91 @@ def frobenius_check(rule, k: int, torus, configs: int, seed: int, start: int = 0
     return {"k": k, "structural": structural, "applied": applied}
 
 
-def _step_frobenius_check(params, seed):
-    rule = parse_rule(params["rule"])
-    ks = params.value("ks", _ints, "1 2")
-    torus = params.value("torus", _ints, "32 " * (rule.dims[0] + rule.dims[1]))
-    n_configs = params.value("configs", int, "3")
+def _step_frobenius_check(step, seed):
+    rule = step["rule"]
+    torus = step["torus"] or [32] * (rule.dims[0] + rule.dims[1])
     checks = [
-        frobenius_check(rule, k, torus, n_configs, seed, start=k * 10_000_000) for k in ks
+        frobenius_check(rule, k, torus, step["configs"], seed, start=k * 10_000_000)
+        for k in step["ks"]
     ]
-    ok = all(c["structural"] and c["applied"] for c in checks)
-    return {"pass": ok, "checks": checks}
+    return {"pass": all(c["structural"] and c["applied"] for c in checks), "checks": checks}
 
 
-def _step_fixed_point(params, seed):
-    rule = parse_rule(params["rule"])
-    torus = params.value("torus", _ints)
-    window = WindowSpec(rule.dims, (0,) * len(torus), tuple(torus))
-    cfg = _pattern_config(params["pattern"], rule.module, window, "torus")
-    out = rule.apply(cfg)
-    ok = out == cfg
-    return {"pass": ok, "torus": torus}
+def _step_fixed_point(step, seed):
+    rule, torus = step["rule"], step["torus"]
+    cfg = step["pattern"](rule.module, _window(rule.dims, torus), mode="torus")
+    return {"pass": rule.apply(cfg) == cfg, "torus": torus}
 
 
-def _step_coset_check(params, seed):
-    spec = KernelShiftSpec(parse_rule(params["kernel"], expect_prefix="kernel"))
-    window = _window_from(params, spec.dims)
-    cfg = _pattern_config(params["pattern"], spec.module, window, "exact")
+def _step_coset_check(step, seed):
+    spec = step["kernel"]
+    cfg = step["pattern"](spec.module, _window(spec.dims, step["extents"], step["origin"]), mode="exact")
     result = coset_shift_check(cfg, spec)
     member = kernel_membership(spec, cfg)
-    expected = params.get("expected", "true") == "true"
-    out = {"pass": result == expected, "coset_shift": result, "kernel_member": member}
-    if "expected-member" in params:
-        out["pass"] = out["pass"] and (member == (params["expected-member"] == "true"))
-    return out
+    ok = result == step["expected"] and step["expected-member"] in (None, member)  # None: unchecked
+    return {"pass": ok, "coset_shift": result, "kernel_member": member}
 
 
-def _step_kernel_count(params, seed):
-    spec = KernelShiftSpec(parse_rule(params["kernel"], expect_prefix="kernel"))
-    window = _window_from(params, spec.dims)
+def _step_kernel_count(step, seed):
+    spec = step["kernel"]
+    window = _window(spec.dims, step["extents"], step["origin"])
     basis = window_kernel(spec, window)
-    count = basis.solution_count
-    expected = params.value("expected", int)
+    count, expected = basis.solution_count, step["expected"]
     out = {"pass": count == expected, "count": count, "expected": expected}
-    if params.get("submodule-gens"):
-        gens = params.value("submodule-gens", _ints)
-        closed = submodule_condition_check(basis, gens)
-        out["submodule_condition"] = closed
-        out["pass"] = out["pass"] and closed
-    if params.get("extension-check", "false") == "true":
-        cert = extension_certificate(spec, window)
-        out["extension_certificate"] = cert
-        out["pass"] = out["pass"] and cert
+    if step["submodule-gens"]:
+        out["submodule_condition"] = submodule_condition_check(basis, step["submodule-gens"])
+        out["pass"] = out["pass"] and out["submodule_condition"]
+    if step["extension-check"]:
+        out["extension_certificate"] = extension_certificate(spec, window)
+        out["pass"] = out["pass"] and out["extension_certificate"]
     return out
 
 
-def _step_recurrent_sums(params, seed):
-    rule = parse_rule(params["rule"])
-    values = recurrent_power_sums(rule.ring, rule.coeffs)
-    expected = set(params.value("expected", _ints))
-    return {
-        "pass": set(values) == expected,
-        "values": sorted(values),
-        "expected": sorted(expected),
-    }
+def _step_recurrent_sums(step, seed):
+    rule = step["rule"]
+    values, expected = recurrent_power_sums(rule.ring, rule.coeffs), set(step["expected"])
+    return {"pass": set(values) == expected, "values": sorted(values), "expected": sorted(expected)}
 
 
-def _step_torsion_check(params, seed):
-    spec = KernelShiftSpec(parse_rule(params["kernel"], expect_prefix="kernel"))
-    window = _window_from(params, spec.dims)
-    scalar = params.value("scalar", int)
-    result = torsion_free_check(spec, window, scalar)
-    expected = params["expected"] == "true"
-    return {"pass": result == expected, "torsion_free": result, "scalar": scalar}
+def _step_torsion_check(step, seed):
+    spec, scalar = step["kernel"], step["scalar"]
+    result = torsion_free_check(spec, _window(spec.dims, step["extents"], step["origin"]), scalar)
+    return {"pass": result == step["expected"], "torsion_free": result, "scalar": scalar}
 
 
-def _step_invariance_check(params, seed):
-    rule = parse_rule(params["rule"])
-    spec = KernelShiftSpec(parse_rule(params["kernel"], expect_prefix="kernel"))
-    window = _window_from(params, spec.dims)
-    inv, surj = invariance_and_surjectivity_check(rule, spec, window)
-    want_inv, want_surj = params.value("expected", _two_words, "true true")
-    ok = inv == (want_inv == "true") and surj == (want_surj == "true")
-    return {"pass": ok, "invariant": inv, "surjective": surj}
+def _step_invariance_check(step, seed):
+    spec = step["kernel"]
+    window = _window(spec.dims, step["extents"], step["origin"])
+    inv, surj = invariance_and_surjectivity_check(step["rule"], spec, window)
+    want_inv, want_surj = step["expected"]
+    return {"pass": inv == want_inv and surj == want_surj, "invariant": inv, "surjective": surj}
 
 
-def _build_measure(params, seed):
-    kind = params.get("measure", "uniform")
-    if kind in ("kernel", "coset"):
-        spec = KernelShiftSpec(parse_rule(params["kernel"], expect_prefix="kernel"))
-        window = _window_from(params, spec.dims)
-        if kind == "kernel":
-            return kernel_haar(spec, window, seed=seed), spec.module, window
-        rep = _pattern_config(params["pattern"], spec.module, window, "exact")
-        return coset_haar(rep, spec, seed=seed), spec.module, window
-    if kind == "uniform":
-        ring = make_ring(params["ring"])
-        rank = params.value("rank", int, "1")
-        module = ModuleSpec(ring, rank)
-        window = _window_from(params, params.value("dims", _dims, "1 0"))
-        return uniform_bernoulli(module, window, seed=seed), module, window
-    raise InvalidParameterError(f"unknown measure kind {kind!r}")
-
-
-def _step_haar_sweep(params, seed):
-    criterion = params.value("criterion", _checked_criterion, "subgroup")
-    mu, module, window = _build_measure(params, seed)
-    sweep_window = window
-    if "sweep-extents" in params:
-        sweep_window = _window_from(
-            params, window.dims, "sweep-extents", "sweep-origin",
-            params.get("origin", "0 " * window.axes),
-        )
-    limit = (1 << 24) if params.get("_force") else ENUMERATION_CAP
+def _step_haar_sweep(step, seed):
+    mu = _step_measure(step, seed)
+    sweep_window = mu.window
+    if step["sweep-extents"] is not None:
+        origin = step["origin"] if step["sweep-origin"] is None else step["sweep-origin"]
+        sweep_window = _window(mu.window.dims, step["sweep-extents"], origin)
+    limit = FORCED_SWEEP_CAP if step.get("--force") else ENUMERATION_CAP
     sweep = fourier_sweep(mu, sweep_window, limit=limit)
-    verdict = haar_criterion(sweep, criterion=criterion)
-    out = {
-        "pass": verdict.consistent,
-        "criterion": criterion,
-        "n_characters": len(sweep),
-        "violations": verdict.violations,
-        "fourier_table": sweep.table(t=0),
-    }
-    if params.get("expect-nonunit-phase", "false") == "true":
+    verdict = haar_criterion(sweep, criterion=step["criterion"])
+    out = {"pass": verdict.consistent, "criterion": step["criterion"], "n_characters": len(sweep),
+           "violations": verdict.violations, "fourier_table": sweep.table(t=0)}
+    if step["expect-nonunit-phase"]:
         nonunit = any(rs.modulus_is_one() and not rs.is_one() for rs in sweep.root_sums)
         out["nonunit_phase"] = nonunit
         out["pass"] = out["pass"] and nonunit
     return out
 
 
-def _step_mixing(params, seed):
-    mu, module, window = _build_measure(params, seed)
-    offsets = params.value("offsets", _offsets)
-    word_origin = params.value("word-origin", _ints, "0 " * window.axes)
-    word_window = WindowSpec(window.dims, tuple(word_origin), (1,) * window.axes)
-    word = constant_config(module, word_window, params.value("word-value", int, "0"))
-    pairs = [(h, word) for h in offsets]
-    schedule = params.value("n-schedule", _ints, "1 2 4 8 16")
-    budget = params.value("budget", _exact_or_int, "exact")
-    tol = params.value("tolerance", float, "1e-9")
-    rows = []
-    ok = True
-    prev = None
+def _step_mixing(step, seed):
+    mu = _step_measure(step, seed)
+    word_window = _window(mu.window.dims, (1,) * mu.window.axes, step["word-origin"])
+    word = constant_config(mu.module, word_window, step["word-value"])
+    pairs = [(h, word) for h in step["offsets"]]
+    schedule, budget, tol = step["n-schedule"], step["budget"], step["tolerance"]
+    rows, ok, prev = [], True, None
     for n in schedule:
         res = mixing_statistic(mu, pairs, n, budget=budget)
         rows.append(res.row())
@@ -361,84 +349,152 @@ def _step_mixing(params, seed):
     return {"pass": ok, "mixing_table": rows, "budget": str(budget)}
 
 
-def _step_entropy(params, seed):
-    mu, module, window = _build_measure(params, seed)
-    block = _window_from(params, window.dims, "block-extents", "block-origin", "0 " * window.axes)
-    samples = params.value("samples", _exact_or_int, "exact")
+def _step_entropy(step, seed):
+    mu = _step_measure(step, seed)
+    block = _window(mu.window.dims, step["block-extents"], step["block-origin"])
+    samples = step["samples"]
     h = block_entropy(mu, block, None if samples == "exact" else samples)
-    expected = params.value("expected", float)
-    tol = params.value("tolerance", float, "0.02")
-    ok = abs(h - expected) <= tol
-    return {"pass": ok, "bits_per_site": h, "expected": expected, "tolerance": tol}
+    expected, tol = step["expected"], step["tolerance"]
+    return {"pass": abs(h - expected) <= tol, "bits_per_site": h, "expected": expected,
+            "tolerance": tol}
 
 
-def _step_crt_check(params, seed):
-    ring = make_ring(params["ring"])
+def _step_crt_check(step, seed):
+    ring = step["ring"]
     deco = crt_mod.decompose_ring(ring)
     inverse_ok, add_ok, _ = crt_mod.component_map_verdicts(deco, ring.size)
-    bijective = bool(inverse_ok.all())
-    hom = bool(add_ok.all())
-    out = {
-        "pass": bijective and hom,
-        "components": [r.descriptor() for r in deco.component_rings],
-        "bijective": bijective,
-        "additive_hom": hom,
-    }
-    if "rule" in params:
-        rule = parse_rule(params["rule"])
-        trials = params.value("trials", int, "100")
-        torus = tuple(params.value("torus", _ints, "32"))
-        res = crt_mod.conjugacy_check(rule, deco, trials=trials, torus_extents=torus, seed=seed)
+    bijective, hom = bool(inverse_ok.all()), bool(add_ok.all())
+    out = {"pass": bijective and hom, "components": [r.descriptor() for r in deco.component_rings],
+           "bijective": bijective, "additive_hom": hom}
+    if step["rule"] is not None:
+        res = crt_mod.conjugacy_check(step["rule"], deco, trials=step["trials"],
+                                      torus_extents=tuple(step["torus"]), seed=seed)
         out["conjugacy"] = res.ok
         out["pass"] = out["pass"] and res.ok
     return out
 
 
-def _step_pushforward_invariance(params, seed):
-    rule = parse_rule(params["rule"])
+def _step_pushforward_invariance(step, seed):
+    rule = step["rule"]
     module = rule.module
-    src_window = _window_from(params, rule.dims)
-    target = _window_from(
-        params, rule.dims, "target-extents", "target-origin", "0 " * src_window.axes
-    )
+    src_window = _window(rule.dims, step["extents"], step["origin"])
+    target = _window(rule.dims, step["target-extents"], step["target-origin"])
     # A Haar handle, so every pushforward (t = 0 too) has an exact marginal.
     uni = SubgroupHaarMeasure.full_space(module, src_window, seed=seed)
-    pushed = pushforward(uni, rule, params.value("t", int, "1"))
+    pushed = pushforward(uni, rule, step["t"])
     if not pushed.window.contains_window(target):
         raise InvalidParameterError("pushforward window does not cover the target window")
     got = pushed.marginal(target)
     want = SubgroupHaarMeasure.full_space(module, target, seed=seed)
-    ok = got.same_distribution(want)
-    return {"pass": ok, "target": str(target)}
+    return {"pass": got.same_distribution(want), "target": str(target)}
 
 
-STEP_HANDLERS = {
-    "frobenius-check": _step_frobenius_check,
-    "fixed-point": _step_fixed_point,
-    "coset-check": _step_coset_check,
-    "kernel-count": _step_kernel_count,
-    "recurrent-sums": _step_recurrent_sums,
-    "torsion-check": _step_torsion_check,
-    "invariance-check": _step_invariance_check,
-    "haar-sweep": _step_haar_sweep,
-    "mixing": _step_mixing,
-    "entropy": _step_entropy,
-    "crt-check": _step_crt_check,
-    "pushforward-invariance": _step_pushforward_invariance,
+class _Kind(NamedTuple):
+    handler: Callable  # (typed step, seed) -> the step's record
+    keys: dict  # key -> _Key, besides `kind`
+
+
+STEP_KINDS = {
+    "frobenius-check": _Kind(_step_frobenius_check, {
+        "rule": _Key(_RULE), "ks": _Key(_INTS, "1 2"), "torus": _Key(_INTS, None, _positive),
+        "configs": _Key(_INT, "3", _positive)}),
+    "fixed-point": _Kind(_step_fixed_point, {
+        "rule": _Key(_RULE), "torus": _Key(_INTS, bound=_positive), "pattern": _Key(_PATTERN)}),
+    "coset-check": _Kind(_step_coset_check, {
+        "kernel": _Key(_KERNEL), **_window_keys(), "pattern": _Key(_PATTERN),
+        "expected": _Key(_BOOL, "true"), "expected-member": _Key(_BOOL, None)}),
+    "kernel-count": _Kind(_step_kernel_count, {
+        "kernel": _Key(_KERNEL), **_window_keys(), "expected": _Key(_INT),
+        "submodule-gens": _Key(_INTS, None, _kernel_codes), "extension-check": _Key(_BOOL, "false")}),
+    "recurrent-sums": _Kind(_step_recurrent_sums, {"rule": _Key(_RULE), "expected": _Key(_INTS)}),
+    "torsion-check": _Kind(_step_torsion_check, {
+        "kernel": _Key(_KERNEL), **_window_keys(), "scalar": _Key(_INT), "expected": _Key(_BOOL)}),
+    "invariance-check": _Kind(_step_invariance_check, {
+        "rule": _Key(_RULE), "kernel": _Key(_KERNEL), **_window_keys(),
+        "expected": _Key(_BOOLS, "true true")}),
+    "haar-sweep": _Kind(_step_haar_sweep, {
+        **_MEASURE, **_window_keys("sweep-", None),
+        "criterion": _Key(_Type("subgroup or coset", _checked_criterion), "subgroup"),
+        "expect-nonunit-phase": _Key(_BOOL, "false")}),
+    "mixing": _Kind(_step_mixing, {
+        **_MEASURE, "offsets": _Key(_OFFSETS), "word-origin": _Key(_INTS, None),
+        "word-value": _Key(_INT, "0"), "n-schedule": _Key(_INTS, "1 2 4 8 16"),
+        "budget": _Key(_EXACT, "exact", _draw_count("sample budget")),
+        "tolerance": _Key(_FLOAT, "1e-9")}),
+    "entropy": _Kind(_step_entropy, {
+        **_MEASURE, **_window_keys("block-"), "samples": _Key(_EXACT, "exact", _draw_count("n_samples")),
+        "expected": _Key(_FLOAT), "tolerance": _Key(_FLOAT, "0.02")}),
+    "crt-check": _Kind(_step_crt_check, {
+        "ring": _Key(_RING), "rule": _Key(_RULE, None), "trials": _Key(_INT, "100", _positive),
+        "torus": _Key(_INTS, "32", _positive)}),
+    "pushforward-invariance": _Kind(_step_pushforward_invariance, {
+        "rule": _Key(_RULE), **_window_keys(), **_window_keys("target-"), "t": _Key(_INT, "1")}),
 }
+_KIND = _Key(_Type("kind", _choice("kind", STEP_KINDS)))
+_HEAD = {"name": _Key(_Type("text", str), "experiment"), "seed": _Key(_INT)}
+
+
+@dataclass
+class ExperimentConfig:
+    name: str
+    seed: int
+    steps: list  # of (name, {key: typed value}), `kind` first
+    raw_text: str
+
+
+def _checked(section: _Section, keys: dict) -> dict:
+    """`section.typed(keys)` once every key of `section` is one of `keys` or of its measure's."""
+    measure = None
+    if "measure" in keys:
+        measure = section.value("measure", *keys["measure"][:2])
+        keys = {**keys, **_MEASURES[measure]}
+    for key in section:
+        if key in keys:
+            continue
+        if measure is not None and key in _MEASURE_KEYS:
+            raise ConfigParseError(f"[{section.name}] measure {measure!r} does not read {key!r}")
+        raise ConfigParseError(f"[{section.name}] unknown key {key!r}{_closest(key, keys)}")
+    return section.typed(keys)
+
+
+def parse_experiment(text: str) -> ExperimentConfig:
+    """The header and each step's typed values; any step that breaks `STEP_KINDS` raises here."""
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    parser.optionxform = str
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigParseError(f"experiment config: {exc}") from None
+    if "experiment" not in parser:
+        raise ConfigParseError("missing [experiment] section", line=1)
+    head = _checked(_Section("experiment", parser["experiment"]), _HEAD)
+    steps = {}
+    for section in parser.sections():
+        if section == "experiment":
+            continue
+        if not section.startswith("step "):
+            raise ConfigParseError(f"unknown section [{section}]")
+        # Step names key the report's steps, its CSV rows and the failure list.
+        name = section[5:].strip()
+        if not name or name in steps:
+            raise ConfigParseError(f"[{section}] needs a step name no other step has")
+        step = _Section(f"step {name}", parser[section])
+        steps[name] = _checked(step, {"kind": _KIND, **STEP_KINDS[step.value("kind", _KIND.type)].keys})
+    return ExperimentConfig(head["name"], head["seed"], list(steps.items()), text)
 
 
 def _run_step(name, params, seed):
-    params = _Section(f"step {name}", params)
+    """The record of one step; a `ModshiftError` it raises makes it a failed step."""
     kind = params["kind"]
-    handler = STEP_HANDLERS.get(kind)
-    if handler is None:
-        raise InvalidParameterError(f"step {name!r}: unknown kind {kind!r}")
     try:
-        result = handler(params, seed)
-    except ResourceLimitError as exc:
-        hint = "" if isinstance(exc, DrawLimitError) else " (use --force to raise caps)"
-        return {"name": name, "kind": kind, "pass": False, "error": f"resource limit: {exc}{hint}"}
+        result = STEP_KINDS[kind].handler(params, seed)
+    except ModshiftError as exc:
+        if isinstance(exc, ResourceLimitError):
+            plain = isinstance(exc, DrawLimitError) or params.get("--force")
+            error = f"resource limit: {exc}" + ("" if plain else " (use --force to raise caps)")
+        else:
+            error = f"{type(exc).__name__}: {exc}"
+        return {"name": name, "kind": kind, "pass": False, "error": error}
     result.update({"name": name, "kind": kind})
     return result
 
@@ -460,13 +516,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
         "experiment": config.name,
         "seed": config.seed,
         "steps": results,
-        "summary": {
-            "total": len(results),
-            "passed": n_pass,
-            "failed": len(results) - n_pass,
-        },
+        "summary": {"total": len(results), "passed": n_pass, "failed": len(results) - n_pass},
         "ok": n_pass == len(results),
     }
+
 
 
 def _json_default(obj):
@@ -656,24 +709,18 @@ def read_text(path) -> str:
 
 def run_file(path: str, outdir: str, workers: int = 1, force: bool = False, seed=None) -> int:
     """Run a config (a path or a bundled name); returns the process exit code."""
-    if os.path.exists(path):
-        text = read_text(path)
-    else:
-        text = bundled_config_path(path).read_text(encoding="utf-8")
+    text = read_text(path) if os.path.exists(path) else bundled_config_path(path).read_text("utf-8")
     config = parse_experiment(text)
     if seed is not None:
         config.seed = int(seed)
-    if force:
-        for _, params in config.steps:
-            params["_force"] = "true"
+    if force:  # no config key can be "--force": the schema refuses it
+        for _, step in config.steps:
+            step["--force"] = True
     report = run_experiment(config, workers=workers)
     write_report(report, outdir, text)
     if not report["ok"]:
-        failures = [
-            {"step": s["name"], "kind": s["kind"], "error": s.get("error")}
-            for s in report["steps"]
-            if not s.get("pass")
-        ]
+        failures = [{"step": s["name"], "kind": s["kind"], "error": s.get("error")}
+                    for s in report["steps"] if not s.get("pass")]
         print(json.dumps({"failed": failures}, sort_keys=True))
         return 1
     return 0

@@ -175,12 +175,34 @@ UNIFORM = ("--measure", "uniform", "--ring", "zmod:2", "--extents", "4")
           "--extents", "4 4", "--chi", "(1):1"], "InvalidParameterError", "site (1,)"),
         (["measure", "fourier", "--measure", "uniform", "--ring", "zmod:2", "--dims", "2 0",
           "--extents", "4 4", "--chi", "(1):1", "--budget", "100"], "InvalidParameterError", "site (1,)"),
+        (["measure", "fourier", "--measure", "coset", "--rep", "r.cfg", "--kernel", KERNEL,
+          "--extents", "9 9", "--ring", "zmod:7", "--chi", "trivial"], "ConfigParseError", "--ring"),
+        (["measure", "fourier", "--measure", "uniform", *UNIFORM[2:], "--kernel", "garbage",
+          "--rep", "nofile", "--chi", "trivial"], "ConfigParseError", "--kernel"),
+        (["measure", "entropy", "--measure", "kernel", "--kernel", KERNEL, "--extents", "3 2",
+          "--dims", "1 1", "--block-extents", "2"], "ConfigParseError", "--dims"),
+        (["measure", "mixing", "--measure", "kernel", "--kernel", KERNEL, "--extents", "3 2",
+          "--rank", "1", "--offsets", "(0,0)"], "ConfigParseError", "--rank"),
     ],
 )
 def test_malformed_flags_exit_2_with_typed_error(capsys, argv, kind, flag):
     code = main(argv)
     err = json.loads(capsys.readouterr().err)
     assert code == 2 and err["type"] == kind and flag in err["error"]
+
+
+def test_coset_window_flags_must_be_the_rep_window(tmp_path, capsys):
+    rep = tmp_path / "r.cfg"
+    window = WindowSpec((1, 1), (0, 0), (4, 3))
+    rep.write_text(encode_config(constant_config(ModuleSpec(ZmodRing(2), 1), window, 0)))
+    base = ["measure", "fourier", "--measure", "coset", "--kernel", KERNEL, "--rep", str(rep),
+            "--chi", "trivial"]
+    code, out = run_cli(capsys, *base, "--extents", "4 3")
+    assert code == 0 and out["re"] == 1.0
+    for flags in (["--extents", "9 9"], ["--extents", "4 3", "--origin", "1 0"]):
+        assert main(base + flags) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ConfigParseError" and "--rep" in err["error"]
 
 
 @pytest.mark.parametrize(

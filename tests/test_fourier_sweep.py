@@ -550,9 +550,8 @@ def test_pushforward_uniform_squarefree_stays_structural():
     ],
 )
 def test_missing_required_key_names_section_and_key(step, key):
-    config = parse_experiment(f"[experiment]\nseed = 1\n\n[step broken]\n{step}\n")
     with pytest.raises(ConfigParseError, match=rf"\[step broken\] missing required key '{key}'"):
-        run_experiment(config)
+        parse_experiment(f"[experiment]\nseed = 1\n\n[step broken]\n{step}\n")
 
 
 def test_malformed_integer_names_section_and_key():

@@ -25,7 +25,7 @@ from modshift import (
     parse_ring,
     parse_rule,
 )
-from modshift.experiment import STEP_HANDLERS, parse_experiment, run_experiment
+from modshift.experiment import STEP_KINDS, parse_experiment, run_experiment
 
 FUZZ = settings(deadline=None, derandomize=True, max_examples=150)
 
@@ -189,7 +189,7 @@ STEP_TEMPLATES = {
     "crt-check": {"ring": "zmod:6", "rule": RULE6, "trials": "2", "torus": "4"},
     "pushforward-invariance": {"rule": RULE6, "extents": "5", "target-extents": "3", "t": "2"},
 }
-assert set(STEP_TEMPLATES) == set(STEP_HANDLERS)
+assert set(STEP_TEMPLATES) == set(STEP_KINDS)
 STEP_KEYS = sorted({key for params in STEP_TEMPLATES.values() for key in params}
                    | {"origin", "rank", "word-origin", "word-value", "sweep-extents",
                       "block-origin", "target-origin"})
@@ -204,28 +204,82 @@ STEP_VALUES = st.one_of(
 )
 
 
+# Keys that read exactly `true` or `false`, and spellings of true that are not that.
+BOOL_KEYS = {"coset-check": ["expected", "expected-member"], "kernel-count": ["extension-check"],
+             "torsion-check": ["expected"], "invariance-check": ["expected"],
+             "haar-sweep": ["expect-nonunit-phase"]}
+NOT_TRUE = ["True", "yes", "1"]
+KNOWN_KEYS = {"kind", *STEP_KEYS, *(key for kind in STEP_KINDS.values() for key in kind.keys)}
+
+
+@st.composite
+def misspelled(draw, key):
+    """`key` with one character deleted, doubled, swapped with the next or replaced."""
+    i = draw(st.integers(0, len(key) - 1))
+    edit = draw(st.sampled_from(["delete", "double", "swap", "replace"]))
+    if edit == "delete" and len(key) > 1:
+        return key[:i] + key[i + 1:]
+    if edit == "swap" and i + 1 < len(key) and key[i] != key[i + 1]:
+        return key[:i] + key[i + 1] + key[i] + key[i + 2:]
+    if edit == "replace":
+        return key[:i] + ("x" if key[i] != "x" else "y") + key[i + 1:]
+    return key[:i] + key[i] + key[i:]
+
+
 @st.composite
 def suite_texts(draw):
+    """(suite text, the key a planted defect names or None).
+
+    A planted suite is a template with one key misspelled or one boolean
+    spelled otherwise than ``true``, listed first so that it is the first
+    key checked; any other suite has its keys edited, dropped and added.
+    """
     kind = draw(st.sampled_from(sorted(STEP_TEMPLATES)))
-    params = dict(STEP_TEMPLATES[kind], kind=kind)
-    for _ in range(draw(st.integers(1, 3))):
-        key = draw(st.sampled_from(sorted(params) + STEP_KEYS))
-        if key in params and draw(st.integers(0, 3)) == 0:
-            del params[key]
-        else:
-            params[key] = draw(STEP_VALUES)
-    lines = ["[experiment]", "name = fuzz", f"seed = {draw(st.sampled_from(['1', '-1', 'x']))}",
-             "", "[step fuzzed]"]
+    params, planted = dict(STEP_TEMPLATES[kind], kind=kind), None
+    plant = draw(st.sampled_from(["edits", "misspelled", "boolean"]))
+    if plant == "misspelled":
+        key = draw(st.sampled_from(sorted(STEP_TEMPLATES[kind])))
+        planted = draw(misspelled(key).filter(lambda typo: typo not in KNOWN_KEYS))
+        params = {"kind": kind, planted: params.pop(key), **params}
+    elif plant == "boolean" and kind in BOOL_KEYS:
+        planted = draw(st.sampled_from(BOOL_KEYS[kind]))
+        value = draw(st.sampled_from(NOT_TRUE))
+        params.pop(planted, None)
+        params = {"kind": kind, planted: f"{value} true" if kind == "invariance-check" else value,
+                  **params}
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            key = draw(st.sampled_from(sorted(params) + STEP_KEYS))
+            if key in params and draw(st.integers(0, 3)) == 0:
+                del params[key]
+            else:
+                params[key] = draw(STEP_VALUES)
+    seed = "1" if planted else draw(st.sampled_from(["1", "-1", "x"]))
+    lines = ["[experiment]", "name = fuzz", f"seed = {seed}", "", "[step fuzzed]"]
     lines += [f"{key} = {value}" for key, value in params.items()]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", planted
 
 
 @settings(deadline=None, derandomize=True, max_examples=250)
 @given(suite_texts())
-def test_generated_suites_raise_only_typed_errors(text):
+def test_generated_suites_raise_only_typed_errors(suite):
+    text, planted = suite
+    if planted is not None:
+        with pytest.raises(ConfigParseError) as refusal:
+            parse_experiment(text)
+        assert "[step fuzzed]" in str(refusal.value) and repr(planted) in str(refusal.value)
+        return
     config = _only_typed_errors(parse_experiment, text)
     if config is not None:
-        _only_typed_errors(run_experiment, config)
+        report = run_experiment(config)  # a step's ModshiftError is its failure, not the run's
+        assert [step["name"] for step in report["steps"]] == ["fuzzed"]
+
+
+def test_whitespace_around_a_boolean_is_not_part_of_it():
+    # configparser strips a value, so " true " is the canonical true.
+    text = _one_step_suite("kernel-count", **{"extension-check": " true "})
+    (name, step), = parse_experiment(text).steps
+    assert step["extension-check"] is True
 
 
 def _one_step_suite(kind, **params):

@@ -419,7 +419,7 @@ def test_haar_sweep_step_refuses_an_unknown_criterion_before_sweeping(monkeypatc
     def refuse(*args):
         raise AssertionError("the measure was built")
 
-    monkeypatch.setattr(experiment, "_build_measure", refuse)
+    monkeypatch.setattr(experiment, "_step_measure", refuse)
     text = ("[experiment]\nseed = 1\n\n[step typo]\nkind = haar-sweep\nmeasure = uniform\n"
             "ring = zmod:2\nextents = 2\ncriterion = subgrop\n")
     with pytest.raises(ConfigParseError, match=r"\[step typo\] bad value for 'criterion': 'subgrop'"):

@@ -162,10 +162,9 @@ def _frobenius_rules():
     paths = sorted((ROOT / "src" / "modshift" / "configs").glob("*.cfg"))
     paths += sorted((ROOT / "perfbench" / "workloads").glob("*.cfg"))
     for cfg in paths:
-        for _, params in parse_experiment(cfg.read_text()).steps:
-            if params["kind"] == "frobenius-check":
-                ks = tuple(int(k) for k in params.get("ks", "1 2").split())
-                out.append((parse_rule(params["rule"]), ks))
+        for _, step in parse_experiment(cfg.read_text()).steps:
+            if step["kind"] == "frobenius-check":
+                out.append((step["rule"], tuple(step["ks"])))
     return out
 
 
