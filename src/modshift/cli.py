@@ -16,13 +16,13 @@ import sys
 from . import crt as crt_mod
 from .chars import parse_character
 from .errors import ConfigParseError, ModshiftError
-from .experiment import (_EXACT, _INTS, _KERNEL, _MEASURE_KEYS, _MEASURES, _OFFSETS, _Section,
-                         _step_measure, _window, _window_keys, frobenius_check, read_text,
-                         run_file)
+from .experiment import (_EXACT, _INTS, _KERNEL, _MEASURE_KEYS, _MEASURES, _OFFSETS, STEP_KINDS,
+                         _inner_window, _Section, _step_measure, _window, _window_keys, _word,
+                         frobenius_check, read_text, run_file)
 from .kernels import coset_shift_check, kernel_membership, topological_mixing_check, window_kernel
-from .lattice import WindowSpec, constant_config, decode_config, encode_config
-from .measures import block_entropy, coset_haar, fourier, mixing_statistic
-from .shiftpoly import from_rule, iterate_rule, parse_rule, poly_pow, poly_pow_charp
+from .lattice import constant_config, decode_config, encode_config
+from .measures import _power_poly, block_entropy, coset_haar, fourier, mixing_statistic
+from .shiftpoly import iterate_rule, parse_rule
 
 
 def _emit(payload) -> None:
@@ -57,9 +57,7 @@ def cmd_lca_step(args):
 
 
 def cmd_lca_power(args):
-    rule = parse_rule(args.rule)
-    f = from_rule(rule)
-    poly = (poly_pow_charp if args.frobenius else poly_pow)(f, args.t)
+    poly = _power_poly(parse_rule(args.rule), args.t)
     _emit({"t": args.t, "terms": [[list(off), c] for off, c in poly.terms]})
     return 0
 
@@ -130,8 +128,8 @@ def cmd_measure_fourier(args):
 def cmd_measure_mixing(args):
     mu = _measure_from_args(args)
     flags = _flags(args)
-    word_window = WindowSpec(mu.window.dims, mu.window.origin, (1,) * mu.window.axes)
-    word = constant_config(mu.module, word_window, args.word_value)
+    key = STEP_KINDS["mixing"].keys["word-value"]
+    word = _word(mu, flags.value("word-value", key.type, key.default))
     pairs = [(h, word) for h in flags.value("offsets", _OFFSETS)]
     budget = flags.value("budget", _EXACT)
     rows = [mixing_statistic(mu, pairs, n, budget=budget).row() for n in flags.value("n-schedule", _INTS)]
@@ -142,7 +140,7 @@ def cmd_measure_mixing(args):
 def cmd_measure_entropy(args):
     mu = _measure_from_args(args)
     flags = _flags(args)
-    block = WindowSpec(mu.window.dims, mu.window.origin, tuple(flags.value("block-extents", _INTS)))
+    block = _inner_window(mu, flags.value("block-extents", _INTS))
     samples = flags.value("samples", _EXACT)
     h = block_entropy(mu, block, None if samples == "exact" else samples)
     _emit({"bits_per_site": h})
@@ -187,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = lca_sub.add_parser("power", help="print the t-th power of a rule polynomial")
     s.add_argument("--rule", required=True)
     s.add_argument("--t", type=int, required=True)
-    s.add_argument("--frobenius", action="store_true", help="use the char-p digit fast path")
     s.set_defaults(fn=cmd_lca_power)
     s = lca_sub.add_parser("frobenius-check", help="verify the p^k fast-forward identity")
     s.add_argument("--rule", required=True)
@@ -237,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = measure_sub.add_parser("mixing", help="mixing deviations over an n schedule")
     measure_common(s)
     s.add_argument("--offsets", required=True)
-    s.add_argument("--word-value", type=int, default=0)
+    s.add_argument("--word-value", help="ring code of the one-site word (default 0)")
     s.add_argument("--n-schedule", default="1 2 4 8 16")
     s.add_argument("--budget", default="exact")
     s.set_defaults(fn=cmd_measure_mixing)

@@ -193,12 +193,23 @@ _PATTERN = _Type("pattern", _pattern)
 
 
 def _window_keys(prefix: str = "", extents=_REQUIRED) -> dict:
-    """The extents and origin keys of one window; an unset origin is all zeros."""
+    """The extents and origin keys of one window; an unset origin is all zeros, or the
+    measure window's origin for a window inside it (`_inner_window`)."""
     return {prefix + "extents": _Key(_INTS, extents, _positive), prefix + "origin": _Key(_INTS, None)}
 
 
 def _window(dims, extents, origin=None) -> WindowSpec:
     return WindowSpec(dims, tuple((0,) * len(extents) if origin is None else origin), tuple(extents))
+
+
+def _inner_window(mu, extents, origin=None) -> WindowSpec:
+    """A window (a sweep, a block, a word) on `mu`'s dims; an unset origin is `mu.window`'s."""
+    return _window(mu.window.dims, extents, mu.window.origin if origin is None else origin)
+
+
+def _word(mu, value: int, origin=None):
+    """The one-site word of a mixing event: `value` on every component, at `origin`."""
+    return constant_config(mu.module, _inner_window(mu, (1,) * mu.window.axes, origin), value)
 
 
 # The keys each measure reads, after a measure step's `measure` key.
@@ -315,8 +326,7 @@ def _step_haar_sweep(step, seed):
     mu = _step_measure(step, seed)
     sweep_window = mu.window
     if step["sweep-extents"] is not None:
-        origin = step["origin"] if step["sweep-origin"] is None else step["sweep-origin"]
-        sweep_window = _window(mu.window.dims, step["sweep-extents"], origin)
+        sweep_window = _inner_window(mu, step["sweep-extents"], step["sweep-origin"])
     limit = FORCED_SWEEP_CAP if step.get("--force") else ENUMERATION_CAP
     sweep = fourier_sweep(mu, sweep_window, limit=limit)
     verdict = haar_criterion(sweep, criterion=step["criterion"])
@@ -331,8 +341,7 @@ def _step_haar_sweep(step, seed):
 
 def _step_mixing(step, seed):
     mu = _step_measure(step, seed)
-    word_window = _window(mu.window.dims, (1,) * mu.window.axes, step["word-origin"])
-    word = constant_config(mu.module, word_window, step["word-value"])
+    word = _word(mu, step["word-value"], step["word-origin"])
     pairs = [(h, word) for h in step["offsets"]]
     schedule, budget, tol = step["n-schedule"], step["budget"], step["tolerance"]
     rows, ok, prev = [], True, None
@@ -351,7 +360,7 @@ def _step_mixing(step, seed):
 
 def _step_entropy(step, seed):
     mu = _step_measure(step, seed)
-    block = _window(mu.window.dims, step["block-extents"], step["block-origin"])
+    block = _inner_window(mu, step["block-extents"], step["block-origin"])
     samples = step["samples"]
     h = block_entropy(mu, block, None if samples == "exact" else samples)
     expected, tol = step["expected"], step["tolerance"]

@@ -46,6 +46,7 @@ from .lattice import (
     config_sub,
     constant_config,
     coordinate_sum_images,
+    pin_union,
     restrict_config,
     scaled_offset,
     shift_config,
@@ -572,36 +573,31 @@ def topological_mixing_check(spec: KernelShiftSpec, pairs, n: int) -> bool:
     """Can the kernel realize every word simultaneously at separation n?
 
     `pairs` is a list of (offset h, WindowConfig word); the word windows are
-    translated by n*h, pinned, and the kernel's constraints on the bounding
-    box are solved with those pins.  Conflicting pins raise InfeasiblePinError;
+    translated by n*h and pinned (`lattice.pin_union`), and the kernel's
+    constraints on the pins' bounding box are solved with those pins.
+    Conflicting pins raise InfeasiblePinError, naming the first clash;
     a word that is not itself a kernel word is rejected up front, and so is
     an offset without D+E coordinates.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    coords, values = [], []
+    placed = []
     for h, word in pairs:
         spec.module.check_same(word.module)
         v = scaled_offset(h, n, sum(spec.dims))
         if not kernel_membership(spec, word):
             raise InvalidParameterError("pinned word is not in the window kernel")
-        coords.append(np.array(list(word.window.sites()), dtype=np.int64) + v)
-        values.append(word.flat())
-    if not coords:
+        placed.append((v, word))
+    if not placed:
         return True
-    coords, values = np.concatenate(coords), np.concatenate(values)
-    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    pins, clash = pin_union(placed)
+    if clash:
+        raise InfeasiblePinError("site {} pinned to both {} and {}".format(*clash))
+    sites = np.array(list(pins), dtype=np.int64)
+    values = np.array(list(pins.values()), dtype=np.int64)
+    lo, hi = sites.min(axis=0), sites.max(axis=0)
     box = WindowSpec(spec.dims, tuple(lo.tolist()), tuple((hi - lo + 1).tolist()))
-    pin_cols, first, which = np.unique(
-        box.flat_indices(coords), return_index=True, return_inverse=True
-    )
-    clash = (values != values[first[which]]).any(axis=1)
-    if clash.any():
-        i = int(np.argmax(clash))
-        raise InfeasiblePinError(
-            f"site {tuple(coords[i].tolist())} pinned to both "
-            f"{tuple(values[first[which[i]]].tolist())} and {tuple(values[i].tolist())}"
-        )
+    pin_cols = box.flat_indices(sites)
     free = np.ones(box.n_sites, dtype=bool)
     free[pin_cols] = False
     for comp_spec, comp_ring, deco, j in _field_components(spec):
@@ -609,7 +605,7 @@ def topological_mixing_check(spec: KernelShiftSpec, pairs, n: int) -> bool:
         if matrix.shape[0] == 0:
             continue
         for c in range(spec.module.rank):
-            targets = deco.forward_table[values[first, c], j]
+            targets = deco.forward_table[values[:, c], j]
             pinned_part = matrix[:, pin_cols]
             rhs = comp_ring.neg_arr(comp_ring.lincomb(pinned_part, targets[:, None])[:, 0])
             solution, _ = linalg.solve_affine(matrix[:, free], rhs, comp_ring)

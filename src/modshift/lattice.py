@@ -303,6 +303,27 @@ def scaled_offset(offset, n: int, axes: int) -> tuple:
     return tuple(int(n) * x for x in offset)
 
 
+def pin_union(placed):
+    """The k-fold event A_1 & sigma^(v_2) A_2 & ... of words placed at lattice vectors, as pins.
+
+    `placed` is a sequence of (vector v, word); each word's values are pinned
+    on its window translated by v (at separation n, offset h places a word at
+    `scaled_offset(h, n, axes)`).  Returns `(pins, clash)`: `pins` maps each
+    pinned site to its first value, both int tuples, in the order first
+    pinned; `clash` is None, or (site, held value, other value) of the first
+    pin, word after word and each window row-major, whose site an earlier pin
+    holds with another value.
+    """
+    pins, clash = {}, None
+    for v, word in placed:
+        for site, value in zip(word.window.sites(), map(tuple, word.flat().tolist())):
+            site = tuple(s + x for s, x in zip(site, v))
+            held = pins.setdefault(site, value)
+            if clash is None and held != value:
+                clash = (site, held, value)
+    return pins, clash
+
+
 def shift_config(config: WindowConfig, v) -> WindowConfig:
     """Read the configuration displaced by v: out_m = c_{m+v}.
 

@@ -57,7 +57,7 @@ from .kernels import (
     _propagate,
     coset_shift_check,
 )
-from .lattice import WindowConfig, WindowSpec, integer_array, scaled_offset
+from .lattice import WindowConfig, WindowSpec, integer_array, pin_union, scaled_offset
 from .rings import MixedRadix, ModuleSpec, Ring, is_prime, sorted_unique
 from .rng import CounterRng, cdf_thresholds, draw_blocks
 from .shiftpoly import (
@@ -174,25 +174,6 @@ class MeasureHandle:
 
     def derived(self, note: str):
         return self.provenance + (note,)
-
-
-def _merge_pins(pin_dicts):
-    """Union of pin dicts; None signals a conflicting (empty) intersection."""
-    merged = {}
-    for pins in pin_dicts:
-        for site, val in pins.items():
-            if site in merged and merged[site] != val:
-                return None
-            merged[site] = val
-    return merged
-
-
-def _pins_from_word(word: WindowConfig, offset=None, n: int = 0):
-    """The word's values pinned on its window translated by n * offset."""
-    axes = word.window.axes
-    v = scaled_offset(offset, n, axes) if offset is not None else (0,) * axes
-    sites = (tuple(s + x for s, x in zip(site, v)) for site in word.window.sites())
-    return dict(zip(sites, map(tuple, word.flat().tolist())))
 
 
 def _site_columns(idx, rank: int) -> np.ndarray:
@@ -682,9 +663,9 @@ def point_mass(config: WindowConfig, seed=0) -> ExactWordMeasure:
 
 
 def _power_poly(rule: LocalRule, t: int) -> ShiftPolynomial:
+    """The rule's polynomial to the power t: by base-p digits over a prime
+    characteristic p, else by squaring.  The one place that picks the algorithm."""
     f = from_rule(rule)
-    if t == 0:
-        return poly_pow(f, 0)
     if is_prime(rule.ring.characteristic):
         return poly_pow_charp(f, t)
     return poly_pow(f, t)
@@ -1180,25 +1161,24 @@ def mixing_statistic(mu: MeasureHandle, pairs, n: int, budget="exact", start: in
     """Joint cylinder probability at separation n against the marginal product.
 
     `pairs` is a list of (offset h, word); the joint event pins every word on
-    its window translated by n*h, the marginals pin the untranslated words.
-    An offset without D+E coordinates is refused.
+    its window translated by n*h (`lattice.pin_union`; pins that clash make it
+    empty), the marginals pin the untranslated words.  An offset without D+E
+    coordinates is refused.
     """
     if n < 0:
         raise InvalidParameterError(f"n must be >= 0, got {n}")
-    marg_pins = []
-    trans_pins = []
+    placed = []
     for h, word in pairs:
         mu.module.check_same(word.module)
-        marg_pins.append(_pins_from_word(word))
-        trans_pins.append(_pins_from_word(word, h, n))
+        placed.append((scaled_offset(h, n, word.window.axes), word))
+    marg_pins = [pin_union([((0,) * word.window.axes, word)])[0] for _, word in placed]
     marg_arrays = [_pin_arrays(mu.window, mu.module, pins) for pins in marg_pins]
-    for pins in trans_pins:
-        mu.window.flat_indices(list(pins))  # a translated site outside the window raises
-    joint = _merge_pins(trans_pins)
+    joint, clash = pin_union(placed)  # a clash makes the joint event empty
+    mu.window.flat_indices(list(joint))  # a translated site outside the window raises
     if budget == "exact":
         if not mu.is_exact:
             raise InvalidParameterError(f"{mu.label} has no exact mixing path")
-        observed = mu.cylinder_probability(joint) if joint is not None else Fraction(0)
+        observed = Fraction(0) if clash else mu.cylinder_probability(joint)
         product = Fraction(1)
         for pins in marg_pins:
             product *= mu.cylinder_probability(pins)
@@ -1207,7 +1187,7 @@ def mixing_statistic(mu: MeasureHandle, pairs, n: int, budget="exact", start: in
             n, float(observed), float(product), float(dev), 0.0, True, observed, product
         )
     count = _sample_count(budget, "sample budget")
-    joint_arrays = [] if joint is None else [_pin_arrays(mu.window, mu.module, joint)]
+    joint_arrays = [] if clash else [_pin_arrays(mu.window, mu.module, joint)]
     events = joint_arrays + marg_arrays
     # Sorted indices are the sorted sites: the window is row-major.
     sel = sorted_unique(np.concatenate([idx for idx, _ in events]))

@@ -212,8 +212,7 @@ def poly_pow(f: ShiftPolynomial, t: int) -> ShiftPolynomial:
     while t:
         if t & 1:
             result = poly_mul(result, base)
-        base_needed = t > 1
-        if base_needed:
+        if t > 1:
             base = poly_mul(base, base)
         t >>= 1
     return result
@@ -228,17 +227,19 @@ def frobenius_power(rule: LocalRule, k: int) -> ShiftPolynomial:
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    ring = rule.ring
-    p = ring.characteristic
+    p = rule.ring.characteristic
     if not is_prime(p):
         raise UnsupportedCharacteristicError(
             f"characteristic {p} is not prime; Frobenius fast-forward unavailable"
         )
-    q = p**k
-    mapping = {}
-    for off, c in zip(rule.offsets, rule.coeffs):
-        mapping[tuple(q * x for x in off)] = ring.pow(c, q)
-    return ShiftPolynomial.from_terms(ring, rule.dims, mapping)
+    return _frobenius_image(from_rule(rule), p**k)
+
+
+def _frobenius_image(f: ShiftPolynomial, q: int) -> ShiftPolynomial:
+    """sum_h c_h**q at offset q * h: f**q when q is a power of the characteristic."""
+    return ShiftPolynomial.from_terms(
+        f.ring, f.dims, {tuple(q * x for x in off): f.ring.pow(c, q) for off, c in f.terms}
+    )
 
 
 def poly_pow_charp(f: ShiftPolynomial, t: int) -> ShiftPolynomial:
@@ -256,8 +257,6 @@ def poly_pow_charp(f: ShiftPolynomial, t: int) -> ShiftPolynomial:
     if t < 0:
         raise InvalidParameterError(f"exponent must be >= 0, got {t}")
     result = identity_poly(f.ring, f.dims)
-    if f.is_zero:
-        return result if t == 0 else ShiftPolynomial.from_terms(f.ring, f.dims, {})
     frob = f  # f**(p**j) at digit position j
     while t:
         d = t % p
@@ -266,14 +265,7 @@ def poly_pow_charp(f: ShiftPolynomial, t: int) -> ShiftPolynomial:
             result = poly_mul(result, small)
         t //= p
         if t:
-            frob = ShiftPolynomial.from_terms(
-                f.ring,
-                f.dims,
-                {
-                    tuple(p * x for x in off): f.ring.pow(c, p)
-                    for off, c in frob.terms
-                },
-            )
+            frob = _frobenius_image(frob, p)
     return result
 
 

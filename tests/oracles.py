@@ -45,6 +45,11 @@ The whole-draw statistics are the library's original sampled `fourier`,
 `mixing_statistic` and `block_entropy`, which drew every sample before
 reducing any, and `crt.conjugacy_check` with its hand-made batches, kept as
 the reference for the statistics that stream their draws in blocks.
+The pin dicts are the library's original k-fold mixing event
+(`_pins_from_word` and `_merge_pins`), kept as the reference for
+`lattice.pin_union`, which `mixing_statistic` and `topological_mixing_check`
+share; the topological check is decided from them by brute force over the
+pins' bounding box.
 The box product is the library's original `poly_mul`, which convolved dense
 coefficient boxes for every product, kept as the reference for products on
 term arrays.  The generic weighted sum is the library's original
@@ -1029,12 +1034,98 @@ def whole_draw_fourier(mu, chi, budget, start=0):
     return FourierResult(chi, value, 1.0 / math.sqrt(n))
 
 
+def _merge_pins(pin_dicts):
+    """Union of pin dicts; None signals a conflicting (empty) intersection."""
+    merged = {}
+    for pins in pin_dicts:
+        for site, val in pins.items():
+            if site in merged and merged[site] != val:
+                return None
+            merged[site] = val
+    return merged
+
+
+def _pins_from_word(word, offset=None, n: int = 0):
+    """The word's values pinned on its window translated by n * offset."""
+    from modshift.lattice import scaled_offset
+
+    axes = word.window.axes
+    v = scaled_offset(offset, n, axes) if offset is not None else (0,) * axes
+    sites = (tuple(s + x for s, x in zip(site, v)) for site in word.window.sites())
+    return dict(zip(sites, map(tuple, word.flat().tolist())))
+
+
+def pinned_mixing_statistic(mu, pairs, n, budget="exact"):
+    """`mixing_statistic` from pin dicts, as first written: the marginals pin
+    the untranslated words, the joint event merges the translated words' pins
+    and a clash is the empty event.  A sampled budget goes to
+    `whole_draw_mixing` once the pins are checked."""
+    from modshift.errors import InvalidParameterError
+    from modshift.measures import MixingResult, _pin_arrays
+
+    if n < 0:
+        raise InvalidParameterError(f"n must be >= 0, got {n}")
+    marg_pins, trans_pins = [], []
+    for h, word in pairs:
+        mu.module.check_same(word.module)
+        marg_pins.append(_pins_from_word(word))
+        trans_pins.append(_pins_from_word(word, h, n))
+    for pins in marg_pins:
+        _pin_arrays(mu.window, mu.module, pins)
+    for pins in trans_pins:
+        mu.window.flat_indices(list(pins))
+    if budget != "exact":
+        return whole_draw_mixing(mu, pairs, n, budget)
+    joint = _merge_pins(trans_pins)
+    observed = mu.cylinder_probability(joint) if joint is not None else Fraction(0)
+    product = Fraction(1)
+    for pins in marg_pins:
+        product *= mu.cylinder_probability(pins)
+    dev = observed - product
+    return MixingResult(n, float(observed), float(product), float(dev), 0.0, True, observed, product)
+
+
+def pinned_topological_check(spec, pairs, n):
+    """`topological_mixing_check` of a rank-1 kernel from pin dicts: the
+    translated words' pins merged (the first pin that clashes raises), then
+    whether some word of `brute_kernel_words` on the pins' bounding box holds
+    every pin."""
+    from modshift.errors import InfeasiblePinError, InvalidParameterError
+    from modshift.kernels import kernel_membership
+    from modshift.lattice import WindowSpec
+
+    if n < 1:
+        raise InvalidParameterError(f"n must be >= 1, got {n}")
+    trans_pins = []
+    for h, word in pairs:
+        spec.module.check_same(word.module)
+        trans_pins.append(_pins_from_word(word, h, n))
+        if not kernel_membership(spec, word):
+            raise InvalidParameterError("pinned word is not in the window kernel")
+    if not trans_pins:
+        return True
+    merged = _merge_pins(trans_pins)
+    if merged is None:
+        held = {}
+        for site, val in (pin for pins in trans_pins for pin in pins.items()):
+            if held.setdefault(site, val) != val:
+                raise InfeasiblePinError(f"site {site} pinned to both {held[site]} and {val}")
+    lo = [min(site[i] for site in merged) for i in range(sum(spec.dims))]
+    hi = [max(site[i] for site in merged) for i in range(sum(spec.dims))]
+    box = WindowSpec(spec.dims, tuple(lo), tuple(h - l + 1 for l, h in zip(lo, hi)))
+    where = {site: i for i, site in enumerate(box.sites())}
+    return any(
+        all(word[where[site]] == val[0] for site, val in merged.items())
+        for word in brute_kernel_words(spec, box)
+    )
+
+
 def whole_draw_mixing(mu, pairs, n, budget, start=0):
     """Sampled `mixing_statistic` as first written: every draw at once, then
     one `np.mean` of booleans per event."""
     import math
 
-    from modshift.measures import MixingResult, _merge_pins, _pin_arrays, _pins_from_word
+    from modshift.measures import MixingResult, _pin_arrays
 
     marg_arrays = [_pin_arrays(mu.window, mu.module, _pins_from_word(w)) for _, w in pairs]
     joint = _merge_pins([_pins_from_word(w, h, n) for h, w in pairs])

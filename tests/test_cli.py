@@ -1,13 +1,16 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import modshift
 from modshift import ModuleSpec, WindowSpec, ZmodRing, constant_config, decode_config, encode_config
-from modshift.cli import main
+from modshift.cli import build_parser, main
+from modshift.shiftpoly import from_rule, parse_rule, poly_pow
 from modshift.experiment import (
     bundled_config_path,
     parse_experiment,
@@ -33,12 +36,51 @@ def test_lca_power(capsys):
     assert out["terms"] == [[[0], 1], [[4], 1]]
 
 
-def test_lca_power_frobenius_path(capsys):
-    code, out = run_cli(
-        capsys, "lca", "power", "--rule", "rule ring=zmod:3 rank=1 dims=1,0 H=(0):1;(1):2",
-        "--t", "9", "--frobenius",
-    )
-    assert code == 0 and [[9], 2] in out["terms"]
+@pytest.mark.parametrize(
+    "ring,coeffs,digits",
+    [("zmod:3", (1, 2, 1), True), ("gf:2:2", (1, 2, 3), True), ("prod:[zmod:2;gf:2:2]", (1, 6, 3), True),
+     ("zmod:6", (1, 5, 2), False), ("zmod:4", (1, 3, 2), False)],
+)
+def test_lca_power_picks_its_route_from_the_ring(capsys, monkeypatch, ring, coeffs, digits):
+    from modshift import measures
+
+    text = f"rule ring={ring} rank=1 dims=1,1 H=(0,0):{coeffs[0]};(1,0):{coeffs[1]};(-1,1):{coeffs[2]}"
+    f = from_rule(parse_rule(text))
+    p = f.ring.characteristic
+    routes = []
+
+    def recording(name):
+        power = getattr(measures, name)
+
+        def record(f, t):
+            routes.append(name)
+            return power(f, t)
+        return record
+
+    for name in ("poly_pow", "poly_pow_charp"):
+        monkeypatch.setattr(measures, name, recording(name))
+    for t in (0, 1, p, p**3 - 1):
+        code, out = run_cli(capsys, "lca", "power", "--rule", text, "--t", str(t))
+        assert code == 0 and out["terms"] == [[list(off), c] for off, c in poly_pow(f, t).terms]
+    assert routes == ["poly_pow_charp" if digits else "poly_pow"] * 4
+
+
+def test_lca_power_refuses_frobenius_flag(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["lca", "power", "--rule", "rule ring=zmod:3 rank=1 dims=1,0 H=(0):1;(1):2",
+              "--t", "9", "--frobenius"])
+    assert exit_.value.code == 2 and "--frobenius" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    """Every `modshift ...` line of README's command-line block names only flags that exist."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("modshift ")]
+    assert len(lines) >= 12
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_lca_step_and_files(tmp_path, capsys, cb_system):
@@ -161,6 +203,8 @@ UNIFORM = ("--measure", "uniform", "--ring", "zmod:2", "--extents", "4")
           "--chi", "trivial"], "ConfigParseError", "--rep"),
         (["measure", "mixing", *UNIFORM, "--offsets", "(1)", "--n-schedule", "1,x"],
          "ConfigParseError", "--n-schedule"),
+        (["measure", "mixing", *UNIFORM, "--offsets", "(1)", "--word-value", "q"],
+         "ConfigParseError", "--word-value"),
         (["measure", "entropy", *UNIFORM, "--block-extents", "2", "--samples", "0"],
          "InvalidParameterError", "n_samples"),
         (["measure", "mixing", *UNIFORM, "--offsets", "(1)", "--budget", "-3"],

@@ -174,9 +174,11 @@ def test_frobenius_requires_prime_characteristic():
 
 @pytest.mark.parametrize("ring", [ZmodRing(3), ZmodRing(5), GFRing(2, 2)], ids=lambda r: r.descriptor())
 def test_charp_power_path_matches_square_multiply(ring):
-    f = random_poly(ring, (1, 0), 3, seed=3)
-    for t in (0, 1, 2, 7, 12, 26):
-        assert poly_pow_charp(f, t) == poly_pow(f, t)
+    zero = ShiftPolynomial.from_terms(ring, (1, 0), {})
+    for f in (random_poly(ring, (1, 0), 3, seed=3), zero):
+        for t in (0, 1, 2, 7, 12, 26):
+            assert poly_pow_charp(f, t) == poly_pow(f, t)
+    assert poly_pow_charp(zero, 0) == identity_poly(ring, (1, 0)) and poly_pow_charp(zero, 5).is_zero
 
 
 def test_apply_identity_and_fixed_point(cb_system):

@@ -122,6 +122,23 @@ def test_a_key_the_measure_does_not_read_is_refused():
     assert message == "[step sweep] measure 'uniform' does not read 'pattern'"
 
 
+# -- windows inside the measure window --------------------------------------------------
+
+def test_unset_block_and_word_origins_follow_the_measure_window(capsys):
+    measure = "measure = uniform\nring = zmod:2\norigin = 5\nextents = 4\n"
+    report = run_experiment(parse_experiment(_suite(
+        ("entropy", f"kind = entropy\n{measure}block-extents = 2\nexpected = 1.0\n"),
+        ("mixing", f"kind = mixing\n{measure}offsets = (0);(1)\nn-schedule = 1 2 3\n"),
+    )))
+    entropy, mixing = report["steps"]
+    assert entropy["pass"] and mixing["pass"] and entropy["bits_per_site"] == 1.0
+    flags = ["--measure", "uniform", "--ring", "zmod:2", "--origin", "5", "--extents", "4"]
+    assert main(["measure", "entropy", *flags, "--block-extents", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"bits_per_site": entropy["bits_per_site"]}
+    assert main(["measure", "mixing", *flags, "--offsets", "(0);(1)", "--n-schedule", "1 2 3"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"mixing": mixing["mixing_table"]}
+
+
 # -- failed steps -------------------------------------------------------------------------
 
 UNCOVERED = ("kind = pushforward-invariance\n"
