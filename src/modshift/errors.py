@@ -68,6 +68,8 @@ class InvalidCosetError(ModshiftError):
 ENUMERATION_CAP = 1 << 20
 # Fixed bound on the cells (draws x counters) one Monte Carlo draw may compute.
 DRAW_CAP = 1 << 27
+# Fixed bound on the tuples the closure check of an explicit word set may sum.
+CLOSURE_TUPLE_CAP = 1 << 17
 
 
 class ResourceLimitError(ModshiftError):

@@ -35,7 +35,7 @@ from .kernels import (KernelShiftSpec, coset_shift_check, extension_certificate,
                       invariance_and_surjectivity_check, kernel_membership,
                       submodule_condition_check, torsion_free_check, window_kernel)
 from .lattice import WindowSpec, checkerboard_config, constant_config
-from .measures import (FourierTable, SubgroupHaarMeasure, _checked_criterion, _sample_count,
+from .measures import (FourierTable, SubgroupHaarMeasure, _checked_criterion, _positive_integer,
                        block_entropy, coset_haar, fourier_sweep, haar_criterion, kernel_haar,
                        mixing_statistic, pushforward, uniform_bernoulli)
 from .rings import ModuleSpec, make_ring, recurrent_power_sums
@@ -170,7 +170,7 @@ def _positive(value, step=None):
 
 
 def _draw_count(name: str):  # a count of draws, checked as the measures check it
-    return lambda value, step: value == "exact" or _sample_count(value, name)
+    return lambda value, step: value == "exact" or _positive_integer(value, name)
 
 
 def _kernel_codes(gens, step):

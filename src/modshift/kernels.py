@@ -30,6 +30,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .errors import (
+    CLOSURE_TUPLE_CAP,
     ENUMERATION_CAP,
     DomainExhaustedError,
     InfeasiblePinError,
@@ -234,11 +235,8 @@ def constraint_residual(spec: KernelShiftSpec, config: WindowConfig):
     return out[0]
 
 
-def kernel_membership(spec_or_basis, word: WindowConfig) -> bool:
+def kernel_membership(spec: KernelShiftSpec, word: WindowConfig) -> bool:
     """True iff the word satisfies every constraint fully supported in its window."""
-    spec = spec_or_basis.spec if isinstance(spec_or_basis, WindowBasis) else spec_or_basis
-    if isinstance(spec_or_basis, WindowBasis) and spec_or_basis.window != word.window:
-        raise InvalidParameterError("word window differs from basis window")
     residual = constraint_residual(spec, word)
     return residual is None or not residual.any()
 
@@ -298,19 +296,14 @@ def draw_kernel_words(basis: WindowBasis, count: int, seed: int, start: int = 0)
     return basis.decomposition.merge_arrays(comp_values)
 
 
-def submodule_condition_check(
-    window_set,
-    gens,
-    max_exhaustive: int = 1 << 17,
-    samples: int = 10000,
-    seed: int = 2024,
-) -> bool:
+def submodule_condition_check(window_set, gens) -> bool:
     """Closure of the window set under sum_h r_h * s_h for tuples from the set.
 
     `window_set` is a WindowBasis (the set is its span) or an explicit
     (count, n_sites, rank) word array paired with its module (membership =
-    listed words), checked exhaustively when tiny, else on `samples` seeded
-    tuples.  Every generator must be an element code of the ring.
+    listed words), checked on every tuple; more than `CLOSURE_TUPLE_CAP`
+    tuples raise ResourceLimitError.  Every generator must be an element
+    code of the ring.
 
     A WindowBasis is decided exactly, with no word drawn.  In field component
     j the sums are the whole span of its rows if some generator's image there
@@ -333,12 +326,13 @@ def submodule_condition_check(
     words = np.asarray(words, dtype=np.int64)
     keys = {words[i].tobytes() for i in range(words.shape[0])}
     n = words.shape[0]
-    combos = iter_product(range(n), repeat=len(gens))
-    if n ** len(gens) > max_exhaustive:
-        rng = CounterRng(seed, stream=11)
-        picks = rng.uniform_codes(0, (samples, len(gens)), n)
-        combos = (tuple(int(x) for x in row) for row in picks)
-    for combo in combos:
+    if n ** len(gens) > CLOSURE_TUPLE_CAP:
+        raise ResourceLimitError(
+            f"closure of {n} words under {len(gens)} generators needs {n ** len(gens)} tuples, "
+            f"above the cap {CLOSURE_TUPLE_CAP}",
+            required=n ** len(gens),
+        )
+    for combo in iter_product(range(n), repeat=len(gens)):
         acc = ring.weighted_sum(gens, (words[wi] for wi in combo))
         if acc.tobytes() not in keys:
             return False
@@ -502,48 +496,29 @@ def coset_from_cocycle(c0, a, window: WindowSpec, module: ModuleSpec, mode="exac
     return WindowConfig(window, module, vals, mode)
 
 
-def _default_check_vectors(window: WindowSpec, count: int, seed: int):
+def _check_vectors(window: WindowSpec):
+    """The lattice generators, then four vectors drawn from stream 23 of seed 7:
+    each coordinate in -2..2 on a Z axis and 0..2 on an N axis; a zero draw is dropped."""
     axes = window.axes
-    vs = []
-    for i in range(axes):
-        e = [0] * axes
-        e[i] = 1
-        vs.append(tuple(e))
-    rng = CounterRng(seed, stream=23)
+    vs = [tuple(int(i == j) for j in range(axes)) for i in range(axes)]
     D = window.dims[0]
-    raw = rng.uniform_codes(0, (count, axes), 5)
-    for row in raw:
-        v = []
-        for i, x in enumerate(row):
-            x = int(x)
-            v.append(x - 2 if i < D else x % 3)
+    for row in CounterRng(7, stream=23).uniform_codes(0, (4, axes), 5).tolist():
+        v = tuple(x - 2 if i < D else x % 3 for i, x in enumerate(row))
         if any(v):
-            vs.append(tuple(v))
+            vs.append(v)
     return vs
 
 
-def coset_shift_check(
-    config: WindowConfig,
-    spec: KernelShiftSpec,
-    vectors=None,
-    random_vectors: int = 4,
-    seed: int = 7,
-) -> bool:
+def coset_shift_check(config: WindowConfig, spec: KernelShiftSpec) -> bool:
     """True iff every tested coboundary sigma^v(c) - c lies in the kernel.
 
-    Default vectors are the lattice generators plus a few seeded random ones;
-    defaults that would empty the window are skipped, explicit vectors are not.
+    The vectors are `_check_vectors`'; one that would empty the window is skipped.
     """
-    defaulted = vectors is None
-    if defaulted:
-        vectors = _default_check_vectors(config.window, random_vectors, seed)
-    for v in vectors:
+    for v in _check_vectors(config.window):
         try:
             (diff,) = coboundary(config, [v])
         except DomainExhaustedError:
-            if defaulted:
-                continue
-            raise
+            continue
         if not kernel_membership(spec, diff):
             return False
     return True
@@ -573,12 +548,14 @@ def topological_mixing_check(spec: KernelShiftSpec, pairs, n: int) -> bool:
     """Can the kernel realize every word simultaneously at separation n?
 
     `pairs` is a list of (offset h, WindowConfig word); the word windows are
-    translated by n*h and pinned (`lattice.pin_union`), and the kernel's
-    constraints on the pins' bounding box are solved with those pins.
-    Conflicting pins raise InfeasiblePinError, naming the first clash;
-    a word that is not itself a kernel word is rejected up front, and so is
-    an offset without D+E coordinates.
+    translated by n*h and pinned (`lattice.pin_union`), and the event is
+    nonempty iff it has positive mass under the kernel's Haar measure on the
+    pins' bounding box.  Conflicting pins raise InfeasiblePinError, naming
+    the first clash; a word that is not itself a kernel word is rejected up
+    front, and so is an offset without D+E coordinates.
     """
+    from .measures import SubgroupHaarMeasure
+
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     placed = []
@@ -594,37 +571,21 @@ def topological_mixing_check(spec: KernelShiftSpec, pairs, n: int) -> bool:
     if clash:
         raise InfeasiblePinError("site {} pinned to both {} and {}".format(*clash))
     sites = np.array(list(pins), dtype=np.int64)
-    values = np.array(list(pins.values()), dtype=np.int64)
     lo, hi = sites.min(axis=0), sites.max(axis=0)
     box = WindowSpec(spec.dims, tuple(lo.tolist()), tuple((hi - lo + 1).tolist()))
-    pin_cols = box.flat_indices(sites)
-    free = np.ones(box.n_sites, dtype=bool)
-    free[pin_cols] = False
-    for comp_spec, comp_ring, deco, j in _field_components(spec):
-        matrix = constraint_matrix(comp_spec, box)
-        if matrix.shape[0] == 0:
-            continue
-        for c in range(spec.module.rank):
-            targets = deco.forward_table[values[:, c], j]
-            pinned_part = matrix[:, pin_cols]
-            rhs = comp_ring.neg_arr(comp_ring.lincomb(pinned_part, targets[:, None])[:, 0])
-            solution, _ = linalg.solve_affine(matrix[:, free], rhs, comp_ring)
-            if solution is None:
-                return False
-    return True
+    return SubgroupHaarMeasure.from_kernel(spec, box).cylinder_probability(pins) > 0
 
 
 def extension_certificate(spec: KernelShiftSpec, window: WindowSpec, layers: int = 1) -> bool:
     """Every in-window kernel word extends by `layers` rings of extra sites.
 
-    Certified by comparing the rank of the expanded kernel's projection onto
-    the window against the in-window kernel dimension, both from `window_kernel`.
+    Certified by the kernel's Haar measure: its marginal on `window` from the
+    expanded window must be the in-window kernel's Haar measure.  `layers`
+    must be an integer >= 1.
     """
-    small = window_kernel(spec, window)
-    big_window = window.expanded([layers] * window.axes, [layers] * window.axes)
-    big = window_kernel(spec, big_window)
-    site_cols = big_window.flat_indices(window.sites())
-    for (ring, big_basis, _), small_dim in zip(big.components, small.scalar_dims()):
-        if linalg.row_span_rank(big_basis[:, site_cols], ring) != small_dim:
-            return False
-    return True
+    from .measures import SubgroupHaarMeasure, _positive_integer
+
+    layers = _positive_integer(layers, "layers")
+    expanded = window.expanded([layers] * window.axes, [layers] * window.axes)
+    marginal = SubgroupHaarMeasure.from_kernel(spec, expanded).marginal(window)
+    return marginal.same_distribution(SubgroupHaarMeasure.from_kernel(spec, window))

@@ -293,14 +293,25 @@ def checkerboard_config(module, window, mode="exact") -> WindowConfig:
     return WindowConfig(window, module, vals, mode)
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _within_int64(coords) -> bool:
+    return all(_INT64.min <= x <= _INT64.max for x in coords)
+
+
 def scaled_offset(offset, n: int, axes: int) -> tuple:
-    """The lattice vector n * offset; an offset without `axes` coordinates is refused."""
+    """The lattice vector n * offset; an offset without `axes` coordinates is
+    refused, and so is a vector past the int64 coordinate range."""
     offset = tuple(int(x) for x in offset)
     if len(offset) != axes:
         raise InvalidParameterError(
             f"offset {offset} has length {len(offset)}, not D+E = {axes}"
         )
-    return tuple(int(n) * x for x in offset)
+    v = tuple(int(n) * x for x in offset)
+    if not _within_int64(v):
+        raise InvalidParameterError(f"offset {offset} at n = {n} is past the int64 coordinate range")
+    return v
 
 
 def pin_union(placed):
@@ -312,10 +323,16 @@ def pin_union(placed):
     pinned site to its first value, both int tuples, in the order first
     pinned; `clash` is None, or (site, held value, other value) of the first
     pin, word after word and each window row-major, whose site an earlier pin
-    holds with another value.
+    holds with another value.  A word whose translated window leaves the
+    int64 coordinate range is refused.
     """
     pins, clash = {}, None
     for v, word in placed:
+        lo = [o + x for o, x in zip(word.window.origin, v)]
+        if not _within_int64(lo + [x + e - 1 for x, e in zip(lo, word.window.extents)]):
+            raise InvalidParameterError(
+                f"word on {word.window} translated by {tuple(v)} is past the int64 coordinate range"
+            )
         for site, value in zip(word.window.sites(), map(tuple, word.flat().tolist())):
             site = tuple(s + x for s, x in zip(site, v))
             held = pins.setdefault(site, value)

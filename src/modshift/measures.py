@@ -797,7 +797,7 @@ def fourier(mu: MeasureHandle, chi: CharacterSpec, budget="exact", start: int = 
         class_ids, root_sums = _coefficients(mu, sites, codes)
         rs = root_sums[class_ids[0]]
         return FourierResult(chi, rs.to_complex(), 0.0, root_sum=rs)
-    n = _sample_count(budget, "sample budget")
+    n = _positive_integer(budget, "sample budget")
     blocks = _draw_blocks(mu, start, n, idx) if sites else ()
     exps = np.zeros(n, dtype=np.int64)
     for r0, draws in blocks:
@@ -808,14 +808,14 @@ def fourier(mu: MeasureHandle, chi: CharacterSpec, budget="exact", start: int = 
     return FourierResult(chi, value, 1.0 / math.sqrt(n))
 
 
-def _sample_count(budget, name: str) -> int:
-    """`budget` as a number of draws; anything but an integer >= 1 raises."""
+def _positive_integer(value, name: str) -> int:
+    """`value` as an int, such as a number of draws; anything but an integer >= 1 raises."""
     try:
-        n = operator.index(budget)
+        n = operator.index(value)
     except TypeError:
-        raise InvalidParameterError(f"{name} must be an integer, got {budget!r}") from None
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
     if n < 1:
-        raise InvalidParameterError(f"{name} must be >= 1, got {budget}")
+        raise InvalidParameterError(f"{name} must be >= 1, got {value}")
     return n
 
 
@@ -1186,7 +1186,7 @@ def mixing_statistic(mu: MeasureHandle, pairs, n: int, budget="exact", start: in
         return MixingResult(
             n, float(observed), float(product), float(dev), 0.0, True, observed, product
         )
-    count = _sample_count(budget, "sample budget")
+    count = _positive_integer(budget, "sample budget")
     joint_arrays = [] if clash else [_pin_arrays(mu.window, mu.module, joint)]
     events = joint_arrays + marg_arrays
     # Sorted indices are the sorted sites: the window is row-major.
@@ -1227,7 +1227,7 @@ def block_entropy(mu: MeasureHandle, block: WindowSpec, n_samples=None, start: i
         if not mu.is_exact:
             raise InvalidParameterError("sampled handle needs an explicit n_samples")
         return mu.entropy_bits_per_site(sel)
-    n = _sample_count(n_samples, "n_samples")
+    n = _positive_integer(n_samples, "n_samples")
     width = sel.size * mu.module.rank
     radix = _row_radix(mu.module.ring.size, width)
     # One key per draw where rows fit a key, else the rows themselves; counts

@@ -49,7 +49,10 @@ The pin dicts are the library's original k-fold mixing event
 (`_pins_from_word` and `_merge_pins`), kept as the reference for
 `lattice.pin_union`, which `mixing_statistic` and `topological_mixing_check`
 share; the topological check is decided from them by brute force over the
-pins' bounding box.
+pins' bounding box.  The solved topological check is the library's original
+`topological_mixing_check`, which solved the constraints on the pins'
+bounding box with `solve_affine`, kept as the reference for the check read
+from the kernel's Haar measure.
 The box product is the library's original `poly_mul`, which convolved dense
 coefficient boxes for every product, kept as the reference for products on
 term arrays.  The generic weighted sum is the library's original
@@ -1118,6 +1121,51 @@ def pinned_topological_check(spec, pairs, n):
         all(word[where[site]] == val[0] for site, val in merged.items())
         for word in brute_kernel_words(spec, box)
     )
+
+
+def solved_topological_check(spec, pairs, n):
+    """`topological_mixing_check` as it was before it read the kernel's Haar
+    measure: the constraints on the pins' bounding box are solved with the
+    pins fixed, once per field component and module component, by
+    `solve_affine`."""
+    from modshift import linalg
+    from modshift.errors import InfeasiblePinError, InvalidParameterError
+    from modshift.kernels import _field_components, constraint_matrix, kernel_membership
+    from modshift.lattice import WindowSpec, pin_union, scaled_offset
+
+    if n < 1:
+        raise InvalidParameterError(f"n must be >= 1, got {n}")
+    placed = []
+    for h, word in pairs:
+        spec.module.check_same(word.module)
+        v = scaled_offset(h, n, sum(spec.dims))
+        if not kernel_membership(spec, word):
+            raise InvalidParameterError("pinned word is not in the window kernel")
+        placed.append((v, word))
+    if not placed:
+        return True
+    pins, clash = pin_union(placed)
+    if clash:
+        raise InfeasiblePinError("site {} pinned to both {} and {}".format(*clash))
+    sites = np.array(list(pins), dtype=np.int64)
+    values = np.array(list(pins.values()), dtype=np.int64)
+    lo, hi = sites.min(axis=0), sites.max(axis=0)
+    box = WindowSpec(spec.dims, tuple(lo.tolist()), tuple((hi - lo + 1).tolist()))
+    pin_cols = box.flat_indices(sites)
+    free = np.ones(box.n_sites, dtype=bool)
+    free[pin_cols] = False
+    for comp_spec, comp_ring, deco, j in _field_components(spec):
+        matrix = constraint_matrix(comp_spec, box)
+        if matrix.shape[0] == 0:
+            continue
+        for c in range(spec.module.rank):
+            targets = deco.forward_table[values[:, c], j]
+            pinned_part = matrix[:, pin_cols]
+            rhs = comp_ring.neg_arr(comp_ring.lincomb(pinned_part, targets[:, None])[:, 0])
+            solution, _ = linalg.solve_affine(matrix[:, free], rhs, comp_ring)
+            if solution is None:
+                return False
+    return True
 
 
 def whole_draw_mixing(mu, pairs, n, budget, start=0):

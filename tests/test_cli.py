@@ -215,6 +215,11 @@ UNIFORM = ("--measure", "uniform", "--ring", "zmod:2", "--extents", "4")
          "InvalidParameterError", "offset (1, 0, 7)"),
         (["shift", "mixing-check", "--kernel", KERNEL, "--offsets", "(1);(0,2)", "--n", "3"],
          "InvalidParameterError", "offset (1,)"),
+        (["shift", "mixing-check", "--kernel", KERNEL, "--offsets", "(0,0);(1,0)",
+          "--n", "9223372036854775808"], "InvalidParameterError", "offset (1, 0) at n = 9223372036854775808"),
+        (["measure", "mixing", "--measure", "kernel", "--kernel", KERNEL, "--extents", "9,9",
+          "--offsets", "(0,0);(0,1)", "--n-schedule", "9223372036854775808"],
+         "InvalidParameterError", "offset (0, 1) at n = 9223372036854775808"),
         (["measure", "fourier", "--measure", "uniform", "--ring", "zmod:2", "--dims", "2 0",
           "--extents", "4 4", "--chi", "(1):1"], "InvalidParameterError", "site (1,)"),
         (["measure", "fourier", "--measure", "uniform", "--ring", "zmod:2", "--dims", "2 0",

@@ -134,10 +134,10 @@ def test_narrow_words_equal_int64_words(text, rank, branch):
 def test_closure_verdict_equals_int64_verdict(text, rank, branch):
     _, basis, gens, limit = _case(text, rank, branch)
     kwargs = dict(max_exhaustive=limit, samples=300, seed=11)
-    assert submodule_condition_check(basis, gens, **kwargs) is True
+    assert submodule_condition_check(basis, gens) is True
     assert int64_submodule_condition(basis, gens, **kwargs) is True
     tampered = _tampered(basis)
-    assert submodule_condition_check(tampered, gens, **kwargs) is False
+    assert submodule_condition_check(tampered, gens) is False
     assert int64_submodule_condition(tampered, gens, **kwargs) is False
 
 
@@ -159,7 +159,7 @@ def test_tampering_each_component_equals_int64_verdict(text, j, rank, branch):
     vanishing = _vanishing_gens(ring, j)
     assert vanishing
     for some_gens, closed in ((gens, False), (vanishing, True), ([0], True)):
-        assert submodule_condition_check(tampered, some_gens, **kwargs) is closed
+        assert submodule_condition_check(tampered, some_gens) is closed
         assert int64_submodule_condition(tampered, some_gens, **kwargs) is closed
 
 
@@ -186,9 +186,8 @@ def test_closure_verdict_matches_int64_oracle(case, data):
         site = data.draw(st.one_of(st.sampled_from(fixed), sites) if fixed else sites)
         rows[i, site] = comp_ring.add(int(rows[i, site]), data.draw(st.integers(1, comp_ring.size - 1)))
         basis = _with_rows(basis, j, rows)
-    kwargs = dict(samples=300, seed=11)
-    assert submodule_condition_check(basis, gens, **kwargs) is int64_submodule_condition(
-        basis, gens, **kwargs
+    assert submodule_condition_check(basis, gens) is int64_submodule_condition(
+        basis, gens, samples=300, seed=11
     )
 
 

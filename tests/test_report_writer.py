@@ -15,6 +15,8 @@ import importlib
 import json
 import math
 import pathlib
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -327,6 +329,13 @@ def test_special_values_are_written_as_json_writes_them():
 
 
 # -- the benchmark's tracer still finds what it wraps ----------------------------
+
+
+def test_tracer_selftest_exits_zero():
+    """A traced run of every suite writes the untraced report bytes and restores every patch."""
+    run = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 def _tracer_tables():

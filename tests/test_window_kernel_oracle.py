@@ -4,8 +4,8 @@
 original elimination of the whole constraint matrix (`constraint_matrix`, then
 `rref`, then `nullspace_from_rref`).  Both must give the same basis arrays and
 free site tuples bit for bit.  The elimination-free `torsion_free_check` and
-the `window_kernel`-based `extension_certificate` are compared with their
-rank- and nullspace-based originals the same way.
+the `extension_certificate` read from the kernel's Haar marginal are compared
+with their rank- and nullspace-based originals the same way.
 """
 
 import numpy as np
