@@ -29,7 +29,7 @@ from .errors import InvalidParameterError, UnsupportedCharacteristicError
 from .lattice import WindowConfig, WindowSpec
 from .rings import MixedRadix, ModuleSpec, ProductRing, Ring, ZmodRing, is_prime
 from .rng import CounterRng, draw_blocks
-from .shiftpoly import LocalRule, TorusStencil, from_rule
+from .shiftpoly import LocalRule, TorusStencil
 
 __all__ = [
     "CrtDecomposition",
@@ -297,14 +297,15 @@ def merge_config(configs, deco: CrtDecomposition) -> WindowConfig:
 
 
 def component_rule(rule: LocalRule, deco: CrtDecomposition, j: int) -> LocalRule:
-    """The rule with every coefficient pushed through the j-th component map."""
+    """The rule with every coefficient pushed through the j-th component map,
+    refused when one vanishes there: kernel propagation needs units."""
     ring_j = deco.component_rings[j]
     module_j = ModuleSpec(ring_j, rule.module.rank)
     coeffs = tuple(int(deco.forward_table[c, j]) for c in rule.coeffs)
     if any(c == 0 for c in coeffs):
         raise InvalidParameterError(
-            "a coefficient vanishes in component "
-            f"{ring_j.descriptor()}; the component rule is not a valid local rule"
+            f"a coefficient vanishes in component {ring_j.descriptor()}; "
+            "kernel propagation needs every component coefficient to be a unit"
         )
     return LocalRule(module_j, rule.dims, rule.offsets, coeffs)
 
@@ -326,7 +327,11 @@ def conjugacy_check(
     torus_extents=(32,),
     seed: int = 0,
 ) -> ConjugacyResult:
-    """split(rule(c)) == component rules applied to split(c), on random tori."""
+    """split(rule(c)) == component stencils applied to split(c), on random tori.
+
+    Component j's stencil reads the coefficients' component-j codes, zeros
+    kept, so that it has the rule's torus plan.
+    """
     module = rule.module
     dims = rule.dims
     if module.ring != deco.ring:
@@ -334,8 +339,9 @@ def conjugacy_check(
     if len(torus_extents) != dims[0] + dims[1]:
         raise InvalidParameterError("torus extents arity != rule dims")
     window = WindowSpec(dims, (0,) * len(torus_extents), tuple(torus_extents))
-    polys = [from_rule(rule)] + [
-        from_rule(component_rule(rule, deco, j)) for j in range(deco.n_components)
+    terms = [tuple(zip(rule.offsets, rule.coeffs))] + [
+        tuple(zip(rule.offsets, deco.forward_table[list(rule.coeffs), j].tolist()))
+        for j in range(deco.n_components)
     ]
     rings = [module.ring, *deco.component_rings]
     rng = CounterRng(seed, stream=57)
@@ -349,12 +355,12 @@ def conjugacy_check(
         return rng.uniform_codes(first * cells, (n,) + window.extents + (module.rank,), module.ring.size)
 
     # Forward columns in each component's sum dtype; one plan per stencil and block shape.
-    columns = [deco.forward_table[:, j].astype(ring.sum_dtype(len(poly.terms)))
-               for j, (ring, poly) in enumerate(zip(rings[1:], polys[1:]))]
+    columns = [deco.forward_table[:, j].astype(ring.sum_dtype(len(rule.offsets)))
+               for j, ring in enumerate(rings[1:])]
 
     @lru_cache(maxsize=None)
     def plan(i, shape):
-        return TorusStencil(polys[i].terms, window, rings[i], shape)
+        return TorusStencil(terms[i], window, rings[i], shape)
 
     for first, block in draw_blocks(trials, [cells], cells, draw):
         image = plan(0, block.shape).apply(block)
@@ -404,22 +410,9 @@ def project_measure(mu, deco: CrtDecomposition, j: int):
             module_j, mu.window, (mu.spans[j],), deco.split_arrays(mu.rep_codes)[j], note,
             f"|p{ring_j.characteristic}",
         )
-    if isinstance(mu, measures.ExactWordMeasure):
-        words = []
-        for vals, p in mu.words:
-            words.append((deco.forward_table[:, j][vals], p))
-        return measures.ExactWordMeasure(
-            module_j, mu.window, words, seed=mu.seed, mode=mu.mode,
-            label=f"{mu.label}|p{ring_j.characteristic}",
-            provenance=mu.derived(note),
-        )
-
-    def transform(batch):
-        return deco.forward_table[:, j][batch]
-
-    return measures.TransformedMeasure(
-        mu, transform, mu.window, module_j,
-        label=f"{mu.label}|p{ring_j.characteristic}", provenance=mu.derived(note),
+    return measures._image(
+        mu, deco.forward_table[:, j].take, mu.window, module_j, note,
+        f"|p{ring_j.characteristic}", measures.ENUMERATION_CAP,
     )
 
 

@@ -70,6 +70,8 @@ ENUMERATION_CAP = 1 << 20
 DRAW_CAP = 1 << 27
 # Fixed bound on the tuples the closure check of an explicit word set may sum.
 CLOSURE_TUPLE_CAP = 1 << 17
+# Fixed bound on the cells (sites x free sites) of a kernel solved by propagation.
+KERNEL_CELL_CAP = 1 << 28
 
 
 class ResourceLimitError(ModshiftError):

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     CLOSURE_TUPLE_CAP,
     ENUMERATION_CAP,
+    KERNEL_CELL_CAP,
     DomainExhaustedError,
     InfeasiblePinError,
     InvalidParameterError,
@@ -54,7 +55,7 @@ from .lattice import (
 )
 from .rings import MixedRadix, ModuleSpec, Ring
 from .rng import CounterRng
-from .shiftpoly import LocalRule, from_rule, stencil
+from .shiftpoly import LocalRule, stencil
 
 __all__ = [
     "KernelShiftSpec",
@@ -187,9 +188,18 @@ def _propagate(spec: KernelShiftSpec, window: WindowSpec, lead: str) -> tuple:
     c_b x_{m+b}, whose reads have smaller w-score.  From the identity on the
     other (free) sites, one `Ring.weighted_sum` per value of w.m fills the fixed
     sites of the (sites x dim) array, gathered by flat site index.  A
-    single-term rule fixes its sites to 0.
+    single-term rule fixes its sites to 0.  Each anchor fixes one distinct
+    site, so the array's cells are known up front; above `KERNEL_CELL_CAP`
+    cells it raises ResourceLimitError before any array is built.
     """
     anchors = _anchors(spec, window)
+    cells = window.n_sites * (window.n_sites - (anchors.n_sites if anchors else 0))
+    if cells > KERNEL_CELL_CAP:
+        raise ResourceLimitError(
+            f"kernel on {window} needs {cells} cells (sites x free sites), "
+            f"above the cap {KERNEL_CELL_CAP}",
+            required=cells,
+        )
     offsets = spec.constraint.offsets
     w = _lead_weights(offsets, lead)
     k_lead = int(np.argmax(np.array(offsets) @ w))
@@ -358,23 +368,23 @@ def invariance_and_surjectivity_check(rule: LocalRule, spec: KernelShiftSpec, wi
     as one stack and compared against the kernel on the target window:
     membership of every image gives invariance (membership is linear, so the
     basis decides it), image span rank gives surjectivity.  The check runs on
-    scalar (rank-1) values; free-module components transform identically.
+    scalar (rank-1) values; free-module components transform identically.  In
+    component j the rule reads its coefficients' component-j codes, zeros kept.
     """
     rule.module.check_same(spec.module)
     offs = np.array(rule.offsets, dtype=np.int64)
     expand_lo = [max(0, -int(l)) for l in offs.min(axis=0)]
     expand_hi = [max(0, int(h)) for h in offs.max(axis=0)]
     big = window.expanded(expand_lo, expand_hi)
-    scalar_rule = LocalRule(ModuleSpec(spec.ring, 1), rule.dims, rule.offsets, rule.coeffs)
     invariant = True
     surjective = True
     for comp_spec, comp_ring, deco, j in _field_components(spec):
-        comp_poly = from_rule(crt.component_rule(scalar_rule, deco, j))
+        terms = zip(rule.offsets, deco.forward_table[list(rule.coeffs), j].tolist())
         ((_, big_basis, _),) = window_kernel(comp_spec, big).components
         ((_, small_basis, _),) = window_kernel(comp_spec, window).components
         nb = big_basis.shape[0]
         out_window, out = stencil(
-            comp_poly.terms, big_basis.reshape((nb,) + big.extents + (1,)), big, "exact", comp_ring
+            terms, big_basis.reshape((nb,) + big.extents + (1,)), big, "exact", comp_ring
         )
         if not out_window.contains_window(window):
             raise OutOfWindowError(f"{window} not contained in {out_window}")

@@ -671,57 +671,15 @@ def _power_poly(rule: LocalRule, t: int) -> ShiftPolynomial:
     return poly_pow(f, t)
 
 
-def _transform_span(span: _FieldSpan, rep: np.ndarray, poly, window, rank):
-    """The exact stencil image of a span and of a representative's component codes.
+def _image(mu, apply, out_window, module, note: str, suffix: str, limit: int) -> MeasureHandle:
+    """The image of mu under `apply`, which maps (count, *mu.window.extents, rank)
+    codes to (count, *out_window.extents, module.rank) codes.
 
-    The representative is one more row of the span's batch.  Returns the
-    output window, the echelonized image span and the image representative.
+    An exact handle whose words enumerate within `limit` gives the word list of
+    their images, any other handle a sampled one that applies `apply` to its
+    draws.  The result keeps mu's seed and mode, and `suffix` ends its label.
     """
-    rows = np.concatenate([span.basis, rep.reshape(1, -1)])
-    vals = rows.reshape((span.dim + 1,) + window.extents + (rank,))
-    out_window, out_vals = stencil(poly.terms, vals, window, "exact", span.ring)
-    nvars = out_window.n_sites * rank
-    out = out_vals.reshape(span.dim + 1, nvars)
-    return out_window, _FieldSpan(span.ring, _echelonize(span.ring, out[:-1], nvars)), out[-1]
-
-
-def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERATION_CAP) -> MeasureHandle:
-    """Distribution of t rule applications of draws from mu.
-
-    t = 0 returns mu itself.  Haar handles transform exactly at any size, one
-    field component at a time, so only component rules are powered; other
-    exact handles push by enumeration when within `limit`; everything else
-    becomes a sampled handle using the fast (base-p Frobenius) polynomial
-    power.
-    """
-    if t < 0:
-        raise InvalidParameterError(f"t must be >= 0, got {t}")
-    if t == 0:
-        return mu
-    rule.module.check_same(mu.module)
-    note = f"pushforward by {rule.offsets}/{rule.coeffs}, t={t}"
-
-    source = mu
-    if isinstance(mu, BernoulliMeasure) and mu.is_uniform and mu.mode == "exact":
-        try:
-            source = SubgroupHaarMeasure.full_space(
-                mu.module, mu.window, seed=mu.seed, mode=mu.mode, label=mu.label,
-                provenance=mu.provenance,
-            )
-        except UnsupportedCharacteristicError:
-            pass  # not a product of fields: enumerate or sample below
-    if isinstance(source, SubgroupHaarMeasure) and source.mode == "exact":
-        deco = source.decomposition
-        spans, reps = [], []
-        for si, (span, rep) in enumerate(zip(source.spans, deco.split_arrays(source.rep_codes))):
-            comp_poly = _power_poly(crt.component_rule(rule, deco, si), t)
-            out_window, new_span, new_rep = _transform_span(
-                span, rep, comp_poly, source.window, mu.module.rank
-            )
-            spans.append(new_span)
-            reps.append(new_rep)
-        return source._rebuilt(mu.module, out_window, spans, deco.merge_arrays(reps), note)
-    poly = _power_poly(rule, t)
+    label, provenance = mu.label + suffix, mu.derived(note)
     if mu.is_exact:
         try:
             words = list(mu.enumerate_words(limit))
@@ -731,28 +689,63 @@ def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERA
             shaped = np.stack([vals for vals, _ in words]).reshape(
                 (len(words),) + mu.window.extents + (mu.module.rank,)
             )
-            out_window, out_vals = stencil(poly.terms, shaped, mu.window, mu.mode, rule.ring)
             pushed = [
-                (out.reshape(-1, mu.module.rank), p) for out, (_, p) in zip(out_vals, words)
+                (out.reshape(-1, module.rank), p) for out, (_, p) in zip(apply(shaped), words)
             ]
             return ExactWordMeasure(
-                mu.module, out_window, pushed, seed=mu.seed, mode=mu.mode,
-                label=mu.label, provenance=mu.derived(note),
+                module, out_window, pushed, seed=mu.seed, mode=mu.mode, label=label,
+                provenance=provenance,
             )
-    # sampled fallback
-    def transform(batch):
-        _, out = stencil(poly.terms, batch, mu.window, mu.mode, rule.ring)
-        return out
+    return TransformedMeasure(mu, apply, out_window, module, label=label, provenance=provenance)
 
-    if mu.mode == "torus":
-        out_window = mu.window
-    else:
-        probe = np.zeros((1,) + mu.window.extents + (mu.module.rank,), dtype=np.int64)
-        out_window, _ = stencil(poly.terms, probe, mu.window, "exact", rule.ring)
-    return TransformedMeasure(
-        mu, transform, out_window, mu.module,
-        label=f"{mu.label}->t{t}", provenance=mu.derived(note),
-    )
+
+def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERATION_CAP) -> MeasureHandle:
+    """Distribution of t rule applications of draws from mu, labelled `<label>->t<t>`.
+
+    t = 0 returns mu itself.  The rule is powered once, by `_power_poly`.
+    Haar handles transform exactly at any size: each field component's span
+    by the power's nonzero codes in that component, the representative over
+    the whole ring.  Other handles go to `_image`: exact ones are enumerated
+    within `limit`, everything else is sampled.
+    """
+    if t < 0:
+        raise InvalidParameterError(f"t must be >= 0, got {t}")
+    if t == 0:
+        return mu
+    rule.module.check_same(mu.module)
+    note = f"pushforward by {rule.offsets}/{rule.coeffs}, t={t}"
+    poly = _power_poly(rule, t)
+    shape = mu.window.extents + (mu.module.rank,)
+    source = mu
+    if isinstance(mu, BernoulliMeasure) and mu.is_uniform and mu.mode == "exact":
+        try:
+            source = SubgroupHaarMeasure.full_space(
+                mu.module, mu.window, seed=mu.seed, mode=mu.mode, label=mu.label,
+                provenance=mu.provenance,
+            )
+        except UnsupportedCharacteristicError:
+            pass  # not a product of fields: enumerate or sample below
+    if not (isinstance(source, SubgroupHaarMeasure) and source.mode == "exact"):
+        out_window, _ = stencil(poly.terms, np.zeros((0,) + shape, dtype=np.int64), mu.window,
+                                mu.mode, rule.ring)
+
+        def apply(batch):
+            return stencil(poly.terms, batch, mu.window, mu.mode, rule.ring)[1]
+
+        return _image(mu, apply, out_window, mu.module, note, f"->t{t}", limit)
+    out_window, rep = stencil(poly.terms, source.rep_codes.reshape((1,) + shape), mu.window,
+                              "exact", rule.ring)
+    codes = source.decomposition.split_arrays([c for _, c in poly.terms])
+    nvars = out_window.n_sites * mu.module.rank
+    spans = []
+    for j, span in enumerate(source.spans):
+        # A vanishing edge term widens this component's window; cut it to the ring's.
+        terms = [(off, c) for (off, _), c in zip(poly.terms, codes[j]) if c]
+        rows = span.basis.reshape((span.dim,) + shape)
+        comp_window, out = stencil(terms, rows, mu.window, "exact", span.ring)
+        out = out[(slice(None),) + comp_window.relative_slices(out_window)].reshape(span.dim, nvars)
+        spans.append(_FieldSpan(span.ring, _echelonize(span.ring, out, nvars)))
+    return source._rebuilt(mu.module, out_window, spans, rep, note, f"->t{t}")
 
 
 # -- Fourier -----------------------------------------------------------------

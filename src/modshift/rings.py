@@ -918,27 +918,23 @@ def subring_closure(ring: Ring, gens) -> frozenset:
     return frozenset(int(x) for x in np.nonzero(members)[0])
 
 
-def _require_prime_characteristic(ring: Ring, p):
+def _require_prime_characteristic(ring: Ring) -> int:
     char = ring.characteristic
-    if p is None:
-        p = char
-    if p != char:
-        raise InvalidParameterError(f"p={p} does not match characteristic {char}")
     if not is_prime(char):
         raise UnsupportedCharacteristicError(
             f"characteristic {char} is not prime; decompose the ring first"
         )
-    return p
+    return char
 
 
-def stable_power_subring(ring: Ring, coeffs, p: int | None = None) -> frozenset:
+def stable_power_subring(ring: Ring, coeffs) -> frozenset:
     """Stabilized subring generated by iterated p-th powers of the coefficients.
 
-    Computes the subring generated by {c**(p**j)} for j = 0, 1, 2, ... and
+    For the prime characteristic p, computes the subring generated by {c**(p**j)} for j = 0, 1, 2, ... and
     returns the first one equal to its successor.  The chain is verified to be
     descending at every step.
     """
-    p = _require_prime_characteristic(ring, p)
+    p = _require_prime_characteristic(ring)
     coeffs = [ring.element_code(c, "coefficient") for c in coeffs]
     if not coeffs or any(c == 0 for c in coeffs):
         raise InvalidParameterError("coefficients must be nonzero")
@@ -954,14 +950,14 @@ def stable_power_subring(ring: Ring, coeffs, p: int | None = None) -> frozenset:
         previous = nxt
 
 
-def recurrent_power_sums(ring: Ring, coeffs, p: int | None = None) -> frozenset:
+def recurrent_power_sums(ring: Ring, coeffs) -> frozenset:
     """Values (sum of p**k-th powers of the coefficients) - 1 that recur forever.
 
     The coefficient power vector evolves by the Frobenius map and is eventually
     periodic; the returned set contains exactly the values attained inside the
     detected cycle (k starts at 1).
     """
-    p = _require_prime_characteristic(ring, p)
+    p = _require_prime_characteristic(ring)
     coeffs = [ring.element_code(c, "coefficient") for c in coeffs]
     if not coeffs or any(c == 0 for c in coeffs):
         raise InvalidParameterError("coefficients must be nonzero")

@@ -58,6 +58,13 @@ coefficient boxes for every product, kept as the reference for products on
 term arrays.  The generic weighted sum is the library's original
 `Ring.weighted_sum` of the table rings (two int64 table gathers per term),
 kept as the reference for the packed narrow sum.
+The per-component Haar pushforward is the library's original Haar branch of
+`pushforward`, which powered `crt.component_rule` in each field component
+and pushed the span and the representative's component codes there
+(`_transform_span`); the branch pushforward and the branch projection are
+the original word-enumeration and sampled branches of `pushforward` and
+`crt.project_measure`.  All three are kept as the reference for the one
+image path, `measures._image`.
 """
 
 import csv
@@ -1273,3 +1280,88 @@ def generic_weighted_sum(ring, coeffs, arrays):
         term = ring.mul_arr(np.int64(c), a)
         out = term if out is None else ring.add_arr(out, term)
     return out
+
+
+# -- images of measures, one branch per handle kind -------------------------------------
+
+
+def per_component_haar_pushforward(mu, rule, t):
+    """The Haar branch of `pushforward` as first written: (out window, component bases,
+    representative codes), with the rule powered once per field component.  A coefficient
+    that vanishes in a component raises, as `crt.component_rule` does."""
+    from modshift.crt import component_rule
+    from modshift.measures import _echelonize, _power_poly
+    from modshift.shiftpoly import stencil
+
+    deco, rank = mu.decomposition, mu.module.rank
+    bases, reps = [], []
+    for si, (span, rep) in enumerate(zip(mu.spans, deco.split_arrays(mu.rep_codes))):
+        poly = _power_poly(component_rule(rule, deco, si), t)
+        rows = np.concatenate([span.basis, rep.reshape(1, -1)])
+        vals = rows.reshape((span.dim + 1,) + mu.window.extents + (rank,))
+        out_window, out_vals = stencil(poly.terms, vals, mu.window, "exact", span.ring)
+        nvars = out_window.n_sites * rank
+        out = out_vals.reshape(span.dim + 1, nvars)
+        bases.append(_echelonize(span.ring, out[:-1], nvars))
+        reps.append(out[-1])
+    return out_window, bases, deco.merge_arrays(reps)
+
+
+def branch_pushforward(mu, rule, t, limit):
+    """The enumerated and sampled branches of `pushforward` as first written, for a handle
+    that is not an exact Haar one: an `ExactWordMeasure` of the pushed words, or a
+    `TransformedMeasure` whose window comes from a one-draw zero probe."""
+    from modshift.measures import ExactWordMeasure, TransformedMeasure, _power_poly
+    from modshift.errors import ResourceLimitError
+    from modshift.shiftpoly import stencil
+
+    note = f"pushforward by {rule.offsets}/{rule.coeffs}, t={t}"
+    poly = _power_poly(rule, t)
+    if mu.is_exact:
+        try:
+            words = list(mu.enumerate_words(limit))
+        except ResourceLimitError:
+            words = None
+        if words:
+            shaped = np.stack([vals for vals, _ in words]).reshape(
+                (len(words),) + mu.window.extents + (mu.module.rank,)
+            )
+            out_window, out_vals = stencil(poly.terms, shaped, mu.window, mu.mode, rule.ring)
+            pushed = [(out.reshape(-1, mu.module.rank), p) for out, (_, p) in zip(out_vals, words)]
+            return ExactWordMeasure(mu.module, out_window, pushed, seed=mu.seed, mode=mu.mode,
+                                    label=mu.label, provenance=mu.derived(note))
+
+    def transform(batch):
+        _, out = stencil(poly.terms, batch, mu.window, mu.mode, rule.ring)
+        return out
+
+    if mu.mode == "torus":
+        out_window = mu.window
+    else:
+        probe = np.zeros((1,) + mu.window.extents + (mu.module.rank,), dtype=np.int64)
+        out_window, _ = stencil(poly.terms, probe, mu.window, "exact", rule.ring)
+    return TransformedMeasure(mu, transform, out_window, mu.module, label=f"{mu.label}->t{t}",
+                              provenance=mu.derived(note))
+
+
+def branch_projection(mu, deco, j):
+    """The word-list and sampled branches of `crt.project_measure` as first written: every
+    word of an `ExactWordMeasure` mapped through the component table, whatever the count,
+    and a `TransformedMeasure` of the table for anything else."""
+    from modshift.measures import ExactWordMeasure, TransformedMeasure
+    from modshift.rings import ModuleSpec
+
+    ring_j = deco.component_rings[j]
+    module_j = ModuleSpec(ring_j, mu.module.rank)
+    note = f"crt projection to component {j} ({ring_j.descriptor()})"
+    label = f"{mu.label}|p{ring_j.characteristic}"
+    if isinstance(mu, ExactWordMeasure):
+        words = [(deco.forward_table[:, j][vals], p) for vals, p in mu.words]
+        return ExactWordMeasure(module_j, mu.window, words, seed=mu.seed, mode=mu.mode,
+                                label=label, provenance=mu.derived(note))
+
+    def transform(batch):
+        return deco.forward_table[:, j][batch]
+
+    return TransformedMeasure(mu, transform, mu.window, module_j, label=label,
+                              provenance=mu.derived(note))

@@ -217,6 +217,8 @@ UNIFORM = ("--measure", "uniform", "--ring", "zmod:2", "--extents", "4")
          "InvalidParameterError", "offset (1,)"),
         (["shift", "mixing-check", "--kernel", KERNEL, "--offsets", "(0,0);(1,0)",
           "--n", "9223372036854775808"], "InvalidParameterError", "offset (1, 0) at n = 9223372036854775808"),
+        (["shift", "mixing-check", "--kernel", KERNEL, "--offsets", "(0,0);(0,1);(1,0)",
+          "--n", "2048"], "ResourceLimitError", "cells (sites x free sites)"),
         (["measure", "mixing", "--measure", "kernel", "--kernel", KERNEL, "--extents", "9,9",
           "--offsets", "(0,0);(0,1)", "--n-schedule", "9223372036854775808"],
          "InvalidParameterError", "offset (0, 1) at n = 9223372036854775808"),

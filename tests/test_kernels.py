@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from modshift import (
     torsion_free_check,
     window_kernel,
 )
+from modshift.errors import KERNEL_CELL_CAP, ResourceLimitError
 from modshift.kernels import draw_kernel_words
 from modshift.rng import CounterRng
 
@@ -288,6 +290,24 @@ def test_topological_mixing(cb_system):
     b = WindowConfig(w6, cb_system.module, words[2].reshape(w6.extents + (1,)))
     with pytest.raises(InfeasiblePinError):
         topological_mixing_check(cb_system.kernel, [((0, 0), a), ((0, 0), b)], 5)
+
+
+def test_a_kernel_box_past_the_cell_cap_is_refused_before_any_array(cb_system):
+    # Pins at (0,0), (-n,0), (n,0) and (0,n) on the parity kernel: at n = 2048 the
+    # box has 4097 x 2049 sites and 8,193 free ones, about 6.9e10 cells.
+    one = WindowSpec((1, 1), (0, 0), (1, 1))
+    pairs = [((0, 0), constant_config(cb_system.module, one, 1))] + [
+        (h, constant_config(cb_system.module, one, 0)) for h in ((-1, 0), (1, 0), (0, 1))
+    ]
+    cells = 4097 * 2049 * (4097 * 2049 - 4095 * 2048)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"needs {cells} cells") as refusal:
+            topological_mixing_check(cb_system.kernel, pairs, 2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert refusal.value.required == cells > KERNEL_CELL_CAP and peak < 1 << 20
 
 
 def test_topological_mixing_refuses_offset_of_wrong_arity(cb_system):
