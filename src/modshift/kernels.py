@@ -25,6 +25,7 @@ scalar is a unit, and a zero one enlarges the solutions iff an anchor fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 
 import numpy as np
@@ -110,6 +111,20 @@ def _anchors(spec: KernelShiftSpec, window: WindowSpec):
     return anchor_window(spec.constraint.offsets, window)
 
 
+def _kernel_dim(spec: KernelShiftSpec, window: WindowSpec) -> int:
+    """n_sites - n_anchors, the in-window kernel's dimension in every field component."""
+    anchors = _anchors(spec, window)
+    return window.n_sites - (anchors.n_sites if anchors else 0)
+
+
+def _free_sites(spec: KernelShiftSpec, window: WindowSpec, lead) -> np.ndarray:
+    """Flat indices of the sites no anchor fixes: all but the anchor window moved by `lead`."""
+    free = np.ones(window.extents, dtype=bool)
+    if anchors := _anchors(spec, window):
+        free[window.relative_slices(anchors.translate(lead))] = False
+    return np.flatnonzero(free)
+
+
 def _anchor_columns(offsets, window: WindowSpec, anchors):
     """Anchor coordinates relative to the window, (axes, n_anchors) row-major, and the flat
     site index of anchor + offset, (n_terms, n_anchors), for an anchor window or None."""
@@ -130,17 +145,16 @@ def constraint_matrix(spec: KernelShiftSpec, window: WindowSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WindowBasis:
-    """Echelon basis of the in-window kernel.
-
-    `components` holds one (field ring, scalar basis, free site indices) triple
-    per field component of `decomposition`; a field ring is its own single
-    component.  The scalar basis spans per-site solutions; module solutions
-    place one copy per component of the free module.
-    """
+    """The in-window kernel, sized from its anchor geometry: each anchor fixes one
+    site (`_propagate`), so every field component of `decomposition` has scalar
+    dimension `dim` = n_sites - n_anchors.  `components` holds one (field ring,
+    scalar echelon basis, free site indices) triple per component, propagated on
+    first read, which is when `KERNEL_CELL_CAP` applies.  Module solutions place
+    one copy per component of the free module."""
 
     spec: KernelShiftSpec
     window: WindowSpec
-    components: tuple  # of (Ring, ndarray (nb, n_sites), tuple free site idx)
+    dim: int
 
     @property
     def module(self) -> ModuleSpec:
@@ -150,20 +164,21 @@ class WindowBasis:
     def decomposition(self) -> crt.CrtDecomposition:
         return crt.field_decomposition(self.spec.ring)
 
+    @cached_property
+    def components(self) -> tuple:  # of (Ring, ndarray (dim, n_sites), tuple free site idx)
+        return _propagate(self.spec, self.window, "first")
+
     @property
     def solution_count(self) -> int:
-        count = 1
-        rank = self.module.rank
-        for ring, basis, _ in self.components:
-            count *= ring.size ** (basis.shape[0] * rank)
-        return count
+        return self.spec.ring.size ** (self.dim * self.module.rank)
 
     @property
     def free_sites(self):
-        return tuple(free for _, _, free in self.components)
+        free = _free_sites(self.spec, self.window, min(self.spec.constraint.offsets))
+        return (tuple(free.tolist()),) * self.decomposition.n_components
 
     def scalar_dims(self):
-        return tuple(basis.shape[0] for _, basis, _ in self.components)
+        return (self.dim,) * self.decomposition.n_components
 
 
 def _lead_weights(offsets, lead: str) -> np.ndarray:
@@ -193,7 +208,7 @@ def _propagate(spec: KernelShiftSpec, window: WindowSpec, lead: str) -> tuple:
     cells it raises ResourceLimitError before any array is built.
     """
     anchors = _anchors(spec, window)
-    cells = window.n_sites * (window.n_sites - (anchors.n_sites if anchors else 0))
+    cells = window.n_sites * _kernel_dim(spec, window)
     if cells > KERNEL_CELL_CAP:
         raise ResourceLimitError(
             f"kernel on {window} needs {cells} cells (sites x free sites), "
@@ -205,9 +220,7 @@ def _propagate(spec: KernelShiftSpec, window: WindowSpec, lead: str) -> tuple:
     k_lead = int(np.argmax(np.array(offsets) @ w))
     rest = [k for k in range(len(offsets)) if k != k_lead]
     rel, cols = _anchor_columns(offsets, window, anchors)
-    fixed = np.zeros(window.n_sites, dtype=bool)
-    fixed[cols[k_lead]] = True
-    free = np.flatnonzero(~fixed)
+    free = _free_sites(spec, window, offsets[k_lead])
     order = np.argsort(w @ rel, kind="stable")
     batches = np.split(order, np.flatnonzero(np.diff((w @ rel)[order])) + 1)
     comps = []
@@ -226,11 +239,14 @@ def _propagate(spec: KernelShiftSpec, window: WindowSpec, lead: str) -> tuple:
 def window_kernel(spec: KernelShiftSpec, window: WindowSpec) -> WindowBasis:
     """Deterministic echelon basis of all in-window constraints' solutions.
 
-    `_propagate` with the lexicographically first term b* as lead: with
-    anchors row-major each constraint row starts at m+b*, so the free sites
-    are the RREF free columns and the basis is `nullspace_from_rref`'s.
+    `_propagate` with the lexicographically first term b* as lead, on first
+    read: with anchors row-major each constraint row starts at m+b*, so the
+    free sites are the RREF free columns and the basis is `nullspace_from_rref`'s.
+    An unsupported ring or a vanishing component coefficient is refused here.
     """
-    return WindowBasis(spec, window, _propagate(spec, window, "first"))
+    dim = _kernel_dim(spec, window)
+    tuple(_field_components(spec))
+    return WindowBasis(spec, window, dim)
 
 
 def constraint_residual(spec: KernelShiftSpec, config: WindowConfig):
@@ -367,9 +383,9 @@ def invariance_and_surjectivity_check(rule: LocalRule, spec: KernelShiftSpec, wi
     The kernel basis on the stencil-expanded window is pushed through the rule
     as one stack and compared against the kernel on the target window:
     membership of every image gives invariance (membership is linear, so the
-    basis decides it), image span rank gives surjectivity.  The check runs on
-    scalar (rank-1) values; free-module components transform identically.  In
-    component j the rule reads its coefficients' component-j codes, zeros kept.
+    basis decides it), and surjectivity holds when the images span `_kernel_dim`.
+    The check runs on scalar (rank-1) values; free-module components transform
+    identically.  In component j the rule reads its component-j codes, zeros kept.
     """
     rule.module.check_same(spec.module)
     offs = np.array(rule.offsets, dtype=np.int64)
@@ -378,10 +394,10 @@ def invariance_and_surjectivity_check(rule: LocalRule, spec: KernelShiftSpec, wi
     big = window.expanded(expand_lo, expand_hi)
     invariant = True
     surjective = True
+    dim = _kernel_dim(spec, window)
     for comp_spec, comp_ring, deco, j in _field_components(spec):
         terms = zip(rule.offsets, deco.forward_table[list(rule.coeffs), j].tolist())
         ((_, big_basis, _),) = window_kernel(comp_spec, big).components
-        ((_, small_basis, _),) = window_kernel(comp_spec, window).components
         nb = big_basis.shape[0]
         out_window, out = stencil(
             terms, big_basis.reshape((nb,) + big.extents + (1,)), big, "exact", comp_ring
@@ -392,7 +408,7 @@ def invariance_and_surjectivity_check(rule: LocalRule, spec: KernelShiftSpec, wi
         images = images.reshape(nb, window.n_sites)
         if not batch_membership(comp_spec, window, images[..., None]).all():
             invariant = False
-        if linalg.row_span_rank(images, comp_ring) != small_basis.shape[0]:
+        if linalg.row_span_rank(images, comp_ring) != dim:
             surjective = False
     return invariant, surjective
 
@@ -590,12 +606,14 @@ def extension_certificate(spec: KernelShiftSpec, window: WindowSpec, layers: int
     """Every in-window kernel word extends by `layers` rings of extra sites.
 
     Certified by the kernel's Haar measure: its marginal on `window` from the
-    expanded window must be the in-window kernel's Haar measure.  `layers`
-    must be an integer >= 1.
+    expanded window always lies inside the in-window kernel, so it is that
+    kernel's Haar measure iff each component span has the kernel's dimension
+    (`_kernel_dim` per module coordinate).  `layers` must be an integer >= 1.
     """
     from .measures import SubgroupHaarMeasure, _positive_integer
 
     layers = _positive_integer(layers, "layers")
     expanded = window.expanded([layers] * window.axes, [layers] * window.axes)
     marginal = SubgroupHaarMeasure.from_kernel(spec, expanded).marginal(window)
-    return marginal.same_distribution(SubgroupHaarMeasure.from_kernel(spec, window))
+    dim = _kernel_dim(spec, window) * spec.module.rank
+    return all(span.dim == dim for span in marginal.spans)

@@ -333,10 +333,11 @@ class SubgroupHaarMeasure(MeasureHandle):
     def from_kernel(spec: KernelShiftSpec, window: WindowSpec, seed=0, mode="exact", label=None):
         """Haar measure on the in-window kernel of `spec` over `window`, with no
         elimination: by matroid duality the kernel's RREF is `kernels._propagate` with the
-        lex-last term as lead, and its Kronecker product with the identity is in RREF.
-        `_propagate` refuses a window without the kernel's dims."""
+        lex-last term as lead, and its Kronecker product with the identity (no copy at rank 1)
+        is in RREF.  `_propagate` refuses a window without the kernel's dims."""
         eye = np.eye(spec.module.rank, dtype=np.int64)
-        spans = [_FieldSpan(ring, np.kron(rows, eye)) for ring, rows, _ in _propagate(spec, window, "last")]
+        spans = [_FieldSpan(ring, rows if eye.size == 1 else np.kron(rows, eye))
+                 for ring, rows, _ in _propagate(spec, window, "last")]
         return SubgroupHaarMeasure(
             spec.module, window, spans, seed, mode, label or f"kernel-haar[{spec.label}]"
         )

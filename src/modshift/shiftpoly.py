@@ -386,9 +386,10 @@ def stencil(terms, values: np.ndarray, window: WindowSpec, mode: str, ring: Ring
     if out_window is None:
         raise DomainExhaustedError(f"stencil span exceeds window {window}")
     codes = values.astype(ring.sum_dtype(len(terms)), copy=False)
+    starts = np.add([off for off, _ in terms], np.subtract(out_window.origin, window.origin)).tolist()
     blocks = (
-        codes[(slice(None),) + window.relative_slices(out_window.translate(off))]
-        for off, _ in terms
+        codes[(slice(None),) + tuple(slice(lo, lo + e) for lo, e in zip(row, out_window.extents))]
+        for row in starts
     )
     out = ring.weighted_sum([c for _, c in terms], blocks)
     return out_window, out.astype(dtype, copy=False)

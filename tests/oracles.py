@@ -65,6 +65,13 @@ and pushed the span and the representative's component codes there
 the original word-enumeration and sampled branches of `pushforward` and
 `crt.project_measure`.  All three are kept as the reference for the one
 image path, `measures._image`.
+The basis count is the library's original `WindowBasis.solution_count` and
+`scalar_dims`, read from the propagated rows, and the two-basis invariance
+check is the original `invariance_and_surjectivity_check`, which propagated
+the target window's kernel to compare its rank; both are kept as the
+reference for sizes read from the anchor geometry.  The translated-window
+stencil is the original exact `stencil`, which built one `WindowSpec` per
+term, kept as the reference for slices from integer offsets.
 """
 
 import csv
@@ -1365,3 +1372,69 @@ def branch_projection(mu, deco, j):
 
     return TransformedMeasure(mu, transform, mu.window, module_j, label=label,
                               provenance=mu.derived(note))
+
+
+# -- kernel sizes from the propagated rows ------------------------------------------
+
+
+def basis_solution_count(basis):
+    """`WindowBasis.solution_count` as first written: the product over field components
+    of |F_j|^(rows * rank), read from the propagated rows."""
+    count = 1
+    for ring, rows, _ in basis.components:
+        count *= ring.size ** (rows.shape[0] * basis.module.rank)
+    return count
+
+
+def basis_scalar_dims(basis):
+    """`WindowBasis.scalar_dims` as first written: the row count of each component."""
+    return tuple(rows.shape[0] for _, rows, _ in basis.components)
+
+
+def two_basis_invariance_check(rule, spec, window):
+    """`invariance_and_surjectivity_check` as first written: the image rank in each
+    field component is compared with the row count of the target window's kernel,
+    propagated for that purpose."""
+    from modshift.errors import OutOfWindowError
+    from modshift.kernels import _field_components, batch_membership, window_kernel
+    from modshift.linalg import row_span_rank
+    from modshift.shiftpoly import stencil
+
+    rule.module.check_same(spec.module)
+    offs = np.array(rule.offsets, dtype=np.int64)
+    expand_lo = [max(0, -int(l)) for l in offs.min(axis=0)]
+    expand_hi = [max(0, int(h)) for h in offs.max(axis=0)]
+    big = window.expanded(expand_lo, expand_hi)
+    invariant = surjective = True
+    for comp_spec, comp_ring, deco, j in _field_components(spec):
+        terms = zip(rule.offsets, deco.forward_table[list(rule.coeffs), j].tolist())
+        ((_, big_basis, _),) = window_kernel(comp_spec, big).components
+        ((_, small_basis, _),) = window_kernel(comp_spec, window).components
+        nb = big_basis.shape[0]
+        out_window, out = stencil(
+            terms, big_basis.reshape((nb,) + big.extents + (1,)), big, "exact", comp_ring
+        )
+        if not out_window.contains_window(window):
+            raise OutOfWindowError(f"{window} not contained in {out_window}")
+        images = out[(slice(None),) + out_window.relative_slices(window)].reshape(nb, window.n_sites)
+        invariant = invariant and bool(batch_membership(comp_spec, window, images[..., None]).all())
+        surjective = surjective and row_span_rank(images, comp_ring) == small_basis.shape[0]
+    return invariant, surjective
+
+
+def translated_window_stencil(terms, values, window, ring):
+    """The exact-mode `stencil` as first written: each term's block is read through
+    `window.relative_slices(out_window.translate(offset))`."""
+    from modshift.errors import DomainExhaustedError
+
+    terms = tuple(terms)
+    out_window = window.stencil_anchors([off for off, _ in terms])
+    if out_window is None:
+        raise DomainExhaustedError(f"stencil span exceeds window {window}")
+    codes = values.astype(ring.sum_dtype(len(terms)), copy=False)
+    blocks = (
+        codes[(slice(None),) + window.relative_slices(out_window.translate(off))]
+        for off, _ in terms
+    )
+    out = ring.weighted_sum([c for _, c in terms], blocks)
+    return out_window, out.astype(values.dtype, copy=False)

@@ -11,7 +11,7 @@ words that `enumerate_kernel_words` and `draw_kernel_words` give from a basis
 cast to narrow codes must still equal the int64 words.
 """
 
-import dataclasses
+import copy
 
 import numpy as np
 import pytest
@@ -87,11 +87,19 @@ def _case(text, rank, branch):
     return ring, basis, gens, limit
 
 
+def _replaced(basis, components):
+    """A copy of the basis whose rows, which `window_kernel` builds on first read, are
+    `components` instead."""
+    out = copy.copy(basis)
+    out.__dict__["components"] = tuple(components)
+    return out
+
+
 def _with_rows(basis, j, rows):
     """The basis with the scalar rows of field component j replaced."""
     comps = list(basis.components)
     comps[j] = (comps[j][0], rows, comps[j][2])
-    return dataclasses.replace(basis, components=tuple(comps))
+    return _replaced(basis, comps)
 
 
 def _tampered(basis, j=0):
@@ -114,7 +122,7 @@ def _vanishing_gens(ring, j):
 def test_narrow_words_equal_int64_words(text, rank, branch):
     ring, basis, gens, _ = _case(text, rank, branch)
     dtype = ring.sum_dtype(len(gens))
-    narrow = dataclasses.replace(basis, components=tuple(
+    narrow = _replaced(basis, (
         (comp_ring, rows.astype(dtype), free) for comp_ring, rows, free in basis.components
     ))
     if branch == "exhaustive":

@@ -12,6 +12,7 @@ and over many steps of narrow codes.
 
 import dataclasses
 from fractions import Fraction
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from oracles import (
     reduce_each_batch,
     reduce_each_membership,
     reduce_each_residual,
+    translated_window_stencil,
 )
 
 RINGS = [
@@ -123,6 +125,30 @@ def test_stencil_and_apply_poly_match_oracle(ring, case, mode, rank):
     for i in range(values.shape[0]):
         cfg = WindowConfig(window, module, values[i], mode)
         assert apply_poly(poly, cfg) == reduce_each_apply(poly, cfg)
+
+
+# (dims, origin, extents, per-axis offset ranges): each box of offsets holds 64 terms.
+WIDE_CASES = {
+    "zn_clip": ((1, 1), (-3, 0), (13, 12), ((-4, 4), (1, 9))),  # N-axis anchors clipped at 0
+    "zz_negative": ((2, 0), (-6, -2), (11, 9), ((-4, 4), (-3, 5))),
+    "znn": ((1, 2), (2, 0, 1), (6, 7, 5), ((-2, 2), (0, 4), (0, 4))),
+}
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=_ids)
+@pytest.mark.parametrize("case", sorted(WIDE_CASES))
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+def test_64_term_exact_stencil_matches_translated_windows(ring, case, dtype):
+    dims, origin, extents, ranges = WIDE_CASES[case]
+    offsets = list(iter_product(*(range(lo, hi) for lo, hi in ranges)))
+    assert len(offsets) == 64
+    terms = list(zip(offsets, _coeffs(ring, len(offsets), seed=len(case))))
+    window = WindowSpec(dims, origin, extents)
+    values = _values(ring, 3, extents, 2, seed=7).astype(dtype)
+    want_window, want = translated_window_stencil(terms, values, window, ring)
+    got_window, got = stencil(terms, values, window, "exact", ring)
+    assert got_window == want_window
+    assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("mode", ["torus", "exact"])
