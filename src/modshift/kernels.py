@@ -282,12 +282,11 @@ def _component_words(ring, basis, rank, codes):
     """Module-valued words (count, n_sites, rank) for coefficient codes (count, nb*rank).
 
     The words come out in the dtype of `basis`, so a basis cast to narrow
-    codes gives narrow words.
+    codes gives narrow words; the codes go to `lincomb` in their own dtype.
     """
     count = codes.shape[0]
     nb, n_sites = basis.shape
-    codes = codes.reshape(count * rank, nb).astype(basis.dtype, copy=False)
-    words = ring.lincomb(codes, basis)
+    words = ring.lincomb(codes.reshape(count * rank, nb), basis).astype(basis.dtype, copy=False)
     return np.transpose(words.reshape(count, rank, n_sites), (0, 2, 1))
 
 

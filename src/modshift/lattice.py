@@ -283,7 +283,10 @@ def coordinate_sum_images(ring, window: WindowSpec) -> np.ndarray:
     low = sum(window.origin)
     n = min(ring.characteristic, sum(window.extents) - window.axes + 1)
     images = np.array([ring.from_int(low + i) for i in range(n)], dtype=np.int64)
-    return images[(sum(grids) - low) % n]
+    index = sum(grids)
+    index -= low
+    index %= n
+    return images[index]
 
 
 def checkerboard_config(module, window, mode="exact") -> WindowConfig:

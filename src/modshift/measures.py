@@ -474,7 +474,9 @@ class SubgroupHaarMeasure(MeasureHandle):
         # Draw i combines the basis rows with coefficients at counters
         # (start + i) * nb + row, plus the representative.  Only the selected
         # columns are computed, and only for the rows that touch them, so the
-        # values equal full draws sliced.
+        # values equal full draws sliced.  A representative that is zero on
+        # the selection, as every kernel Haar measure's is, is not added; a
+        # nonzero one is added in the dtype of the combinations.
         sel = self._site_selection(site_indices)
         comp_vals = []
         for si, (span, (rows, basis)) in enumerate(zip(self.spans, self._span_rows(sel))):
@@ -482,7 +484,11 @@ class SubgroupHaarMeasure(MeasureHandle):
             coefs = self._rng[si].uniform_codes(start * span.dim, shape, span.ring.size, columns=rows)
             comp_vals.append(span.ring.lincomb(coefs, basis))
         merged = self.decomposition.merge_arrays(comp_vals).reshape(count, sel.size, self.module.rank)
-        return self.module.ring.add_arr(merged, self.rep_codes[sel])
+        rep = self.rep_codes[sel]
+        if not rep.any():
+            return merged
+        ring = self.module.ring
+        return ring.weighted_sum((ring.one, ring.one), (merged, rep))
 
 
 class CosetHaarMeasure(SubgroupHaarMeasure):

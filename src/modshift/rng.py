@@ -7,11 +7,14 @@ are partitioned across workers.
 
 The generator is the splitmix64 output function applied to a keyed counter.
 A draw is a counter grid, cell (i, j) taking counter start + i*stride +
-columns[j] mod 2**64, computed in place a fixed block of cells at a time and
-reduced by a mask for a power-of-two modulus m, else by 64-bit remainder
-(bias < m/2**64, far below every statistical tolerance used here), or by a
-fixed-point CDF.  Grids over DRAW_CAP cells are refused before allocating.
-The values are those of the per-counter formula mix(key + counter*golden).
+columns[j] mod 2**64, computed a fixed block of cells at a time in one reused
+uint64 scratch block and reduced there by a mask for a power-of-two modulus
+m, else by 64-bit remainder (bias < m/2**64, far below every statistical
+tolerance used here), or by a fixed-point CDF.  Each reduced block is stored
+in the narrowest of uint8, uint16 and uint32 that holds the top code, else
+in int64 (`rings._unsigned_dtype`).  Grids over DRAW_CAP cells are refused
+before allocating.  The values are those of the per-counter formula
+mix(key + counter*golden); only their dtype depends on the top code.
 
 Because rows of a grid are independent, a consumer that only reduces its
 draws reads them through `draw_blocks`: rows r0..r0+n of the whole draw, a
@@ -26,6 +29,7 @@ import math
 import numpy as np
 
 from .errors import DRAW_CAP, DrawLimitError, InvalidParameterError
+from .rings import _unsigned_dtype
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -75,6 +79,8 @@ class CounterRng:
         draws is identical to the concatenation of its sub-blocks.  With
         `columns`, `shape` is (count, stride) and cell (i, j) takes counter
         start + i * stride + columns[j]: the listed columns of the full grid.
+        The codes come in the narrowest of uint8, uint16 and uint32 holding
+        modulus - 1, else in int64; the dtype never changes their values.
         """
         if not 1 <= modulus <= 1 << 63:
             raise InvalidParameterError(f"modulus {modulus} is not in [1, 2**63]")
@@ -85,6 +91,8 @@ class CounterRng:
 
         `thresholds` are the interior cumulative marks scaled to 2**64 (one per
         code except the last); a 64-bit draw v maps to the number of marks <= v.
+        The codes take `uniform_codes`' dtype rule, the top code being
+        len(thresholds).
         """
         return self._grid(start, shape, columns, thresholds=thresholds)
 
@@ -100,23 +108,27 @@ class CounterRng:
             raise InvalidParameterError(f"draw of shape {shape} from counter {start}: extents "
                                         "must be >= 0 and the start row must fit in 64 bits")
         check_draw_cells(count, width)
+        top = modulus - 1 if thresholds is None else len(thresholds)
+        out = np.empty((count, width), dtype=_unsigned_dtype(top))
         step = stride * _GOLDEN & _MASK
         rows = max(1, min(count, _BLOCK // max(width, 1)))
         base = columns * np.uint64(_GOLDEN) + np.uint64((self._key + start * _GOLDEN) & _MASK)
         first = (np.arange(rows, dtype=np.uint64) * np.uint64(step))[:, None] + base
-        tmp = np.empty_like(first)
-        out = np.empty((count, width), dtype=np.uint64)
+        z, tmp = np.empty_like(first), np.empty_like(first)
         for r0 in range(0, count, rows):
-            z = out[r0 : r0 + rows]
-            np.add(first[: len(z)], np.uint64(r0 * step & _MASK), out=z)
-            _mix(z, tmp[: len(z)])
+            dst = out[r0 : r0 + rows]
+            zb, tb = z[: len(dst)], tmp[: len(dst)]
+            np.add(first[: len(dst)], np.uint64(r0 * step & _MASK), out=zb)
+            _mix(zb, tb)
             if thresholds is not None:
-                z[...] = np.searchsorted(thresholds, z, side="right")
+                dst[...] = np.searchsorted(thresholds, zb, side="right")
             elif modulus & (modulus - 1):
-                np.remainder(z, np.uint64(modulus), out=z)
+                # z - (z // m) * m: numpy vectorizes the unsigned floor division, not the remainder.
+                np.multiply(np.floor_divide(zb, np.uint64(modulus), out=tb), np.uint64(modulus), out=tb)
+                np.subtract(zb, tb, out=dst, casting="unsafe")
             else:
-                np.bitwise_and(z, np.uint64(modulus - 1), out=z)
-        return out.view(np.int64).reshape(out_shape)
+                np.bitwise_and(zb, np.uint64(modulus - 1), out=dst, casting="unsafe")
+        return out.reshape(out_shape)
 
 
 def check_draw_cells(count: int, width: int) -> None:

@@ -5,11 +5,15 @@ cells at a time, in place.  The oracles in `oracles.py` are the original
 formulas: an explicit uint64 counter array, mixed by the array `_mix` and
 reduced by `%` or `searchsorted`.  Every case must agree bit for bit,
 including counters that wrap past 2**64, grids on both sides of each block
-boundary, and empty, unsorted and duplicated columns.  Oversized draws and
+boundary, empty, unsorted and duplicated columns, and moduli and CDFs on each
+side of every code dtype boundary.  The codes come in the narrowest of uint8,
+uint16 and uint32 that holds the top code, else in int64.  Oversized draws and
 start rows that do not fit in 64 bits are refused before anything is
-allocated.
+allocated.  The frontier test bounds the memory traced by `tracemalloc`, not
+wall time.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +53,12 @@ MODULI = [2, 3, 4, 6, 1 << 30, 1 << 63]
 TOP = 1 << 64
 
 
+def _code_dtype(top):
+    """The dtype of draws whose largest possible code is `top`."""
+    fits = [d for d in (np.uint8, np.uint16, np.uint32) if top <= np.iinfo(d).max]
+    return np.dtype(fits[0] if fits else np.int64)
+
+
 def _rows_near_block(width):
     """Row counts just below, at and above one and two blocks of `width` columns."""
     per_block = max(1, _BLOCK // max(width, 1))
@@ -74,7 +84,7 @@ def test_grid_codes_match_the_counter_array(grid, modulus, seed, stream):
     rng = CounterRng(seed, stream)
     got = rng.uniform_codes(start * stride, (count, stride), modulus, columns=np.array(columns, dtype=np.int64))
     want = counter_grid(rng, start, count, stride, columns, modulus=modulus)
-    assert got.dtype == np.int64 and got.shape == (count, len(columns))
+    assert got.dtype == _code_dtype(modulus - 1) and got.shape == (count, len(columns))
     assert np.array_equal(got, want)
 
 
@@ -86,7 +96,7 @@ def test_grid_cdf_codes_match_the_counter_array(grid, weights, seed):
     thresholds = cdf_thresholds([Fraction(w) for w in weights])
     got = rng.uniform_from_cdf(start * stride, (count, stride), thresholds, columns=columns)
     want = counter_grid(rng, start, count, stride, columns, thresholds=thresholds)
-    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert got.dtype == _code_dtype(len(weights) - 1) and np.array_equal(got, want)
 
 
 @st.composite
@@ -105,7 +115,8 @@ def test_row_major_codes_match_the_counter_array(draw, modulus, seed):
     start, shape = draw
     rng = CounterRng(seed, stream=7)
     got = rng.uniform_codes(start, shape, modulus)
-    assert got.dtype == np.int64 and np.array_equal(got, counter_uniform_codes(rng, start, shape, modulus))
+    want = counter_uniform_codes(rng, start, shape, modulus)
+    assert got.dtype == _code_dtype(modulus - 1) and np.array_equal(got, want)
 
 
 @ORACLE
@@ -118,6 +129,47 @@ def test_row_major_cdf_codes_match_the_counter_array(draw, weights, seed):
     assert np.array_equal(got, counter_uniform_from_cdf(rng, start, shape, thresholds))
     # A zero weight is a code that is never drawn.
     assert not np.isin(got, [i for i, w in enumerate(weights) if not w]).any()
+
+
+BOUNDARY_MODULI = [255, 256, 257, 65535, 65536, 65537, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 63]
+
+
+@pytest.mark.parametrize("modulus", BOUNDARY_MODULI)
+def test_codes_on_each_side_of_a_dtype_boundary_match_the_counter_array(modulus):
+    rng = CounterRng(11, stream=modulus % 97)
+    rows = 2 * (_BLOCK // 3) + 1  # three columns: two full blocks and one row more
+    flat = rng.uniform_codes(5 * 3, (rows, 3), modulus)
+    grid = rng.uniform_codes(5 * 7, (rows, 7), modulus, columns=[6, 0, 3])
+    for got, stride, columns in [(flat, 3, [0, 1, 2]), (grid, 7, [6, 0, 3])]:
+        want = counter_grid(rng, 5, rows, stride, columns, modulus=modulus)
+        assert got.dtype == _code_dtype(modulus - 1) and np.array_equal(got, want)
+        assert int(got.max()) >= modulus // 2  # codes past the narrower dtypes were drawn
+
+
+@pytest.mark.parametrize("codes", [256, 257])
+def test_cdf_codes_on_each_side_of_the_uint8_boundary_match_the_counter_array(codes):
+    rng = CounterRng(12, stream=codes)
+    thresholds = cdf_thresholds([Fraction(1 + c % 2) for c in range(codes)])
+    rows = 2 * (_BLOCK // 3) + 1
+    flat = rng.uniform_from_cdf(0, (rows, 3), thresholds)
+    grid = rng.uniform_from_cdf(0, (rows, 7), thresholds, columns=[6, 0, 3])
+    for got, stride, columns in [(flat, 3, [0, 1, 2]), (grid, 7, [6, 0, 3])]:
+        want = counter_grid(rng, 0, rows, stride, columns, thresholds=thresholds)
+        assert got.dtype == _code_dtype(codes - 1) and np.array_equal(got, want)
+        assert int(got.max()) == codes - 1
+
+
+def test_a_2_22_cell_z3_draw_traces_under_1_2_bytes_per_cell():
+    rng, cells = CounterRng(1), 1 << 22
+    tracemalloc.start()
+    try:
+        codes = rng.uniform_codes(0, (cells,), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert codes.dtype == np.uint8 and peak < 1.2 * cells
+    for start in (0, cells // 2 - 7, cells - 1000):
+        assert np.array_equal(codes[start : start + 1000], counter_uniform_codes(rng, start, (1000,), 3))
 
 
 def test_a_draw_equal_to_a_threshold_counts_that_mark():
@@ -140,11 +192,14 @@ def test_uint64_matches_the_counter_formula(counters, seed):
 
 # -- measure draws ----------------------------------------------------------------
 
-RINGS = ["zmod:2", "zmod:3", "gf:2:2", "zmod:6"]
+RINGS = ["zmod:2", "zmod:3", "gf:2:2", "zmod:6", "prod:[zmod:2;gf:3:1]"]
 
 
 def _measures(desc, rank, length):
-    """Uniform and biased Bernoulli, kernel Haar, a coset and a word measure."""
+    """Uniform and biased Bernoulli, kernel Haar, two cosets and a word measure.
+
+    The first coset's representative is drawn, the second's is one at site 0
+    and zero elsewhere, so a selection without site 0 adds nothing to it."""
     ring = make_ring(desc)
     module = ModuleSpec(ring, rank)
     win = WindowSpec((1, 0), (0,), (length,))
@@ -152,6 +207,8 @@ def _measures(desc, rank, length):
     spec = KernelShiftSpec(LocalRule(module, (1, 0), ((0,), (1,), (2,)), (one, one, one)))
     haar = kernel_haar(spec, win, seed=3)
     rep = CounterRng(1, stream=5).uniform_codes(0, win.extents + (rank,), ring.size)
+    rep_at_0 = np.zeros_like(rep)
+    rep_at_0[0] = one
     weights = [Fraction(1 + (c % 3), 1) for c in range(module.size)]
     probs = [w / sum(weights) for w in weights]
     words = [
@@ -163,6 +220,7 @@ def _measures(desc, rank, length):
         "biased": (bernoulli(module, win, probs, seed=5), counter_bernoulli_draw),
         "haar": (haar, counter_haar_draw),
         "coset": (CosetHaarMeasure(WindowConfig(win, module, rep), haar), counter_haar_draw),
+        "coset_at_0": (CosetHaarMeasure(WindowConfig(win, module, rep_at_0), haar), counter_haar_draw),
         "words": (ExactWordMeasure(module, win, words, seed=6), counter_word_draw),
     }
 
@@ -184,6 +242,25 @@ def test_measure_draws_match_the_counter_arrays(measures, start, count, sel):
         got = mu.draw_values(start, count, sel)
         want = oracle(mu, start, count, sel)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_haar_draws_add_only_a_representative_nonzero_on_the_selection(measures, monkeypatch):
+    adds, added = [], {}
+    for name in ("haar", "coset", "coset_at_0"):
+        mu, oracle = measures[name]
+        ring = mu.module.ring
+        real = ring.weighted_sum
+        monkeypatch.setattr(ring, "weighted_sum", lambda *a, real=real: adds.append(1) or real(*a))
+        for sel in (None, [0, 2], [1, 4, 6]):
+            adds.clear()
+            got = mu.draw_values(9, 40, sel)
+            added[name, str(sel)] = bool(adds)
+            assert bool(adds) == bool(mu.rep_codes[mu._site_selection(sel)].any()), (name, sel)
+            want = oracle(mu, 9, 40, sel)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (name, sel)
+        monkeypatch.undo()
+    assert not any(added[k] for k in added if k[0] == "haar")
+    assert added["coset", "None"] and added["coset_at_0", "[0, 2]"] and not added["coset_at_0", "[1, 4, 6]"]
 
 
 # -- refusals -------------------------------------------------------------------

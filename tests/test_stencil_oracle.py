@@ -7,10 +7,13 @@ Ring arithmetic is exact, so each must equal the original evaluation, which
 reduces after every multiply and every add, bit for bit.  The torus path
 writes one wrap-padded copy in the ring's narrowest sum dtype; the `np.roll`
 oracle checks it at offsets far beyond the extents, at every dtype boundary
-and over many steps of narrow codes.
+and over many steps of narrow codes.  Codes as drawn (uint8 or uint16) give
+the int64 results' values in their own dtype, and the Frobenius check's
+frontier test bounds the memory traced by `tracemalloc`, not wall time.
 """
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -91,8 +94,14 @@ def _coeffs(ring, n, seed):
     return [int(c) for c in raw]
 
 
-def _values(ring, count, extents, rank, seed):
+def _draws(ring, count, extents, rank, seed):
+    """Uniform codes as drawn: in the narrowest unsigned dtype holding the ring's codes."""
     return CounterRng(seed, stream=4).uniform_codes(0, (count,) + tuple(extents) + (rank,), ring.size)
+
+
+def _values(ring, count, extents, rank, seed):
+    """`_draws` as int64 codes, the inputs of the int64-in, int64-out contract."""
+    return _draws(ring, count, extents, rank, seed).astype(np.int64)
 
 
 def _poly(ring, case, seed):
@@ -121,6 +130,12 @@ def test_stencil_and_apply_poly_match_oracle(ring, case, mode, rank):
     got_window, got = stencil(poly.terms, values, window, mode, ring)
     assert got_window == want_window
     assert got.dtype == np.int64 and np.array_equal(got, want)
+    # The codes as drawn, uint8 or uint16: the same values in the same dtype.
+    narrow = _draws(ring, 3, extents, rank, seed=rank)
+    assert narrow.dtype in (np.uint8, np.uint16)
+    narrow_window, got = stencil(poly.terms, narrow, window, mode, ring)
+    assert narrow_window == want_window
+    assert got.dtype == narrow.dtype and np.array_equal(got, want)
     module = ModuleSpec(ring, rank)
     for i in range(values.shape[0]):
         cfg = WindowConfig(window, module, values[i], mode)
@@ -247,8 +262,12 @@ def test_lincomb_matches_generic_loop(ring, shape):
     count, nb, ncols = shape
     coefs = CounterRng(13, stream=5).uniform_codes(0, (count, nb), ring.size)
     rows = CounterRng(14, stream=5).uniform_codes(0, (nb, ncols), ring.size)
+    want = Ring.lincomb(ring, coefs.astype(np.int64), rows.astype(np.int64))
+    got = ring.lincomb(coefs.astype(np.int64), rows.astype(np.int64))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # Codes as drawn, uint8 or uint16, combine in their own dtype.
     got = ring.lincomb(coefs, rows)
-    assert got.dtype == np.int64 and np.array_equal(got, Ring.lincomb(ring, coefs, rows))
+    assert got.dtype == coefs.dtype != np.int64 and np.array_equal(got, want)
 
 
 def test_lincomb_int64_branch_matches_generic_loop():
@@ -288,6 +307,18 @@ def test_frobenius_check_matches_per_config_loop(rule_text, k, torus):
     want = {"k": k, "structural": frob == power, "applied": applied}
     assert frobenius_check(rule, k, torus, 3, seed=4, start=5) == want
     assert frobenius_check(rule, k, None, 3, seed=4) == {**want, "applied": True}
+
+
+def test_a_z2_frobenius_check_on_3x256x256_traces_under_6_bytes_per_cell():
+    rule = parse_rule("rule ring=zmod:2 rank=1 dims=1,1 H=(0,0):1;(0,1):1;(1,0):1")
+    tracemalloc.start()
+    try:
+        got = frobenius_check(rule, 2, (256, 256), 3, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == {"k": 2, "structural": True, "applied": True}
+    assert peak < 6 * 3 * 256 * 256
 
 
 def _corrupted_z6():
@@ -422,6 +453,9 @@ def test_torus_stencil_matches_roll_oracle(ring, case, count, rank):
     got_window, got = stencil(poly.terms, values, window, "torus", ring)
     assert got_window == window
     assert got.dtype == np.int64 and np.array_equal(got, want)
+    narrow = _draws(ring, count, extents, rank, seed=rank)
+    _, got = stencil(poly.terms, narrow, window, "torus", ring)
+    assert got.dtype == narrow.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("ring", BOUNDARY_RINGS, ids=_ids)
@@ -491,6 +525,9 @@ def test_frobenius_terms_on_small_tori_match_roll_oracle(rule_text, torus, k):
     _, want = reduce_each_batch(poly, window, values, "torus", rule.ring)
     _, got = stencil(poly.terms, values, window, "torus", rule.ring)
     assert got.dtype == np.int64 and np.array_equal(got, want)
+    narrow = _draws(rule.ring, 2, torus, rule.module.rank, seed=k)
+    _, got = stencil(poly.terms, narrow, window, "torus", rule.ring)
+    assert got.dtype == narrow.dtype == np.uint8 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("ring", RINGS + BOUNDARY_RINGS, ids=_ids)
