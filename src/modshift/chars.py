@@ -15,6 +15,7 @@ tests reduce to exact divisibility by the L-th cyclotomic polynomial, so the
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +34,8 @@ __all__ = [
     "CharacterSpec",
     "all_characters",
     "character_codes",
-    "character_labels",
+    "LabelBuffer",
+    "sweep_labels",
     "parse_character",
     "format_character",
 ]
@@ -51,6 +53,19 @@ def cyclotomic_polynomial(L: int) -> tuple:
             if any(rem):
                 raise ArithmeticError("non-exact cyclotomic division")
     return tuple(poly)
+
+
+def _cyclic_product(a: list, b: list) -> list:
+    """The weights of (sum_e a[e] zeta**e) * (sum_f b[f] zeta**f) for weight lists of
+    one length L: their exact cyclic convolution, on ints or `Fraction`s alike."""
+    L = len(a)
+    out = [0] * L
+    for e, x in enumerate(a):
+        if x:
+            for f, y in enumerate(b):
+                if y:
+                    out[(e + f) % L] += x * y
+    return out
 
 
 class RootSum:
@@ -94,14 +109,7 @@ class RootSum:
     def __mul__(self, other):
         if isinstance(other, RootSum):
             self._check(other)
-            out = [Fraction(0)] * self.L
-            for e, w in enumerate(self.weights):
-                if not w:
-                    continue
-                for f, v in enumerate(other.weights):
-                    if v:
-                        out[(e + f) % self.L] += w * v
-            return RootSum(self.L, out)
+            return RootSum(self.L, _cyclic_product(self.weights, other.weights))
         return RootSum(self.L, [w * Fraction(other) for w in self.weights])
 
     __rmul__ = __mul__
@@ -249,20 +257,83 @@ def _term_text(site, code: int) -> str:
     return "(" + ",".join(str(x) for x in site) + f"):{code}"
 
 
-def character_labels(module: ModuleSpec, window: WindowSpec) -> list:
-    """`format_character` text of every character, in `all_characters` order.
+class LabelBuffer:
+    """Text labels as pieces of one byte buffer: piece k is ``data[offsets[k]:offsets[k + 1]]``
+    and label i is the concatenation of the pieces ``index[i]``.
 
-    The sweep is a full product over sites, so the labels are built one site
-    at a time by concatenation instead of one character at a time.
+    A list of texts is one piece per label (`encode`, as UTF-8); a sweep's n labels
+    are two pieces each, out of about 3 * sqrt(n) (`sweep_labels`); `take` only
+    selects index rows.  Indexing gives a label's text.
     """
-    labels = [""]
-    for site in window.sites():
-        terms = [_term_text(site, code) for code in range(1, module.size)]
-        pieces = [""] + [";" + term for term in terms]
-        # Only the all-zero head (always first) takes its next term without ";".
-        labels = ["", *terms] + [head + piece for head in labels[1:] for piece in pieces]
-    labels[0] = "trivial"
-    return labels
+
+    __slots__ = ("data", "offsets", "index")
+
+    def __init__(self, data: bytes, offsets: np.ndarray, index: np.ndarray):
+        self.data, self.offsets, self.index = data, offsets, index
+
+    @staticmethod
+    def encode(labels) -> "LabelBuffer":
+        """The buffer of a list of texts, one piece each."""
+        raw = [text.encode("utf-8", "surrogatepass") for text in labels]
+        offsets = np.zeros(len(raw) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, raw), dtype=np.int64, count=len(raw)), out=offsets[1:])
+        return LabelBuffer(b"".join(raw), offsets, np.arange(len(raw)).reshape(-1, 1))
+
+    def __len__(self):
+        return self.index.shape[0]
+
+    def __getitem__(self, i) -> str:
+        n, i = len(self), operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("label index out of range")
+        bounds = self.offsets
+        text = b"".join(self.data[bounds[k]:bounds[k + 1]] for k in self.index[i].tolist())
+        return text.decode("utf-8", "surrogatepass")
+
+    def pieces(self) -> np.ndarray:
+        """Every piece as a bytes object, in an object array."""
+        bounds = self.offsets.tolist()
+        out = np.empty(len(bounds) - 1, dtype=object)
+        out[:] = [self.data[a:b] for a, b in zip(bounds, bounds[1:])]
+        return out
+
+    def take(self, rows) -> "LabelBuffer":
+        """The labels `rows` (an int array), in that order, on the same pieces."""
+        return LabelBuffer(self.data, self.offsets, self.index[rows])
+
+
+def _product_texts(module: ModuleSpec, sites) -> list:
+    """The ";"-joined terms of every dual assignment on `sites`, in `all_characters` order,
+    as bytes ("" for none)."""
+    texts = [b""]
+    for site in sites:
+        terms = [_term_text(site, code).encode("ascii") for code in range(1, module.size)]
+        # Code 0 at this site adds no term.
+        texts = [t for head in texts for t in [head, *(head + b";" + term if head else term
+                                                        for term in terms)]]
+    return texts
+
+
+def sweep_labels(module: ModuleSpec, window: WindowSpec) -> LabelBuffer:
+    """`format_character` text of every character, in `all_characters` order, as two pieces each.
+
+    A label is its sites' terms joined by ";".  So character i * len(tails) + j is
+    head text i, on the first half of the window's sites, then tail text j on the
+    rest: the pieces are the heads, the tails as they follow the empty head (tail 0
+    reads "trivial") and the tails as they follow any other head (";" first).  The
+    sweep's size is its caller's to check (`character_codes` does, for `fourier_sweep`).
+    """
+    sites = list(window.sites())
+    heads = _product_texts(module, sites[:len(sites) // 2])
+    tails = _product_texts(module, sites[len(sites) // 2:])
+    pieces = [*heads, b"trivial", *tails[1:], b"", *(b";" + t for t in tails[1:])]
+    offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in pieces], out=offsets[1:])
+    index = np.empty((len(heads), len(tails), 2), dtype=np.min_scalar_type(len(pieces)))
+    index[..., 0] = np.arange(len(heads))[:, None]
+    index[..., 1] = len(heads) + np.arange(len(tails))
+    index[1:, :, 1] += len(tails)
+    return LabelBuffer(b"".join(pieces), offsets, index.reshape(len(heads) * len(tails), 2))
 
 
 def format_character(chi: CharacterSpec) -> str:

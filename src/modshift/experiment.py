@@ -15,11 +15,10 @@ import configparser
 import csv
 import functools
 import io
+import itertools
 import json
 import os
-import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -516,6 +515,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     if workers == 1:
         results = [_run_step(*job) for job in jobs]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a worker pool needs it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_step, *job) for job in jobs]
             results = [f.result() for f in futures]
@@ -547,18 +548,20 @@ def _json_default(obj):
 
 _FOURIER_COLUMNS = ["step", "chi", "t", "re", "im", "modulus", "stderr", "exact"]
 _MIXING_COLUMNS = ["step", "n", "observed", "product", "deviation", "stderr", "exact"]
-_WRITE_CHUNK = 1 << 16  # text pieces joined and encoded per write
+_WRITE_CHUNK = 1 << 14  # table rows spliced into one bytes chunk per write
 _dumps = functools.partial(json.dumps, sort_keys=True, indent=2, ensure_ascii=True,
                            default=_json_default)
 
 
-def _report_pieces(report) -> list:
-    """The text of `report_bytes` as a list of pieces, each table's rows its own pieces.
+def _report_chunks(report):
+    """The bytes of `report_bytes` as chunks: json's text between tables, and each table's.
 
     json writes the report with each `FourierTable` as a quoted marker, a
     random token drawn again if the text holds it anywhere else; each marker
     is then replaced by its table.  ``indent=2`` puts every member on its own
     line, so the table's depth is its marker line's leading spaces over two.
+    Everything but the table rows is encoded here; the rows are spliced as the
+    chunks are read.
     """
     def default(obj):
         if isinstance(obj, FourierTable):
@@ -571,40 +574,51 @@ def _report_pieces(report) -> list:
         between = _dumps(report, default=default).split(f'"{marker}"')
         if len(between) == len(tables) + 1:
             break
-    pieces = [between[0]]
-    for table, after in zip(tables, between[1:]):
-        line = pieces[-1][pieces[-1].rfind("\n") + 1:]
-        pieces.extend(_table_json(table, (len(line) - len(line.lstrip(" "))) // 2))
-        pieces.append(after)
-    pieces.append("\n")
-    return pieces
+    chunks = [[between[0].encode("ascii")]]
+    for before, table, after in zip(between, tables, between[1:]):
+        line = before[before.rfind("\n") + 1:]
+        chunks += [_table_json(table, (len(line) - len(line.lstrip(" "))) // 2), [after.encode("ascii")]]
+    chunks.append([b"\n"])
+    return itertools.chain.from_iterable(chunks)
 
 
-def _interleave(heads, labels, tails, class_ids) -> list:
-    """head[class], label, tail[class] for each row, as one list of text pieces."""
-    parts = [None] * (3 * len(class_ids))
-    parts[0::3] = np.array(heads, dtype=object)[class_ids].tolist()
-    parts[1::3] = labels
-    parts[2::3] = np.array(tails, dtype=object)[class_ids].tolist()
-    return parts
+def _spliced(labels, escaped, heads, head_ids, tails, tail_ids, escape):
+    """Bytes chunks of `_WRITE_CHUNK` rows each: row r is ``heads[head_ids[r]]``, label r's
+    pieces and ``tails[tail_ids[r]]``; a label marked in `escaped` is ``escape(text)``."""
+    pieces, heads, tails = labels.pieces(), np.array(heads, dtype=object), np.array(tails, dtype=object)
+    escaped = np.flatnonzero(escaped)
+    for lo in range(0, len(labels), _WRITE_CHUNK):
+        hi = min(lo + _WRITE_CHUNK, len(labels))
+        parts = np.empty((hi - lo, labels.index.shape[1] + 2), dtype=object)
+        parts[:, 0] = heads[head_ids[lo:hi]]
+        parts[:, 1:-1] = pieces[labels.index[lo:hi]]
+        parts[:, -1] = tails[tail_ids[lo:hi]]
+        for r in escaped[(lo <= escaped) & (escaped < hi)].tolist():
+            parts[r - lo, 1:-1] = b""
+            parts[r - lo, 1] = escape(labels[r])
+        yield b"".join(parts.ravel().tolist())
 
 
-def _table_json(table: FourierTable, depth: int) -> list:
-    """A table's row list at `depth`, from one encoded head and tail per class around each label."""
+def _table_json(table: FourierTable, depth: int):
+    """A table's row list at `depth`: each label's JSON string between its class's encoded head
+    and tail."""
     if not len(table):
-        return ["[]"]
+        return [b"[]"]
     row = "\n" + "  " * (depth + 1)
     chi = row + '  "chi": '
     heads, tails = [], []
     for template in table.templates:
         text = _dumps({"chi": "", **template, **table.extra}).replace("\n", row)
         head, tail = text.split(chi + '""')
-        heads.append("," + row + head + chi)
-        tails.append(tail)
-    parts = _interleave(heads, map(encode_basestring_ascii, table.labels), tails, table.class_ids)
-    parts[0] = "[" + parts[0][1:]
-    parts.append("\n" + "  " * depth + "]")
-    return parts
+        heads.append(("," + row + head + chi + '"').encode("ascii"))
+        tails.append(('"' + tail).encode("ascii"))
+    # The first row opens the list: its head is "[" where the others' is ",".
+    heads.append(b"[" + heads[table.class_ids[0]][1:])
+    head_ids = table.class_ids.copy()
+    head_ids[0] = len(heads) - 1
+    rows = _spliced(table.labels, _label_bits(table.labels) & _ESCAPED, heads, head_ids, tails,
+                    table.class_ids, lambda text: encode_basestring_ascii(text)[1:-1].encode("ascii"))
+    return itertools.chain(rows, [("\n" + "  " * depth + "]").encode("ascii")])
 
 
 def report_bytes(report: dict) -> bytes:
@@ -612,10 +626,10 @@ def report_bytes(report: dict) -> bytes:
 
     The bytes are exactly those of that call with ``default=_json_default``.
     json itself writes the report; each `FourierTable` in it is spliced in
-    from one encoded fragment per class around its encoded labels, so no row
+    from one encoded fragment per class around its label bytes, so no row
     dict is built.
     """
-    return "".join(_report_pieces(report)).encode("ascii")
+    return b"".join(_report_chunks(report))
 
 
 def _csv_fields(row: dict, columns) -> list:
@@ -628,50 +642,76 @@ def _csv_line(fields) -> str:
     return buf.getvalue()
 
 
+_QUOTED, _ESCAPED = 1, 2  # the bits of `_label_bits`
+
+
 @functools.lru_cache(maxsize=None)
-def _csv_quoting():
-    """The ASCII characters that make the csv writer quote a field, as a pattern."""
-    special = [c for c in map(chr, range(128)) if _csv_line(["x", c]) != f"x,{c}\n"]
-    return re.compile("[" + re.escape("".join(special)) + "]")
+def _special_bytes() -> np.ndarray:
+    """The bits of each byte: _QUOTED if `_csv_line` quotes a field for it, _ESCAPED if
+    ``json.dumps(ensure_ascii=True)`` does not copy it into a string (a quote, a
+    backslash, and every byte outside ' '..'~', so any UTF-8 byte that is not ASCII)."""
+    out = np.zeros(256, dtype=np.uint8)
+    out[[c for c in range(128) if _csv_line(["x", chr(c)]) != f"x,{chr(c)}\n"]] |= _QUOTED
+    out[(np.arange(256) < 0x20) | (np.arange(256) > 0x7E)] |= _ESCAPED
+    out[[ord('"'), ord("\\")]] |= _ESCAPED
+    return out
 
 
-def _table_csv(step: str, table: FourierTable, columns) -> list:
-    """The table's CSV text pieces: each label's field between its step and its class's fragment.
+def _label_bits(labels) -> np.ndarray:
+    """The `_special_bytes` bits of each label of a `LabelBuffer`: decided once per piece,
+    from its bytes, and a label has the bits of any of its pieces."""
+    hits = _special_bytes()[np.frombuffer(labels.data, dtype=np.uint8)]
+    bounds = labels.offsets
+    piece_bits = np.zeros(len(bounds) - 1, dtype=np.uint8)
+    for bit in (_QUOTED, _ESCAPED):
+        seen = np.concatenate([[0], np.cumsum(hits & bit, dtype=np.int64)])
+        piece_bits[seen[bounds[1:]] > seen[bounds[:-1]]] |= bit
+    out = piece_bits.take(labels.index[:, 0])
+    for column in labels.index.T[1:]:
+        out |= piece_bits.take(column)
+    return out
 
-    An ASCII field is quoted, with its quotes doubled, iff it holds a character
-    that `_csv_quoting` finds; other text fails the ASCII check of `_csv_pieces`.
+
+def _table_csv(step: str, table: FourierTable, columns):
+    """The table's CSV rows: each label's field between its step's field and its class's fragment.
+
+    A label's field is quoted, with its quotes doubled, iff its `_label_bits` say
+    that the csv writer quotes it.  Text that is not ASCII raises
+    `UnicodeEncodeError` here, before any row is spliced.
     """
-    special = _csv_quoting().search
     start = _csv_line([step, "x"])[:-2]  # the step's field and its comma
     # "x" is never quoted, so what follows it is the fragment with its leading comma.
-    ends = [_csv_line(["x", *_csv_fields({**t, **table.extra}, columns)])[1:]
-            for t in table.templates]
-    labels = ['"%s"' % f.replace('"', '""') if special(f) else f for f in table.labels]
-    return _interleave([start] * len(ends), labels, ends, table.class_ids)
+    used = np.flatnonzero(np.bincount(table.class_ids, minlength=len(table.templates)))
+    ends = {k: _csv_line(["x", *_csv_fields({**table.templates[k], **table.extra}, columns)])[1:]
+            for k in used.tolist()}
+    bits = _label_bits(table.labels)
+    escaped = [table.labels[i] for i in np.flatnonzero(bits & _ESCAPED).tolist()]
+    for text in filterfalse(str.isascii, [start, *ends.values(), *escaped]):
+        text.encode("ascii")
+    heads = [start.encode("ascii"), (start + '"').encode("ascii")]
+    tails = [b""] * (2 * len(table.templates))
+    for k, end in ends.items():
+        tails[2 * k:2 * k + 2] = end.encode("ascii"), ('"' + end).encode("ascii")
+    quoted = ((bits & _QUOTED) > 0).astype(np.int64)
+    return _spliced(table.labels, bits & _ESCAPED, heads, quoted, tails, 2 * table.class_ids + quoted,
+                    lambda text: text.replace('"', '""').encode("ascii"))
 
 
-def _csv_pieces(tables, columns) -> list:
-    """CSV text pieces of (step name, rows) pairs, one line per row, floats as `repr`.
+def _csv_chunks(tables, columns):
+    """CSV bytes of (step name, rows) pairs, one line per row, floats as `repr`.
 
     A `FourierTable` is written as the csv-quoted ``step,chi`` of each row
-    followed by its class's encoded fragment.  A piece that is not ASCII
-    raises `UnicodeEncodeError` here, before any file is opened.
+    followed by its class's encoded fragment.  Text that is not ASCII raises
+    `UnicodeEncodeError` here, before any file is opened.
     """
-    pieces = [_csv_line(columns)]
+    chunks = [[_csv_line(columns).encode("ascii")]]
     for step, rows in tables:
         if isinstance(rows, FourierTable):
-            pieces += _table_csv(step, rows, columns[2:])
+            chunks.append(_table_csv(step, rows, columns[2:]))
         else:
-            pieces += (_csv_line(_csv_fields({"step": step, **row}, columns)) for row in rows)
-    for text in filterfalse(str.isascii, pieces):
-        text.encode("ascii")
-    return pieces
-
-
-def _encoded(pieces: list):
-    """ASCII bytes of the text pieces, `_WRITE_CHUNK` pieces at a time, never all at once."""
-    for i in range(0, len(pieces), _WRITE_CHUNK):
-        yield "".join(pieces[i:i + _WRITE_CHUNK]).encode("ascii")
+            text = "".join(_csv_line(_csv_fields({"step": step, **row}, columns)) for row in rows)
+            chunks.append([text.encode("ascii")])
+    return itertools.chain.from_iterable(chunks)
 
 
 def write_report(report: dict, outdir, raw_text: str) -> dict:
@@ -685,11 +725,11 @@ def write_report(report: dict, outdir, raw_text: str) -> dict:
             fh.writelines(chunks)
         paths[name] = path
 
-    emit("report.json", _encoded(_report_pieces(report)))
+    emit("report.json", _report_chunks(report))
     steps = report["steps"]
     for name, key, columns in (("fourier.csv", "fourier_table", _FOURIER_COLUMNS),
                                ("mixing.csv", "mixing_table", _MIXING_COLUMNS)):
-        emit(name, _encoded(_csv_pieces([(s["name"], s[key]) for s in steps if s.get(key)], columns)))
+        emit(name, _csv_chunks([(s["name"], s[key]) for s in steps if s.get(key)], columns))
     emit("config_echo.cfg", [raw_text.encode("utf-8")])
     sidecar = {"written_unix_time": time.time()}
     emit("run_meta.json", [(json.dumps(sidecar) + "\n").encode("ascii")])

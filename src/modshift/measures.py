@@ -37,10 +37,12 @@ import numpy as np
 from . import crt, linalg
 from .chars import (
     CharacterSpec,
+    LabelBuffer,
     RootSum,
+    _cyclic_product,
     character_codes,
-    character_labels,
     format_character,
+    sweep_labels,
 )
 from .errors import (
     ENUMERATION_CAP,
@@ -904,6 +906,11 @@ def _coefficients(mu: MeasureHandle, sites, codes: np.ndarray):
     `root_sums[class_ids[i]]`.  A handle without exact coefficients raises
     first; then the first character that touches a site outside mu's window
     raises, naming its first such site.
+
+    A Bernoulli class is a product of per-dual sums, each with integer weights
+    over the probabilities' common denominator D: the products are exact cyclic
+    convolutions of Python ints, and a class of k duals gets their weights over
+    D**k, equal to those of the `Fraction` product.
     """
     module, ring = mu.module, mu.module.ring
     L = ring.char_exponent
@@ -915,23 +922,32 @@ def _coefficients(mu: MeasureHandle, sites, codes: np.ndarray):
     if isinstance(mu, BernoulliMeasure):
         # Sites are i.i.d. and the arithmetic is exact, so characters with the
         # same multiset of duals have the same coefficient: the product over
-        # their non-zero duals u of sum_a p(a) zeta**pair(u, a).
+        # their non-zero duals u of sum_a p(a) zeta**pair(u, a).  A class's
+        # product extends the longest product already known for a prefix of its
+        # sorted duals.
         site_codes = np.sort(module.pack_arr(by_site), axis=1)
         first, class_ids = _unique_rows(
             site_codes, module.size, return_index=True, return_inverse=True
         )
         duals = np.flatnonzero(np.bincount(site_codes[first].ravel()))
         values = module.unpack_arr(np.arange(module.size))
-        per_dual = dict(zip(duals.tolist(), _root_sums(
-            _pair_exponents(ring, module.unpack_arr(duals), values), mu.probs, L
-        )))
+        den = math.lcm(*(p.denominator for p in mu.probs))
+        weights = [p.numerator * (den // p.denominator) for p in mu.probs]
+        per_dual = {}
+        for u, exps in zip(duals.tolist(), _pair_exponents(ring, module.unpack_arr(duals), values).tolist()):
+            per_dual[u] = [0] * L
+            for e, w in zip(exps, weights):
+                per_dual[u][e] += w
+        products = {(): [1] + [0] * (L - 1)}
         root_sums = []
-        for i in first:
-            rs = RootSum.one(L)
-            for u in site_codes[i].tolist():
-                if u:
-                    rs = rs * per_dual[u]
-            root_sums.append(rs)
+        for row in site_codes[first].tolist():
+            key = tuple(u for u in row if u)
+            k = len(key)
+            while key[:k] not in products:
+                k -= 1
+            for j in range(k, len(key)):
+                products[key[:j + 1]] = _cyclic_product(products[key[:j]], per_dual[key[j]])
+            root_sums.append(RootSum(L, [Fraction(w, den ** len(key)) for w in products[key]]))
         return class_ids, root_sums
 
     if isinstance(mu, SubgroupHaarMeasure):
@@ -984,7 +1000,9 @@ class FourierSweep:
     dual ring codes of character i (see `character_codes`; row 0 is the
     trivial character).  Characters that `_coefficients` puts in one class
     share one stored coefficient: character i has coefficient
-    `root_sums[class_ids[i]]`.
+    `root_sums[class_ids[i]]`.  The labels are `chars.sweep_labels`, built once
+    on first read: two shared pieces of one byte buffer per character, so no
+    label is a Python string until it is read.
     """
 
     module: ModuleSpec
@@ -998,7 +1016,7 @@ class FourierSweep:
 
     @cached_property
     def _labels(self):
-        return character_labels(self.module, self.window)
+        return sweep_labels(self.module, self.window)
 
     @cached_property
     def _classes(self):
@@ -1023,13 +1041,15 @@ class FourierSweep:
 class FourierTable(Sequence):
     """Fourier rows (a sweep's, a character list's or a verdict's violations), held by column.
 
-    Row i is ``{"chi": labels[i], **templates[class_ids[i]], **extra}``: `len`,
-    indexing and iteration give the dicts of `FourierResult.row(**extra)`,
-    built only when read.  `experiment.report_bytes` lets ``json.dumps`` write
-    the report around each table, then splices the table in from one encoded
-    fragment per class around the encoded labels; the text is exactly
-    ``json.dumps(rows, sort_keys=True, indent=2, ensure_ascii=True)`` at the
-    table's depth, and its `fourier.csv` lines carry `repr` floats.
+    Row i is ``{"chi": labels[i], **templates[class_ids[i]], **extra}``.  The
+    labels are one `LabelBuffer` (a byte buffer with offsets); a list of label
+    texts is encoded into one.  `len`, indexing and iteration give the dicts of
+    `FourierResult.row(**extra)`, built only when read; a slice gives the list
+    of its rows' dicts, as the list of rows did.  `experiment.report_bytes` lets
+    ``json.dumps`` write the report around each table, then splices the table in
+    from one encoded fragment per class around the label bytes; the text is
+    exactly ``json.dumps(rows, sort_keys=True, indent=2, ensure_ascii=True)`` at
+    the table's depth, and its `fourier.csv` lines carry `repr` floats.
     """
 
     __slots__ = ("labels", "class_ids", "templates", "extra")
@@ -1037,7 +1057,7 @@ class FourierTable(Sequence):
     def __init__(self, labels, class_ids: np.ndarray, templates, extra: dict):
         if "chi" in extra or "step" in extra:
             raise InvalidParameterError("a Fourier table's extra columns cannot be 'chi' or 'step'")
-        self.labels = labels
+        self.labels = labels if isinstance(labels, LabelBuffer) else LabelBuffer.encode(labels)
         self.class_ids = class_ids
         self.templates = templates
         self.extra = extra
@@ -1046,7 +1066,10 @@ class FourierTable(Sequence):
         return len(self.labels)
 
     def __getitem__(self, i):
-        return {"chi": self.labels[i], **self.templates[self.class_ids[i]], **self.extra}
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        chi = self.labels[i]  # refuses an index out of range
+        return {"chi": chi, **self.templates[self.class_ids[i]], **self.extra}
 
 
 def fourier_sweep(mu: MeasureHandle, window: WindowSpec, limit: int = ENUMERATION_CAP) -> FourierSweep:
@@ -1133,7 +1156,7 @@ def _haar_verdict(classes, class_ids, trivial, criterion, tol, table) -> HaarVer
     if rows.size:
         full = table()
         used, ids = np.unique(full.class_ids[rows], return_inverse=True)
-        violations = FourierTable([full.labels[i] for i in rows.tolist()], ids,
+        violations = FourierTable(full.labels.take(rows), ids,
                                   [full.templates[k] for k in used.tolist()], {})
     return HaarVerdict(not rows.size, criterion, len(class_ids), violations)
 
@@ -1301,7 +1324,7 @@ def rigidity_experiment(
     """
     characters = list(characters)
     sites, codes = _character_rows(characters, mu0.module.rank)
-    labels = [format_character(chi) for chi in characters]
+    labels = LabelBuffer.encode([format_character(chi) for chi in characters])
     trivial = [i for i, chi in enumerate(characters) if chi.is_trivial]
     t_schedule = list(t_schedule if t_schedule is not None else default_t_schedule(rule.ring))
     n_schedule = list(n_schedule if n_schedule is not None else DEFAULT_N_SCHEDULE)

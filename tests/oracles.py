@@ -72,6 +72,15 @@ the target window's kernel to compare its rank; both are kept as the
 reference for sizes read from the anchor geometry.  The translated-window
 stencil is the original exact `stencil`, which built one `WindowSpec` per
 term, kept as the reference for slices from integer offsets.
+The label list is the library's original `character_labels`, one Python
+string per character built site by site, kept as the reference for the
+sweep's `LabelBuffer`.  The text table writers are the original
+`_table_json` and `_table_csv`, which encoded or quoted each label in Python
+(`encode_basestring_ascii`, a regex search and `str.replace` per label) and
+interleaved text pieces through object arrays, kept as the reference for rows
+spliced from label bytes.  The class root sums are the original Bernoulli
+branch of `_coefficients`, one `RootSum` product over `Fraction` weights per
+class, kept as the reference for products of integer weights.
 """
 
 import csv
@@ -495,6 +504,108 @@ def report_files(report: dict):
     yield "mixing.csv", _csv_bytes(
         mixing_rows, ["step", "n", "observed", "product", "deviation", "stderr", "exact"]
     )
+
+
+# -- labels and table rows as text, one label at a time --------------------------------
+
+
+def character_labels(module, window) -> list:
+    """`format_character` text of every character, in `all_characters` order."""
+    from modshift.chars import _term_text
+
+    labels = [""]
+    for site in window.sites():
+        terms = [_term_text(site, code) for code in range(1, module.size)]
+        pieces = [""] + [";" + term for term in terms]
+        # Only the all-zero head (always first) takes its next term without ";".
+        labels = ["", *terms] + [head + piece for head in labels[1:] for piece in pieces]
+    labels[0] = "trivial"
+    return labels
+
+
+def _table_labels(table) -> list:
+    return [table.labels[i] for i in range(len(table))]
+
+
+def _interleave(heads, labels, tails, class_ids) -> list:
+    """head[class], label, tail[class] for each row, as one list of text pieces."""
+    parts = [None] * (3 * len(class_ids))
+    parts[0::3] = np.array(heads, dtype=object)[class_ids].tolist()
+    parts[1::3] = labels
+    parts[2::3] = np.array(tails, dtype=object)[class_ids].tolist()
+    return parts
+
+
+def table_json(table, depth: int) -> str:
+    """A table's row list at `depth`, from one encoded head and tail per class around each label."""
+    from json.encoder import encode_basestring_ascii
+
+    from modshift.experiment import _dumps
+
+    if not len(table):
+        return "[]"
+    row = "\n" + "  " * (depth + 1)
+    chi = row + '  "chi": '
+    heads, tails = [], []
+    for template in table.templates:
+        text = _dumps({"chi": "", **template, **table.extra}).replace("\n", row)
+        head, tail = text.split(chi + '""')
+        heads.append("," + row + head + chi)
+        tails.append(tail)
+    labels = map(encode_basestring_ascii, _table_labels(table))
+    parts = _interleave(heads, labels, tails, table.class_ids)
+    parts[0] = "[" + parts[0][1:]
+    parts.append("\n" + "  " * depth + "]")
+    return "".join(parts)
+
+
+def _csv_quoting():
+    """The ASCII characters that make the csv writer quote a field, as a pattern."""
+    import re
+
+    from modshift.experiment import _csv_line
+
+    special = [c for c in map(chr, range(128)) if _csv_line(["x", c]) != f"x,{c}\n"]
+    return re.compile("[" + re.escape("".join(special)) + "]")
+
+
+def table_csv(step: str, table, columns) -> bytes:
+    """The table's CSV lines: each label's field between its step and its class's fragment,
+    encoded as ASCII (text that is not raises `UnicodeEncodeError`)."""
+    from modshift.experiment import _csv_fields, _csv_line
+
+    special = _csv_quoting().search
+    start = _csv_line([step, "x"])[:-2]
+    ends = [_csv_line(["x", *_csv_fields({**t, **table.extra}, columns)])[1:]
+            for t in table.templates]
+    labels = ['"%s"' % f.replace('"', '""') if special(f) else f for f in _table_labels(table)]
+    return "".join(_interleave([start] * len(ends), labels, ends, table.class_ids)).encode("ascii")
+
+
+def bernoulli_class_root_sums(mu, sites, codes):
+    """`(class_ids, root_sums)` of `_coefficients` for a Bernoulli measure: one `RootSum`
+    product over `Fraction` weights per class of characters with one multiset of duals."""
+    from modshift.chars import RootSum
+    from modshift.measures import _pair_exponents, _root_sums, _unique_rows
+
+    module, ring = mu.module, mu.module.ring
+    L = ring.char_exponent
+    by_site = codes.reshape(codes.shape[0], len(sites), module.rank)
+    site_codes = np.sort(module.pack_arr(by_site), axis=1)
+    first, class_ids = _unique_rows(site_codes, module.size, return_index=True, return_inverse=True)
+    duals = np.flatnonzero(np.bincount(site_codes[first].ravel()))
+    values = module.unpack_arr(np.arange(module.size))
+    per_dual = dict(zip(duals.tolist(), _root_sums(
+        _pair_exponents(ring, module.unpack_arr(duals), values), mu.probs, L
+    )))
+    root_sums = []
+    for i in first:
+        rs = RootSum.one(L)
+        for u in site_codes[i].tolist():
+            if u:
+                rs = rs * per_dual[u]
+        root_sums.append(rs)
+    return class_ids, root_sums
 
 
 # -- per-character Fourier ---------------------------------------------------

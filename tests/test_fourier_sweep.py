@@ -48,12 +48,13 @@ from modshift import (
     rigidity_experiment,
     uniform_bernoulli,
 )
-from modshift.chars import character_codes, character_labels, format_character
+from modshift.chars import LabelBuffer, character_codes, format_character, sweep_labels
 from modshift.crt import _verify_bijection, decompose_ring, field_decomposition
 from modshift.experiment import parse_experiment, run_experiment
 from modshift.measures import ExactWordMeasure, TransformedMeasure
 from modshift.rng import CounterRng
-from oracles import per_character_fourier, per_character_rigidity, per_result_haar_criterion
+from oracles import (bernoulli_class_root_sums, character_labels, per_character_fourier,
+                     per_character_rigidity, per_result_haar_criterion)
 
 
 def _win(extents, origin=None):
@@ -357,6 +358,80 @@ def test_character_codes_and_labels_follow_all_characters():
         duals = {s: tuple(int(x) for x in row[2 * i:2 * i + 2]) for i, s in enumerate(sites)}
         assert dict(chi.duals) == {s: d for s, d in duals.items() if any(d)}
     assert character_labels(mod, win) == [format_character(chi) for chi in chars]
+
+
+def _labels_of(buffer):
+    return [buffer[i] for i in range(len(buffer))]
+
+
+@pytest.mark.parametrize("ring,rank,extents,origin", [
+    ("zmod:2", 1, (6,), (0,)),
+    ("zmod:2", 1, (1,), (-7,)),
+    ("zmod:3", 1, (7,), (-3,)),
+    ("zmod:2", 1, (4, 3), (-2, 1)),
+    ("zmod:2", 1, (3, 2, 2), (-11, 0, 4)),
+    ("zmod:3", 2, (2, 1), (-1, 2)),
+    ("zmod:5", 2, (3,), (-120,)),
+    ("zmod:210", 1, (2,), (-3,)),
+    ("zmod:210", 1, (1, 2), (10, 0)),
+    ("gf:2:2:1,1,1", 1, (3, 2), (-4, 5)),
+    ("gf:2:2:1,1,1", 2, (2,), (0,)),
+])
+def test_sweep_labels_match_the_label_list(ring, rank, extents, origin):
+    mod = ModuleSpec(make_ring(ring), rank)
+    dims = (len(extents), 0) if len(extents) == 1 else (1, len(extents) - 1)
+    win = WindowSpec(dims, origin, extents)
+    labels = sweep_labels(mod, win)
+    want = character_labels(mod, win)
+    assert _labels_of(labels) == want
+    assert want == [format_character(chi) for chi in all_characters(mod, win)]
+
+
+def test_label_buffer_indexes_and_takes_like_a_list():
+    texts = ["trivial", 'a"b\\c', "x,\r", "é,\n", "\ud800", "", "(0,1):1", "tab\there"]
+    labels = LabelBuffer.encode(texts)
+    assert len(labels) == len(texts) and _labels_of(labels) == texts
+    assert [labels[i] for i in range(-len(texts), 0)] == texts
+    assert labels[np.int64(2)] == texts[2]
+    for bad in (len(texts), -len(texts) - 1):
+        with pytest.raises(IndexError):
+            labels[bad]
+    rows = np.array([6, 0, 6, 3])
+    taken = labels.take(rows)
+    assert _labels_of(taken) == [texts[i] for i in rows] and taken.data is labels.data
+    empty = LabelBuffer.encode([])
+    assert len(empty) == 0 and _labels_of(empty) == []
+
+
+def _biased(ring, extents, seed):
+    mod = ModuleSpec(make_ring(ring), 1)
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(0, 5, mod.size)
+    weights[rng.integers(mod.size)] += 1  # not all zero
+    probs = [Fraction(int(w), int(weights.sum())) for w in weights]
+    return bernoulli(mod, _win(extents), probs)
+
+
+@pytest.mark.parametrize("ring,extents", [
+    ("zmod:2", (8,)), ("zmod:3", (6,)), ("gf:2:2:1,1,1", (5,)), ("zmod:6", (4,)),
+    ("zmod:6", (2, 2)), ("zmod:3", (1, 3)),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bernoulli_root_sums_match_the_class_product_loop(ring, extents, seed):
+    mu = _biased(ring, extents, seed)
+    sites = list(mu.window.sites())
+    codes = character_codes(mu.module, mu.window)
+    want_ids, want = bernoulli_class_root_sums(mu, sites, codes)
+    got_ids, got = measures._coefficients(mu, sites, codes)
+    assert (got_ids == want_ids).all()
+    assert [rs.weights for rs in got] == [rs.weights for rs in want]
+    assert all(type(w) is Fraction for rs in got for w in rs.weights)
+    # A character list whose classes skip prefixes the sweep would have built.
+    rows = np.random.default_rng(seed).permutation(codes.shape[0])[:25]
+    want_ids, want = bernoulli_class_root_sums(mu, sites, codes[rows])
+    got_ids, got = measures._coefficients(mu, sites, codes[rows])
+    assert (got_ids == want_ids).all()
+    assert [rs.weights for rs in got] == [rs.weights for rs in want]
 
 
 # -- merged generators over GF(p**k) -----------------------------------------------

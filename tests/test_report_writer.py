@@ -1,19 +1,22 @@
 """Differential tests of the report writer against the original one.
 
 `report_bytes` is ``json.dumps`` itself with each Fourier table spliced in
-from pre-encoded per-class fragments at its depth, and `write_report` encodes
-that text a bounded number of pieces at a time; the CSV tables are built
-from the same fragments and written the same way.  The oracle is the original writer kept in
-`tests/oracles.py` (the indented ``json.dumps`` and one row dict per table
-row).  Both must give the same bytes on the bundled suites, the benchmark
-workloads, reports longer than one write chunk and generated reports with
-every value the encoder treats specially.
+from pre-encoded per-class fragments around its label bytes at its depth,
+and `write_report` writes each table `_WRITE_CHUNK` rows at a time; the CSV
+tables are built from the same label bytes and written the same way.  The
+oracles are the original writer kept in `tests/oracles.py` (the indented
+``json.dumps`` and one row dict per table row) and the original text table
+writers (one Python string per label).  They must give the same bytes on the
+bundled suites, the benchmark workloads, tables and reports longer than one
+write chunk and generated reports with every value the encoder treats
+specially.
 """
 
 import ast
 import importlib
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -26,13 +29,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from modshift import FourierTable, all_characters, experiment, fourier, fourier_sweep, kernel_haar
+from modshift import (FourierTable, ModuleSpec, WindowSpec, all_characters, experiment, fourier,
+                      fourier_sweep, kernel_haar, make_ring)
 from modshift.bundled import checkerboard_system
+from modshift.chars import LabelBuffer, sweep_labels
 from modshift.errors import InvalidParameterError
 from modshift.experiment import (
     _WRITE_CHUNK,
+    _FOURIER_COLUMNS,
     _json_default,
-    _report_pieces,
+    _table_csv,
+    _table_json,
     bundled_config_path,
     parse_experiment,
     report_bytes,
@@ -120,6 +127,8 @@ def test_failing_sweep_files_match_oracle(monkeypatch):
     (step,) = report["steps"]
     assert not step["pass"] and isinstance(step["violations"], FourierTable)
     assert len(step["violations"]) == 1024
+    rows = list(step["violations"])
+    assert step["violations"][-3:] == rows[-3:] and step["violations"][::100] == rows[::100]
     want = _oracle(report)
     assert _written(report) == want and want[1] is None
 
@@ -144,7 +153,7 @@ def test_report_longer_than_one_write_chunk_matches_oracle():
         {"name": "a", "fourier_table": small, "nested": {"deep": [small, big]}},
         {"name": "b", "fourier_table": big, "violations": list(range(50))},
     ]}
-    assert len(_report_pieces(report)) > 2 * _WRITE_CHUNK
+    assert len(big) > _WRITE_CHUNK
     with tempfile.TemporaryDirectory() as outdir:
         write_report(report, outdir, "")
         written = (pathlib.Path(outdir) / "report.json").read_bytes()
@@ -160,6 +169,84 @@ def test_report_text_holding_the_marker_matches_oracle(monkeypatch):
     report = {"feedface": ["feedface", table], "steps": [], "t": table}
     assert report_bytes(report) == oracles.report_bytes(report)
     assert next(tokens, None) is None
+
+
+# -- tables spliced from label bytes match the text writers ----------------------
+
+_TEMPLATES = [{"re": 0.5, "im": -0.0, "modulus": 1.0, "stderr": 0.0, "exact": True},
+              {"re": math.nan, "stderr": Fraction(1, 3), "exact": False, "b": np.float64(math.inf)},
+              {}, {"re": 1e300, "b": "a,\"b"}]
+
+
+def _table_labels():
+    """Label sets: texts that need quoting or escaping, 1-D and 2-D sweeps, and none."""
+    rank2 = ModuleSpec(make_ring("zmod:3"), 2)
+    return {
+        "texts": LabelBuffer.encode(['a"b\\c', "x,\r", "(0,1):1", "", "tab\t", "q\"", "plain",
+                                     "(-1,2):3;(0,0):1", "\x7f", ","]),
+        "sweep_1d": sweep_labels(ModuleSpec(make_ring("zmod:3"), 1), WindowSpec((1, 0), (-2,), (4,))),
+        "sweep_2d": sweep_labels(rank2, WindowSpec((1, 1), (-1, 0), (2, 1))),
+        "gf4": sweep_labels(ModuleSpec(make_ring("gf:2:2:1,1,1"), 1), WindowSpec((1, 1), (0, 3), (2, 2))),
+        "empty": LabelBuffer.encode([]),
+    }
+
+
+def _outcome(call):
+    try:
+        return b"".join(call())
+    except UnicodeEncodeError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, _WRITE_CHUNK])
+@pytest.mark.parametrize("name", sorted(_table_labels()))
+def test_spliced_tables_match_the_text_writers(monkeypatch, chunk, name):
+    labels = _table_labels()[name]
+    rng = np.random.default_rng(len(labels))
+    for n_classes in (1, 3, 4):
+        ids = rng.integers(0, n_classes, len(labels))
+        table = FourierTable(labels, ids, _TEMPLATES[:n_classes], {"t": 0})
+        monkeypatch.setattr(experiment, "_WRITE_CHUNK", chunk)
+        for depth in (0, 3):
+            want = oracles.table_json(table, depth).encode("ascii")
+            assert b"".join(_table_json(table, depth)) == want
+        want = _outcome(lambda: [oracles.table_csv("step, \"1\"", table, _FOURIER_COLUMNS[2:])])
+        assert _outcome(lambda: _table_csv("step, \"1\"", table, _FOURIER_COLUMNS[2:])) == want
+
+
+def _csv_quotes(text):
+    return experiment._csv_line(["x", text]) != f"x,{text}\n"
+
+
+def _json_escapes(text):
+    return json.dumps(text, ensure_ascii=True)[1:-1] != text
+
+
+def test_label_bits_are_those_of_each_label_text():
+    texts = ["trivial", 'a"b\\c', "x,\r", "é,\n", "\ud800", "", "(0,1):1", "tab\there", "\x7f"]
+    cases = {**_table_labels(), "more": LabelBuffer.encode(texts)}
+    for name, labels in cases.items():
+        texts = [labels[i] for i in range(len(labels))]
+        bits = experiment._label_bits(labels)
+        # Decided per piece, a label's bits are those of its own text.
+        assert [bool(b & experiment._QUOTED) for b in bits.tolist()] == list(map(_csv_quotes, texts))
+        assert [bool(b & experiment._ESCAPED) for b in bits.tolist()] == list(map(_json_escapes, texts))
+        rows = np.arange(len(labels))[::-2]
+        assert (experiment._label_bits(labels.take(rows)) == bits[rows]).all()
+    # Every 2-D site is written "(x,y):c", so every label of a 2-D sweep but "trivial" is quoted.
+    bits = experiment._label_bits(cases["sweep_2d"])
+    assert not bits[0] and (bits[1:] == experiment._QUOTED).all()
+
+
+def test_non_ascii_table_text_is_refused_before_any_row():
+    table = FourierTable(["(0):1", "é"], np.array([0, 0]), [{"re": 1.0}], {})
+    with pytest.raises(UnicodeEncodeError):
+        _table_csv("step", table, _FOURIER_COLUMNS[2:])  # raised by the call, not by reading
+    used = FourierTable(["(0):1"], np.array([1]), [{"b": "é"}, {"re": 1.0}], {})
+    assert b"".join(_table_csv("step", used, _FOURIER_COLUMNS[2:])) == oracles.table_csv(
+        "step", used, _FOURIER_COLUMNS[2:])  # only the classes of rows are written
+    with pytest.raises(UnicodeEncodeError):
+        _table_csv("stép", used, _FOURIER_COLUMNS[2:])
 
 
 # -- the in-memory table keeps the old list's behaviour ----------------------
@@ -183,6 +270,13 @@ def test_table_behaves_as_the_row_list():
     assert sweep.rows(t=0) == rows and sweep.row(5, t=0) == rows[5]
     with pytest.raises(IndexError):
         table[len(rows)]
+    with pytest.raises(IndexError):
+        table[-len(rows) - 1]
+    assert [table[i] for i in range(-len(rows), 0)] == rows
+    assert table[np.int64(3)] == rows[3]
+    for cut in (slice(2, 9), slice(-5, None), slice(None, None, -3), slice(60, 100), slice(5, 2),
+                slice(None)):
+        assert table[cut] == rows[cut]
     for column in ("chi", "step"):
         with pytest.raises(InvalidParameterError):
             sweep.table(**{column: "x"})
@@ -326,6 +420,14 @@ def test_special_values_are_written_as_json_writes_them():
     written, error = _written(report)
     assert (written, error) == _oracle(report) and error is None
     assert b'"a""b\\c"' in written["fourier.csv"] and b'"x,\r"' in written["fourier.csv"]
+
+
+def test_importing_the_runner_leaves_the_worker_pool_unloaded():
+    code = ("import sys, modshift.experiment; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 0 and run.stdout.strip() == "[]", run.stdout + run.stderr
 
 
 # -- the benchmark's tracer still finds what it wraps ----------------------------

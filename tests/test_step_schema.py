@@ -11,10 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from modshift import ConfigParseError, experiment
+from modshift import ConfigParseError, chars, experiment
 from modshift.errors import ENUMERATION_CAP, ResourceLimitError
+from modshift.lattice import WindowSpec
+from modshift.rings import ModuleSpec, make_ring
 from modshift.cli import main
 from modshift.experiment import STEP_KINDS, parse_experiment, run_experiment, run_file
+from oracles import character_labels
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNEL = "kernel ring=zmod:2 rank=1 dims=1,1 H=(-1,0):1;(0,0):1;(1,0):1;(0,1):1"
@@ -208,3 +211,29 @@ def test_the_force_hint_is_given_only_without_force(tmp_path, capsys, monkeypatc
     (failed,) = json.loads(capsys.readouterr().out)["failed"]
     cap = 1 << 24 if force else ENUMERATION_CAP
     assert failed["error"] == f"resource limit: sweep of 8 characters exceeds the cap {cap}{hint}"
+
+
+def test_a_forced_sweep_past_the_cap_is_checked_once_and_written(tmp_path, monkeypatch):
+    # With the unforced cap below this 16-character sweep, only --force runs it.  Its size
+    # is checked once, against the cap the sweep was given: reading its labels for the
+    # table and the report adds no check of its own.
+    monkeypatch.setattr(experiment, "ENUMERATION_CAP", 8)
+    limits = []
+    real = chars._check_sweep_size
+
+    def spy(module, window, limit):
+        limits.append(limit)
+        return real(module, window, limit)
+
+    monkeypatch.setattr(chars, "_check_sweep_size", spy)
+    path = tmp_path / "suite.cfg"
+    path.write_text(_suite(("sweep", SWEEP.replace("extents = 3", "extents = 4"))))
+    argv = ["experiment", "run", str(path), "--out", str(tmp_path / "rep")]
+    assert main(argv) == 1 and limits == [8]
+    limits.clear()
+    assert main(argv + ["--force"]) == 0 and limits == [1 << 24]
+    (step,) = json.loads((tmp_path / "rep" / "report.json").read_text())["steps"]
+    want = character_labels(ModuleSpec(make_ring("zmod:2"), 1), WindowSpec((1, 0), (0,), (4,)))
+    assert [row["chi"] for row in step["fourier_table"]] == want
+    lines = (tmp_path / "rep" / "fourier.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == want
