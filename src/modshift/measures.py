@@ -424,11 +424,11 @@ class SubgroupHaarMeasure(MeasureHandle):
         out = Fraction(1)
         for si, span in enumerate(self.spans):
             targets = self.decomposition.forward_table[vals, si]
-            solution, null = linalg.solve_affine(span.basis[:, cols].T, targets, span.ring)
-            if solution is None:
+            # [A | b] has b as a pivot column iff A x = b has no solution.
+            _, pivots = linalg.rref(np.column_stack([span.basis[:, cols].T, targets]), span.ring)
+            if pivots and pivots[-1] == span.dim:
                 return Fraction(0)
-            r = span.dim - null.shape[0]  # rank of A, from the same elimination
-            out *= Fraction(1, span.ring.size**r)
+            out *= Fraction(1, span.ring.size ** len(pivots))
         return out
 
     def enumerate_words(self, limit=ENUMERATION_CAP):

@@ -81,6 +81,12 @@ interleaved text pieces through object arrays, kept as the reference for rows
 spliced from label bytes.  The class root sums are the original Bernoulli
 branch of `_coefficients`, one `RootSum` product over `Fraction` weights per
 class, kept as the reference for products of integer weights.
+The column-by-column elimination is the library's original `rref`, which
+copied every input to int64 and ran its pivot loop once per column, pivot or
+not, kept as the reference for the loop that runs once per pivot and skips
+empty columns a block at a time; the solved cylinder probability is the
+original `SubgroupHaarMeasure._pinned_probability`, which counted the rows
+of a `solve_affine` nullspace basis.
 """
 
 import csv
@@ -221,6 +227,109 @@ def dense_rref(matrix, ring):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def column_rref(matrix, ring):
+    """`rref` as first written for the field paths: an int64 copy of the input,
+    then one pass of the pivot loop per column, pivot or not.
+
+    GF(2) packs rows into 64-bit words and XORs them, Z/p reduces each row
+    update once, GF(p**k) uses the ring's tables.  Returns (rref matrix, pivot
+    column list).
+    """
+    from modshift.errors import InvalidParameterError
+    from modshift.linalg import _check_field
+
+    _check_field(ring)
+    m = np.array(matrix, dtype=np.int64)
+    if m.ndim != 2:
+        raise InvalidParameterError("matrix must be 2-dimensional")
+    q = ring.size
+    if m.size and (m.min() < 0 or m.max() >= q):
+        i, j = (int(x) for x in np.argwhere((m < 0) | (m >= q))[0])
+        raise InvalidParameterError(f"matrix entry at row {i}, column {j} is {int(m[i, j])}")
+    rows, cols = m.shape
+    if q == 2:
+        bits = np.zeros((rows, 8 * -(-cols // 64)), dtype=np.uint8)
+        bits[:, : -(-cols // 8)] = np.packbits(m.astype(np.uint8), axis=1)
+        words = bits.view(np.uint64)
+
+        def nonzero_rows(c):
+            return np.flatnonzero(bits[:, c >> 3] & (0x80 >> (c & 7)))
+
+        def swap(r, i, c):
+            words[[r, i], c >> 6 :] = words[[i, r], c >> 6 :]
+
+        def normalize(r, c):
+            pass
+
+        def eliminate(hit, r, c):
+            words[hit, c >> 6 :] ^= words[r, c >> 6 :]
+    else:
+        p = ring.characteristic
+
+        def nonzero_rows(c):
+            return np.flatnonzero(m[:, c])
+
+        def swap(r, i, c):
+            m[[r, i], c:] = m[[i, r], c:]
+
+        if q == p:
+            def normalize(r, c):
+                inv = pow(int(m[r, c]), -1, p)
+                if inv != 1:
+                    m[r, c:] = m[r, c:] * inv % p
+
+            def eliminate(hit, r, c):
+                m[hit, c:] = (m[hit, c:] - m[hit, c, None] * m[r, c:]) % p
+        else:
+            def normalize(r, c):
+                m[r, c:] = ring.mul_arr(np.int64(ring.inverse(int(m[r, c]))), m[r, c:])
+
+            def eliminate(hit, r, c):
+                m[hit, c:] = ring.sub_arr(m[hit, c:], ring.mul_arr(m[hit, c, None], m[r, c:]))
+
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = nonzero_rows(c)
+        below = nz[nz >= r]
+        if below.size == 0:
+            continue
+        i = int(below[0])
+        if i != r:
+            swap(r, i, c)
+        normalize(r, c)
+        hit = nz[nz != i]
+        if hit.size:
+            eliminate(hit, r, c)
+        pivots.append(c)
+        r += 1
+    if q == 2:
+        return np.unpackbits(bits, axis=1, count=cols).astype(np.int64), pivots
+    return m, pivots
+
+
+def solved_pinned_probability(haar, idx, vals):
+    """`SubgroupHaarMeasure._pinned_probability` as first written: per span,
+    `solve_affine` of A x = b, and the rank of A as the span's dimension less
+    the rows of the nullspace basis it returned."""
+    from modshift.linalg import solve_affine
+    from modshift.measures import _site_columns
+
+    if not idx.size:
+        return Fraction(1)
+    cols, vals = _site_columns(idx, haar.module.rank), vals.ravel()
+    out = Fraction(1)
+    for si, span in enumerate(haar.spans):
+        targets = haar.decomposition.forward_table[vals, si]
+        solution, null = solve_affine(span.basis[:, cols].T, targets, span.ring)
+        if solution is None:
+            return Fraction(0)
+        out *= Fraction(1, span.ring.size ** (span.dim - null.shape[0]))
+    return out
 
 
 def dense_nullspace(matrix, ring):
