@@ -37,7 +37,6 @@ from .errors import (
     DomainExhaustedError,
     InfeasiblePinError,
     InvalidParameterError,
-    OutOfWindowError,
     ResourceLimitError,
 )
 from . import crt, linalg
@@ -376,40 +375,43 @@ def _field_components(spec: KernelShiftSpec):
         yield KernelShiftSpec(comp_rule, spec.label), comp_ring, deco, j
 
 
+def _images_span_kernel(spec: KernelShiftSpec, window: WindowSpec, offsets, coeffs, layers: int = 0) -> bool:
+    """True iff the images sum_b c_b x_{s+b} of the kernel on `big` (the window
+    grown by the `offsets`, and by `layers` sites more on each side) span the
+    window kernel in every field component.  The images lie in that kernel,
+    whose vectors are fixed at its free sites (`_free_sites`, lex-first lead), so
+    they are formed only there: one gather per offset and one `Ring.weighted_sum`
+    per component, zeros kept, ranked against the number of free sites.
+    """
+    free = _free_sites(spec, window, min(spec.constraint.offsets))
+    offs = np.array(offsets, dtype=np.int64)
+    big = window.expanded((layers - np.minimum(offs.min(axis=0), 0)).tolist(),
+                          (layers + np.maximum(offs.max(axis=0), 0)).tolist())
+    rel = np.array(np.unravel_index(free, window.extents)) + np.subtract(window.origin, big.origin)[:, None]
+    cols = np.ravel_multi_index(tuple(rel[:, None] + offs.T[:, :, None]), big.extents)
+    deco = crt.field_decomposition(spec.ring)
+    for j, (ring, rows, _) in enumerate(window_kernel(spec, big).components):
+        weights = deco.forward_table[list(coeffs), j].tolist()
+        images = ring.weighted_sum(weights, (rows[:, c] for c in cols))
+        if linalg.row_span_rank(images, ring) != free.size:
+            return False
+    return True
+
+
 def invariance_and_surjectivity_check(rule: LocalRule, spec: KernelShiftSpec, window: WindowSpec):
     """(invariant, surjective) for the rule acting on the kernel over a window.
 
-    The kernel basis on the stencil-expanded window is pushed through the rule
-    as one stack and compared against the kernel on the target window:
-    membership of every image gives invariance (membership is linear, so the
-    basis decides it), and surjectivity holds when the images span `_kernel_dim`.
-    The check runs on scalar (rank-1) values; free-module components transform
-    identically.  In component j the rule reads its component-j codes, zeros kept.
+    Invariance holds by construction.  Let `big` be the window grown by the rule's
+    offsets, m an anchor of the window and a a rule offset.  Then m + a is an anchor
+    of `big`: its stencil lies in window + a, and a has no negative N-axis coordinate.
+    So (h.(f.x))_m = sum_a f_a (h.x)_{m+a} = 0 for x in the kernel on `big`, as the
+    ring is commutative.  Surjectivity is `_images_span_kernel` of the rule's terms;
+    the rule must have the kernel's module and dims.
     """
     rule.module.check_same(spec.module)
-    offs = np.array(rule.offsets, dtype=np.int64)
-    expand_lo = [max(0, -int(l)) for l in offs.min(axis=0)]
-    expand_hi = [max(0, int(h)) for h in offs.max(axis=0)]
-    big = window.expanded(expand_lo, expand_hi)
-    invariant = True
-    surjective = True
-    dim = _kernel_dim(spec, window)
-    for comp_spec, comp_ring, deco, j in _field_components(spec):
-        terms = zip(rule.offsets, deco.forward_table[list(rule.coeffs), j].tolist())
-        ((_, big_basis, _),) = window_kernel(comp_spec, big).components
-        nb = big_basis.shape[0]
-        out_window, out = stencil(
-            terms, big_basis.reshape((nb,) + big.extents + (1,)), big, "exact", comp_ring
-        )
-        if not out_window.contains_window(window):
-            raise OutOfWindowError(f"{window} not contained in {out_window}")
-        images = out[(slice(None),) + out_window.relative_slices(window)]
-        images = images.reshape(nb, window.n_sites)
-        if not batch_membership(comp_spec, window, images[..., None]).all():
-            invariant = False
-        if linalg.row_span_rank(images, comp_ring) != dim:
-            surjective = False
-    return invariant, surjective
+    if rule.dims != spec.dims:
+        raise InvalidParameterError(f"rule dims {rule.dims} differ from the kernel's dims {spec.dims}")
+    return True, _images_span_kernel(spec, window, rule.offsets, rule.coeffs)
 
 
 class Cocycle:
@@ -604,15 +606,12 @@ def topological_mixing_check(spec: KernelShiftSpec, pairs, n: int) -> bool:
 def extension_certificate(spec: KernelShiftSpec, window: WindowSpec, layers: int = 1) -> bool:
     """Every in-window kernel word extends by `layers` rings of extra sites.
 
-    Certified by the kernel's Haar measure: its marginal on `window` from the
-    expanded window always lies inside the in-window kernel, so it is that
-    kernel's Haar measure iff each component span has the kernel's dimension
-    (`_kernel_dim` per module coordinate).  `layers` must be an integer >= 1.
+    The kernel on the grown window restricts into the window kernel, since
+    every anchor of the window is one of the grown window's; so every word
+    extends iff the restrictions span it, `_images_span_kernel` of the
+    identity term.  `layers` must be an integer >= 1.
     """
-    from .measures import SubgroupHaarMeasure, _positive_integer
+    from .measures import _positive_integer
 
     layers = _positive_integer(layers, "layers")
-    expanded = window.expanded([layers] * window.axes, [layers] * window.axes)
-    marginal = SubgroupHaarMeasure.from_kernel(spec, expanded).marginal(window)
-    dim = _kernel_dim(spec, window) * spec.module.rank
-    return all(span.dim == dim for span in marginal.spans)
+    return _images_span_kernel(spec, window, [(0,) * window.axes], [spec.ring.one], layers)

@@ -209,8 +209,6 @@ def rank(matrix: np.ndarray, ring: Ring) -> int:
 
 
 def row_span_rank(rows: np.ndarray, ring: Ring) -> int:
-    if rows.size == 0:
-        return 0
     return rank(rows, ring)
 
 

@@ -711,7 +711,7 @@ def _image(mu, apply, out_window, module, note: str, suffix: str, limit: int) ->
 def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERATION_CAP) -> MeasureHandle:
     """Distribution of t rule applications of draws from mu, labelled `<label>->t<t>`.
 
-    t = 0 returns mu itself.  The rule is powered once, by `_power_poly`.
+    t = 0 returns mu itself.  The rule, of the window's dims, is powered once, by `_power_poly`.
     Haar handles transform exactly at any size: each field component's span
     by the power's nonzero codes in that component, the representative over
     the whole ring.  Other handles go to `_image`: exact ones are enumerated
@@ -722,6 +722,8 @@ def pushforward(mu: MeasureHandle, rule: LocalRule, t: int, limit: int = ENUMERA
     if t == 0:
         return mu
     rule.module.check_same(mu.module)
+    if rule.dims != mu.window.dims:
+        raise InvalidParameterError(f"rule dims {rule.dims} differ from the window's dims {mu.window.dims}")
     note = f"pushforward by {rule.offsets}/{rule.coeffs}, t={t}"
     poly = _power_poly(rule, t)
     shape = mu.window.extents + (mu.module.rank,)

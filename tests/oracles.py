@@ -69,7 +69,10 @@ The basis count is the library's original `WindowBasis.solution_count` and
 `scalar_dims`, read from the propagated rows, and the two-basis invariance
 check is the original `invariance_and_surjectivity_check`, which propagated
 the target window's kernel to compare its rank; both are kept as the
-reference for sizes read from the anchor geometry.  The translated-window
+reference for sizes read from the anchor geometry.  The two-basis check
+also tests every image's membership and ranks the images on the whole
+window, so it is the reference for an invariance flag that holds by
+construction and for ranks read at the free sites.  The translated-window
 stencil is the original exact `stencil`, which built one `WindowSpec` per
 term, kept as the reference for slices from integer offsets.
 The label list is the library's original `character_labels`, one Python

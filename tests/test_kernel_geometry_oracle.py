@@ -7,11 +7,17 @@ propagated only when `components` is first read.  The oracles are the
 original count and dimensions read from those rows (`basis_solution_count`,
 `basis_scalar_dims`) and the rows' own free sites, on Z/2, Z/3, GF(4),
 `zmod:6` and `zmod:210` at ranks 1 and 2, on 1-D, 2-D and Z x N^2 windows,
-with windows that hold no anchor and single-term rules.  The invariance check,
-which now compares its image rank with that dimension, is compared with the
-original two-basis check.  A refused ring or a vanishing component
-coefficient raises at the call, with the propagation's error class and text.
-The frontier tests bound the memory traced by `tracemalloc`, not wall time.
+with windows that hold no anchor and single-term rules.  A refused ring or a
+vanishing component coefficient raises at the call, with the propagation's
+error class and text.
+
+The invariance check holds its invariance flag by construction, and it and
+the extension certificate rank their images only at the window's free sites.
+Both are compared with their originals (`two_basis_invariance_check`, which
+pushes the whole basis through the rule, and `nullspace_extension_certificate`)
+on random kernels and rules over Z/2, Z/3, Z/5, GF(4), `zmod:6`, `zmod:30` and
+`zmod:210`, verdicts and any refusal alike.  The frontier tests bound the memory
+traced by `tracemalloc`, not wall time.
 """
 
 import json
@@ -29,6 +35,7 @@ from modshift import (
     WindowSpec,
     ZmodRing,
     enumerate_kernel_words,
+    extension_certificate,
     invariance_and_surjectivity_check,
     parse_rule,
     window_kernel,
@@ -45,13 +52,20 @@ from modshift.errors import (
 from modshift.experiment import parse_experiment, run_experiment
 from modshift.kernels import _propagate
 
-from oracles import basis_scalar_dims, basis_solution_count, two_basis_invariance_check
+from oracles import (
+    basis_scalar_dims,
+    basis_solution_count,
+    nullspace_extension_certificate,
+    two_basis_invariance_check,
+)
 from test_window_kernel_oracle import kernel_cases, units
 
 GEOMETRY_RINGS = [ZmodRing(2), ZmodRing(3), GFRing(2, 2), ZmodRing(6), ZmodRing(210)]
+INVARIANCE_RINGS = GEOMETRY_RINGS + [ZmodRing(5), ZmodRing(30)]
 GRID_DIMS = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (1, 2)]
 ORACLE = settings(deadline=None, derandomize=True, max_examples=150)
 PARITY = "kernel ring=zmod:2 rank=1 dims=1,1 H=(-1,0):1;(0,0):1;(1,0):1;(0,1):1"
+PARITY_RULE = "rule ring=zmod:2 rank=1 dims=1,1 H=(0,0):1;(0,1):1;(1,0):1"
 
 
 def _outcome(fn, *args):
@@ -141,10 +155,17 @@ def test_refusals_come_at_the_call_with_the_propagation_error(text, error, messa
 
 @st.composite
 def invariance_cases(draw):
-    """(rule, spec, window): a rule of the kernel's module and dims, any coefficient codes."""
-    spec, window = draw(kernel_cases(GEOMETRY_RINGS, max_terms=3))
+    """(rule, spec, window): a rule of the kernel's module and dims, any coefficient codes.
+
+    Rule offsets lie in [-2, 2] on a Z axis and in [0, 2] on an N axis, so a rule
+    may skip the window's first N rows; a `LocalRule` refuses a negative N-axis
+    offset.  The original check's `OutOfWindowError` and `DomainExhaustedError`
+    came only from a rule of other dims, which is refused now
+    (`test_rule_of_other_dims_is_refused_naming_both`).
+    """
+    spec, window = draw(kernel_cases(INVARIANCE_RINGS, max_terms=3))
     dims, ring = spec.dims, spec.ring
-    bounds = [(-1, 1)] * dims[0] + [(0, 1)] * dims[1]
+    bounds = [(-2, 2)] * dims[0] + [(0, 2)] * dims[1]
     offset = st.tuples(*(st.integers(lo, hi) for lo, hi in bounds))
     offsets = draw(st.lists(offset, min_size=1, max_size=3, unique=True))
     coeffs = [draw(st.integers(1, ring.size - 1)) for _ in offsets]
@@ -156,6 +177,34 @@ def invariance_cases(draw):
 def test_invariance_check_matches_the_two_basis_check(case):
     assert _outcome(invariance_and_surjectivity_check, *case) == _outcome(
         two_basis_invariance_check, *case
+    )
+
+
+@ORACLE
+@given(invariance_cases(), st.integers(1, 2))
+def test_extension_certificate_matches_the_nullspace_projection(case, layers):
+    _, spec, window = case
+    assert _outcome(extension_certificate, spec, window, layers) == _outcome(
+        nullspace_extension_certificate, spec, window, layers
+    )
+
+
+def test_an_invariance_step_with_a_rule_of_other_dims_fails_typed():
+    config = parse_experiment(f"""[experiment]
+name = dims
+seed = 1
+
+[step other_dims]
+kind = invariance-check
+rule = rule ring=zmod:2 rank=1 dims=2,1 H=(0,0,0):1;(1,0,0):1
+kernel = {PARITY}
+extents = 4 4
+expected = true true
+""")
+    (step,) = run_experiment(config)["steps"]
+    assert not step["pass"]
+    assert step["error"] == (
+        "InvalidParameterError: rule dims (2, 1) differ from the kernel's dims (1, 1)"
     )
 
 
@@ -182,6 +231,26 @@ expected = {2 ** 6142}
     (step,) = report["steps"]
     assert step["pass"] and step["count"] == 2**6142
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("verdict", ["invariance", "extension"])
+def test_parity_verdicts_at_128_squared_trace_under_96_mib(verdict):
+    """The free-site rank keeps both verdicts near the one propagation of the grown
+    window: about 56 MiB each, where the whole-window images took 156 and the Haar
+    marginal 194 MiB."""
+    spec = KernelShiftSpec(parse_rule(PARITY, expect_prefix="kernel"))
+    window = WindowSpec((1, 1), (0, 0), (128, 128))
+    tracemalloc.start()
+    try:
+        if verdict == "invariance":
+            got = invariance_and_surjectivity_check(parse_rule(PARITY_RULE), spec, window)
+        else:
+            got = extension_certificate(spec, window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == ((True, True) if verdict == "invariance" else True)
+    assert peak < 96 << 20
 
 
 def test_enumeration_above_its_limit_refuses_before_any_row():

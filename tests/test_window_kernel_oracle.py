@@ -4,8 +4,10 @@
 original elimination of the whole constraint matrix (`constraint_matrix`, then
 `rref`, then `nullspace_from_rref`).  Both must give the same basis arrays and
 free site tuples bit for bit.  The elimination-free `torsion_free_check` and
-the `extension_certificate` read from the kernel's Haar marginal are compared
-with their rank- and nullspace-based originals the same way.
+the `extension_certificate` ranked at the window's free sites are compared
+with their rank- and nullspace-based originals the same way.  A window or a
+rule of other dims than the kernel's is refused with a typed error that
+names both.
 """
 
 import numpy as np
@@ -23,10 +25,13 @@ from modshift import (
     ZmodRing,
     enumerate_kernel_words,
     extension_certificate,
+    invariance_and_surjectivity_check,
     parse_rule,
+    pushforward,
     torsion_free_check,
     window_kernel,
 )
+from modshift.errors import DomainExhaustedError, OutOfWindowError
 from modshift.kernels import constraint_matrix
 from oracles import (
     brute_kernel_words,
@@ -34,6 +39,7 @@ from oracles import (
     eliminated_window_kernel,
     nullspace_extension_certificate,
     rank_torsion_free_check,
+    two_basis_invariance_check,
 )
 
 KERNEL_RINGS = [ZmodRing(2), ZmodRing(3), ZmodRing(5), GFRing(2, 2), ZmodRing(6), ZmodRing(30)]
@@ -215,9 +221,35 @@ def test_extension_certificate_matches_nullspace_projection(case, layers):
         lambda spec, w: torsion_free_check(spec, w, 0),
         lambda spec, w: extension_certificate(spec, w),
         lambda spec, w: constraint_matrix(spec, w),
+        lambda spec, w: invariance_and_surjectivity_check(spec.constraint, spec, w),
     ],
-    ids=["window_kernel", "torsion_free_check", "extension_certificate", "constraint_matrix"],
+    ids=["window_kernel", "torsion_free_check", "extension_certificate", "constraint_matrix",
+         "invariance_and_surjectivity_check"],
 )
 def test_window_of_other_dims_is_refused(cb_system, window, call):
     with pytest.raises(InvalidParameterError, match=r"does not have the kernel's dims \(1, 1\)"):
         call(cb_system.kernel, window)
+
+
+@pytest.mark.parametrize(
+    "text, was",
+    [
+        ("dims=2,1 H=(0,0,0):1;(1,0,0):1", ValueError),  # numpy's broadcast error
+        ("dims=1,0 H=(0):1;(1):1", InvalidParameterError),  # "origin/extents length != D+E"
+        ("dims=2,0 H=(0,-1):1;(0,0):1", OutOfWindowError),  # same axis count, other split
+        ("dims=2,0 H=(0,-3):1;(0,0):1", DomainExhaustedError),
+    ],
+)
+def test_rule_of_other_dims_is_refused_naming_both(cb_system, text, was):
+    """A rule must have the dims of the kernel, or of the window it pushes a measure
+    over; the original check failed on each of these in its own way."""
+    rule = parse_rule(f"rule ring=zmod:2 rank=1 {text}", expect_prefix="rule")
+    spec, window = cb_system.kernel, cb_system.window(3, 3)
+    with pytest.raises(was):
+        two_basis_invariance_check(rule, spec, window)
+    with pytest.raises(InvalidParameterError) as got:
+        invariance_and_surjectivity_check(rule, spec, window)
+    assert str(got.value) == f"rule dims {rule.dims} differ from the kernel's dims (1, 1)"
+    with pytest.raises(InvalidParameterError) as got:
+        pushforward(SubgroupHaarMeasure.from_kernel(spec, window), rule, 1)
+    assert str(got.value) == f"rule dims {rule.dims} differ from the window's dims (1, 1)"
