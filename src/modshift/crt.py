@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedCharacteristicError
 from .lattice import WindowConfig, WindowSpec
-from .rings import MixedRadix, ModuleSpec, ProductRing, Ring, ZmodRing, is_prime
+from .rings import MixedRadix, ModuleSpec, ProductRing, Ring, ZmodRing, _reduce_codes, is_prime
 from .rng import CounterRng, draw_blocks
 from .shiftpoly import LocalRule, TorusStencil
 
@@ -63,11 +63,20 @@ def _factorize(n: int):
 
 @dataclass(frozen=True)
 class CrtDecomposition:
-    """Forward/inverse maps between a ring and its prime-power components."""
+    """Forward/inverse maps between a ring and its prime-power components.
+
+    The forward map is arithmetic on codes: component j of a source code x is
+    sum ((x // place) mod radix) * weight over the (place, radix, weight)
+    terms of `forward_terms[j]`.  That is x mod m_j for a zmod source, the
+    regrouped factor digits for a product source and x itself for a
+    degenerate decomposition.  `forward_arr` applies it to code arrays, and
+    `forward_table` holds it for every code.
+    """
 
     ring: Ring
     prime_powers: tuple  # ((p, s), ...) in increasing p
     component_rings: tuple
+    forward_terms: tuple  # per component, ((place, radix, weight), ...)
     forward_table: np.ndarray  # (size, J) component codes
     inverse_table: np.ndarray  # mixed-radix component index -> source code
     ideals: tuple  # frozensets {r : q_j r = 0} with q_j = m / p_j**s_j
@@ -88,9 +97,13 @@ class CrtDecomposition:
     def inverse(self, comps) -> int:
         return int(self.inverse_table[self.codec.encode(comps)])
 
+    def forward_arr(self, values, j: int) -> np.ndarray:
+        """Component-j codes of an array of source codes, in its dtype (a list
+        or scalar is read as int64)."""
+        return _forward_codes(np.asarray(values), self.forward_terms[j], self.ring.size)
+
     def split_arrays(self, values: np.ndarray):
-        values = np.asarray(values, dtype=np.int64)
-        return [self.forward_table[:, j][values] for j in range(self.n_components)]
+        return [self.forward_arr(values, j) for j in range(self.n_components)]
 
     def merge_arrays(self, comp_values) -> np.ndarray:
         """Source-ring codes of per-component code arrays.
@@ -117,6 +130,23 @@ class CrtDecomposition:
         return self.merge_arrays([s[g.ravel()] for s, g in zip(stacks, grids)])
 
 
+def _forward_codes(values: np.ndarray, terms, size: int) -> np.ndarray:
+    """sum ((values // place) mod radix) * weight over `terms`, in the dtype of
+    `values`, which are codes in [0, size); every result is below size."""
+    out = None
+    for place, radix, weight in terms:
+        digit = values // place if place > 1 else values.copy()
+        if place * radix < size:  # else the quotient is already below radix
+            _reduce_codes(digit, radix)
+        if weight > 1:
+            digit *= weight
+        if out is None:
+            out = digit
+        else:
+            out += digit
+    return out
+
+
 def _degenerate(ring: Ring, prime_power) -> CrtDecomposition:
     size = ring.size
     fwd = np.arange(size, dtype=np.int64).reshape(size, 1)
@@ -125,6 +155,7 @@ def _degenerate(ring: Ring, prime_power) -> CrtDecomposition:
         ring,
         (prime_power,),
         (ring,),
+        (((1, size, 1),),),
         fwd,
         inv,
         (frozenset(range(size)),),
@@ -208,7 +239,7 @@ def _decompose(ring: Ring) -> CrtDecomposition:
     codes = np.arange(ring.size, dtype=np.int64)
     if isinstance(ring, ZmodRing):
         comps = tuple(ZmodRing(p**s) for p, s in factors)
-        fwd = np.stack([codes % comp.m for comp in comps], axis=1)
+        terms = tuple(((1, comp.m, 1),) for comp in comps)
     elif isinstance(ring, ProductRing):
         groups = {}
         for idx, f in enumerate(ring.factors):
@@ -223,19 +254,23 @@ def _decompose(ring: Ring) -> CrtDecomposition:
         # so components follow `factors` in increasing p.
         members = [[ring.factors[i] for i in groups[p]] for p, _ in factors]
         comps = tuple(m[0] if len(m) == 1 else ProductRing(m) for m in members)
-        parts = ring.codec.split(codes)
-        fwd = np.stack([
-            MixedRadix(ring.factors[i].size for i in groups[p]).join(parts[:, groups[p]])
-            for p, _ in factors
-        ], axis=1)
+        # Factor i is digit i of the source code; it moves to its place in the
+        # component's own mixed-radix code.
+        terms = []
+        for p, _ in factors:
+            sizes = [ring.factors[i].size for i in groups[p]]
+            places = [ring.codec._places[i] for i in groups[p]]
+            terms.append(tuple(zip(places, sizes, MixedRadix(sizes)._places)))
+        terms = tuple(terms)
     else:
         raise UnsupportedCharacteristicError(
             f"cannot decompose {ring.descriptor()} of characteristic {char}"
         )
+    fwd = np.stack([_forward_codes(codes, t, ring.size) for t in terms], axis=1)
     inv = np.zeros(ring.size, dtype=np.int64)
     inv[MixedRadix(comp.size for comp in comps).join(fwd)] = codes
     qs = [char // p**s for p, s in factors]
-    deco = CrtDecomposition(ring, tuple(factors), comps, fwd, inv, tuple(_ideals(ring, qs)))
+    deco = CrtDecomposition(ring, tuple(factors), comps, terms, fwd, inv, tuple(_ideals(ring, qs)))
     _verify_bijection(deco)
     return deco
 
@@ -340,8 +375,7 @@ def conjugacy_check(
         raise InvalidParameterError("torus extents arity != rule dims")
     window = WindowSpec(dims, (0,) * len(torus_extents), tuple(torus_extents))
     terms = [tuple(zip(rule.offsets, rule.coeffs))] + [
-        tuple(zip(rule.offsets, deco.forward_table[list(rule.coeffs), j].tolist()))
-        for j in range(deco.n_components)
+        tuple(zip(rule.offsets, codes.tolist())) for codes in deco.split_arrays(rule.coeffs)
     ]
     rings = [module.ring, *deco.component_rings]
     rng = CounterRng(seed, stream=57)
@@ -354,19 +388,15 @@ def conjugacy_check(
     def draw(first, n):
         return rng.uniform_codes(first * cells, (n,) + window.extents + (module.rank,), module.ring.size)
 
-    # Forward columns in each component's sum dtype; one plan per stencil and block shape.
-    columns = [deco.forward_table[:, j].astype(ring.sum_dtype(len(rule.offsets)))
-               for j, ring in enumerate(rings[1:])]
-
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=None)  # one plan per stencil and block shape
     def plan(i, shape):
         return TorusStencil(terms[i], window, rings[i], shape)
 
     for first, block in draw_blocks(trials, [cells], cells, draw):
         image = plan(0, block.shape).apply(block)
         mismatches = [
-            plan(j + 1, block.shape).apply(column.take(block)) != column.take(image)
-            for j, column in enumerate(columns)
+            plan(j + 1, block.shape).apply(deco.forward_arr(block, j)) != deco.forward_arr(image, j)
+            for j in range(deco.n_components)
         ]
         bad = np.stack([m.reshape(len(block), -1).any(axis=1) for m in mismatches], axis=1)
         if bad.any():
@@ -393,7 +423,7 @@ def project_measure(mu, deco: CrtDecomposition, j: int):
     if isinstance(mu, measures.BernoulliMeasure):
         probs = [Fraction(0)] * module_j.size
         values = mu.module.unpack_arr(np.arange(mu.module.size))
-        comp_codes = module_j.pack_arr(deco.forward_table[values, j]).tolist()
+        comp_codes = module_j.pack_arr(deco.forward_arr(values, j)).tolist()
         for comp_code, p in zip(comp_codes, mu.probs):
             probs[comp_code] += p
         return measures.BernoulliMeasure(
@@ -407,11 +437,11 @@ def project_measure(mu, deco: CrtDecomposition, j: int):
                 return mu
             raise InvalidParameterError("subgroup measure is not CRT-split")
         return mu._rebuilt(
-            module_j, mu.window, (mu.spans[j],), deco.split_arrays(mu.rep_codes)[j], note,
+            module_j, mu.window, (mu.spans[j],), deco.forward_arr(mu.rep_codes, j), note,
             f"|p{ring_j.characteristic}",
         )
     return measures._image(
-        mu, deco.forward_table[:, j].take, mu.window, module_j, note,
+        mu, lambda codes: deco.forward_arr(codes, j), mu.window, module_j, note,
         f"|p{ring_j.characteristic}", measures.ENUMERATION_CAP,
     )
 
@@ -427,7 +457,7 @@ def merge_product_bernoulli(components, deco: CrtDecomposition):
     values = module.unpack_arr(np.arange(module.size))
     probs = [Fraction(1)] * module.size
     for j, comp_mu in enumerate(components):
-        comp_codes = comp_mu.module.pack_arr(deco.forward_table[values, j]).tolist()
+        comp_codes = comp_mu.module.pack_arr(deco.forward_arr(values, j)).tolist()
         probs = [p * comp_mu.probs[c] for p, c in zip(probs, comp_codes)]
     return measures.BernoulliMeasure(
         module, window, probs, seed=components[0].seed, mode=components[0].mode,

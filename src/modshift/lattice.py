@@ -19,7 +19,7 @@ from .errors import (
     InvalidParameterError,
     OutOfWindowError,
 )
-from .rings import ModuleSpec, parse_ring
+from .rings import ModuleSpec, _reduce_codes, _unsigned_dtype, parse_ring
 
 __all__ = [
     "WindowSpec",
@@ -195,8 +195,10 @@ class WindowSpec:
 class WindowConfig:
     """Module values on a window.
 
-    `values` has shape extents + (rank,) holding ring element codes; the mode
-    tag selects exact (shrinking-domain) or torus (wrapping) evaluation.
+    `values` has shape extents + (rank,) holding ring element codes, stored
+    in the narrowest unsigned dtype that holds every code of the ring (uint8
+    or uint16), whatever integer dtype they are given in; the mode tag
+    selects exact (shrinking-domain) or torus (wrapping) evaluation.
     """
 
     window: WindowSpec
@@ -207,7 +209,9 @@ class WindowConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "torus"):
             raise InvalidParameterError(f"mode must be exact|torus: {self.mode!r}")
-        vals = np.ascontiguousarray(self.values, dtype=np.int64)
+        vals = np.asarray(self.values)
+        if vals.dtype.kind not in "iu":
+            vals = np.asarray(vals, dtype=np.int64)
         expected = self.window.extents + (self.module.rank,)
         if vals.shape != expected:
             raise InvalidParameterError(
@@ -218,6 +222,7 @@ class WindowConfig:
             raise InvalidParameterError(
                 f"element code out of range at index {tuple(int(x) for x in bad)}"
             )
+        vals = np.ascontiguousarray(vals, dtype=code_dtype(self.module.ring))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -230,7 +235,8 @@ class WindowConfig:
         return self.values.reshape(self.window.n_sites, self.module.rank)
 
     def word_key(self) -> bytes:
-        return self.values.tobytes()
+        """The values' bytes as int64 codes, whatever dtype stores them."""
+        return self.values.astype(np.int64).tobytes()
 
     def with_values(self, values) -> "WindowConfig":
         return WindowConfig(self.window, self.module, values, self.mode)
@@ -273,26 +279,46 @@ def config_from_function(module, window, fn, mode="exact") -> WindowConfig:
     return WindowConfig(window, module, vals.reshape(window.extents + (module.rank,)), mode)
 
 
+def code_dtype(ring) -> np.dtype:
+    """The narrowest unsigned dtype holding every code of the ring."""
+    return _unsigned_dtype(ring.size - 1)
+
+
 def coordinate_sum_images(ring, window: WindowSpec) -> np.ndarray:
-    """(sum of coordinates) * 1 in the ring at every site, shape window.extents: one gather
-    from a table of n * 1 for n from the least sum, as long as the characteristic or the span."""
-    grids = np.meshgrid(
-        *[np.arange(o, o + e, dtype=np.int64) for o, e in zip(window.origin, window.extents)],
-        indexing="ij", sparse=True,
-    )
+    """(sum of coordinates) * 1 in the ring at every site, shape window.extents, in
+    `code_dtype(ring)`.
+
+    With `low` the least sum and n the characteristic or the span of sums,
+    whichever is smaller, the site's index i = (sum - low) mod n is summed
+    axis by axis from small per-axis residues in a narrow dtype.  The value is
+    the code of (low + i) * 1, read from a table of n codes; when that table
+    is consecutive codes mod the characteristic (Z/m, and GF(p**k) whose
+    n * 1 has the code n mod p), it is i plus the first code, reduced.
+    """
     low = sum(window.origin)
     n = min(ring.characteristic, sum(window.extents) - window.axes + 1)
     images = np.array([ring.from_int(low + i) for i in range(n)], dtype=np.int64)
-    index = sum(grids)
-    index -= low
-    index %= n
-    return images[index]
+    q, first = ring.characteristic, int(images[0])
+    consecutive = np.array_equal(images, (first + np.arange(n)) % q)
+    index = 0
+    for i, e in enumerate(window.extents):
+        axis = np.arange(e) % n
+        index = index + axis.astype(_unsigned_dtype(window.axes * (n - 1) + first)).reshape(
+            (e,) + (1,) * (window.axes - 1 - i)
+        )
+    _reduce_codes(index, n)
+    if not consecutive:
+        return images.astype(code_dtype(ring)).take(index)
+    if first:
+        index += first
+        _reduce_codes(index, q)
+    return index.astype(code_dtype(ring), copy=False)
 
 
 def checkerboard_config(module, window, mode="exact") -> WindowConfig:
     """c_site = (sum of coordinates) * 1 in the ring, on every component."""
     scalars = coordinate_sum_images(module.ring, window)
-    vals = np.repeat(scalars[..., None], module.rank, axis=-1)
+    vals = np.broadcast_to(scalars[..., None], window.extents + (module.rank,))
     return WindowConfig(window, module, vals, mode)
 
 

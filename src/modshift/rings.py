@@ -236,13 +236,16 @@ class Ring:
 
         `arrays` may be any iterable of same-shape code arrays; it is consumed
         one array at a time, and the sum is returned in the dtype of the first.
-        Term i is one gather from a 1-D table of the `additive` digits of
+        When every `additive` radix is 2 (characteristic 2), see `_xor_sum`.
+        Otherwise term i is one gather from a 1-D table of the `additive` digits of
         coeffs[i] * a, packed one bit field per digit; a field holds a chunk of
         terms without carrying.  The chunk is every term unless the fields would
         pass 64 bits; then it halves, and the fields are reduced after each
         chunk.  The codes are read off the fields once at the end.
         """
         radices = self.additive.radices
+        if set(radices) == {2}:
+            return self._xor_sum(coeffs, arrays)
         chunk = len(coeffs)
         while chunk > 2 and sum((chunk * (r - 1)).bit_length() for r in radices) > 64:
             chunk //= 2
@@ -261,6 +264,32 @@ class Ring:
                 acc += term
             held += 1
         return _fold_fields(acc, radices, widths, self.additive._places).astype(out_dtype, copy=False)
+
+    def _xor_sum(self, coeffs, arrays):
+        """`weighted_sum` when the codes are bit vectors added by XOR.
+
+        Bit j of a code is its digit on the basis element e_j, whose code is
+        2**j, so c * a is the XOR over the set bits j of a of the code of
+        c * e_j.  Bits that c maps to themselves are kept by one mask; every
+        other bit is shifted down, masked and multiplied by its image.  No
+        term gathers per cell.
+        """
+        units = self.additive._places
+        acc = None
+        for c, a in zip(coeffs, arrays):
+            a = np.asarray(a)
+            if acc is None:  # zeros are calloc'd pages, written by the first XOR
+                acc = np.zeros(a.shape, dtype=a.dtype)
+            images = self.mul_arr(np.int64(c), np.array(units)).tolist()
+            kept = sum(u for u, image in zip(units, images) if image == u)
+            if kept:
+                np.bitwise_xor(acc, a & kept, out=acc, casting="unsafe")
+            for j, (u, image) in enumerate(zip(units, images)):
+                if image and image != u:
+                    plane = (a >> j if j else a) & 1
+                    plane *= image
+                    np.bitwise_xor(acc, plane, out=acc, casting="unsafe")
+        return acc
 
     def run_sums(self, codes, starts):
         """The ring sum of each run codes[starts[i]:starts[i+1]] (the last to the end), as
@@ -436,7 +465,9 @@ def _unsigned_dtype(bound: int) -> np.dtype:
 
 def _reduce_codes(x: np.ndarray, m: int) -> np.ndarray:
     """x mod m in place, for nonnegative integers x; returns x."""
-    if x.dtype.kind == "u":
+    if not m & (m - 1):  # a power of two: the low bits are the residue
+        x &= m - 1
+    elif x.dtype.kind == "u":
         # numpy vectorizes unsigned floor division by a scalar but not the
         # remainder, so x - (x // m) * m is several times faster than x % m.
         quot = x // m
@@ -452,10 +483,7 @@ def _fold_fields(packed, radices, widths, weights):
     field 0 holds the lowest widths[0] bits, field 1 the next widths[1], and so on."""
     out = np.zeros_like(packed)
     for r, w, weight in zip(radices, widths, weights):
-        if r & (r - 1):
-            out += _reduce_codes(packed & ((1 << w) - 1), r) * weight
-        else:  # a power of two: the low bits are the residue
-            out += (packed & (r - 1)) * weight
+        out += _reduce_codes(packed & ((1 << w) - 1), r) * weight
         packed = packed >> w
     return out
 

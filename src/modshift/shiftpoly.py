@@ -282,18 +282,38 @@ def _centred_residue(x: int, n: int) -> int:
     return r - n if r > n // 2 else r
 
 
+# A batch of at most this many cells x terms, applied for more than one step,
+# steps by one table lookup per cell (`TorusStencil`): below it numpy's
+# per-call overhead outweighs the per-cell cost of the gathers, above it the
+# padded views' arithmetic is cheaper (crossovers in BENCH_32.json).
+SMALL_TORUS_CELL_TERMS = 1 << 12
+# The largest lookup table, |R|**terms entries, that a small batch builds.
+SMALL_TORUS_TABLE = 1 << 16
+
+
 class TorusStencil:
     """sum_h c_h * shift(x, h) on a torus, planned once for a batch shape.
 
     The plan holds everything that depends only on (terms, window, ring,
     shape): each offset reduced to its centred residue mod the extents (the
     torus identifies them, so a Frobenius term at p**k * h costs no more than
-    one at h), the wrap-padded shape, the interior and halo slices, one view
-    slice per term, and the ring's `sum_dtype` for the term count.  A step
-    writes one wrap-padded copy of its input in that dtype (the interior plus
-    at most two halo slice copies per axis), takes every term as a view into
-    it and hands the views to `Ring.weighted_sum`, which for a table ring
-    gathers each term from a 1-D table on those narrow codes.
+    one at h), the wrap-padded shape, the interior and halo slices and one
+    view slice per term.  A step runs one of two ways:
+
+    - by default it writes one wrap-padded copy of its input in the ring's
+      `sum_dtype` for the term count (the interior plus at most two halo
+      slice copies per axis), takes every term as a view into it and hands
+      the views to `Ring.weighted_sum`;
+    - a small batch (cells x terms at most `SMALL_TORUS_CELL_TERMS`) over a
+      ring with |R|**terms at most `SMALL_TORUS_TABLE`, once applied for
+      more than one step, steps by one gather of every term by a flat index
+      (the term's view of the padded cell indices), one dot with the place
+      values |R|**i that packs each cell's term codes into a table index,
+      and one lookup in the ring's `weighted_sum` of every tuple of term
+      codes.  The index and the table are built on that first apply: a
+      single step would pay for them and use them once.  Its codes stay
+      flat and in intp, the dtype that the gathers and the dot take
+      without a cast.
     """
 
     def __init__(self, terms, window: WindowSpec, ring: Ring, shape):
@@ -332,22 +352,46 @@ class TorusStencil:
             (slice(None),) + tuple(slice(lo + x, lo + x + n) for n, lo, x in zip(extents, lows, r))
             for r in residues
         ]
+        self.shape = shape
+        self.small = (prod(shape) * len(terms) <= SMALL_TORUS_CELL_TERMS
+                      and ring.size ** len(terms) <= SMALL_TORUS_TABLE)
+        self.table = None
 
-    def _step(self, codes):
-        padded = np.empty(self.padded_shape, dtype=self.dtype)
+    def _plan_lookup(self):
+        q, n_terms = self.ring.size, len(self.coeffs)
+        # Term h's view of the padded cell indices reads cell m + h at m.
+        cells = self._padded(np.arange(prod(self.shape)).reshape(self.shape), np.intp)
+        self.gather = np.stack([cells[v].ravel() for v in self.views])
+        self.places = np.array([q**i for i in range(n_terms)], dtype=np.intp)
+        # Row i of the reversed indices is term i's code, the place q**i digit.
+        digits = np.indices((q,) * n_terms, dtype=self.dtype).reshape(n_terms, -1)[::-1]
+        self.table = self.ring.weighted_sum(self.coeffs, digits).astype(np.intp)
+
+    def _padded(self, codes, dtype):
+        padded = np.empty(self.padded_shape, dtype=dtype)
         padded[self.interior] = codes
         for dst, src in self.halos:
             padded[dst] = padded[src]
+        return padded
+
+    def _step(self, codes):
+        if self.table is not None:  # flat codes in, flat codes out
+            return self.table.take(self.places @ codes.take(self.gather))
+        padded = self._padded(codes, self.dtype)
         return self.ring.weighted_sum(self.coeffs, (padded[v] for v in self.views))
 
     def apply(self, values: np.ndarray, steps: int = 1) -> np.ndarray:
-        """`steps` applications to values, returned in the dtype of values.
+        """`steps` applications to values, returned in their dtype and shape.
 
-        Codes stay in the plan's dtype between steps; int64 in gives int64 out.
+        Codes stay in the step's own dtype between steps; int64 in gives int64 out.
         """
+        if steps > 1 and self.small and self.table is None:
+            self._plan_lookup()
         codes = values
         for _ in range(steps):
             codes = self._step(codes)
+        if codes.shape != values.shape:
+            codes = codes.reshape(values.shape)
         return codes.astype(values.dtype, copy=False)
 
 
@@ -398,8 +442,11 @@ def stencil(terms, values: np.ndarray, window: WindowSpec, mode: str, ring: Ring
 def _check_applicable(poly: ShiftPolynomial, config: WindowConfig):
     if poly.ring != config.module.ring:
         raise RingMismatchError("polynomial/config ring mismatch")
-    if poly.dims[0] + poly.dims[1] != config.window.axes:
-        raise RingMismatchError("polynomial/config lattice arity mismatch")
+    if tuple(poly.dims) != config.window.dims:
+        raise RingMismatchError(
+            f"rule dims {poly.dims[0]},{poly.dims[1]} do not match "
+            f"configuration dims {config.window.dims[0]},{config.window.dims[1]}"
+        )
 
 
 def apply_poly(poly: ShiftPolynomial, config: WindowConfig) -> WindowConfig:

@@ -90,14 +90,25 @@ not, kept as the reference for the loop that runs once per pivot and skips
 empty columns a block at a time; the solved cylinder probability is the
 original `SubgroupHaarMeasure._pinned_probability`, which counted the rows
 of a `solve_affine` nullspace basis.
+The packed gather sum is `Ring.weighted_sum` as first written for every
+table ring (one gather per term from a table of packed additive digits),
+kept as the reference for the XOR of bit planes that characteristic 2 now
+takes.  The table forward decomposition is `crt.CrtDecomposition` whose
+array map gathers each component from a column of `forward_table`, the
+original `split_arrays` and `conjugacy_check` columns, kept as the
+reference for the arithmetic forward map and as the way tests corrupt one
+code of a decomposition.
 """
 
 import csv
+import dataclasses
 import io
 import json
 from fractions import Fraction
 
 import numpy as np
+
+from modshift.crt import CrtDecomposition
 
 
 def trinomial_row(n):
@@ -1661,3 +1672,50 @@ def translated_window_stencil(terms, values, window, ring):
     )
     out = ring.weighted_sum([c for _, c in terms], blocks)
     return out_window, out.astype(values.dtype, copy=False)
+
+
+# -- gathered code maps ----------------------------------------------------------------
+
+
+def packed_gather_weighted_sum(ring, coeffs, arrays):
+    """`Ring.weighted_sum` as first written for every table ring: term i is one
+    gather from a 1-D table of the additive digits of coeffs[i] * a, packed one
+    bit field per digit, folded when a chunk of terms would pass 64 bits."""
+    from modshift.rings import _fold_fields
+
+    radices = ring.additive.radices
+    chunk = len(coeffs)
+    while chunk > 2 and sum((chunk * (r - 1)).bit_length() for r in radices) > 64:
+        chunk //= 2
+    widths = [(chunk * (r - 1)).bit_length() for r in radices]
+    places = [1 << sum(widths[:i]) for i in range(len(widths))]
+    dtype = next(np.dtype(f"u{n}") for n in (1, 2, 4, 8) if sum(widths) <= 8 * n)
+    packed = ring.additive.all_digits().astype(dtype) @ np.array(places, dtype=dtype)
+    acc = None
+    for c, a in zip(coeffs, arrays):
+        term = packed[ring.mul_arr(np.int64(c), np.arange(ring.size))].take(a)
+        if acc is None:
+            acc, held, out_dtype = term, 0, np.asarray(a).dtype
+        elif held == chunk:
+            acc, held = _fold_fields(acc, radices, widths, places) + term, 1
+        else:
+            acc += term
+        held += 1
+    return _fold_fields(acc, radices, widths, ring.additive._places).astype(out_dtype, copy=False)
+
+
+@dataclasses.dataclass(frozen=True)
+class TableForwardDecomposition(CrtDecomposition):
+    """A decomposition whose forward map gathers component j of every code from
+    column j of `forward_table`, in int64, as `split_arrays` first did."""
+
+    def forward_arr(self, values, j):
+        return self.forward_table[:, j][np.asarray(values, dtype=np.int64)]
+
+
+def table_forward(deco, forward_table=None):
+    """`deco` as a `TableForwardDecomposition`, reading `forward_table` when given."""
+    fields = {f.name: getattr(deco, f.name) for f in dataclasses.fields(deco)}
+    if forward_table is not None:
+        fields["forward_table"] = forward_table
+    return TableForwardDecomposition(**fields)

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +26,8 @@ from modshift import (
     uniform_bernoulli,
 )
 from modshift.rng import CounterRng
+
+from oracles import table_forward
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +176,7 @@ def test_conjugacy_detects_corruption(z6_deco):
     # corrupt the forward table for one code and expect a located counterexample
     bad_fwd = z6_deco.forward_table.copy()
     bad_fwd[5, 1] = 1  # 5 should map to (1, 2)
-    bad = dataclasses.replace(z6_deco, forward_table=bad_fwd)
+    bad = table_forward(z6_deco, bad_fwd)
     mod = ModuleSpec(ZmodRing(6), 1)
     rule = LocalRule(mod, (1, 0), ((0,), (1,)), (1, 5))
     res = conjugacy_check(rule, bad, trials=20, torus_extents=(16,), seed=2)

@@ -246,3 +246,49 @@ def test_wrong_arity_sites_are_refused_not_cut_short():
     with pytest.raises(InvalidParameterError, match=r"site \(1, 5\)"):
         cfg.value_at((1, 5))
     assert line.contains_site((3,)) and not line.contains_site((4,))
+
+
+# -- configurations store narrow codes -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("ring_text, dtype", [("zmod:2", np.uint8), ("zmod:256", np.uint8),
+                                              ("zmod:257", np.uint16), ("gf:3:2", np.uint8),
+                                              ("prod:[zmod:200;zmod:300]", np.uint16)])
+def test_configurations_store_the_narrowest_code_dtype(ring_text, dtype):
+    from modshift.rings import make_ring
+
+    module = ModuleSpec(make_ring(ring_text), 2)
+    window = w((1, 1), (-1, 0), (3, 4))
+    codes = CounterRng(5, stream=1).uniform_codes(0, window.extents + (2,), module.ring.size)
+    codes[0, 0] = module.ring.size - 1
+    wide = np.asarray(codes, dtype=np.int64)
+    configs = [WindowConfig(window, module, c) for c in (codes, wide, wide.astype(np.int32), wide.tolist())]
+    for cfg in configs:
+        assert cfg.values.dtype == dtype and not cfg.values.flags.writeable
+        assert cfg == configs[0] and np.array_equal(cfg.values, wide)
+        # The bytes of the int64 codes and the text form do not depend on the storage.
+        assert cfg.word_key() == wide.tobytes()
+        assert encode_config(cfg) == encode_config(configs[1])
+        assert decode_config(encode_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 255])
+def test_narrow_storage_still_refuses_codes_out_of_range(bad):
+    window = w((1, 0), (0,), (3,))
+    for dtype in (np.int8, np.int16, np.int64, np.uint8):
+        if not np.can_cast(np.min_scalar_type(bad), dtype):
+            continue
+        vals = np.array([[0], [bad], [1]], dtype=dtype)
+        with pytest.raises(InvalidParameterError, match=r"out of range at index \(1, 0\)"):
+            WindowConfig(window, Z6, vals)
+
+
+def test_arithmetic_on_narrow_configurations_does_not_wrap():
+    window = w((1, 0), (0,), (6,))
+    a = WindowConfig(window, Z6, np.array([[0], [1], [2], [3], [4], [5]], dtype=np.uint8))
+    b = WindowConfig(window, Z6, np.array([[5], [5], [0], [4], [1], [5]], dtype=np.uint8))
+    pairs = list(zip(range(6), [5, 5, 0, 4, 1, 5]))
+    assert config_sub(a, b).values[:, 0].tolist() == [(x - y) % 6 for x, y in pairs]
+    assert config_add(a, b).values[:, 0].tolist() == [(x + y) % 6 for x, y in pairs]
+    assert config_scale(5, a).values[:, 0].tolist() == [5 * x % 6 for x in range(6)]
+    assert config_sub(a, b).values.dtype == np.uint8

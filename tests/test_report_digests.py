@@ -1,12 +1,16 @@
-"""The bundled suites' report bytes, pinned by SHA-256.
+"""The bundled suites' and the benchmark workloads' report bytes, pinned by SHA-256.
 
 Reports must be byte-stable across refactors of the arithmetic underneath
 (every exact path reproduces the same verdicts, tables and floats).  The
 digests were taken from the suites at their default seeds; a change that moves
-them changes what a user's report says and must say why.
+them changes what a user's report says and must say why.  The workloads'
+digests live in `perfbench/pins.json`, which the benchmark checks every sample
+against; this test only reads that file and the workload configs.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +38,19 @@ def test_bundled_suite_report_bytes_are_pinned(suite, tmp_path):
         for name in DIGESTS[suite]
     }
     assert got == DIGESTS[suite]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = sorted(PERFBENCH.glob("workloads/*.cfg"))
+
+
+@pytest.mark.parametrize("config", WORKLOADS, ids=lambda path: path.stem)
+def test_benchmark_workload_report_bytes_match_the_pins(config, tmp_path):
+    pins = json.loads((PERFBENCH / "pins.json").read_text("utf-8"))
+    assert run_file(str(config), str(tmp_path)) == 0
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == pins[config.stem]
+
+
+def test_every_benchmark_workload_is_pinned():
+    pins = json.loads((PERFBENCH / "pins.json").read_text("utf-8"))
+    assert WORKLOADS and sorted(pins) == [path.stem for path in WORKLOADS]

@@ -258,3 +258,31 @@ def test_rule_text_roundtrip(cb_system):
         parse_rule("wrong ring=zmod:2 rank=1 H=(0):1")
     legacy = parse_rule("rule ring=zmod:2 rank=1 H=(0,1):1;(1,0):1")
     assert legacy.dims == (2, 0)
+
+
+# -- a rule applies only to configurations of its own dims --------------------------------------
+
+
+def _dims_mismatch_cases():
+    rule = parse_rule("rule ring=zmod:2 rank=1 dims=2,0 H=(0,0):1;(0,-1):1")
+    zeros = np.zeros((4, 4, 1), dtype=np.uint8)
+    cfgs = [WindowConfig(WindowSpec((1, 1), (0, 0), (4, 4)), rule.module, zeros, mode)
+            for mode in ("exact", "torus")]
+    return rule, cfgs
+
+
+@pytest.mark.parametrize("entry", ["LocalRule.apply", "apply_poly", "iterate_rule"])
+def test_a_rule_of_other_dims_is_refused_naming_both(entry):
+    # dims=2,0 and dims=1,1 have the same axis count; the rule's offset (0,-1)
+    # would read across what is an N axis of the configuration.
+    rule, cfgs = _dims_mismatch_cases()
+    call = {
+        "LocalRule.apply": rule.apply,
+        "apply_poly": lambda cfg: apply_poly(from_rule(rule), cfg),
+        "iterate_rule": lambda cfg: iterate_rule(rule, cfg, 3),
+    }[entry]
+    for cfg in cfgs:
+        with pytest.raises(RingMismatchError, match="rule dims 2,0 do not match configuration dims 1,1"):
+            call(cfg)
+    same = WindowConfig(WindowSpec((2, 0), (0, 0), (4, 4)), rule.module, cfgs[0].values)
+    assert call(same).window.dims == (2, 0)

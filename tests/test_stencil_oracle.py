@@ -1,13 +1,16 @@
 """Differential tests: the single stencil engine against the reduce-each oracles.
 
-`stencil` accumulates unreduced and reduces once (over Z/m) or adds packed
-additive digits (GF and product rings), and every caller (`apply_poly`, `constraint_residual`,
+`stencil` accumulates unreduced and reduces once (over Z/m), XORs bit planes
+(characteristic 2) or adds packed additive digits (other GF and product
+rings), and every caller (`apply_poly`, `constraint_residual`,
 `batch_membership`, the batched Frobenius and CRT checks) goes through it.
 Ring arithmetic is exact, so each must equal the original evaluation, which
 reduces after every multiply and every add, bit for bit.  The torus path
-writes one wrap-padded copy in the ring's narrowest sum dtype; the `np.roll`
-oracle checks it at offsets far beyond the extents, at every dtype boundary
-and over many steps of narrow codes.  Codes as drawn (uint8 or uint16) give
+writes one wrap-padded copy in the ring's narrowest sum dtype (or, for a small
+batch stepped more than once, looks each cell up in one table; see
+`test_code_map_oracle.py`); the `np.roll` oracle checks it at offsets far
+beyond the extents, at every dtype boundary and over many steps of narrow
+codes.  Codes as drawn (uint8 or uint16) give
 the int64 results' values in their own dtype, and the Frobenius check's
 frontier test bounds the memory traced by `tracemalloc`, not wall time.
 """
@@ -23,7 +26,7 @@ import pytest
 from modshift import GFRing, KernelShiftSpec, ModuleSpec, WindowSpec, ZmodRing
 from modshift.crt import component_map_verdicts, conjugacy_check, decompose_ring
 from modshift.errors import DRAW_CAP, DomainExhaustedError, DrawLimitError, InvalidParameterError
-from modshift.experiment import frobenius_check
+from modshift.experiment import STEP_KINDS, frobenius_check
 from modshift.kernels import batch_membership, constraint_matrix, constraint_residual
 from modshift.lattice import WindowConfig, checkerboard_config, config_from_function
 from modshift.rings import Ring, make_ring
@@ -50,6 +53,7 @@ from oracles import (
     reduce_each_batch,
     reduce_each_membership,
     reduce_each_residual,
+    table_forward,
     translated_window_stencil,
 )
 
@@ -321,11 +325,27 @@ def test_a_z2_frobenius_check_on_3x256x256_traces_under_6_bytes_per_cell():
     assert peak < 6 * 3 * 256 * 256
 
 
+def test_a_z2_fixed_point_step_on_512x512_traces_about_3_bytes_per_cell():
+    # A uint8 checkerboard, one wrap-padded uint8 copy of it and the uint8 sum
+    # are three bytes a cell; the rest is the halo, numpy's iterator buffers
+    # and the plan.  Configurations stored as int64 traced 17 bytes a cell.
+    step = {"rule": parse_rule("rule ring=zmod:2 rank=1 dims=1,1 H=(0,0):1;(0,1):1;(1,0):1"),
+            "torus": [512, 512], "pattern": checkerboard_config}
+    tracemalloc.start()
+    try:
+        got = STEP_KINDS["fixed-point"].handler(step, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got["pass"]
+    assert peak < 3.1 * 512 * 512
+
+
 def _corrupted_z6():
     deco = decompose_ring(ZmodRing(6))
     fwd = deco.forward_table.copy()
     fwd[5, 1] = 1  # 5 should map to (1, 2)
-    return dataclasses.replace(deco, forward_table=fwd)
+    return table_forward(deco, fwd)
 
 
 @pytest.mark.parametrize(
@@ -372,7 +392,7 @@ def test_conjugacy_counterexample_in_a_later_batch():
     deco = decompose_ring(rule.ring)
     fwd = deco.forward_table.copy()
     fwd[777, 0] = 778
-    bad = dataclasses.replace(deco, forward_table=fwd)
+    bad = table_forward(deco, fwd)
     res = conjugacy_check(rule, bad, trials=400, torus_extents=(256,), seed=24)
     assert res.counterexample == per_trial_conjugacy(rule, bad, 400, (256,), 24)
     assert res.counterexample["trial"] == 368
@@ -386,7 +406,7 @@ def test_conjugacy_counterexample_in_the_last_partial_batch():
     deco = decompose_ring(rule.ring)
     fwd = deco.forward_table.copy()
     fwd[65497, 0] ^= 1
-    bad = dataclasses.replace(deco, forward_table=fwd)
+    bad = table_forward(deco, fwd)
     res = conjugacy_check(rule, bad, trials=120, torus_extents=(1024,), seed=13)
     assert res.counterexample == per_trial_conjugacy(rule, bad, 120, (1024,), 13)
     assert res.counterexample["trial"] == 119
@@ -616,7 +636,9 @@ def test_torus_callers_give_int64_and_never_roll(caller, monkeypatch):
     monkeypatch.setattr(np, "roll", no_roll)
     got = _torus_callers()[caller]()
     if isinstance(want, np.ndarray):
-        assert want.dtype == got.dtype == np.int64 and np.array_equal(got, want)
+        # A configuration stores uint8 codes over Z/5; a bare int64 batch stays int64.
+        dtype = np.uint8 if caller in ("apply_poly", "iterate_rule") else np.int64
+        assert want.dtype == got.dtype == dtype and np.array_equal(got, want)
     else:
         assert got is want is True
 
@@ -750,11 +772,14 @@ def test_exact_callers_give_int64(caller, monkeypatch):
         monkeypatch.setattr(module, "stencil", spy)
     got_fn, want_fn = _exact_callers()[caller]
     got = got_fn()
-    assert seen and all(s == ("exact", np.int64, np.int64) for s in seen)
+    # A configuration stores uint8 codes over Z/5 and hands them to the stencil as
+    # they are; a coset's representative codes are int64, its image a configuration.
+    seen_dtype = np.uint8 if caller in ("apply_poly", "constraint_residual") else np.int64
+    assert seen and all(s == ("exact", seen_dtype, seen_dtype) for s in seen)
     if caller == "batch_membership":
         want = want_fn()
         assert want.any() and not want.all() and np.array_equal(got, want)
         return
-    assert got.dtype == np.int64
+    assert got.dtype == (np.uint8 if caller == "pushforward_coset" else seen_dtype)
     if want_fn is not None:
         assert np.array_equal(got, want_fn())

@@ -11,7 +11,6 @@ anything is allocated; and the memory of a streamed statistic does not grow
 with its budget.
 """
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -49,6 +48,7 @@ from modshift.shiftpoly import parse_rule
 
 from oracles import (
     batched_conjugacy,
+    table_forward,
     whole_draw_entropy,
     whole_draw_fourier,
     whole_draw_mixing,
@@ -156,7 +156,7 @@ def test_streamed_conjugacy_equals_the_batched_draw(rule_text, torus, corrupt, b
     if corrupt:  # code 2 is no coefficient, so every component rule stays valid
         fwd = deco.forward_table.copy()
         fwd[2, 0] = (fwd[2, 0] + 1) % deco.component_rings[0].size
-        deco = dataclasses.replace(deco, forward_table=fwd)
+        deco = table_forward(deco, fwd)
     res = conjugacy_check(rule, deco, trials=40, torus_extents=torus, seed=3)
     assert (res.ok, res.counterexample) == batched_conjugacy(rule, deco, 40, torus, 3)
     assert res.ok == (not corrupt)

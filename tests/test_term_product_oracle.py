@@ -12,7 +12,6 @@ reference.  The checkerboard residue table is checked against
 the per-trial loop.
 """
 
-import dataclasses
 import pathlib
 
 import numpy as np
@@ -23,7 +22,12 @@ from modshift import crt, rings, shiftpoly
 from modshift.bundled import checkerboard_system, torsion_demo_system
 from modshift.experiment import frobenius_check, parse_experiment
 from modshift.kernels import coset_from_cocycle
-from modshift.lattice import checkerboard_config, config_from_function, coordinate_sum_images
+from modshift.lattice import (
+    checkerboard_config,
+    code_dtype,
+    config_from_function,
+    coordinate_sum_images,
+)
 from modshift.rng import CounterRng
 from modshift.shiftpoly import (
     ShiftPolynomial,
@@ -34,7 +38,13 @@ from modshift.shiftpoly import (
     stencil,
 )
 
-from oracles import box_poly_mul, generic_weighted_sum, per_trial_conjugacy, reduce_each_batch
+from oracles import (
+    box_poly_mul,
+    generic_weighted_sum,
+    per_trial_conjugacy,
+    reduce_each_batch,
+    table_forward,
+)
 from test_properties import RING_POOL
 from test_shiftpoly import naive_poly_mul, random_poly
 
@@ -199,7 +209,7 @@ TABLE_RINGS = [
     ProductRing([ZmodRing(2), ZmodRing(5)]),
     make_ring("prod:[zmod:2;zmod:3]"),
 ]
-# Eight one-bit digits: 300 terms need 72 bits of fields, so the sum reduces in chunks.
+# Eight one-bit digits: a sum of 300 terms, which packed fields would take in chunks.
 CHUNKED = make_ring("prod:[zmod:2;zmod:2;zmod:2;zmod:2;zmod:2;zmod:2;zmod:2;zmod:2]")
 
 
@@ -254,22 +264,24 @@ def test_weighted_sum_matches_the_generic_sum(ring, n_terms):
         assert got.dtype == dtype and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("n_terms, folds", [(255, 1), (256, 3), (300, 3), (600, 5)])
+@pytest.mark.parametrize("n_terms, folds", [(511, 1), (512, 3), (600, 3), (1200, 5)])
 def test_chunked_reduction_is_decided_from_the_bound(monkeypatch, n_terms, folds):
-    # Eight 8-bit fields hold 255 terms.  Past that the chunk halves until its
-    # fields fit in 64 bits (256 -> 128, 300 -> 150, 600 -> 150); after the
-    # first chunk each adds chunk - 1 terms to the reduced fields, and the
-    # codes are read off once more at the end.  Zero and full codes reduce
-    # equally often.
+    # Six 10-bit fields of base-3 digits hold 511 terms.  Past that the chunk
+    # halves until its fields fit in 64 bits (512 -> 256, 600 -> 300,
+    # 1200 -> 300); after the first chunk each adds chunk - 1 terms to the
+    # reduced fields, and the codes are read off once more at the end.  Zero
+    # and full codes reduce equally often.  (Characteristic 2 sums by XOR and
+    # has no fields, so the chunked ring is odd.)
+    ring = make_ring("prod:[zmod:3;zmod:3;zmod:3;zmod:3;zmod:3;zmod:3]")
     calls = []
     real = rings._fold_fields
     monkeypatch.setattr(rings, "_fold_fields", lambda *args: calls.append(1) or real(*args))
-    for fill in (0, CHUNKED.size - 1):
+    for fill in (0, ring.size - 1):
         calls.clear()
-        arrays = np.full((n_terms, 5), fill, dtype=np.uint8)
-        got = CHUNKED.weighted_sum([CHUNKED.one] * n_terms, arrays)
+        arrays = np.full((n_terms, 5), fill, dtype=np.uint16)
+        got = ring.weighted_sum([ring.one] * n_terms, arrays)
         assert len(calls) == folds
-        assert np.array_equal(got, generic_weighted_sum(CHUNKED, [CHUNKED.one] * n_terms, arrays))
+        assert np.array_equal(got, generic_weighted_sum(ring, [ring.one] * n_terms, arrays))
 
 
 @pytest.mark.parametrize("ring", TABLE_RINGS + [CHUNKED], ids=_ids)
@@ -300,7 +312,7 @@ def test_coordinate_sum_images_match_config_from_function(ring_text, dims, origi
     window = WindowSpec(dims, origin, extents)
     want = config_from_function(module, window, lambda site: ring.from_int(sum(site)))
     got = coordinate_sum_images(ring, window)
-    assert got.dtype == np.int64 and np.array_equal(got, want.values[..., 0])
+    assert got.dtype == code_dtype(ring) and np.array_equal(got, want.values[..., 0])
     assert checkerboard_config(module, window) == want
     c0, a = ring.one, ring.size - 1
     coset = config_from_function(
@@ -318,7 +330,7 @@ def test_conjugacy_on_narrow_codes_matches_the_per_trial_loop():
     assert crt.conjugacy_check(rule, deco, trials=30, torus_extents=(9,), seed=4).ok
     fwd = deco.forward_table.copy()
     fwd[7, 0] = 2  # 7 = (3, 1) should map to 3 in GF(4)
-    bad = dataclasses.replace(deco, forward_table=fwd)
+    bad = table_forward(deco, fwd)
     res = crt.conjugacy_check(rule, bad, trials=30, torus_extents=(9,), seed=4)
     assert not res.ok
     assert res.counterexample == per_trial_conjugacy(rule, bad, 30, (9,), 4)
